@@ -4,6 +4,7 @@
 //! trials) don't serialize the sweep; results are deterministic per seed
 //! regardless of scheduling order.
 
+use crate::flight;
 use crate::metrics::{MetricsSummary, TrialMetrics};
 use crate::pipeline::{run_trial, Design};
 use crate::scenario::TrialConfig;
@@ -57,12 +58,16 @@ pub fn parallel_trials(
     drop(tx);
     let results: Mutex<Vec<(u64, TrialMetrics)>> = Mutex::new(Vec::with_capacity(trials));
     let failures = AtomicUsize::new(0);
+    let recorder = flight::Recorder::current();
     std::thread::scope(|scope| {
         for _ in 0..default_workers() {
             let rx = rx.clone();
             let results = &results;
             let failures = &failures;
+            let recorder = recorder.clone();
             scope.spawn(move || {
+                // Workers capture failing shots into the caller's recorder.
+                recorder.install();
                 while let Ok(seed) = rx.recv() {
                     // A failed trial (e.g. an unluckily degenerate LP) is
                     // counted rather than aborting the whole sweep — and
@@ -111,12 +116,15 @@ where
     }
     drop(tx);
     let results: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
+    let recorder = flight::Recorder::current();
     std::thread::scope(|scope| {
         for _ in 0..default_workers() {
             let rx = rx.clone();
             let results = &results;
             let f = &f;
+            let recorder = recorder.clone();
             scope.spawn(move || {
+                recorder.install();
                 while let Ok((i, item)) = rx.recv() {
                     let out = f(&item);
                     results.lock().push((i, out));

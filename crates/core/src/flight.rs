@@ -19,6 +19,11 @@
 //! }
 //! ```
 //!
+//! Arming is per thread: [`arm`] arms the calling thread, and the
+//! experiment runner hands that thread's [`Recorder`] to its workers. Runs
+//! that share a process without sharing an arming thread (parallel tests)
+//! therefore never capture into each other's directory or budget.
+//!
 //! The model stores the *raw probabilities* (not fidelities) so replay is
 //! bit-exact: see [`ErrorModel::from_probabilities`]. [`replay_artifact`]
 //! re-executes a captured shot deterministically — no RNG is involved once
@@ -30,8 +35,7 @@
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use surfnet_decoder::{Decoder, MwpmDecoder, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{ErrorModel, ErrorSample, Pauli, PauliString, SurfaceCode, Syndrome};
@@ -41,46 +45,57 @@ use surfnet_telemetry::json::{self, Value};
 /// Default capture budget when `SURFNET_FLIGHT_MAX` is unset.
 pub const DEFAULT_MAX_CAPTURES: usize = 4;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-
+/// Capture directory and budget, shared by every thread of one armed run.
 struct Config {
     dir: PathBuf,
     max: usize,
     captured: usize,
 }
 
-fn config() -> &'static Mutex<Option<Config>> {
-    static CONFIG: OnceLock<Mutex<Option<Config>>> = OnceLock::new();
-    CONFIG.get_or_init(|| Mutex::new(None))
+/// The recorder a thread captures into; `None` when disarmed. Clone it to
+/// hand the calling thread's recorder to a worker thread, which then
+/// [`install`](Recorder::install)s it.
+#[derive(Clone, Default)]
+pub struct Recorder(Option<Arc<Mutex<Config>>>);
+
+thread_local! {
+    static RECORDER: RefCell<Recorder> = RefCell::new(Recorder::default());
 }
 
-/// Whether the flight recorder is armed. One relaxed atomic load; the
-/// evaluation hot path checks this before doing any capture work.
+impl Recorder {
+    /// The calling thread's recorder.
+    pub fn current() -> Recorder {
+        RECORDER.with(|r| r.borrow().clone())
+    }
+
+    /// Makes this the calling thread's recorder: its captures share this
+    /// recorder's directory and budget.
+    pub fn install(self) {
+        RECORDER.with(|r| *r.borrow_mut() = self);
+    }
+}
+
+/// Whether the calling thread's flight recorder is armed. The evaluation
+/// hot path checks this before doing any capture work.
 #[inline]
 pub fn armed() -> bool {
-    // analyzer:allow(atomic-ordering): fast-path gate only; capture()
-    // re-reads everything it needs under the config mutex
-    ARMED.load(Ordering::Relaxed)
+    RECORDER.with(|r| r.borrow().0.is_some())
 }
 
-/// Arms the recorder: up to `max` failing shots are written under `dir`.
+/// Arms the calling thread's recorder: up to `max` failing shots are
+/// written under `dir`.
 pub fn arm(dir: impl Into<PathBuf>, max: usize) {
-    *config().lock().expect("flight config lock") = Some(Config {
+    Recorder(Some(Arc::new(Mutex::new(Config {
         dir: dir.into(),
         max,
         captured: 0,
-    });
-    // analyzer:allow(atomic-ordering): the config mutex (released just
-    // above) publishes dir/budget; the flag is a fast-path gate
-    ARMED.store(true, Ordering::Relaxed);
+    }))))
+    .install();
 }
 
-/// Disarms the recorder and forgets the capture directory.
+/// Disarms the calling thread's recorder.
 pub fn disarm() {
-    // analyzer:allow(atomic-ordering): gate flip; a capture racing the
-    // flip still sees a coherent config under the mutex below
-    ARMED.store(false, Ordering::Relaxed);
-    *config().lock().expect("flight config lock") = None;
+    Recorder::default().install();
 }
 
 /// Values that read as boolean switches rather than directories. Someone
@@ -253,12 +268,9 @@ fn capture(
     kind: &str,
     panic_message: Option<&str>,
 ) -> Option<PathBuf> {
-    if !armed() {
-        return None;
-    }
+    let shared = Recorder::current().0?;
     let (dir, index) = {
-        let mut guard = config().lock().expect("flight config lock");
-        let cfg = guard.as_mut()?;
+        let mut cfg = shared.lock().expect("flight config lock");
         if cfg.captured >= cfg.max {
             return None;
         }
@@ -939,12 +951,6 @@ mod tests {
     use rand::SeedableRng;
     use surfnet_lattice::CoreTopology;
 
-    /// Serializes tests that arm the process-global recorder.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn failing_shot(code: &SurfaceCode, model: &ErrorModel, seed: u64) -> ErrorSample {
         // High noise so a failure appears within a bounded number of draws.
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -1014,7 +1020,6 @@ mod tests {
 
     #[test]
     fn disarmed_recorder_captures_nothing() {
-        let _guard = guard();
         disarm();
         let code = SurfaceCode::new(3).unwrap();
         let model = ErrorModel::uniform(&code, 0.2, 0.1);
@@ -1024,7 +1029,6 @@ mod tests {
 
     #[test]
     fn capture_respects_budget_and_replay_is_bit_exact() {
-        let _guard = guard();
         let dir = std::env::temp_dir().join("surfnet-flight-test-budget");
         let _ = std::fs::remove_dir_all(&dir);
         arm(&dir, 2);
@@ -1066,7 +1070,6 @@ mod tests {
 
     #[test]
     fn invariant_capture_records_panic_message() {
-        let _guard = guard();
         let dir = std::env::temp_dir().join("surfnet-flight-test-panic");
         let _ = std::fs::remove_dir_all(&dir);
         arm(&dir, 1);
@@ -1096,7 +1099,6 @@ mod tests {
         // End to end: arm the recorder, run real trials until one shot
         // fails, then replay the artifact and demand an exact reproduction
         // of the captured syndrome and every decoder's correction.
-        let _guard = guard();
         let dir = std::env::temp_dir().join("surfnet-flight-test-e2e");
         let _ = std::fs::remove_dir_all(&dir);
         arm(&dir, 1);
@@ -1121,6 +1123,20 @@ mod tests {
             "replay diverged from the recording:\n{}",
             report.render()
         );
+        disarm();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn arming_is_per_thread_and_follows_runner_workers() {
+        let dir = std::env::temp_dir().join("surfnet-flight-test-workers");
+        let _ = std::fs::remove_dir_all(&dir);
+        arm(&dir, 1);
+        assert!(!std::thread::scope(|s| s.spawn(armed).join().unwrap()));
+        let cfg = crate::scenario::TrialConfig::default();
+        crate::experiments::runner::parallel_trials(crate::pipeline::Design::SurfNet, &cfg, 64, 0);
+        let captured = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+        assert_eq!(captured, 1, "workers share the caller's budget of one");
         disarm();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,12 +1,14 @@
-//! A dense two-phase simplex linear-programming solver.
+//! A two-phase simplex linear-programming solver.
 //!
 //! The SurfNet routing protocol (paper Sec. V-A) is an integer program
 //! maximizing network throughput under capacity, entanglement and noise
 //! constraints; the paper's evaluation solves its LP relaxation with
 //! rounding. No LP solver crate is available offline, so this crate
 //! provides one from scratch: a bounded-variable builder
-//! ([`LinearProgram`]) and a classic two-phase dense simplex
-//! ([`simplex`]) with a Bland-rule fallback against cycling.
+//! ([`LinearProgram`]) and a classic two-phase tableau simplex
+//! ([`simplex`]) with a Bland-rule fallback against cycling. The tableau
+//! is one flat row-major buffer without the fixed variables' columns, and
+//! each pivot touches only the rows and columns its nonzeros reach.
 //!
 //! # Examples
 //!

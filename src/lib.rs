@@ -20,7 +20,7 @@
 //! * [`decoder`] — the three decoders: modified MWPM (Algorithm 1, with a
 //!   from-scratch blossom matcher), the Union-Find + peeling baseline, and
 //!   the weighted-growth SurfNet decoder (Algorithm 2).
-//! * [`lp`] — a dense two-phase simplex solver.
+//! * [`lp`] — a two-phase simplex solver with sparse pivot updates.
 //! * [`netsim`] — network topology, Barabási–Albert generation, entanglement
 //!   generation/swapping/purification, and discrete-event online execution.
 //! * [`routing`] — the IP formulation (Eqs. 1–6), LP relaxation + rounding,
