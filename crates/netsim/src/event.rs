@@ -25,6 +25,9 @@
 //!   [`StreamConfig::max_defers`] times and then dropped, with drops
 //!   counted per reason in the `netsim.stream.*` metrics and per blocking
 //!   link in the `netsim.stream.link.dropped` family.
+//! * **Plan once per request** — a request is routed on arrival, over a
+//!   table of fiber noises built once per run, and its deferred re-offers
+//!   carry that plan and footprint instead of routing again.
 //!
 //! Latency and failure accounting follow the unified contract documented
 //! on [`ExecutionConfig::max_ticks`] and
@@ -35,7 +38,7 @@ use crate::execution::{
     recover_route, ExecutionConfig, ExecutionOutcome, PlannedSegment, SegmentOutcome, TransferPlan,
 };
 use crate::request::Request;
-use crate::topology::{FiberId, Network, NodeId, NodeKind};
+use crate::topology::{Fiber, FiberId, Network, NodeId, NodeKind};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use surfnet_telemetry::dim;
@@ -469,7 +472,17 @@ pub fn execute_plan_event<R: Rng + ?Sized>(
 /// segments at each intermediate server (where error correction runs).
 /// Returns `None` for unroutable endpoint pairs.
 pub fn plan_request(net: &Network, request: &Request) -> Option<TransferPlan> {
-    let route = net.min_noise_path(request.src, request.dst)?;
+    plan_by(net, request, |f| net.fiber(f).noise())
+}
+
+/// [`plan_request`] with each fiber's noise `μ` given by `noise`, so that
+/// [`simulate`] can read it from a table.
+fn plan_by(
+    net: &Network,
+    request: &Request,
+    noise: impl Fn(FiberId) -> f64,
+) -> Option<TransferPlan> {
+    let route = net.shortest_path_by(request.src, request.dst, noise)?;
     let nodes = net.walk(request.src, &route);
     let mut segments = Vec::new();
     let mut seg_fibers: Vec<FiberId> = Vec::new();
@@ -537,16 +550,26 @@ fn footprint(net: &Network, plan: &TransferPlan, weight: u32) -> Footprint {
     }
 }
 
+/// A routed request awaiting admission. It is planned once, on arrival,
+/// and every re-offer reuses the plan: the network cannot change during a
+/// run and planning draws no randomness, so routing again would give the
+/// same plan.
+struct Planned {
+    plan: TransferPlan,
+    footprint: Footprint,
+}
+
 /// An event in the streaming simulation.
 enum Ev {
     /// The next open-process arrival; the request is sampled on pop so
     /// RNG consumption follows event order.
     Arrival,
-    /// A concrete request offered for admission (trace entries and
-    /// deferred re-offers).
+    /// A trace entry arriving.
+    Trace(Request),
+    /// A deferred re-offer of a blocked request.
     Offer {
-        /// The offered request.
-        request: Request,
+        /// The request's plan and footprint from its arrival.
+        planned: Planned,
         /// How many times it has been deferred already.
         defers: u32,
     },
@@ -597,16 +620,13 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
     } else if let ArrivalProcess::Trace(entries) = &config.arrival {
         for (t, request) in entries {
             if *t <= config.horizon {
-                queue.push(
-                    *t,
-                    Ev::Offer {
-                        request: *request,
-                        defers: 0,
-                    },
-                );
+                queue.push(*t, Ev::Trace(*request));
             }
         }
     }
+    // Planning reads a fiber's noise on every Dijkstra relaxation; compute
+    // each `μ = ln(1/γ)` once per run.
+    let noise: Vec<f64> = net.fibers().iter().map(Fiber::noise).collect();
 
     let mut node_in_use = vec![0u32; net.num_nodes()];
     let mut fiber_in_use = vec![0u32; net.num_fibers()];
@@ -636,7 +656,7 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
 
     while let Some((now, ev)) = queue.pop() {
         stats.end_time = stats.end_time.max(now);
-        match ev {
+        let request = match ev {
             Ev::Arrival => {
                 // Only the Poisson init path schedules `Arrival` events.
                 let rate = poisson_rate.unwrap_or(1.0);
@@ -651,24 +671,10 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
                         break d;
                     }
                 };
-                let request =
-                    Request::new(src, dst, rng.gen_range(1..=config.max_codes_per_request));
-                offer(
-                    net,
-                    config,
-                    rng,
-                    &mut queue,
-                    &mut node_in_use,
-                    &mut fiber_in_use,
-                    &mut link_drops,
-                    &mut active,
-                    &mut stats,
-                    now,
-                    request,
-                    0,
-                );
+                Request::new(src, dst, rng.gen_range(1..=config.max_codes_per_request))
             }
-            Ev::Offer { request, defers } => {
+            Ev::Trace(request) => request,
+            Ev::Offer { planned, defers } => {
                 offer(
                     net,
                     config,
@@ -680,9 +686,10 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
                     &mut active,
                     &mut stats,
                     now,
-                    request,
+                    planned,
                     defers,
                 );
+                continue;
             }
             Ev::Departure { id } => {
                 let t = &active[id];
@@ -698,8 +705,29 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
                 } else {
                     stats.failed += 1;
                 }
+                continue;
             }
-        }
+        };
+        stats.arrivals += 1;
+        let Some(plan) = plan_by(net, &request, |f| noise[f]) else {
+            stats.dropped_unroutable += 1;
+            continue;
+        };
+        let footprint = footprint(net, &plan, request.num_codes);
+        offer(
+            net,
+            config,
+            rng,
+            &mut queue,
+            &mut node_in_use,
+            &mut fiber_in_use,
+            &mut link_drops,
+            &mut active,
+            &mut stats,
+            now,
+            Planned { plan, footprint },
+            0,
+        );
     }
 
     surfnet_telemetry::count!("netsim.stream.arrivals", stats.arrivals);
@@ -730,7 +758,8 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
     stats
 }
 
-/// Handles one admission offer: plan, check capacity, defer/drop/admit.
+/// Handles one admission offer of a planned request: check capacity,
+/// defer/drop/admit.
 #[allow(clippy::too_many_arguments)] // internal event-dispatch plumbing
 fn offer<R: Rng + ?Sized>(
     net: &Network,
@@ -743,17 +772,10 @@ fn offer<R: Rng + ?Sized>(
     active: &mut Vec<Active>,
     stats: &mut StreamStats,
     now: u64,
-    request: Request,
+    planned: Planned,
     defers: u32,
 ) {
-    if defers == 0 {
-        stats.arrivals += 1;
-    }
-    let Some(plan) = plan_request(net, &request) else {
-        stats.dropped_unroutable += 1;
-        return;
-    };
-    let fp = footprint(net, &plan, request.num_codes);
+    let fp = &planned.footprint;
     // First saturated resource decides the blocking reason: relay memory
     // before fiber pools (memory admits fewer concurrent codes and is the
     // paper's primary capacity constraint).
@@ -773,7 +795,7 @@ fn offer<R: Rng + ?Sized>(
             queue.push(
                 now + config.defer_ticks.max(1),
                 Ev::Offer {
-                    request,
+                    planned,
                     defers: defers + 1,
                 },
             );
@@ -797,10 +819,10 @@ fn offer<R: Rng + ?Sized>(
         fiber_in_use[f] += fp.weight;
     }
     stats.admitted += 1;
-    let outcome = execute_plan_event(net, &plan, &config.exec, rng);
+    let outcome = execute_plan_event(net, &planned.plan, &config.exec, rng);
     let id = active.len();
     active.push(Active {
-        footprint: fp,
+        footprint: planned.footprint,
         completed: outcome.completed,
         latency: outcome.latency,
     });

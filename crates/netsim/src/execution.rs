@@ -336,13 +336,11 @@ pub(crate) fn recover_route(
     for &f in route {
         let next = net.fiber(f).other(cur);
         if failed[f] {
-            let detour = net.shortest_path_by(cur, next, |fb| {
-                // analyzer:allow(panic-site): fb is yielded by iterating the network's own fibers, so the reverse lookup always succeeds
-                let id = net.fiber_between(fb.a, fb.b).expect("fiber exists");
+            let detour = net.shortest_path_by(cur, next, |id| {
                 if failed[id] {
                     f64::INFINITY
                 } else {
-                    fb.noise() + 1e-6
+                    net.fiber(id).noise() + 1e-6
                 }
             })?;
             if detour.iter().any(|&d| failed[d]) {
@@ -680,6 +678,29 @@ mod tests {
         let failed = vec![true, false, false, false];
         let recovered = recover_route(&net, n0, &[f01, f13], &failed).unwrap();
         assert_eq!(recovered, vec![f02, f21, f13]);
+    }
+
+    #[test]
+    fn failed_fiber_detours_over_its_parallel_twin() {
+        // Two fibers join the same pair; the second is the less noisy one.
+        // A detour must judge each twin by its own id, not by the first
+        // fiber found between the endpoints.
+        let mut net = Network::new();
+        let a = net.add_node(NodeKind::User, 0);
+        let b = net.add_node(NodeKind::User, 0);
+        let f0 = net.add_fiber(a, b, 0.9, 4, 0.0).unwrap();
+        let f1 = net.add_fiber(a, b, 0.95, 4, 0.0).unwrap();
+        // First twin down: the detour is the second twin.
+        assert_eq!(
+            recover_route(&net, a, &[f0], &[true, false]),
+            Some(vec![f1])
+        );
+        // Second twin down: the detour is the first twin, although the
+        // failed one is cheaper.
+        assert_eq!(
+            recover_route(&net, a, &[f1], &[false, true]),
+            Some(vec![f0])
+        );
     }
 
     #[test]

@@ -230,14 +230,6 @@ impl Network {
         &self.adj[v]
     }
 
-    /// The fiber joining `a` and `b`, if any.
-    pub fn fiber_between(&self, a: NodeId, b: NodeId) -> Option<FiberId> {
-        self.adj.get(a)?.iter().copied().find(|&f| {
-            let fb = &self.fibers[f];
-            (fb.a == a && fb.b == b) || (fb.a == b && fb.b == a)
-        })
-    }
-
     /// Ids of all user nodes.
     pub fn users(&self) -> Vec<NodeId> {
         self.ids_of(|k| k == NodeKind::User)
@@ -285,7 +277,7 @@ impl Network {
     /// Minimum-noise path from `src` to `dst` (Dijkstra over `μ` weights).
     /// Returns the fiber sequence, or `None` if unreachable.
     pub fn min_noise_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<FiberId>> {
-        self.shortest_path_by(src, dst, |f| f.noise())
+        self.shortest_path_by(src, dst, |f| self.fibers[f].noise())
     }
 
     /// Minimum-hop path from `src` to `dst`.
@@ -293,7 +285,8 @@ impl Network {
         self.shortest_path_by(src, dst, |_| 1.0)
     }
 
-    /// Dijkstra with a custom non-negative fiber cost.
+    /// Dijkstra with a custom non-negative cost per fiber id, so a caller
+    /// can read costs from its own table or tell parallel fibers apart.
     ///
     /// # Panics
     ///
@@ -302,7 +295,7 @@ impl Network {
         &self,
         src: NodeId,
         dst: NodeId,
-        cost: impl Fn(&Fiber) -> f64,
+        cost: impl Fn(FiberId) -> f64,
     ) -> Option<Vec<FiberId>> {
         assert!(src < self.num_nodes() && dst < self.num_nodes());
         use std::cmp::Reverse;
@@ -325,7 +318,7 @@ impl Network {
             }
             for &f in &self.adj[v] {
                 let u = self.fibers[f].other(v);
-                let c = cost(&self.fibers[f]);
+                let c = cost(f);
                 debug_assert!(c >= 0.0, "negative fiber cost");
                 let nd = d + c;
                 if nd < dist[u] {
@@ -466,13 +459,5 @@ mod tests {
         assert!(!net.is_connected());
         net.add_fiber(lonely, 0, 0.9, 1, 0.0).unwrap();
         assert!(net.is_connected());
-    }
-
-    #[test]
-    fn fiber_between_finds_either_direction() {
-        let net = sample();
-        assert_eq!(net.fiber_between(0, 1), Some(0));
-        assert_eq!(net.fiber_between(1, 0), Some(0));
-        assert_eq!(net.fiber_between(1, 3), None);
     }
 }

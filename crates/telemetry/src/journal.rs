@@ -479,21 +479,17 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEvent>, JsonError> {
     Ok(events)
 }
 
-/// Serializes tests (in this module and in the crate root) that touch the
-/// process-global journal buffer.
-#[cfg(test)]
-pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GUARD: Mutex<()> = Mutex::new(());
-    GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // Journal state is process-global; serialize the tests that touch it.
+    // They take the crate's one test guard, not a journal mutex of their
+    // own: `crate::recording` reads the telemetry and the journal switch
+    // together, so a second mutex would let a journal test flip a switch
+    // under a telemetry test.
     fn with_journal<R>(f: impl FnOnce() -> R) -> R {
-        let _g = test_guard();
+        let _g = crate::telemetry_test_guard();
         reset();
         set_enabled(true);
         let r = f();

@@ -944,7 +944,8 @@ pub fn render_json(snap: &Snapshot) -> String {
 }
 
 /// Serializes tests (across this crate's modules) that flip the
-/// process-global telemetry state.
+/// process-global telemetry or journal state. It is the crate's only test
+/// guard.
 #[cfg(test)]
 pub(crate) fn telemetry_test_guard() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
@@ -1071,8 +1072,10 @@ mod tests {
 
     #[test]
     fn env_mode_parsing() {
-        // Do not set the env var (tests run in parallel); exercise the
-        // default path only.
+        // `init_from_env` stores the global switch, so it runs under the
+        // guard. Do not set the env var (tests run in parallel); exercise
+        // the default path only.
+        let _g = telemetry_test_guard();
         std::env::remove_var("SURFNET_TELEMETRY");
         assert_eq!(Telemetry::init_from_env(), Mode::Off);
         assert!(!enabled());
@@ -1124,7 +1127,6 @@ mod tests {
     #[test]
     fn spans_emit_journal_begin_end_pairs() {
         with_isolated(|| {
-            let _jg = journal::test_guard();
             journal::reset();
             journal::set_enabled(true);
             {
@@ -1151,7 +1153,6 @@ mod tests {
     #[test]
     fn journal_only_mode_skips_aggregates_but_records_events() {
         with_isolated(|| {
-            let _jg = journal::test_guard();
             let _t = Telemetry::disabled();
             journal::reset();
             journal::set_enabled(true);

@@ -283,7 +283,6 @@ mod tests {
     #[test]
     fn stage_transitions_emit_journal_events() {
         let _g = crate::telemetry_test_guard();
-        let _jg = journal::test_guard();
         let _t = crate::Telemetry::disabled();
         journal::reset();
         journal::set_enabled(true);
