@@ -10,7 +10,7 @@ use crate::report;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use surfnet_decoder::{Decoder, SurfNetDecoder, UnionFindDecoder};
+use surfnet_decoder::{DecodeWorkspace, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 
 /// One measured point of the threshold plot.
@@ -106,17 +106,26 @@ fn count_failures(
         ^ (distance as u64).wrapping_mul(0x9E3779B97F4A7C15)
         ^ ((pauli_rate * 1e6) as u64).wrapping_mul(0xD1B54A32D192ED03);
     let mut rng = SmallRng::seed_from_u64(seed);
+    // One workspace per grid point: every shot after the first decodes in
+    // the same buffers (bit-identical to `decode_sample`).
+    let mut ws = DecodeWorkspace::new();
     match decoder {
         DecoderKind::SurfNet => {
             let d = SurfNetDecoder::from_model(&code, &model);
             (0..trials)
-                .filter(|_| !d.decode_sample(&code, &model.sample(&mut rng)).is_success())
+                .filter(|_| {
+                    !d.decode_sample_with(&code, &model.sample(&mut rng), &mut ws)
+                        .is_success()
+                })
                 .count()
         }
         DecoderKind::UnionFind => {
             let d = UnionFindDecoder::from_model(&code, &model);
             (0..trials)
-                .filter(|_| !d.decode_sample(&code, &model.sample(&mut rng)).is_success())
+                .filter(|_| {
+                    !d.decode_sample_with(&code, &model.sample(&mut rng), &mut ws)
+                        .is_success()
+                })
                 .count()
         }
     }

@@ -90,8 +90,10 @@ pub fn check_forest(parent: &[usize]) -> Result<(), InvariantViolation> {
 /// after a growth round:
 ///
 /// - the parent array is a forest ([`check_forest`]);
-/// - `members` partitions the vertices: a root's list holds exactly its
-///   set, a non-root's list is empty;
+/// - the member cycles `next` partition the vertices: the cycle through
+///   each root stays inside the root's set, closes within `n` steps, and
+///   has as many members as the set (so every vertex lies on its root's
+///   cycle);
 /// - `parity[root]` equals the defect count of the cluster mod 2;
 /// - `touches_boundary[root]` is true exactly for the boundary's cluster;
 /// - every grown edge has both endpoints in the same cluster.
@@ -100,7 +102,7 @@ pub fn check_cluster_invariants(
     uf: &mut UnionFind,
     parity: &[usize],
     touches_boundary: &[bool],
-    members: &[Vec<usize>],
+    next: &[usize],
     is_defect: &[bool],
     boundary: usize,
     graph: &DecodingGraph,
@@ -108,43 +110,57 @@ pub fn check_cluster_invariants(
 ) -> Result<(), InvariantViolation> {
     check_forest(uf.parents())?;
     let n = uf.len();
+    if next.len() != n {
+        return violation(format!(
+            "members cycle array has {} entries for {n} vertices",
+            next.len()
+        ));
+    }
 
     for v in 0..n {
-        let root = uf.find(v);
-        if root == v {
-            for &u in &members[v] {
-                if u >= n || uf.find(u) != v {
-                    return violation(format!(
-                        "members[{v}] lists vertex {u} which belongs to cluster {}",
-                        if u < n { uf.find(u) } else { usize::MAX }
-                    ));
-                }
-            }
-            let expected: usize = (0..n).filter(|&u| uf.find(u) == v).count();
-            if members[v].len() != expected {
+        if uf.find(v) != v {
+            continue;
+        }
+        // Walk the root's cycle; a cycle that never returns to `v` is cut
+        // off after n members instead of looping forever.
+        let (mut size, mut defects_inside) = (0usize, 0usize);
+        let mut u = v;
+        loop {
+            if u >= n || uf.find(u) != v {
                 return violation(format!(
-                    "cluster {v} has {expected} vertices but members[{v}] lists {}",
-                    members[v].len()
+                    "members cycle of cluster {v} reaches vertex {u}, which belongs to cluster {}",
+                    if u < n { uf.find(u) } else { usize::MAX }
                 ));
             }
-            let defects_inside = members[v].iter().filter(|&&u| is_defect[u]).count();
-            if parity[v] % 2 != defects_inside % 2 {
+            size += 1;
+            defects_inside += usize::from(is_defect[u]);
+            u = next[u];
+            if u == v {
+                break;
+            }
+            if size == n {
                 return violation(format!(
-                    "cluster {v}: parity {} disagrees with {defects_inside} member defects",
-                    parity[v]
+                    "members cycle of cluster {v} never closes within {n} steps"
                 ));
             }
-            let has_boundary = uf.find(boundary) == v;
-            if touches_boundary[v] != has_boundary {
-                return violation(format!(
-                    "cluster {v}: touches_boundary {} but boundary membership is {has_boundary}",
-                    touches_boundary[v]
-                ));
-            }
-        } else if !members[v].is_empty() {
+        }
+        let expected: usize = (0..n).filter(|&u| uf.find(u) == v).count();
+        if size != expected {
             return violation(format!(
-                "non-root {v} (root {root}) still owns {} members",
-                members[v].len()
+                "cluster {v} has {expected} vertices but its members cycle lists {size}"
+            ));
+        }
+        if parity[v] % 2 != defects_inside % 2 {
+            return violation(format!(
+                "cluster {v}: parity {} disagrees with {defects_inside} member defects",
+                parity[v]
+            ));
+        }
+        let has_boundary = uf.find(boundary) == v;
+        if touches_boundary[v] != has_boundary {
+            return violation(format!(
+                "cluster {v}: touches_boundary {} but boundary membership is {has_boundary}",
+                touches_boundary[v]
             ));
         }
     }
@@ -281,20 +297,16 @@ mod tests {
         let g = line(3);
         let mut uf = UnionFind::new(g.num_vertices());
         let root = uf.union(0, 1).unwrap();
-        let other = if root == 0 { 1 } else { 0 };
         let mut parity = vec![0usize; 4];
-        let mut members: Vec<Vec<usize>> = (0..4).map(|v| vec![v]).collect();
+        let mut next: Vec<usize> = (0..4).collect();
         let mut touches = vec![false; 4];
         touches[3] = true;
         parity[root] = 0; // two defects fused: even
-        let moved = std::mem::take(&mut members[other]);
-        members[root].extend(moved);
+        next.swap(0, 1); // splice the two member cycles
         let is_defect = vec![true, true, false, false];
         let grown = vec![true, false, false];
         assert_eq!(
-            check_cluster_invariants(
-                &mut uf, &parity, &touches, &members, &is_defect, 3, &g, &grown
-            ),
+            check_cluster_invariants(&mut uf, &parity, &touches, &next, &is_defect, 3, &g, &grown),
             Ok(())
         );
     }
@@ -304,12 +316,10 @@ mod tests {
         let g = line(3);
         let mut uf = UnionFind::new(g.num_vertices());
         let root = uf.union(0, 1).unwrap();
-        let other = if root == 0 { 1 } else { 0 };
         let mut parity = vec![0usize; 4];
         parity[root] = 1; // lie: cluster holds two defects
-        let mut members: Vec<Vec<usize>> = (0..4).map(|v| vec![v]).collect();
-        let moved = std::mem::take(&mut members[other]);
-        members[root].extend(moved);
+        let mut next: Vec<usize> = (0..4).collect();
+        next.swap(0, 1);
         let mut touches = vec![false; 4];
         touches[3] = true;
         let is_defect = vec![true, true, false, false];
@@ -317,7 +327,7 @@ mod tests {
             &mut uf,
             &parity,
             &touches,
-            &members,
+            &next,
             &is_defect,
             3,
             &g,
@@ -332,15 +342,15 @@ mod tests {
         let g = line(3);
         let mut uf = UnionFind::new(g.num_vertices());
         uf.union(0, 1);
-        // members never folded: the absorbed vertex still owns itself.
-        let members: Vec<Vec<usize>> = (0..4).map(|v| vec![v]).collect();
+        // cycles never spliced: the absorbed vertex still closes its own.
+        let next: Vec<usize> = (0..4).collect();
         let mut touches = vec![false; 4];
         touches[3] = true;
         let err = check_cluster_invariants(
             &mut uf,
             &[0; 4],
             &touches,
-            &members,
+            &next,
             &[false; 4],
             3,
             &g,
@@ -354,6 +364,41 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_member_cycle_fires_without_hanging() {
+        let g = line(3);
+        let mut uf = UnionFind::new(g.num_vertices());
+        let root = uf.union(0, 1).unwrap();
+        let other = if root == 0 { 1 } else { 0 };
+        let mut touches = vec![false; 4];
+        touches[3] = true;
+        let mut check = |next: &[usize]| {
+            check_cluster_invariants(
+                &mut uf,
+                &[0; 4],
+                &touches,
+                next,
+                &[false; 4],
+                3,
+                &g,
+                &[false; 3],
+            )
+            .unwrap_err()
+        };
+        // The cycle leaks into vertex 2's singleton cluster.
+        let mut next: Vec<usize> = (0..4).collect();
+        next[root] = other;
+        next[other] = 2;
+        next[2] = root;
+        let err = check(&next);
+        assert!(err.message.contains("belongs to cluster 2"), "{err}");
+        // The cycle from the root ends in a self-loop and never returns.
+        let mut next: Vec<usize> = (0..4).collect();
+        next[root] = other;
+        let err = check(&next);
+        assert!(err.message.contains("never closes"), "{err}");
+    }
+
+    #[test]
     fn corrupted_boundary_flag_fires() {
         let g = line(3);
         let mut uf = UnionFind::new(g.num_vertices());
@@ -361,12 +406,12 @@ mod tests {
         let mut touches = vec![false; 4];
         touches[3] = true;
         touches[0] = true;
-        let members: Vec<Vec<usize>> = (0..4).map(|v| vec![v]).collect();
+        let next: Vec<usize> = (0..4).collect();
         let err = check_cluster_invariants(
             &mut uf,
             &[0; 4],
             &touches,
-            &members,
+            &next,
             &[false; 4],
             3,
             &g,
@@ -380,7 +425,7 @@ mod tests {
     fn grown_edge_spanning_clusters_fires() {
         let g = line(3);
         let mut uf = UnionFind::new(g.num_vertices());
-        let members: Vec<Vec<usize>> = (0..4).map(|v| vec![v]).collect();
+        let next: Vec<usize> = (0..4).collect();
         let mut touches = vec![false; 4];
         touches[3] = true;
         // Edge 0 marked grown but endpoints 0 and 1 were never fused.
@@ -388,7 +433,7 @@ mod tests {
             &mut uf,
             &[0; 4],
             &touches,
-            &members,
+            &next,
             &[false; 4],
             3,
             &g,

@@ -56,15 +56,16 @@ pub struct GrownClusters {
 
 /// Reusable buffers for [`grow_clusters_into`]: one allocation on first
 /// use, then reused across decodes (every vector is cleared and resized in
-/// place, and the per-vertex member lists keep their capacity across
-/// fusions).
+/// place).
 #[derive(Debug, Default)]
 pub struct ClusterScratch {
     uf: UnionFind,
     is_defect: Vec<bool>,
     parity: Vec<usize>,
     touches_boundary: Vec<bool>,
-    members: Vec<Vec<usize>>,
+    /// Circular member lists: `next[v]` is the vertex after `v` in its
+    /// cluster's cycle, so walking from a root visits its whole cluster.
+    next: Vec<usize>,
     growth: Vec<f64>,
     grown: Vec<bool>,
     roots: Vec<usize>,
@@ -85,7 +86,7 @@ fn fuse(
     uf: &mut UnionFind,
     parity: &mut [usize],
     touches_boundary: &mut [bool],
-    members: &mut [Vec<usize>],
+    next: &mut [usize],
     a: usize,
     b: usize,
 ) {
@@ -98,18 +99,11 @@ fn fuse(
         // Unreachable: ra != rb was just checked, so the union merges.
         return;
     };
-    let other = if root == ra { rb } else { ra };
     parity[root] = (parity[ra] + parity[rb]) % 2;
     touches_boundary[root] = touches_boundary[ra] || touches_boundary[rb];
-    // Move the absorbed cluster's members across without dropping either
-    // buffer (both keep their capacity for the next decode).
-    let (low, high) = members.split_at_mut(root.max(other));
-    let (root_vec, other_vec) = if root < other {
-        (&mut low[root], &mut high[0])
-    } else {
-        (&mut high[0], &mut low[other])
-    };
-    root_vec.append(other_vec);
+    // Exchanging the successors of one vertex from each cycle splices the
+    // two member cycles into one.
+    next.swap(ra, rb);
 }
 
 /// Grows clusters around `defects` until every cluster is even or touches
@@ -179,7 +173,7 @@ pub fn grow_clusters_into(
         is_defect,
         parity,
         touches_boundary,
-        members,
+        next,
         growth,
         grown,
         roots,
@@ -199,13 +193,8 @@ pub fn grow_clusters_into(
     parity.resize(nv, 0);
     touches_boundary.clear();
     touches_boundary.resize(nv, false);
-    if members.len() < nv {
-        members.resize_with(nv, Vec::new);
-    }
-    for (v, m) in members.iter_mut().enumerate().take(nv) {
-        m.clear();
-        m.push(v);
-    }
+    next.clear();
+    next.extend(0..nv);
     for &d in defects {
         parity[d] = 1;
     }
@@ -221,14 +210,20 @@ pub fn grow_clusters_into(
             grown[e] = true;
             growth[e] = 1.0;
             let edge = graph.edge(e);
-            fuse(uf, parity, touches_boundary, members, edge.a, edge.b);
+            fuse(uf, parity, touches_boundary, next, edge.a, edge.b);
         }
     }
 
+    // The round's roots: every odd cluster holds a defect, so the defects'
+    // roots cover the first round's odd clusters. A cluster changes parity
+    // or boundary contact only by fusing, and every fusion joins the
+    // cluster of a root this round grows, so each odd, boundary-free
+    // cluster of the next round holds a root from this round's list.
+    // Mapping the list through `find` therefore covers the next round.
+    roots.clear();
+    roots.extend(defects.iter().map(|&d| uf.find(d)));
     let mut rounds = 0usize;
     loop {
-        roots.clear();
-        roots.extend(defects.iter().map(|&d| uf.find(d)));
         roots.sort_unstable();
         roots.dedup();
         roots.retain(|&r| parity[r] % 2 == 1 && !touches_boundary[r]);
@@ -249,18 +244,22 @@ pub fn grow_clusters_into(
             let root = roots[i];
             // `root` may have been fused earlier in this same round; skip
             // stale roots (their members grew under the new root already).
-            if uf.find(root) != root
-                || parity[uf.find(root)].is_multiple_of(2)
-                || touches_boundary[uf.find(root)]
-            {
+            if uf.find(root) != root || parity[root].is_multiple_of(2) || touches_boundary[root] {
                 continue;
             }
+            // The frontier is sorted and deduplicated before any growth is
+            // added, so the order of the member cycle does not matter.
             frontier.clear();
-            for &v in &members[root] {
+            let mut v = root;
+            loop {
                 for &e in graph.incident(v) {
                     if !grown[e] {
                         frontier.push(e);
                     }
+                }
+                v = next[v];
+                if v == root {
+                    break;
                 }
             }
             frontier.sort_unstable();
@@ -280,7 +279,7 @@ pub fn grow_clusters_into(
             // is honored before the next cluster grows.
             for j in 0..newly_grown.len() {
                 let edge = graph.edge(newly_grown[j]);
-                fuse(uf, parity, touches_boundary, members, edge.a, edge.b);
+                fuse(uf, parity, touches_boundary, next, edge.a, edge.b);
             }
             newly_grown.clear();
         }
@@ -293,7 +292,7 @@ pub fn grow_clusters_into(
                     uf,
                     parity,
                     touches_boundary,
-                    &members[..nv],
+                    next,
                     is_defect,
                     boundary,
                     graph,
@@ -301,6 +300,10 @@ pub fn grow_clusters_into(
                 ),
                 "cluster growth round",
             );
+        }
+
+        for root in roots.iter_mut() {
+            *root = uf.find(*root);
         }
     }
 

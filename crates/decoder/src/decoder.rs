@@ -8,10 +8,10 @@
 //! correction.
 
 use crate::cluster::{grow_clusters_into, ClusterScratch};
-use crate::graph::{DecodingGraph, GraphKind};
+use crate::graph::{DecodingGraph, GraphEdge, GraphKind};
 use crate::mwpm::decode_graph_mwpm_into;
 use crate::peeling::{peel_into, PeelScratch};
-use crate::weights::{growth_speed, DEFAULT_STEP_SIZE, ERASURE_FIDELITY};
+use crate::weights::{growth_speed, DEFAULT_STEP_SIZE};
 use crate::workspace::DecodeWorkspace;
 use crate::DecoderError;
 use surfnet_lattice::rotated::RotatedSurfaceCode;
@@ -41,6 +41,34 @@ fn trivial_fast_path(
         syndrome_cleared: true,
         logical_failure: code.logical_failure(&sample.pauli),
     })
+}
+
+/// The body of the three `decode_sample_with` methods: extract the
+/// syndrome into `ws`, then either take the trivial-shot fast path or run
+/// `correct` and score the correction it leaves in `ws`.
+///
+/// # Panics
+///
+/// Panics if `correct` fails (same contract as
+/// [`Decoder::decode_sample`]).
+fn decode_sample_in(
+    code: &SurfaceCode,
+    sample: &ErrorSample,
+    ws: &mut DecodeWorkspace,
+    correct: impl FnOnce(&Syndrome, &[bool], &mut DecodeWorkspace) -> Result<(), DecoderError>,
+) -> DecodeOutcome {
+    let mut syndrome = std::mem::take(&mut ws.syndrome);
+    code.extract_syndrome_into(&sample.pauli, &mut syndrome);
+    let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
+        fast
+    } else {
+        correct(&syndrome, &sample.erased, ws)
+            // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
+            .expect("decoding a well-formed surface code sample cannot fail");
+        code.score_correction(&sample.pauli, &ws.correction)
+    };
+    ws.syndrome = syndrome;
+    outcome
 }
 
 /// A complete surface-code decoder.
@@ -103,8 +131,7 @@ fn assemble_correction_into(
 }
 
 /// Cluster-growth + peeling decode of one graph, entirely inside caller
-/// buffers (shared by the Union-Find and SurfNet decoders, which differ
-/// only in the growth speeds they put in `speeds`).
+/// buffers.
 fn grow_and_peel(
     graph: &DecodingGraph,
     defects: &[usize],
@@ -117,6 +144,87 @@ fn grow_and_peel(
     let rounds = grow_clusters_into(graph, defects, speeds, erased, cluster)?;
     surfnet_telemetry::count!("decoder.growth_rounds", rounds as u64);
     peel_into(graph, cluster.grown(), defects, peel, out)
+}
+
+/// The state the Union-Find and SurfNet decoders share: both decoding
+/// graphs and one growth speed per edge of each, computed once at
+/// construction. The two decoders run this one grow-and-peel body and
+/// differ only in the speeds.
+///
+/// A speed never depends on the shot: erased edges start fully grown
+/// (`pregrown = erased`, after [32]) and growth reads only the speeds of
+/// ungrown frontier edges, so an erased edge's speed is never read.
+#[derive(Debug, Clone)]
+struct GrowthGraphs {
+    primal: DecodingGraph,
+    dual: DecodingGraph,
+    primal_speeds: Vec<f64>,
+    dual_speeds: Vec<f64>,
+    num_qubits: usize,
+}
+
+impl GrowthGraphs {
+    fn new(
+        primal: DecodingGraph,
+        dual: DecodingGraph,
+        num_qubits: usize,
+        speed: impl Fn(&GraphEdge) -> f64,
+    ) -> GrowthGraphs {
+        let speeds = |graph: &DecodingGraph| graph.edges().iter().map(&speed).collect();
+        GrowthGraphs {
+            primal_speeds: speeds(&primal),
+            dual_speeds: speeds(&dual),
+            primal,
+            dual,
+            num_qubits,
+        }
+    }
+
+    fn correction_for_with<'ws>(
+        &self,
+        syndrome: &Syndrome,
+        erased: &[bool],
+        ws: &'ws mut DecodeWorkspace,
+    ) -> Result<&'ws PauliString, DecoderError> {
+        let DecodeWorkspace {
+            cluster,
+            peel,
+            defects,
+            x_fix,
+            z_fix,
+            correction,
+            ..
+        } = ws;
+        syndrome_defects_into(&syndrome.z_flips, defects);
+        grow_and_peel(
+            &self.primal,
+            defects,
+            &self.primal_speeds,
+            erased,
+            cluster,
+            peel,
+            x_fix,
+        )?;
+        syndrome_defects_into(&syndrome.x_flips, defects);
+        grow_and_peel(
+            &self.dual,
+            defects,
+            &self.dual_speeds,
+            erased,
+            cluster,
+            peel,
+            z_fix,
+        )?;
+        assemble_correction_into(
+            correction,
+            self.num_qubits,
+            x_fix,
+            z_fix,
+            &self.primal,
+            &self.dual,
+        );
+        Ok(correction)
+    }
 }
 
 /// The modified minimum-weight perfect matching decoder (Algorithm 1).
@@ -228,19 +336,9 @@ impl MwpmDecoder {
         sample: &ErrorSample,
         ws: &mut DecodeWorkspace,
     ) -> DecodeOutcome {
-        let mut syndrome = std::mem::take(&mut ws.syndrome);
-        code.extract_syndrome_into(&sample.pauli, &mut syndrome);
-        let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
-            fast
-        } else {
-            let correction = self
-                .correction_for_with(&syndrome, &sample.erased, ws)
-                // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
-                .expect("decoding a well-formed surface code sample cannot fail");
-            code.score_correction(&sample.pauli, correction)
-        };
-        ws.syndrome = syndrome;
-        outcome
+        decode_sample_in(code, sample, ws, |syndrome, erased, ws| {
+            self.correction_for_with(syndrome, erased, ws).map(|_| ())
+        })
     }
 }
 
@@ -265,9 +363,7 @@ impl Decoder for MwpmDecoder {
 /// and the peeling decoder [39] for the final correction.
 #[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
-    primal: DecodingGraph,
-    dual: DecodingGraph,
-    num_qubits: usize,
+    graphs: GrowthGraphs,
 }
 
 impl UnionFindDecoder {
@@ -275,19 +371,26 @@ impl UnionFindDecoder {
     /// interface symmetry; the plain Union-Find decoder ignores fidelity
     /// variations (that is exactly what the SurfNet decoder adds).
     pub fn from_model(code: &SurfaceCode, model: &ErrorModel) -> UnionFindDecoder {
-        UnionFindDecoder {
-            primal: DecodingGraph::from_code(code, model, GraphKind::Primal),
-            dual: DecodingGraph::from_code(code, model, GraphKind::Dual),
-            num_qubits: code.num_data_qubits(),
-        }
+        UnionFindDecoder::new(
+            DecodingGraph::from_code(code, model, GraphKind::Primal),
+            DecodingGraph::from_code(code, model, GraphKind::Dual),
+            code.num_data_qubits(),
+        )
     }
 
     /// Builds the decoder for a rotated surface code.
     pub fn from_rotated(code: &RotatedSurfaceCode, model: &ErrorModel) -> UnionFindDecoder {
+        UnionFindDecoder::new(
+            DecodingGraph::from_rotated(code, model, GraphKind::Primal),
+            DecodingGraph::from_rotated(code, model, GraphKind::Dual),
+            code.num_data_qubits(),
+        )
+    }
+
+    /// Uniform half-edge growth on both graphs (Delfosse–Nickerson).
+    fn new(primal: DecodingGraph, dual: DecodingGraph, num_qubits: usize) -> UnionFindDecoder {
         UnionFindDecoder {
-            primal: DecodingGraph::from_rotated(code, model, GraphKind::Primal),
-            dual: DecodingGraph::from_rotated(code, model, GraphKind::Dual),
-            num_qubits: code.num_data_qubits(),
+            graphs: GrowthGraphs::new(primal, dual, num_qubits, |_| 0.5),
         }
     }
 
@@ -319,35 +422,7 @@ impl UnionFindDecoder {
         ws: &'ws mut DecodeWorkspace,
     ) -> Result<&'ws PauliString, DecoderError> {
         let _span = surfnet_telemetry::span!("decoder.union_find.decode");
-        let DecodeWorkspace {
-            cluster,
-            peel,
-            defects,
-            speeds,
-            x_fix,
-            z_fix,
-            correction,
-            ..
-        } = ws;
-        // Uniform half-edge growth on both graphs (Delfosse–Nickerson);
-        // erased edges pre-seed the clusters.
-        syndrome_defects_into(&syndrome.z_flips, defects);
-        speeds.clear();
-        speeds.resize(self.primal.num_edges(), 0.5);
-        grow_and_peel(&self.primal, defects, speeds, erased, cluster, peel, x_fix)?;
-        syndrome_defects_into(&syndrome.x_flips, defects);
-        speeds.clear();
-        speeds.resize(self.dual.num_edges(), 0.5);
-        grow_and_peel(&self.dual, defects, speeds, erased, cluster, peel, z_fix)?;
-        assemble_correction_into(
-            correction,
-            self.num_qubits,
-            x_fix,
-            z_fix,
-            &self.primal,
-            &self.dual,
-        );
-        Ok(correction)
+        self.graphs.correction_for_with(syndrome, erased, ws)
     }
 
     /// [`Decoder::decode_sample`] running entirely inside `ws`.
@@ -362,19 +437,9 @@ impl UnionFindDecoder {
         sample: &ErrorSample,
         ws: &mut DecodeWorkspace,
     ) -> DecodeOutcome {
-        let mut syndrome = std::mem::take(&mut ws.syndrome);
-        code.extract_syndrome_into(&sample.pauli, &mut syndrome);
-        let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
-            fast
-        } else {
-            let correction = self
-                .correction_for_with(&syndrome, &sample.erased, ws)
-                // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
-                .expect("decoding a well-formed surface code sample cannot fail");
-            code.score_correction(&sample.pauli, correction)
-        };
-        ws.syndrome = syndrome;
-        outcome
+        decode_sample_in(code, sample, ws, |syndrome, erased, ws| {
+            self.correction_for_with(syndrome, erased, ws).map(|_| ())
+        })
     }
 }
 
@@ -389,7 +454,7 @@ impl Decoder for UnionFindDecoder {
         syndrome: &Syndrome,
         erased: &[bool],
     ) -> Result<PauliString, DecoderError> {
-        debug_assert_eq!(code.num_data_qubits(), self.num_qubits);
+        debug_assert_eq!(code.num_data_qubits(), self.graphs.num_qubits);
         self.correction_for(syndrome, erased)
     }
 }
@@ -400,10 +465,8 @@ impl Decoder for UnionFindDecoder {
 /// peeling.
 #[derive(Debug, Clone)]
 pub struct SurfNetDecoder {
-    primal: DecodingGraph,
-    dual: DecodingGraph,
+    graphs: GrowthGraphs,
     step: f64,
-    num_qubits: usize,
 }
 
 impl SurfNetDecoder {
@@ -420,21 +483,41 @@ impl SurfNetDecoder {
     /// Panics if `step` is not positive.
     pub fn with_step(code: &SurfaceCode, model: &ErrorModel, step: f64) -> SurfNetDecoder {
         assert!(step > 0.0, "step size must be positive");
-        SurfNetDecoder {
-            primal: DecodingGraph::from_code(code, model, GraphKind::Primal),
-            dual: DecodingGraph::from_code(code, model, GraphKind::Dual),
+        SurfNetDecoder::new(
+            DecodingGraph::from_code(code, model, GraphKind::Primal),
+            DecodingGraph::from_code(code, model, GraphKind::Dual),
+            code.num_data_qubits(),
             step,
-            num_qubits: code.num_data_qubits(),
-        }
+        )
     }
 
     /// Builds the decoder for a rotated surface code (default step size).
     pub fn from_rotated(code: &RotatedSurfaceCode, model: &ErrorModel) -> SurfNetDecoder {
+        SurfNetDecoder::new(
+            DecodingGraph::from_rotated(code, model, GraphKind::Primal),
+            DecodingGraph::from_rotated(code, model, GraphKind::Dual),
+            code.num_data_qubits(),
+            DEFAULT_STEP_SIZE,
+        )
+    }
+
+    /// Per-edge weighted growth speeds `−r / ln(1 − ρ)` (Algorithm 2),
+    /// from each edge's estimated fidelity. Erased edges are known-useless
+    /// qubits (maximally mixed states): like the Union-Find baseline they
+    /// pre-seed the clusters instead of merely growing fast, otherwise
+    /// high-fidelity edges accumulate spurious growth during the rounds
+    /// spent crossing erasures.
+    fn new(
+        primal: DecodingGraph,
+        dual: DecodingGraph,
+        num_qubits: usize,
+        step: f64,
+    ) -> SurfNetDecoder {
         SurfNetDecoder {
-            primal: DecodingGraph::from_rotated(code, model, GraphKind::Primal),
-            dual: DecodingGraph::from_rotated(code, model, GraphKind::Dual),
-            step: DEFAULT_STEP_SIZE,
-            num_qubits: code.num_data_qubits(),
+            graphs: GrowthGraphs::new(primal, dual, num_qubits, |edge| {
+                growth_speed(edge.fidelity, step)
+            }),
+            step,
         }
     }
 
@@ -466,31 +549,7 @@ impl SurfNetDecoder {
         ws: &'ws mut DecodeWorkspace,
     ) -> Result<&'ws PauliString, DecoderError> {
         let _span = surfnet_telemetry::span!("decoder.surfnet.decode");
-        let DecodeWorkspace {
-            cluster,
-            peel,
-            defects,
-            speeds,
-            x_fix,
-            z_fix,
-            correction,
-            ..
-        } = ws;
-        syndrome_defects_into(&syndrome.z_flips, defects);
-        self.fill_speeds(&self.primal, erased, speeds);
-        grow_and_peel(&self.primal, defects, speeds, erased, cluster, peel, x_fix)?;
-        syndrome_defects_into(&syndrome.x_flips, defects);
-        self.fill_speeds(&self.dual, erased, speeds);
-        grow_and_peel(&self.dual, defects, speeds, erased, cluster, peel, z_fix)?;
-        assemble_correction_into(
-            correction,
-            self.num_qubits,
-            x_fix,
-            z_fix,
-            &self.primal,
-            &self.dual,
-        );
-        Ok(correction)
+        self.graphs.correction_for_with(syndrome, erased, ws)
     }
 
     /// [`Decoder::decode_sample`] running entirely inside `ws`.
@@ -505,42 +564,14 @@ impl SurfNetDecoder {
         sample: &ErrorSample,
         ws: &mut DecodeWorkspace,
     ) -> DecodeOutcome {
-        let mut syndrome = std::mem::take(&mut ws.syndrome);
-        code.extract_syndrome_into(&sample.pauli, &mut syndrome);
-        let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
-            fast
-        } else {
-            let correction = self
-                .correction_for_with(&syndrome, &sample.erased, ws)
-                // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
-                .expect("decoding a well-formed surface code sample cannot fail");
-            code.score_correction(&sample.pauli, correction)
-        };
-        ws.syndrome = syndrome;
-        outcome
+        decode_sample_in(code, sample, ws, |syndrome, erased, ws| {
+            self.correction_for_with(syndrome, erased, ws).map(|_| ())
+        })
     }
 
     /// The configured step size `r`.
     pub fn step(&self) -> f64 {
         self.step
-    }
-
-    /// Per-edge weighted growth speeds `−r / ln(1 − ρ)` (Algorithm 2).
-    /// Erased edges are known-useless qubits (maximally mixed states):
-    /// like the Union-Find baseline they pre-seed the clusters — via the
-    /// `pregrown = erased` flags passed to growth — instead of merely
-    /// growing fast, otherwise high-fidelity edges accumulate spurious
-    /// growth during the rounds spent crossing erasures.
-    fn fill_speeds(&self, graph: &DecodingGraph, erased: &[bool], speeds: &mut Vec<f64>) {
-        speeds.clear();
-        speeds.extend((0..graph.num_edges()).map(|e| {
-            let rho = if erased[e] {
-                ERASURE_FIDELITY
-            } else {
-                graph.edge(e).fidelity
-            };
-            growth_speed(rho, self.step)
-        }));
     }
 }
 
@@ -555,7 +586,7 @@ impl Decoder for SurfNetDecoder {
         syndrome: &Syndrome,
         erased: &[bool],
     ) -> Result<PauliString, DecoderError> {
-        debug_assert_eq!(code.num_data_qubits(), self.num_qubits);
+        debug_assert_eq!(code.num_data_qubits(), self.graphs.num_qubits);
         self.correction_for(syndrome, erased)
     }
 }

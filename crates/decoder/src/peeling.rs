@@ -9,7 +9,6 @@
 
 use crate::graph::DecodingGraph;
 use crate::DecoderError;
-use std::collections::VecDeque;
 
 /// Reusable buffers for [`peel_into`]: allocated once, cleared and resized
 /// in place on every decode.
@@ -18,8 +17,8 @@ pub struct PeelScratch {
     defect: Vec<bool>,
     visited: Vec<bool>,
     parent_edge: Vec<usize>,
+    /// BFS visit order; doubles as the BFS queue.
     order: Vec<usize>,
-    queue: VecDeque<usize>,
 }
 
 /// Runs the peeling decoder over the `support` edge set.
@@ -77,7 +76,6 @@ pub fn peel_into(
         visited,
         parent_edge,
         order,
-        queue,
     } = scratch;
     defect.clear();
     defect.resize(nv, false);
@@ -95,20 +93,18 @@ pub fn peel_into(
 
     // BFS over support edges. Start from the boundary so trees containing
     // it are rooted there (syndromes can then be flushed into the
-    // boundary); remaining components are rooted arbitrarily.
-    let bfs = |start: usize,
-               visited: &mut Vec<bool>,
-               parent_edge: &mut Vec<usize>,
-               order: &mut Vec<usize>,
-               queue: &mut VecDeque<usize>| {
+    // boundary); remaining components are rooted arbitrarily. `order`
+    // doubles as the FIFO queue: `head` is the next vertex to expand.
+    for start in std::iter::once(boundary).chain(0..nv) {
         if visited[start] {
-            return;
+            continue;
         }
         visited[start] = true;
-        queue.clear();
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
+        let mut head = order.len();
+        order.push(start);
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
             for &e in graph.incident(v) {
                 if !support[e] {
                     continue;
@@ -117,15 +113,10 @@ pub fn peel_into(
                 if !visited[u] {
                     visited[u] = true;
                     parent_edge[u] = e;
-                    queue.push_back(u);
+                    order.push(u);
                 }
             }
         }
-    };
-
-    bfs(boundary, visited, parent_edge, order, queue);
-    for v in 0..nv {
-        bfs(v, visited, parent_edge, order, queue);
     }
 
     // Peel leaves inward: reverse BFS order guarantees children before

@@ -30,8 +30,6 @@ pub struct DecodeWorkspace {
     pub(crate) mwpm: MatchScratch,
     /// Defect vertex indices of the graph currently being decoded.
     pub(crate) defects: Vec<usize>,
-    /// Per-edge growth speeds for the current graph.
-    pub(crate) speeds: Vec<f64>,
     /// Primal-graph correction edges (X fixes).
     pub(crate) x_fix: Vec<usize>,
     /// Dual-graph correction edges (Z fixes).
