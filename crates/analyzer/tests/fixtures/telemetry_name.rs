@@ -8,16 +8,16 @@ pub fn typo() {
     surfnet_telemetry::count!("decoder.growth_round");
 }
 
-pub fn batch_counter_typo() {
-    // `flushs` — the registered name is `decoder.batch.flushes`.
-    surfnet_telemetry::count!("decoder.batch.flushs");
+pub fn decoder_counter_typo() {
+    // `cahce` — the registered name is `decoder.cache_hits`.
+    surfnet_telemetry::count!("decoder.cahce_hits");
 }
 
-pub fn batch_counters_registered() {
-    surfnet_telemetry::count!("decoder.batch.flushes");
-    surfnet_telemetry::count!("decoder.batch.shots", 64);
-    surfnet_telemetry::count!("decoder.batch.scalar_fallbacks");
-    let _s = surfnet_telemetry::span!("decoder.batch.decode");
+pub fn decoder_names_registered() {
+    surfnet_telemetry::count!("decoder.cache_hits");
+    surfnet_telemetry::count!("decoder.trivial_skips", 64);
+    surfnet_telemetry::count!("decoder.peeling_passes");
+    let _s = surfnet_telemetry::span!("decoder.peel");
 }
 
 pub fn wrong_kind() {

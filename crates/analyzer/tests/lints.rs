@@ -103,14 +103,14 @@ fn telemetry_name_fires_at_error_severity_and_respects_allow() {
     assert!(findings
         .iter()
         .any(|d| d.message.contains("not registered")));
-    // The batch-pipeline counters are in the catalog: a typo'd name is
-    // flagged while the four registered `decoder.batch.*` uses stay clean.
+    // A typo'd decoder counter is flagged while the four registered
+    // `decoder.*` uses stay clean.
     assert!(findings
         .iter()
-        .any(|d| d.message.contains("decoder.batch.flushs")));
+        .any(|d| d.message.contains("decoder.cahce_hits")));
     assert!(!findings
         .iter()
-        .any(|d| d.message.contains("decoder.batch.flushes")));
+        .any(|d| d.message.contains("decoder.cache_hits")));
     assert!(findings
         .iter()
         .any(|d| d.message.contains("used via `span`")));

@@ -277,11 +277,10 @@ mod tests {
         assert!(!lower_is_better("a/b/fidelity"));
         assert!(!lower_is_better("a/b/throughput"));
         assert!(!lower_is_better("surfnet/threshold"));
-        // The batch pipeline's first-class throughput metric is
-        // higher-is-better.
+        // Throughput and plain work counters are higher-is-better.
         assert!(!lower_is_better("shots_per_sec"));
-        assert!(!lower_is_better("decoder.batch.flushes"));
-        assert!(!lower_is_better("decoder.batch.shots"));
+        assert!(!lower_is_better("decoder.cache_hits"));
+        assert!(!lower_is_better("decoder.trivial_skips"));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn arg_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T
         .unwrap_or(default)
 }
 
-/// Collects process arguments (skipping argv[0]).
+/// Collects process arguments (skipping `argv[0]`).
 pub fn args() -> Vec<String> {
     env::args().skip(1).collect()
 }

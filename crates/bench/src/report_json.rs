@@ -20,12 +20,7 @@
 //! compare reports key by key. Reports land in `SURFNET_BENCH_DIR`
 //! (default: the current directory; `0`/`off` disables emission). The
 //! report deliberately carries no timestamp — two runs of the same
-//! commit and parameters must produce byte-identical files. One caveat:
-//! when the batched decode path ran (with telemetry on), the report gains
-//! a derived `shots_per_sec` metric computed from wall-clock timers,
-//! which naturally varies between runs — `bench-diff` treats it as
-//! higher-is-better and it only appears in batch-mode reports, so scalar
-//! baselines stay byte-identical.
+//! commit and parameters must produce byte-identical files.
 
 use std::path::PathBuf;
 use surfnet_telemetry::json::{self, Value};
@@ -96,29 +91,11 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Decoded shots per second of wall-clock decode time, derived from the
-/// batch-path telemetry (`decoder.batch.shots` / `decoder.batch.decode`).
-/// `None` unless the batch pipeline actually ran and recorded time — so
-/// scalar-path reports carry no nondeterministic metric.
-fn shots_per_sec(snap: &surfnet_telemetry::Snapshot) -> Option<f64> {
-    let shots = snap.counter("decoder.batch.shots")?;
-    let timer = snap.timer("decoder.batch.decode")?;
-    if shots == 0 || timer.total_ns == 0 {
-        return None;
-    }
-    Some(shots as f64 * 1e9 / timer.total_ns as f64)
-}
-
 /// Builds the report value from the flattened figure metrics plus the
 /// *current* telemetry snapshot (call before `telemetry_dump`, which
-/// resets the aggregates). Batch-mode runs gain a derived first-class
-/// `shots_per_sec` metric (see [`shots_per_sec`]).
+/// resets the aggregates).
 pub fn report(figure: &str, params: Vec<(&str, Value)>, metrics: &[(String, f64)]) -> Value {
     let snap = surfnet_telemetry::snapshot();
-    let mut metrics = metrics.to_vec();
-    if let Some(rate) = shots_per_sec(&snap) {
-        metrics.push(("shots_per_sec".to_string(), rate));
-    }
     let counters = Value::Obj(
         snap.counters
             .iter()

@@ -21,11 +21,9 @@ use crate::pipeline::PipelineError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use surfnet_decoder::batch::{decode_batch_with, BatchScratch, LaneDecoder};
 use surfnet_decoder::{DecodeWorkspace, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{
-    DecodeOutcome, ErrorBatch, ErrorModel, ErrorSample, LatticeError, Partition, SurfaceCode,
-    LANES_PER_WORD,
+    DecodeOutcome, ErrorModel, ErrorSample, LatticeError, Partition, SurfaceCode,
 };
 use surfnet_netsim::execution::{ExecutionOutcome, SegmentOutcome};
 use surfnet_telemetry::dim::{self, LabelKey};
@@ -39,49 +37,14 @@ pub enum DecoderKind {
     UnionFind,
 }
 
-/// How the evaluation stage batches shot decoding.
-///
-/// With `batch_size == 0` every shot runs the scalar
-/// [`DecoderCache::evaluate_transfer`] path. With a nonzero size, shots
-/// are packed into per-signature [`ErrorBatch`]es and flushed through the
-/// bit-packed [`decode_batch_with`] kernel — verdicts are bit-identical
-/// either way (the batch path consumes the RNG in exactly the scalar
-/// order and runs the same per-lane decode kernels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchConfig {
-    /// Shots per flush; `0` disables batching entirely.
-    pub batch_size: usize,
-    /// Fall back to the scalar path while the flight recorder is armed,
-    /// so per-segment failure capture keeps working. Disabling this keeps
-    /// batching on but loses flight-recorder artifacts for batched shots.
-    pub scalar_when_flight_armed: bool,
-}
-
-impl Default for BatchConfig {
-    /// Scalar decoding (batching off).
-    fn default() -> BatchConfig {
-        BatchConfig {
-            batch_size: 0,
-            scalar_when_flight_armed: true,
-        }
-    }
-}
-
-impl BatchConfig {
-    /// The standard batched configuration: one full `u64` word of lanes
-    /// per flush.
-    pub fn batched() -> BatchConfig {
-        BatchConfig {
-            batch_size: LANES_PER_WORD,
-            ..BatchConfig::default()
-        }
-    }
-
-    /// Whether the batch path is enabled at all.
-    pub fn is_batched(&self) -> bool {
-        self.batch_size > 0
-    }
-}
+/// Placeholder left by the retired shot-batching path: no fields, no
+/// effect. It stays only because `perfbench`'s `traced_trial` copy of the
+/// trial pipeline still passes `&cfg.batch` to
+/// [`DecoderCache::evaluate_transfers`]; ROADMAP item 2 deletes it with
+/// that copy, together with [`crate::TrialConfig::batch`] and the
+/// parameter.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BatchConfig;
 
 /// Builds the per-qubit error model one segment induces on the code.
 ///
@@ -166,20 +129,6 @@ impl AnyDecoder {
     }
 }
 
-impl LaneDecoder for AnyDecoder {
-    fn lane_correction<'ws>(
-        &self,
-        syndrome: &surfnet_lattice::Syndrome,
-        erased: &[bool],
-        ws: &'ws mut DecodeWorkspace,
-    ) -> Result<&'ws surfnet_lattice::PauliString, surfnet_decoder::DecoderError> {
-        match self {
-            AnyDecoder::SurfNet(d) => d.lane_correction(syndrome, erased, ws),
-            AnyDecoder::UnionFind(d) => d.lane_correction(syndrome, erased, ws),
-        }
-    }
-}
-
 /// One cached decoder + the error model it was built from.
 #[derive(Debug)]
 struct CacheEntry {
@@ -202,7 +151,6 @@ pub struct DecoderCache {
     // also keeps iteration order deterministic for telemetry.
     entries: Vec<(SegmentKey, CacheEntry)>,
     workspace: DecodeWorkspace,
-    batch_scratch: BatchScratch,
 }
 
 impl DecoderCache {
@@ -260,10 +208,8 @@ impl DecoderCache {
     /// at delivery (the receiving user ultimately decodes the logical
     /// qubit), so every segment's accumulated error is decoded against
     /// the code. All segments are sampled and decoded even after a
-    /// failure: the RNG consumption of a transfer then depends only on
-    /// its segment list, never on decode verdicts, which is what lets the
-    /// batch path ([`Self::evaluate_transfers`]) sample up front and
-    /// still match this path draw for draw.
+    /// failure, so the RNG consumption of a transfer depends only on its
+    /// segment list, never on decode verdicts.
     ///
     /// # Errors
     ///
@@ -287,9 +233,7 @@ impl DecoderCache {
         for (idx, segment) in outcome.segments.iter().enumerate() {
             let _seg = surfnet_telemetry::trace::segment_scope(idx as u64);
             let i = self.entry_index(code, partition, segment, decoder)?;
-            let DecoderCache {
-                entries, workspace, ..
-            } = self;
+            let DecoderCache { entries, workspace } = self;
             let entry = &entries[i].1;
             let sample = entry.model.sample(rng);
             let result = latency_fam.time(dist_key, || {
@@ -323,18 +267,10 @@ impl DecoderCache {
         Ok(ok)
     }
 
-    /// Evaluates a whole slice of transfers, optionally through the
-    /// bit-packed batch pipeline, returning one verdict per transfer
-    /// (`false` for incomplete executions). Verdicts are bit-identical to
-    /// calling [`Self::evaluate_transfer`] on each outcome in order,
-    /// whatever `batch` says: shots are sampled in exactly the scalar
-    /// order (transfer-major, then segment), only the decodes are
-    /// deferred into per-signature [`ErrorBatch`]es — and decoding never
-    /// consumes the RNG.
-    ///
-    /// While the flight recorder is armed the scalar path is used by
-    /// default (see [`BatchConfig::scalar_when_flight_armed`]) so failure
-    /// capture retains its per-segment context.
+    /// Evaluates a whole slice of transfers in order, returning one
+    /// verdict per transfer (`false` for incomplete executions): exactly
+    /// [`Self::evaluate_transfer`] on each outcome, under a per-transfer
+    /// trace scope. `_batch` is the inert [`BatchConfig`] placeholder.
     ///
     /// # Errors
     ///
@@ -347,123 +283,17 @@ impl DecoderCache {
         outcomes: &[ExecutionOutcome],
         decoder: DecoderKind,
         rng: &mut R,
-        batch: &BatchConfig,
+        _batch: &BatchConfig,
     ) -> Result<Vec<bool>, PipelineError> {
-        if !batch.is_batched() || (batch.scalar_when_flight_armed && flight::armed()) {
-            if batch.is_batched() {
-                surfnet_telemetry::count!("decoder.batch.scalar_fallbacks");
-            }
-            return outcomes
-                .iter()
-                .enumerate()
-                .map(|(t, o)| {
-                    let _req = surfnet_telemetry::trace::request_scope(t as u64);
-                    self.evaluate_transfer(code, partition, o, decoder, rng)
-                })
-                .collect();
-        }
-        let mut verdicts: Vec<bool> = outcomes.iter().map(|o| o.completed).collect();
-        // One shot accumulator per cache entry: lanes fill in shot order
-        // and flush through the batch kernel whenever a word's worth (the
-        // configured batch size) is pending.
-        let mut accums: Vec<BatchAccum> = Vec::new();
-        for (t, outcome) in outcomes.iter().enumerate() {
-            if !outcome.completed {
-                continue;
-            }
-            let _req = surfnet_telemetry::trace::request_scope(t as u64);
-            for (idx, segment) in outcome.segments.iter().enumerate() {
-                let _seg = surfnet_telemetry::trace::segment_scope(idx as u64);
-                let i = self.entry_index(code, partition, segment, decoder)?;
-                if accums.len() < self.entries.len() {
-                    accums.resize_with(self.entries.len(), BatchAccum::default);
-                }
-                let acc = &mut accums[i];
-                if acc.batch.num_qubits() != code.num_data_qubits()
-                    || acc.batch.capacity() != batch.batch_size
-                {
-                    acc.batch.reset(code.num_data_qubits(), batch.batch_size);
-                }
-                let lane = acc.batch.push_lane();
-                acc.transfers.push(t);
-                acc.segments.push(idx);
-                self.entries[i]
-                    .1
-                    .model
-                    .sample_lane_into(rng, &mut acc.batch, lane);
-                if acc.batch.is_full() {
-                    self.flush_accum(code, i, &mut accums[i], &mut verdicts);
-                }
-            }
-        }
-        // Ragged final flushes, in deterministic cache-entry order.
-        for (i, acc) in accums.iter_mut().enumerate() {
-            if !acc.batch.is_empty() {
-                self.flush_accum(code, i, acc, &mut verdicts);
-            }
-        }
-        Ok(verdicts)
+        outcomes
+            .iter()
+            .enumerate()
+            .map(|(t, o)| {
+                let _req = surfnet_telemetry::trace::request_scope(t as u64);
+                self.evaluate_transfer(code, partition, o, decoder, rng)
+            })
+            .collect()
     }
-
-    /// Decodes one accumulated batch against cache entry `i` and clears
-    /// the accumulator. Any failing lane marks its originating transfer's
-    /// verdict `false`.
-    fn flush_accum(
-        &mut self,
-        code: &SurfaceCode,
-        i: usize,
-        acc: &mut BatchAccum,
-        verdicts: &mut [bool],
-    ) {
-        let DecoderCache {
-            entries,
-            workspace,
-            batch_scratch,
-        } = self;
-        // One flush decodes many shots: attribute the elapsed time to one
-        // sample per lane so the per-distance sample counts stay bit-equal
-        // to the scalar path's one-sample-per-decode.
-        let latency_fam = dim::histogram_family("decoder.distance.decode_latency");
-        let errors_fam = dim::counter_family("evaluate.segment.logical_errors");
-        let lanes = acc.transfers.len() as u64;
-        let outcomes =
-            latency_fam.time_split(LabelKey::Distance(code.distance() as u16), lanes, || {
-                decode_batch_with(
-                    &entries[i].1.decoder,
-                    code,
-                    &acc.batch,
-                    workspace,
-                    batch_scratch,
-                )
-                .expect("decoding a well-formed surface code sample cannot fail")
-            });
-        for (lane, result) in outcomes.iter().enumerate() {
-            debug_assert!(result.syndrome_cleared);
-            if !result.is_success() {
-                // A flush mixes lanes from many transfers; stamp the event
-                // with the failing lane's own transfer and segment, not
-                // whichever transfer happened to trigger the flush.
-                let _req = surfnet_telemetry::trace::request_scope(acc.transfers[lane] as u64);
-                let _seg = surfnet_telemetry::trace::segment_scope(acc.segments[lane] as u64);
-                surfnet_telemetry::event!("evaluate.shot_failed");
-                errors_fam.incr(LabelKey::Segment(acc.segments[lane] as u32));
-                verdicts[acc.transfers[lane]] = false;
-            }
-        }
-        acc.batch.clear();
-        acc.transfers.clear();
-        acc.segments.clear();
-    }
-}
-
-/// Pending shots of one cache entry awaiting a batched decode: the packed
-/// samples plus, per lane, the index of the transfer whose verdict the
-/// lane's outcome feeds and the segment index the lane decodes.
-#[derive(Debug, Default)]
-struct BatchAccum {
-    batch: ErrorBatch,
-    transfers: Vec<usize>,
-    segments: Vec<usize>,
 }
 
 /// Samples and decodes every segment of one executed transfer with a
@@ -646,66 +476,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_verdicts_match_scalar_bit_for_bit() {
-        // The tentpole's core guarantee at the evaluation layer: for any
-        // batch size (full words, ragged tails, single lanes), the batch
-        // path must return exactly the scalar path's verdicts from the
-        // same seed — same RNG draw order, same per-lane corrections.
-        let (code, part) = code_and_partition();
-        let outcomes: Vec<ExecutionOutcome> = (0..12)
-            .map(|i| ExecutionOutcome {
-                completed: i % 5 != 4,
-                latency: 6,
-                segments: vec![
-                    segment(0.93, 0.85, 0.12),
-                    segment(0.96, 0.88, 0.05 + 0.01 * (i % 3) as f64),
-                ],
-            })
-            .collect();
-        for kind in [DecoderKind::SurfNet, DecoderKind::UnionFind] {
-            for seed in [31u64, 32] {
-                let scalar: Vec<bool> = {
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    let mut cache = DecoderCache::new();
-                    cache
-                        .evaluate_transfers(
-                            &code,
-                            &part,
-                            &outcomes,
-                            kind,
-                            &mut rng,
-                            &BatchConfig::default(),
-                        )
-                        .unwrap()
-                };
-                for batch_size in [1usize, 7, 64, 200] {
-                    let cfg = BatchConfig {
-                        batch_size,
-                        ..BatchConfig::default()
-                    };
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    let mut cache = DecoderCache::new();
-                    let batched = cache
-                        .evaluate_transfers(&code, &part, &outcomes, kind, &mut rng, &cfg)
-                        .unwrap();
-                    assert_eq!(
-                        scalar, batched,
-                        "kind {kind:?} seed {seed} batch {batch_size}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn cached_path_matches_fresh_construction_bit_for_bit() {
-        // The tentpole's equivalence guarantee: a shared cache + workspace
-        // must consume the rng identically and return the same verdicts
-        // as per-shot construction, for both decoder kinds.
+        // A shared cache + workspace must consume the rng identically and
+        // return the same verdicts as per-shot construction, for both
+        // decoder kinds, whether fed one transfer at a time or as a slice.
+        // The slice includes an incomplete transfer, which must fail
+        // without drawing from the rng.
         let (code, part) = code_and_partition();
-        let outcomes: Vec<ExecutionOutcome> = (0..4)
+        let outcomes: Vec<ExecutionOutcome> = (0..5)
             .map(|i| ExecutionOutcome {
-                completed: true,
+                completed: i != 2,
                 latency: 6,
                 segments: vec![
                     segment(0.93, 0.85, 0.12),
@@ -723,6 +503,7 @@ mod tests {
                         .map(|o| evaluate_transfer(&code, &part, o, kind, &mut rng).unwrap())
                         .collect()
                 };
+                assert!(!fresh[2], "an incomplete transfer never succeeds");
                 let cached: Vec<bool> = {
                     let mut rng = SmallRng::seed_from_u64(seed);
                     let mut cache = DecoderCache::new();
@@ -735,6 +516,13 @@ mod tests {
                         })
                         .collect()
                 };
+                let sliced = {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    DecoderCache::new()
+                        .evaluate_transfers(&code, &part, &outcomes, kind, &mut rng, &BatchConfig)
+                        .unwrap()
+                };
+                assert_eq!(fresh, sliced, "slice: kind {kind:?} seed {seed}");
                 assert_eq!(fresh, cached, "kind {kind:?} seed {seed}");
             }
         }

@@ -2,7 +2,6 @@
 //! (SurfNet, Raw, Purification N = 1, 2, 9) across four scenarios
 //! (abundant/limited facilities × good/poor connections).
 
-use crate::evaluate::BatchConfig;
 use crate::experiments::runner::parallel_trials;
 use crate::pipeline::Design;
 use crate::report;
@@ -63,18 +62,10 @@ pub fn scenarios() -> [Scenario; 4] {
 
 /// Runs Fig. 7 with `trials` trials per cell (the paper uses 1080).
 pub fn run(trials: usize, base_seed: u64) -> Fig7 {
-    run_with(trials, base_seed, BatchConfig::default())
-}
-
-/// [`run`] with an explicit shot-batching configuration. Results are
-/// bit-identical for any `batch` value; only the decode data path
-/// changes.
-pub fn run_with(trials: usize, base_seed: u64, batch: BatchConfig) -> Fig7 {
     let mut cells = Vec::new();
     for scenario in scenarios() {
         let mut cfg = TrialConfig::default();
         cfg.scenario = scenario;
-        cfg.batch = batch;
         for design in Design::FIG7 {
             let batch = parallel_trials(design, &cfg, trials, base_seed);
             let summary = batch.summary();

@@ -39,7 +39,7 @@ pub mod pipeline;
 pub mod report;
 pub mod scenario;
 
-pub use evaluate::{BatchConfig, DecoderKind};
+pub use evaluate::DecoderKind;
 pub use metrics::{MetricsSummary, TrialMetrics};
 pub use pipeline::{run_trial, Design, PipelineError};
 pub use scenario::{ConnectionQuality, FacilityLevel, Scenario, TrialConfig};

@@ -215,11 +215,9 @@ pub fn run_trial_on<R: Rng + ?Sized>(
             };
             let _span = surfnet_telemetry::span!("pipeline.evaluate");
             let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Decode);
-            // One decoder cache + workspace (+ batch scratch) for the whole
-            // trial: identical segment signatures reuse one constructed
-            // decoder, every shot reuses the same buffers. The batch config
-            // decides whether shots decode scalar or word-parallel; the
-            // verdicts are bit-identical either way.
+            // One decoder cache + workspace for the whole trial: identical
+            // segment signatures reuse one constructed decoder, every shot
+            // reuses the same buffers.
             let mut cache = DecoderCache::new();
             let verdicts = cache.evaluate_transfers(
                 &code,

@@ -138,8 +138,7 @@ pub struct TrialConfig {
     /// instead of independently. Fidelity statistics are unchanged;
     /// latency reflects contention.
     pub concurrent_execution: bool,
-    /// Shot-decoding batch configuration (bit-packed word-parallel
-    /// decoding when enabled; verdicts are bit-identical either way).
+    /// Inert placeholder (see [`BatchConfig`]).
     pub batch: BatchConfig,
 }
 
@@ -170,7 +169,7 @@ impl Default for TrialConfig {
             capacity_scale: 1.0,
             entanglement_scale: 1.0,
             concurrent_execution: false,
-            batch: BatchConfig::default(),
+            batch: BatchConfig,
         }
     }
 }

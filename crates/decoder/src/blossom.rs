@@ -2,7 +2,7 @@
 //!
 //! Algorithm 1 of the paper reduces SurfNet error correction to a
 //! minimum-weight perfect matching problem and solves it with "Blossom"
-//! (Edmonds' algorithm [37]). This module is a from-scratch Rust
+//! (Edmonds' algorithm \[37\]). This module is a from-scratch Rust
 //! implementation of Galil's O(n³) formulation, following the well-known
 //! array-based organization of van Rantwijk's reference implementation:
 //! primal-dual with S/T labels, blossom shrinking/expansion, and the four

@@ -21,7 +21,7 @@ pub struct GrowthConfig {
     /// fastest); the Union-Find baseline uses a uniform half-edge speed.
     pub speeds: Vec<f64>,
     /// Edges that start fully grown. The Union-Find baseline pre-grows
-    /// erased edges (the erasure initializes its clusters, after [32]).
+    /// erased edges (the erasure initializes its clusters, after \[32\]).
     pub pregrown: Vec<bool>,
 }
 

@@ -1,6 +1,6 @@
 //! The [`Decoder`] trait and the three complete surface-code decoders:
 //! [`MwpmDecoder`] (Algorithm 1), [`UnionFindDecoder`] (the paper's
-//! baseline, after [32] + [39]), and [`SurfNetDecoder`] (Algorithm 2).
+//! baseline, after \[32\] + \[39\]), and [`SurfNetDecoder`] (Algorithm 2).
 //!
 //! All three decode the two CSS problems independently: X-type errors on
 //! the primal graph (measure-Z syndromes) and Z-type errors on the dual
@@ -26,8 +26,8 @@ use surfnet_lattice::{
 /// none), so the outcome is just the logical parity of the raw error —
 /// which can still be a failure when the error is itself a logical
 /// operator. Bit-identity to actually running the kernel is pinned by
-/// `tests/batch_equivalence.rs`, whose scalar reference goes through the
-/// raw [`Decoder::decode`] path.
+/// `tests/workspace_equivalence.rs`, whose raw [`Decoder::decode`]
+/// reference sees mostly trivial shots from its quiet d=5 model.
 fn trivial_fast_path(
     code: &SurfaceCode,
     sample: &ErrorSample,
@@ -358,9 +358,9 @@ impl Decoder for MwpmDecoder {
     }
 }
 
-/// The paper's baseline: the almost-linear-time Union-Find decoder [32]
+/// The paper's baseline: the almost-linear-time Union-Find decoder \[32\]
 /// with uniform half-edge growth, erased edges pre-seeding the clusters,
-/// and the peeling decoder [39] for the final correction.
+/// and the peeling decoder \[39\] for the final correction.
 #[derive(Debug, Clone)]
 pub struct UnionFindDecoder {
     graphs: GrowthGraphs,

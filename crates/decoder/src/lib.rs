@@ -4,12 +4,12 @@
 //!
 //! * [`MwpmDecoder`] — the paper's Algorithm 1: decoding graph → path graph
 //!   over syndromes via Dijkstra shortest paths → minimum-weight perfect
-//!   matching with a from-scratch [blossom](blossom) implementation,
+//!   matching with a from-scratch [blossom] implementation,
 //!   including virtual-node boundary handling.
 //! * [`UnionFindDecoder`] — the baseline of the paper's Fig. 8: the
-//!   almost-linear-time Union-Find decoder (Delfosse–Nickerson [32]) with
+//!   almost-linear-time Union-Find decoder (Delfosse–Nickerson \[32\]) with
 //!   erased edges pre-seeding clusters, finished by the peeling decoder
-//!   (Delfosse–Zémor [39]).
+//!   (Delfosse–Zémor \[39\]).
 //! * [`SurfNetDecoder`] — the paper's Algorithm 2: cluster growth at
 //!   per-edge speed `−r / ln(1 − ρᵢ)` so that erasures (`ρ = 0.5`) grow
 //!   fastest and the Support part grows faster than the Core part,

@@ -1,4 +1,4 @@
-//! The peeling decoder (Delfosse–Zémor [39]).
+//! The peeling decoder (Delfosse–Zémor \[39\]).
 //!
 //! Given the grown cluster support and the syndrome, the peeling decoder
 //! finds a correction inside the support in linear time: build a spanning

@@ -65,7 +65,7 @@ pub fn growth_speed(rho: f64, step: f64) -> f64 {
 /// The SurfNet Decoder's default step size `r = 2/3` (Algorithm 2).
 pub const DEFAULT_STEP_SIZE: f64 = 2.0 / 3.0;
 
-/// Entanglement purification update (paper Sec. IV-C, from [11]):
+/// Entanglement purification update (paper Sec. IV-C, from \[11\]):
 /// combining two pairs of fidelity `ρ₁`, `ρ₂` yields
 /// `ρ' = ρ₁ρ₂ / (ρ₁ρ₂ + (1−ρ₁)(1−ρ₂))`.
 ///

@@ -5,7 +5,7 @@
 //! [`crate::RotatedSurfaceCode`] (the Sec. V-A sizing example) implement
 //! it, so graph construction, syndrome extraction, and outcome scoring are
 //! written once and decoders stay family-agnostic. Future variants the
-//! paper mentions (X-cut/Z-cut/multi-cut codes [36]) would slot in the
+//! paper mentions (X-cut/Z-cut/multi-cut codes \[36\]) would slot in the
 //! same way.
 
 use crate::code::SurfaceCode;

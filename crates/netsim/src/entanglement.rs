@@ -4,7 +4,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Entanglement purification update from [11] (paper Sec. IV-C):
+/// Entanglement purification update from \[11\] (paper Sec. IV-C):
 /// `ρ' = ρ₁ρ₂ / (ρ₁ρ₂ + (1−ρ₁)(1−ρ₂))`.
 ///
 /// # Panics

@@ -747,14 +747,6 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
             }
         }
     }
-    if surfnet_telemetry::recording() {
-        let latency_timer = surfnet_telemetry::timer("netsim.stream.request_latency");
-        for &l in &stats.latencies {
-            // One tick ≙ 1 ms of simulated time (see
-            // [`StreamStats::requests_per_sec`]).
-            latency_timer.record_ns(l.saturating_mul(1_000_000));
-        }
-    }
     stats
 }
 

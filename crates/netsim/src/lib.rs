@@ -9,7 +9,7 @@
 //!   Barabási–Albert graphs whose most connected nodes become servers and
 //!   switches (Sec. VI-B);
 //! * [`entanglement`] — probabilistic pair generation, swapping, and the
-//!   purification recurrence of [11];
+//!   purification recurrence of \[11\];
 //! * [`execution`] — the tick-based online execution engine (Sec. V-B):
 //!   Support photons over plain channels, Core qubits over the
 //!   entanglement channel with opportunistic forwarding (minimum segment

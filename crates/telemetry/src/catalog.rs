@@ -31,7 +31,6 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("bench.overhead.span", MetricKind::Timer),
     ("decoder.batch.decode", MetricKind::Timer),
     ("decoder.batch.flushes", MetricKind::Counter),
-    ("decoder.batch.scalar_fallbacks", MetricKind::Counter),
     ("decoder.batch.shots", MetricKind::Counter),
     ("decoder.blossom.match", MetricKind::Timer),
     ("decoder.blossom_stages", MetricKind::Counter),
@@ -72,7 +71,6 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("netsim.stream.dropped.unroutable", MetricKind::Counter),
     ("netsim.stream.failed", MetricKind::Counter),
     ("netsim.stream.link.dropped", MetricKind::Family),
-    ("netsim.stream.request_latency", MetricKind::Timer),
     ("netsim.stream.simulate", MetricKind::Timer),
     ("pipeline.evaluate", MetricKind::Timer),
     ("pipeline.execute", MetricKind::Timer),

@@ -292,22 +292,13 @@ impl HistogramFamily {
     /// Times one closure invocation as a single sample.
     #[inline]
     pub fn time<R>(&self, key: LabelKey, f: impl FnOnce() -> R) -> R {
-        self.time_split(key, 1, f)
-    }
-
-    /// Times one closure invocation and attributes the elapsed time to
-    /// `samples` equal samples — the batch-decode shape, where one flush
-    /// serves many shots and per-shot counts must match the scalar path
-    /// exactly. Records nothing when `samples` is 0.
-    #[inline]
-    pub fn time_split<R>(&self, key: LabelKey, samples: u64, f: impl FnOnce() -> R) -> R {
-        if !enabled() || samples == 0 {
+        if !enabled() {
             return f();
         }
         let start = Instant::now();
         let r = f();
         let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        record_local(self.id, key.encode(), samples, ns);
+        record_local(self.id, key.encode(), 1, ns);
         r
     }
 }
@@ -523,12 +514,12 @@ mod tests {
             fam.record_ns(LabelKey::Distance(3), 1_000);
             fam.record_ns(LabelKey::Distance(3), 3_000);
             fam.record_ns(LabelKey::Distance(5), 500);
-            fam.time_split(LabelKey::Distance(5), 4, || {});
+            fam.time(LabelKey::Distance(5), || {});
             let snap = crate::snapshot();
             let lat = family(&snap.groups, "test.dim.latency");
             assert_eq!(lat.kind, FamilyKind::Histogram);
             assert_eq!(lat.label("d3"), Some(2));
-            assert_eq!(lat.label("d5"), Some(5));
+            assert_eq!(lat.label("d5"), Some(2));
             let d3 = lat.labels.iter().find(|l| l.label == "d3").unwrap();
             assert_eq!(d3.total_ns, 4_000);
         });

@@ -3,7 +3,7 @@
 //!
 //! Counters and span timers (the aggregate layer in the crate root) answer
 //! *how much* and *how long on average*; the journal answers *when*. Each
-//! thread appends [`Event`]s into its own fixed-capacity ring (no locks, no
+//! thread appends `Event`s into its own fixed-capacity ring (no locks, no
 //! shared cache lines on the hot path), oldest records are overwritten when
 //! the ring fills, and rings drain into a bounded global buffer when their
 //! thread exits or [`flush_thread`] runs. The result exports as:
@@ -62,7 +62,7 @@ pub fn set_enabled(on: bool) {
     JOURNAL.store(on, Ordering::Relaxed);
 }
 
-/// The lifecycle phase of an [`Event`].
+/// The lifecycle phase of a journal `Event`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// A duration opens (Chrome `ph:"B"`).

@@ -241,10 +241,10 @@ fn derive_gauges(
 ) -> Vec<(String, Value)> {
     let delta = |name: &str| lookup_pair(counter_deltas, name).unwrap_or(0);
     let mut gauges = Vec::new();
-    // Decoded shots this window: the batch path counts them explicitly;
-    // scalar decodes are one histogram sample per shot.
-    let batch_shots = delta("decoder.batch.shots");
-    let scalar_shots: u64 = timer_deltas
+    // Decoded shots this window: each shot that runs a decoder kernel is
+    // one sample of its decode timer, and each shot the trivial-shot fast
+    // path answers without a kernel is one `decoder.trivial_skips`.
+    let kernel_shots: u64 = timer_deltas
         .iter()
         .filter(|(n, _, _)| {
             matches!(
@@ -254,7 +254,7 @@ fn derive_gauges(
         })
         .map(|&(_, count, _)| count)
         .sum();
-    let shots = batch_shots + scalar_shots;
+    let shots = kernel_shots + delta("decoder.trivial_skips");
     if shots > 0 && dt_ms > 0 {
         gauges.push((
             "shots_per_sec".to_string(),
@@ -495,8 +495,8 @@ mod tests {
                 let record = sampler.sample(
                     t_ms,
                     &snap(
-                        &[("decoder.batch.shots", shots), ("journal.dropped", 0)],
-                        &[("decoder.batch.decode", shots / 64, shots * 100)],
+                        &[("decoder.trivial_skips", shots / 4), ("journal.dropped", 0)],
+                        &[("decoder.surfnet.decode", shots, shots * 100)],
                     ),
                 );
                 record.write(&mut out);
@@ -508,6 +508,26 @@ mod tests {
         let b = run();
         assert_eq!(a, b, "identical inputs must produce identical records");
         assert_eq!(a.lines().count(), 3);
+    }
+
+    #[test]
+    fn shots_per_sec_counts_fast_path_shots() {
+        // 345 shots ran a decoder kernel (one decode-timer sample each) and
+        // 105 took the trivial-shot fast path, which skips the kernel and
+        // its timer: 450 shots in one second.
+        let mut sampler = Sampler::new();
+        let record = sampler.sample(
+            1000,
+            &snap(
+                &[("decoder.trivial_skips", 105)],
+                &[("decoder.surfnet.decode", 345, 1_000_000)],
+            ),
+        );
+        let gauges = record.get("gauges").unwrap();
+        assert_eq!(
+            gauges.get("shots_per_sec").and_then(Value::as_f64),
+            Some(450.0)
+        );
     }
 
     #[test]

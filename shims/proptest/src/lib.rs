@@ -1,7 +1,7 @@
 //! Offline stand-in for `proptest`.
 //!
 //! Implements the subset of the proptest API this workspace's property
-//! tests use: the [`Strategy`] trait with `prop_map` / `prop_flat_map`,
+//! tests use: the [`strategy::Strategy`] trait with `prop_map` / `prop_flat_map`,
 //! range and tuple strategies, [`strategy::Just`], `any::<T>()`,
 //! `collection::vec`, `option::of`, `prop_oneof!`, and the `proptest!`
 //! test macro with `#![proptest_config(..)]`, `prop_assert*!` and
@@ -72,7 +72,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Size specification for [`vec`]: an exact length or a half-open
+    /// Size specification for [`vec()`]: an exact length or a half-open
     /// range of lengths.
     #[derive(Debug, Clone)]
     pub struct SizeRange(Range<usize>);
