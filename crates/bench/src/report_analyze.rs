@@ -12,7 +12,8 @@
 //! `trial.stage.*` begin/end interval is charged to its stage *minus* any
 //! nested stage intervals, and every stage interval is attributed to the
 //! nearest enclosing `pipeline.trial` span (whose trace context carries
-//! the trial id). Spans left open by journal truncation are dropped.
+//! the trial id). A stage interval that no trial encloses is charged to
+//! nothing, as live. Spans left open by journal truncation are dropped.
 
 use surfnet_telemetry::journal::{OwnedEvent, Phase};
 use surfnet_telemetry::json::{self, Value};
@@ -21,8 +22,7 @@ use surfnet_telemetry::stage;
 /// Schema tag of the JSON report form.
 pub const SCHEMA: &str = "surfnet-report/v1";
 
-/// The span name `run_trial` emits around each whole trial.
-pub const TRIAL_SPAN: &str = "pipeline.trial";
+pub use stage::TRIAL_SPAN;
 
 /// Aggregate self-time of one stage across the whole run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,13 +175,11 @@ pub fn analyze(events: &[OwnedEvent], stats: &[Value]) -> RunReport {
                         run_ns: dur,
                         stages,
                     });
-                } else {
+                } else if let Some(trial) = stack.iter_mut().rev().find(|f| f.name == TRIAL_SPAN) {
                     let self_ns = dur.saturating_sub(frame.child_ns);
+                    bump(&mut trial.stage_totals, &frame.name, self_ns);
                     bump(&mut stage_totals, &frame.name, self_ns);
                     bump(&mut stage_spans, &frame.name, 1);
-                    if let Some(trial) = stack.iter_mut().rev().find(|f| f.name == TRIAL_SPAN) {
-                        bump(&mut trial.stage_totals, &frame.name, self_ns);
-                    }
                 }
             }
             Phase::Instant => {}
@@ -517,7 +515,8 @@ mod tests {
     }
 
     /// Two trials on one thread; trial 2 nests Lp inside Route, so Route's
-    /// self-time must exclude the Lp interval.
+    /// self-time must exclude the Lp interval. A trailing Entangle interval
+    /// lies outside every trial.
     fn sample_events() -> Vec<OwnedEvent> {
         use Phase::{Begin, End};
         vec![
@@ -533,6 +532,8 @@ mod tests {
             ev(3700, 1, "trial.stage.lp", End, Some(11)),
             ev(3900, 1, "trial.stage.route", End, Some(11)),
             ev(8000, 1, TRIAL_SPAN, End, Some(11)),
+            ev(9000, 1, "trial.stage.entangle", Begin, None),
+            ev(9900, 1, "trial.stage.entangle", End, None),
         ]
     }
 
@@ -557,6 +558,9 @@ mod tests {
         assert_eq!(stage("trial.stage.lp"), Some(500));
         assert_eq!(stage("trial.stage.gen"), Some(300));
         assert_eq!(stage("trial.stage.decode"), Some(1000));
+        // No trial encloses the Entangle interval, so no stage row holds it.
+        assert_eq!(stage("trial.stage.entangle"), None);
+        assert_eq!(report.stages.len(), 4);
         // Largest first.
         assert_eq!(report.stages[0].stage, "trial.stage.decode");
         // Per-trial attribution.

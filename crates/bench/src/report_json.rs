@@ -95,46 +95,7 @@ pub fn git_rev() -> String {
 /// *current* telemetry snapshot (call before `telemetry_dump`, which
 /// resets the aggregates).
 pub fn report(figure: &str, params: Vec<(&str, Value)>, metrics: &[(String, f64)]) -> Value {
-    let snap = surfnet_telemetry::snapshot();
-    let counters = Value::Obj(
-        snap.counters
-            .iter()
-            .map(|(name, v)| (name.clone(), Value::from(*v)))
-            .collect(),
-    );
-    // Metric families flatten to `name{label}` keys. Only the deterministic
-    // face of a family is exported — counter values and histogram sample
-    // counts, never accumulated durations — so grouped sections diff at
-    // zero tolerance across reruns of a seeded workload.
-    let groups = Value::Obj(
-        snap.groups
-            .iter()
-            .flat_map(|fam| {
-                fam.labels
-                    .iter()
-                    .map(|l| (format!("{}{{{}}}", fam.name, l.label), Value::from(l.value)))
-            })
-            .collect(),
-    );
-    let timers = Value::Obj(
-        snap.timers
-            .iter()
-            .map(|t| {
-                (
-                    t.name.clone(),
-                    json::obj(vec![
-                        ("count", Value::from(t.count)),
-                        ("total_ns", Value::from(t.total_ns)),
-                        ("mean_ns", Value::Num(t.mean_ns)),
-                        ("p50_ns", Value::from(t.p50_ns)),
-                        ("p95_ns", Value::from(t.p95_ns)),
-                        ("p99_ns", Value::from(t.p99_ns)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    json::obj(vec![
+    let mut report = json::obj(vec![
         ("schema", Value::from(SCHEMA)),
         ("figure", Value::from(figure)),
         ("git_rev", Value::from(git_rev())),
@@ -148,10 +109,14 @@ pub fn report(figure: &str, params: Vec<(&str, Value)>, metrics: &[(String, f64)
                     .collect(),
             ),
         ),
-        ("counters", counters),
-        ("timers", timers),
-        ("groups", groups),
-    ])
+    ]);
+    // The snapshot's `counters`, `timers` and `groups` follow the metrics.
+    if let (Value::Obj(fields), Value::Obj(telemetry)) =
+        (&mut report, surfnet_telemetry::snapshot().to_json())
+    {
+        fields.extend(telemetry);
+    }
+    report
 }
 
 /// Writes `BENCH_<figure>.json` under [`bench_dir`]. Returns the path, or

@@ -238,7 +238,6 @@ impl DecoderCache {
             let sample = entry.model.sample(rng);
             let result = latency_fam.time(dist_key, || {
                 if flight::armed() {
-                    flight::set_segment(idx);
                     // A tripped SURFNET_CHECK invariant aborts the process;
                     // with the recorder armed, capture the offending shot
                     // first so the panic leaves a replayable artifact behind.

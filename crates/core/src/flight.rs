@@ -177,14 +177,13 @@ pub fn init_from_env() -> Option<PathBuf> {
 
 // ---------------------------------------------------------------------------
 // Trial context (thread-local; set by the pipeline, read at capture time).
+// The trial seed and the segment come from the trace context
+// (`surfnet_telemetry::trace::current`), which the pipeline installs anyway.
 
 #[derive(Debug, Clone, Default)]
 struct TrialContext {
     design: Option<String>,
     scenario: Option<String>,
-    seed: Option<u64>,
-    code_distance: Option<usize>,
-    segment: Option<usize>,
 }
 
 thread_local! {
@@ -192,10 +191,6 @@ thread_local! {
 }
 
 /// RAII guard restoring the previous thread-local trial context on drop.
-///
-/// Contexts nest: `run_trial` installs the seed, `run_trial_on` the design
-/// and scenario, and the evaluation loop the segment index, so a capture
-/// from any depth sees whatever is known at that point.
 pub struct ContextScope {
     saved: TrialContext,
 }
@@ -207,32 +202,15 @@ impl Drop for ContextScope {
     }
 }
 
-fn scoped(edit: impl FnOnce(&mut TrialContext)) -> ContextScope {
-    CONTEXT.with(|c| {
-        let saved = c.borrow().clone();
-        edit(&mut c.borrow_mut());
-        ContextScope { saved }
-    })
-}
-
-/// Records the trial RNG seed for subsequent captures on this thread.
-pub fn seed_scope(seed: u64) -> ContextScope {
-    scoped(|ctx| ctx.seed = Some(seed))
-}
-
-/// Records the design/scenario/code-distance for subsequent captures.
-pub fn trial_scope(design: &str, scenario: &str, code_distance: usize) -> ContextScope {
-    let (design, scenario) = (design.to_string(), scenario.to_string());
-    scoped(|ctx| {
-        ctx.design = Some(design);
-        ctx.scenario = Some(scenario);
-        ctx.code_distance = Some(code_distance);
-    })
-}
-
-/// Records which segment of the current transfer is being decoded.
-pub fn set_segment(segment: usize) {
-    CONTEXT.with(|c| c.borrow_mut().segment = Some(segment));
+/// Records the design and scenario for subsequent captures on this thread.
+pub fn trial_scope(design: &str, scenario: &str) -> ContextScope {
+    let ctx = TrialContext {
+        design: Some(design.to_string()),
+        scenario: Some(scenario.to_string()),
+    };
+    ContextScope {
+        saved: CONTEXT.with(|c| c.replace(ctx)),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -282,8 +260,8 @@ fn capture(
     let artifact = build_artifact(code, model, sample, kind, panic_message);
     let ctx = CONTEXT.with(|c| c.borrow().clone());
     let design = slug(ctx.design.as_deref().unwrap_or("unknown"));
-    let seed = ctx
-        .seed
+    let seed = surfnet_telemetry::trace::current()
+        .trial
         .map(|s| s.to_string())
         .unwrap_or_else(|| "noseed".to_string());
     let path = dir.join(format!("FLIGHT_{design}_{seed}_{index}.json"));
@@ -335,6 +313,7 @@ fn build_artifact(
     panic_message: Option<&str>,
 ) -> Value {
     let ctx = CONTEXT.with(|c| c.borrow().clone());
+    let trace = surfnet_telemetry::trace::current();
     let syndrome = code.extract_syndrome(&sample.pauli);
     let n = model.len();
     let opt_u64 = |v: Option<u64>| v.map(Value::from).unwrap_or(Value::Null);
@@ -352,9 +331,9 @@ fn build_artifact(
                     "scenario",
                     Value::from(ctx.scenario.as_deref().unwrap_or("unknown")),
                 ),
-                ("trial_seed", opt_u64(ctx.seed)),
+                ("trial_seed", opt_u64(trace.trial)),
                 ("code_distance", Value::from(code.distance())),
-                ("segment", opt_u64(ctx.segment.map(|s| s as u64))),
+                ("segment", opt_u64(trace.segment)),
             ]),
         ),
         (
@@ -1032,8 +1011,8 @@ mod tests {
         let dir = std::env::temp_dir().join("surfnet-flight-test-budget");
         let _ = std::fs::remove_dir_all(&dir);
         arm(&dir, 2);
-        let _design = trial_scope("SurfNet", "abundant/good", 5);
-        let _seed = seed_scope(77);
+        let _design = trial_scope("SurfNet", "abundant/good");
+        let _seed = surfnet_telemetry::trace::trial_scope(77);
         let code = SurfaceCode::new(5).unwrap();
         let part = code.core_partition(CoreTopology::Cross);
         let model = ErrorModel::dual_channel(&code, &part, 0.12, 0.15);
@@ -1203,16 +1182,16 @@ mod tests {
     #[test]
     fn context_scopes_nest_and_restore() {
         {
-            let _outer = trial_scope("Raw", "sparse/poor", 3);
+            let _outer = trial_scope("Raw", "sparse/poor");
             CONTEXT.with(|c| assert_eq!(c.borrow().design.as_deref(), Some("Raw")));
             {
-                let _inner = seed_scope(9);
+                let _inner = trial_scope("SurfNet", "abundant/good");
                 CONTEXT.with(|c| {
-                    assert_eq!(c.borrow().seed, Some(9));
-                    assert_eq!(c.borrow().design.as_deref(), Some("Raw"));
+                    assert_eq!(c.borrow().design.as_deref(), Some("SurfNet"));
+                    assert_eq!(c.borrow().scenario.as_deref(), Some("abundant/good"));
                 });
             }
-            CONTEXT.with(|c| assert_eq!(c.borrow().seed, None));
+            CONTEXT.with(|c| assert_eq!(c.borrow().scenario.as_deref(), Some("sparse/poor")));
         }
         CONTEXT.with(|c| assert_eq!(c.borrow().design, None));
     }

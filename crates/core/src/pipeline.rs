@@ -109,27 +109,13 @@ pub fn run_trial(
     cfg: &TrialConfig,
     seed: u64,
 ) -> Result<TrialMetrics, PipelineError> {
-    // The trace context stamps every journal record of this trial with its
-    // seed; the stage scope accumulates per-stage self-times and records
-    // them as one `trial.stage.*` sample each when the trial ends.
-    let _trace = surfnet_telemetry::trace::trial_scope(seed);
-    let _stages = surfnet_telemetry::stage::trial_scope();
-    surfnet_telemetry::event!(begin "pipeline.trial");
-    let _flight = flight::seed_scope(seed);
-    let result = run_trial_seeded(design, cfg, seed);
-    surfnet_telemetry::event!(end "pipeline.trial");
-    result
-}
-
-fn run_trial_seeded(
-    design: Design,
-    cfg: &TrialConfig,
-    seed: u64,
-) -> Result<TrialMetrics, PipelineError> {
+    // Stamps every journal record of this trial with its seed and
+    // records one `trial.stage.*` self-time sample per stage when the
+    // trial ends.
+    let _trial = surfnet_telemetry::stage::trial_scope(seed);
     let mut rng = SmallRng::seed_from_u64(seed);
     let net = {
-        let _span = surfnet_telemetry::span!("pipeline.network_gen");
-        let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Gen);
+        let _span = surfnet_telemetry::span!("pipeline.network_gen", Gen);
         let mut net = barabasi_albert(&cfg.scenario.network_config(), &mut rng)?;
         // Sweep scales (Fig. 6(b.1)/(b.2)) perturb the generated network.
         if cfg.capacity_scale != 1.0 {
@@ -148,8 +134,7 @@ fn run_trial_seeded(
         net
     };
     let requests = {
-        let _span = surfnet_telemetry::span!("pipeline.requests");
-        let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Gen);
+        let _span = surfnet_telemetry::span!("pipeline.requests", Gen);
         random_requests(&net, cfg.num_requests, cfg.max_codes_per_request, &mut rng)
     };
     run_trial_on(design, cfg, &net, &requests, &mut rng)
@@ -168,26 +153,21 @@ pub fn run_trial_on<R: Rng + ?Sized>(
     requests: &[Request],
     rng: &mut R,
 ) -> Result<TrialMetrics, PipelineError> {
-    let _flight = flight::trial_scope(&design.label(), &cfg.scenario.label(), cfg.code_distance);
+    let _flight = flight::trial_scope(&design.label(), &cfg.scenario.label());
     let requested: u32 = requests.iter().map(|r| r.num_codes).sum();
     match design {
         Design::SurfNet | Design::Raw => {
             let (code, partition) = {
-                let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Gen);
+                let _span = surfnet_telemetry::span!("pipeline.code", Gen);
                 let code = SurfaceCode::new(cfg.code_distance)?;
                 let partition = code.core_partition(CoreTopology::Cross);
                 (code, partition)
             };
             let params = params_for_partition(&cfg.params, &partition);
-            let schedule = {
-                let _span = surfnet_telemetry::span!("pipeline.schedule");
-                let _stage =
-                    surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Route);
-                match design {
-                    Design::SurfNet => SurfNetScheduler::new(params).schedule(net, requests)?,
-                    Design::Raw => RawScheduler::new(params).schedule(net, requests)?,
-                    Design::Purification(_) => unreachable!(),
-                }
+            let schedule = match design {
+                Design::SurfNet => SurfNetScheduler::new(params).schedule(net, requests)?,
+                Design::Raw => RawScheduler::new(params).schedule(net, requests)?,
+                Design::Purification(_) => unreachable!(),
             };
             // Attribute the scheduled codes to the trial's code distance —
             // the per-distance axis the grouped bench exports break down by.
@@ -195,26 +175,17 @@ pub fn run_trial_on<R: Rng + ?Sized>(
                 surfnet_telemetry::dim::LabelKey::Distance(cfg.code_distance as u16),
                 schedule.codes.len() as u64,
             );
-            let outcomes: Vec<_> = {
-                let _span = surfnet_telemetry::span!("pipeline.execute");
-                if cfg.concurrent_execution {
-                    let plans: Vec<_> = schedule.codes.iter().map(|c| c.plan.clone()).collect();
-                    surfnet_netsim::concurrent::execute_concurrently(
-                        net,
-                        &plans,
-                        &cfg.execution,
-                        rng,
-                    )
-                } else {
-                    schedule
-                        .codes
-                        .iter()
-                        .map(|scheduled| execute_plan(net, &scheduled.plan, &cfg.execution, rng))
-                        .collect()
-                }
+            let outcomes: Vec<_> = if cfg.concurrent_execution {
+                let plans: Vec<_> = schedule.codes.iter().map(|c| c.plan.clone()).collect();
+                surfnet_netsim::concurrent::execute_concurrently(net, &plans, &cfg.execution, rng)
+            } else {
+                schedule
+                    .codes
+                    .iter()
+                    .map(|scheduled| execute_plan(net, &scheduled.plan, &cfg.execution, rng))
+                    .collect()
             };
-            let _span = surfnet_telemetry::span!("pipeline.evaluate");
-            let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Decode);
+            let _span = surfnet_telemetry::span!("pipeline.evaluate", Decode);
             // One decoder cache + workspace for the whole trial: identical
             // segment signatures reuse one constructed decoder, every shot
             // reuses the same buffers.
@@ -243,13 +214,7 @@ pub fn run_trial_on<R: Rng + ?Sized>(
             Ok(finish(executed, successes as f64, latency_sum, requested))
         }
         Design::Purification(n) => {
-            let schedule = {
-                let _span = surfnet_telemetry::span!("pipeline.schedule");
-                let _stage =
-                    surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Route);
-                PurificationScheduler::new(n).schedule(net, requests)?
-            };
-            let _span = surfnet_telemetry::span!("pipeline.execute");
+            let schedule = PurificationScheduler::new(n).schedule(net, requests)?;
             let mut executed = 0u32;
             let mut fidelity_sum = 0.0f64;
             let mut latency_sum = 0u64;

@@ -4,15 +4,47 @@
 //! inside the enclosing trial span, and together the stages account for
 //! the bulk of it.
 //!
+//! It also checks that this instrumentation is observation-only on every
+//! Fig. 7 design and on both execution engines.
+//!
 //! This is an integration test (own process) because telemetry aggregates
 //! are process-global.
 
+use surfnet_core::metrics::TrialMetrics;
 use surfnet_core::pipeline::{run_trial, Design};
 use surfnet_core::scenario::TrialConfig;
 
 #[test]
 fn stage_self_times_sum_to_the_trial_span() {
+    // Stage-carrying spans run in routing, lp and netsim on every design:
+    // turning telemetry and the journal on must not move one metric.
+    let configs = [
+        TrialConfig::default(),
+        TrialConfig {
+            concurrent_execution: true,
+            ..TrialConfig::default()
+        },
+    ];
+    let run_all = || -> Vec<TrialMetrics> {
+        let mut out = Vec::new();
+        for cfg in &configs {
+            for design in Design::FIG7 {
+                for seed in 9_200..9_202 {
+                    out.push(run_trial(design, cfg, seed).expect("trial runs"));
+                }
+            }
+        }
+        out
+    };
+    let plain = run_all();
     let _t = surfnet_telemetry::Telemetry::enabled();
+    surfnet_telemetry::journal::set_enabled(true);
+    let instrumented = run_all();
+    surfnet_telemetry::journal::set_enabled(false);
+    let journaled = surfnet_telemetry::journal::collect().len();
+    surfnet_telemetry::journal::reset();
+    assert_eq!(plain, instrumented, "instrumentation moved a trial metric");
+    assert!(journaled > 0, "the instrumented pass journaled nothing");
     surfnet_telemetry::reset();
 
     const TRIALS: u64 = 6;

@@ -6,7 +6,8 @@
 //! and latencies into one FNV-1a digest. The digest was recorded from the
 //! engine that re-planned every deferred re-offer; any change to routing,
 //! admission, deferral, execution or RNG consumption moves at least one
-//! counter or latency and therefore the digest.
+//! counter or latency and therefore the digest. A second pass with
+//! telemetry and the journal on must reproduce it.
 
 use surfnet_core::experiments::stream::{self, StreamParams};
 
@@ -36,8 +37,7 @@ fn params(fiber_failure_prob: f64) -> StreamParams {
     p
 }
 
-#[test]
-fn stream_runs_replay_bit_identically() {
+fn corpus_digest() -> u64 {
     let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
     let mut deferred = 0;
     for fiber_failure_prob in [0.0, 0.05] {
@@ -64,9 +64,27 @@ fn stream_runs_replay_bit_identically() {
         }
     }
     assert!(deferred > 0, "the corpus must exercise deferred re-offers");
+    digest.0
+}
+
+#[test]
+fn stream_runs_replay_bit_identically() {
+    let digest = corpus_digest();
     assert_eq!(
-        digest.0, GOLDEN_DIGEST,
-        "stream runs moved: digest {:#018x}",
-        digest.0
+        digest, GOLDEN_DIGEST,
+        "stream runs moved: digest {digest:#018x}"
+    );
+    // Instrumentation is observation-only: the same corpus with telemetry
+    // and the journal on must reproduce the digest.
+    let _t = surfnet_telemetry::Telemetry::enabled();
+    surfnet_telemetry::journal::set_enabled(true);
+    let traced = corpus_digest();
+    surfnet_telemetry::journal::set_enabled(false);
+    let _t = surfnet_telemetry::Telemetry::disabled();
+    surfnet_telemetry::journal::reset();
+    surfnet_telemetry::reset();
+    assert_eq!(
+        traced, GOLDEN_DIGEST,
+        "stream runs moved with telemetry on: digest {traced:#018x}"
     );
 }

@@ -40,8 +40,7 @@ const RATIO_TOL: f64 = 1e-10;
 /// [`LpError::Infeasible`], [`LpError::Unbounded`], or
 /// [`LpError::IterationLimit`] if the pivot budget is exhausted.
 pub fn solve(lp: &LinearProgram, direction: Direction) -> Result<Solution, LpError> {
-    let _span = surfnet_telemetry::span!("lp.solve");
-    let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Lp);
+    let _span = surfnet_telemetry::span!("lp.solve", Lp);
     surfnet_telemetry::count!("lp.solves");
     let n = lp.num_vars();
     if n == 0 {

@@ -125,8 +125,7 @@ pub fn execute_concurrently<R: Rng + ?Sized>(
     config: &ExecutionConfig,
     rng: &mut R,
 ) -> Vec<ExecutionOutcome> {
-    let _span = surfnet_telemetry::span!("netsim.execute_concurrently");
-    let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Entangle);
+    let _span = surfnet_telemetry::span!("netsim.execute_concurrently", Entangle);
     let mut pools: Vec<u32> = vec![0; net.num_fibers()];
     let effective: Vec<EffectivePlan> = plans
         .iter()

@@ -601,7 +601,6 @@ struct Active {
 /// two users.
 pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut R) -> StreamStats {
     let _span = surfnet_telemetry::span!("netsim.stream.simulate");
-    let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Entangle);
     let users = net.users();
     let poisson_rate = match &config.arrival {
         ArrivalProcess::Poisson { rate } => {

@@ -162,8 +162,7 @@ pub fn execute_plan<R: Rng + ?Sized>(
     config: &ExecutionConfig,
     rng: &mut R,
 ) -> ExecutionOutcome {
-    let _span = surfnet_telemetry::span!("netsim.execute_plan");
-    let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Entangle);
+    let _span = surfnet_telemetry::span!("netsim.execute_plan", Entangle);
     assert!(!plan.segments.is_empty(), "plan has no segments");
     // Sample per-transfer fiber failures once (crashes persist for the
     // whole transfer; Sec. V-B).
@@ -390,8 +389,7 @@ pub fn execute_teleportation<R: Rng + ?Sized>(
     config: &ExecutionConfig,
     rng: &mut R,
 ) -> TeleportOutcome {
-    let _span = surfnet_telemetry::span!("netsim.execute_teleportation");
-    let _stage = surfnet_telemetry::stage::scope(surfnet_telemetry::stage::Stage::Purify);
+    let _span = surfnet_telemetry::span!("netsim.execute_teleportation", Purify);
     let mut latency = 0u64;
     let mut fidelity = 1.0f64;
     // Waits for one raw pair; returns false on timeout. Every tick is one

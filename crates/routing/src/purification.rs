@@ -82,7 +82,7 @@ impl PurificationScheduler {
         net: &Network,
         requests: &[Request],
     ) -> Result<PurificationSchedule, RoutingError> {
-        let _span = surfnet_telemetry::span!("routing.schedule");
+        let _span = surfnet_telemetry::span!("routing.schedule", Route);
         let mut remaining: Vec<f64> = net
             .fibers()
             .iter()

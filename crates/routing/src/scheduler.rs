@@ -202,7 +202,7 @@ impl SurfNetScheduler {
     ///
     /// Propagates parameter validation and LP failures.
     pub fn schedule(&self, net: &Network, requests: &[Request]) -> Result<Schedule, RoutingError> {
-        let _span = surfnet_telemetry::span!("routing.schedule");
+        let _span = surfnet_telemetry::span!("routing.schedule", Route);
         self.params.validate()?;
         if requests.is_empty() {
             return Ok(Schedule::default());
@@ -258,7 +258,7 @@ impl RawScheduler {
     ///
     /// Propagates parameter validation and LP failures.
     pub fn schedule(&self, net: &Network, requests: &[Request]) -> Result<Schedule, RoutingError> {
-        let _span = surfnet_telemetry::span!("routing.schedule");
+        let _span = surfnet_telemetry::span!("routing.schedule", Route);
         self.params.validate()?;
         if requests.is_empty() {
             return Ok(Schedule::default());
@@ -311,7 +311,7 @@ impl GreedyScheduler {
     ///
     /// Propagates parameter validation failures.
     pub fn schedule(&self, net: &Network, requests: &[Request]) -> Result<Schedule, RoutingError> {
-        let _span = surfnet_telemetry::span!("routing.schedule");
+        let _span = surfnet_telemetry::span!("routing.schedule", Route);
         self.params.validate()?;
         let quotas: Vec<u32> = requests.iter().map(|r| r.num_codes).collect();
         Ok(assign_codes(

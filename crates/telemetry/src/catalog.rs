@@ -17,7 +17,8 @@ pub enum MetricKind {
     Counter,
     /// Wall-clock span accumulation (`span!` / `timer()`).
     Timer,
-    /// Journal record (`event!`), exported via `SURFNET_TRACE`.
+    /// Journal record (an `event!` instant, or the `pipeline.trial` span the
+    /// trial scope writes), exported via `SURFNET_TRACE`.
     Event,
     /// Labeled metric family (`dim::counter_family()` /
     /// `dim::histogram_family()`), keyed by a `dim::LabelKey`.
@@ -72,11 +73,10 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("netsim.stream.failed", MetricKind::Counter),
     ("netsim.stream.link.dropped", MetricKind::Family),
     ("netsim.stream.simulate", MetricKind::Timer),
+    ("pipeline.code", MetricKind::Timer),
     ("pipeline.evaluate", MetricKind::Timer),
-    ("pipeline.execute", MetricKind::Timer),
     ("pipeline.network_gen", MetricKind::Timer),
     ("pipeline.requests", MetricKind::Timer),
-    ("pipeline.schedule", MetricKind::Timer),
     ("pipeline.trial", MetricKind::Event),
     ("routing.assign_codes", MetricKind::Timer),
     ("routing.codes_scheduled", MetricKind::Counter),

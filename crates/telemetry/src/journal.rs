@@ -212,7 +212,8 @@ thread_local! {
 }
 
 /// Appends one record to the calling thread's ring (no-op when the journal
-/// is disabled). The [`crate::event!`] macro and span guards call this.
+/// is disabled). The [`crate::event!`] macro, span guards and the trial
+/// scope ([`crate::stage::trial_scope`]) call this.
 #[inline]
 pub fn record(name: &'static str, phase: Phase, arg: Option<u64>) {
     if !enabled() {

@@ -347,9 +347,22 @@ impl Timer {
     /// exported traces.
     #[inline]
     pub fn start(&self) -> Span {
+        self.start_in(None)
+    }
+
+    /// Starts a span that also holds `stage` open on this thread's
+    /// self-time stack ([`stage`]) until the guard drops. The journal sees
+    /// the span's `Begin`, then the stage's, and the two `End`s in reverse.
+    /// [`span!`] calls this only while [`recording`].
+    #[doc(hidden)]
+    #[inline]
+    pub fn start_in(&self, stage: Option<stage::Stage>) -> Span {
         let in_journal = journal::enabled();
         if in_journal {
             journal::record(self.name, journal::Phase::Begin, None);
+        }
+        if let Some(stage) = stage {
+            stage::enter(stage);
         }
         Span {
             id: self.id,
@@ -360,6 +373,7 @@ impl Timer {
                 None
             },
             in_journal,
+            stage,
         }
     }
 
@@ -386,7 +400,8 @@ impl Timer {
     }
 }
 
-/// RAII guard recording elapsed wall time into its [`Timer`] on drop.
+/// RAII guard recording elapsed wall time into its [`Timer`] on drop, and
+/// closing the stage it holds, if any.
 /// Inert (records nothing) when telemetry was disabled at start.
 #[must_use = "a span records on drop; binding it to _ drops it immediately"]
 pub struct Span {
@@ -394,6 +409,7 @@ pub struct Span {
     name: &'static str,
     start: Option<Instant>,
     in_journal: bool,
+    stage: Option<stage::Stage>,
 }
 
 impl Span {
@@ -405,6 +421,7 @@ impl Span {
             name: "",
             start: None,
             in_journal: false,
+            stage: None,
         }
     }
 }
@@ -412,6 +429,9 @@ impl Span {
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
+        if let Some(stage) = self.stage {
+            stage::exit(stage);
+        }
         if self.in_journal {
             journal::record(self.name, journal::Phase::End, None);
         }
@@ -450,47 +470,42 @@ macro_rules! count {
 /// aggregate layer or the event journal is recording — in the latter case
 /// the guard emits `Begin`/`End` journal records instead of (or as well
 /// as) histogram samples.
+///
+/// `span!("lp.solve", Lp)` also charges the guarded region to a
+/// [`stage::Stage`]: one guard feeds the timer, the per-trial self-time
+/// accounting and the journal.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
+    (@start $name:expr, $stage:expr) => {
         if $crate::recording() {
             static __SURFNET_TIMER: ::std::sync::OnceLock<$crate::Timer> =
                 ::std::sync::OnceLock::new();
-            __SURFNET_TIMER.get_or_init(|| $crate::timer($name)).start()
+            __SURFNET_TIMER
+                .get_or_init(|| $crate::timer($name))
+                .start_in($stage)
         } else {
             $crate::Span::inert()
         }
     };
+    ($name:expr) => {
+        $crate::span!(@start $name, ::core::option::Option::None)
+    };
+    ($name:expr, $stage:ident) => {
+        $crate::span!(
+            @start $name,
+            ::core::option::Option::Some($crate::stage::Stage::$stage)
+        )
+    };
 }
 
-/// Per-call-site journal event. Records nothing unless the event journal
+/// Per-call-site journal instant. Records nothing unless the event journal
 /// is enabled (`SURFNET_TRACE`); disabled cost is one relaxed load.
+/// Durations are [`span!`]s.
 ///
 /// * `event!("name")` — point-in-time marker;
-/// * `event!("name", arg)` — marker with a `u64` payload;
-/// * `event!(begin "name")` / `event!(end "name")` — an explicit duration
-///   pair, for regions that cannot be expressed as one RAII [`span!`]
-///   scope (e.g. spanning across a channel hand-off).
+/// * `event!("name", arg)` — marker with a `u64` payload.
 #[macro_export]
 macro_rules! event {
-    (begin $name:expr) => {
-        if $crate::journal::enabled() {
-            $crate::journal::record(
-                $name,
-                $crate::journal::Phase::Begin,
-                ::core::option::Option::None,
-            );
-        }
-    };
-    (end $name:expr) => {
-        if $crate::journal::enabled() {
-            $crate::journal::record(
-                $name,
-                $crate::journal::Phase::End,
-                ::core::option::Option::None,
-            );
-        }
-    };
     ($name:expr) => {
         if $crate::journal::enabled() {
             $crate::journal::record(
@@ -695,6 +710,55 @@ impl Snapshot {
     pub fn group(&self, name: &str) -> Option<&dim::FamilySnapshot> {
         self.groups.iter().find(|f| f.name == name)
     }
+
+    /// The snapshot as one JSON object:
+    /// `{"counters":{..},"timers":{name:{count,total_ns,mean_ns,p50_ns,p95_ns,p99_ns},..},"groups":{"name{label}":value,..}}`.
+    pub fn to_json(&self) -> json::Value {
+        use json::Value;
+        let counters = Value::Obj(
+            self.counters
+                .iter()
+                .map(|(name, v)| (name.clone(), Value::from(*v)))
+                .collect(),
+        );
+        let timers = Value::Obj(
+            self.timers
+                .iter()
+                .map(|t| {
+                    (
+                        t.name.clone(),
+                        json::obj(vec![
+                            ("count", Value::from(t.count)),
+                            ("total_ns", Value::from(t.total_ns)),
+                            ("mean_ns", Value::Num(t.mean_ns)),
+                            ("p50_ns", Value::from(t.p50_ns)),
+                            ("p95_ns", Value::from(t.p95_ns)),
+                            ("p99_ns", Value::from(t.p99_ns)),
+                        ]),
+                    )
+                })
+                .collect(),
+        );
+        // Metric families flatten to `name{label}` keys. Only the deterministic
+        // face of a family is exported — counter values and histogram sample
+        // counts, never accumulated durations — so grouped sections diff at
+        // zero tolerance across reruns of a seeded workload.
+        let groups = Value::Obj(
+            self.groups
+                .iter()
+                .flat_map(|fam| {
+                    fam.labels
+                        .iter()
+                        .map(|l| (format!("{}{{{}}}", fam.name, l.label), Value::from(l.value)))
+                })
+                .collect(),
+        );
+        json::obj(vec![
+            ("counters", counters),
+            ("timers", timers),
+            ("groups", groups),
+        ])
+    }
 }
 
 /// Takes a snapshot of the global aggregate (flushing the calling thread's
@@ -881,66 +945,10 @@ pub fn render_table(snap: &Snapshot) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a snapshot as a single-line JSON object:
-/// `{"counters":{..},"timers":{name:{count,total_ns,mean_ns,p50_ns,p95_ns,p99_ns},..},"groups":{"name{label}":value,..}}`
-/// — group values are counter values (counter families) or sample counts
-/// (histogram families).
+/// Renders a snapshot as the single-line JSON object of
+/// [`Snapshot::to_json`].
 pub fn render_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, value)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", json_escape(name), value));
-    }
-    out.push_str("},\"timers\":{");
-    for (i, t) in snap.timers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"count\":{},\"total_ns\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-            json_escape(&t.name),
-            t.count,
-            t.total_ns,
-            t.mean_ns,
-            t.p50_ns,
-            t.p95_ns,
-            t.p99_ns
-        ));
-    }
-    out.push_str("},\"groups\":{");
-    let mut first = true;
-    for fam in &snap.groups {
-        for l in &fam.labels {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}{{{}}}\":{}",
-                json_escape(&fam.name),
-                json_escape(&l.label),
-                l.value
-            ));
-        }
-    }
-    out.push_str("}}");
-    out
+    snap.to_json().to_string()
 }
 
 /// Serializes tests (across this crate's modules) that flip the

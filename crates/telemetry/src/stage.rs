@@ -2,24 +2,27 @@
 //! coarse stages.
 //!
 //! The aggregate span timers measure *inclusive* durations, so nested
-//! spans double-count (`pipeline.schedule` contains every `lp.solve`).
+//! spans double-count (`routing.schedule` contains every `lp.solve`).
 //! This module maintains a thread-local stack of the coarse pipeline
 //! [`Stage`]s and charges wall time to whichever stage is innermost — the
 //! *self-time* decomposition a critical-path breakdown needs, where the
 //! stage totals of one trial sum (up to uninstrumented glue) to the
 //! trial's wall time.
 //!
-//! The pipeline opens a [`trial_scope`] per trial; instrumented regions in
-//! core / routing / lp / netsim open a [`scope`] per stage. When the trial
-//! scope drops, its accumulated per-stage self-times are recorded into the
-//! `trial.stage.*` histograms (one sample per trial per stage) and the
-//! trial's total into `trial.run`. Stage transitions also emit journal
-//! `Begin`/`End` records (under the same `trial.stage.*` names) so the
-//! `report` analyzer can rebuild the identical decomposition offline from
-//! a trace. Everything is inert — one relaxed load — unless telemetry or
-//! the journal is recording.
+//! The pipeline opens one [`trial_scope`] per trial; instrumented regions
+//! in core / routing / lp / netsim name their stage on their span
+//! (`span!("lp.solve", Lp)`), and that one guard pushes and pops the stage.
+//! When the trial scope drops, its accumulated per-stage self-times are
+//! recorded into the `trial.stage.*` histograms (one sample per trial per
+//! stage) and the trial's total into `trial.run`. Stage transitions also
+//! emit journal `Begin`/`End` records (under the same `trial.stage.*`
+//! names), and the trial scope brackets them with [`TRIAL_SPAN`] records,
+//! so the `report` analyzer can rebuild the identical decomposition
+//! offline from a trace. Time outside a trial is charged to no stage.
+//! Everything is inert — two relaxed loads — unless telemetry or the
+//! journal is recording.
 
-use crate::journal;
+use crate::{journal, trace};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -75,6 +78,9 @@ impl Stage {
 /// The per-trial total timer fed by [`trial_scope`].
 pub const TRIAL_RUN: &str = "trial.run";
 
+/// The journal span [`trial_scope`] writes around each whole trial.
+pub const TRIAL_SPAN: &str = "pipeline.trial";
+
 struct Attribution {
     /// `Some(start)` while a trial scope is open on this thread.
     trial_start: Option<Instant>,
@@ -123,28 +129,37 @@ fn timers() -> &'static (crate::Timer, [crate::Timer; ALL_STAGES.len()]) {
     })
 }
 
-/// RAII guard for one trial's stage accounting; records the per-stage
-/// histograms on drop.
+/// RAII guard for one trial: its trace context, its stage accounting and
+/// its [`TRIAL_SPAN`] journal records. Records the per-stage histograms on
+/// drop.
 #[must_use = "a trial scope records on drop; binding it to _ drops it immediately"]
 #[derive(Debug)]
 pub struct TrialScope {
     active: bool,
+    /// Restores the enclosing trace context after `drop` has run.
+    _ctx: trace::CtxScope,
 }
 
-/// Opens a trial on this thread: zeroes the stage accumulators and starts
-/// the trial clock. Inert unless telemetry or the journal is recording.
-pub fn trial_scope() -> TrialScope {
-    if !crate::recording() {
-        return TrialScope { active: false };
+/// Opens trial `seed` on this thread. It installs the trial's trace
+/// context ([`trace::trial_scope`]) unconditionally. While telemetry or the
+/// journal is recording, it also zeroes the stage accumulators, starts the
+/// trial clock and writes the [`TRIAL_SPAN`] `Begin` record.
+pub fn trial_scope(seed: u64) -> TrialScope {
+    let scope = TrialScope {
+        active: crate::recording(),
+        _ctx: trace::trial_scope(seed),
+    };
+    if scope.active {
+        ATTR.with(|a| {
+            let mut attr = a.borrow_mut();
+            let now = Instant::now();
+            attr.trial_start = Some(now);
+            attr.totals = [0; ALL_STAGES.len()];
+            attr.last = now;
+        });
+        journal::record(TRIAL_SPAN, journal::Phase::Begin, None);
     }
-    ATTR.with(|a| {
-        let mut attr = a.borrow_mut();
-        let now = Instant::now();
-        attr.trial_start = Some(now);
-        attr.totals = [0; ALL_STAGES.len()];
-        attr.last = now;
-    });
-    TrialScope { active: true }
+    scope
 }
 
 impl Drop for TrialScope {
@@ -152,6 +167,7 @@ impl Drop for TrialScope {
         if !self.active {
             return;
         }
+        journal::record(TRIAL_SPAN, journal::Phase::End, None);
         ATTR.with(|a| {
             let mut attr = a.borrow_mut();
             attr.transition();
@@ -170,39 +186,26 @@ impl Drop for TrialScope {
     }
 }
 
-/// RAII guard for one stage region; closes the stage on drop.
-#[must_use = "a stage scope closes on drop; binding it to _ drops it immediately"]
-#[derive(Debug)]
-pub struct StageScope {
-    stage: Option<Stage>,
-}
-
-/// Enters `stage`: the time until the guard drops (minus any nested stage
-/// scopes) is charged to it. Inert unless telemetry or the journal is
-/// recording.
-pub fn scope(stage: Stage) -> StageScope {
-    if !crate::recording() {
-        return StageScope { stage: None };
-    }
+/// Enters `stage`: the time until the matching [`exit`] (minus any nested
+/// stages) is charged to it. A stage-carrying [`crate::Span`] calls this
+/// on start, only while recording.
+pub(crate) fn enter(stage: Stage) {
     ATTR.with(|a| {
         let mut attr = a.borrow_mut();
         attr.transition();
         attr.stack.push(stage);
     });
     journal::record(stage.metric_name(), journal::Phase::Begin, None);
-    StageScope { stage: Some(stage) }
 }
 
-impl Drop for StageScope {
-    fn drop(&mut self) {
-        let Some(stage) = self.stage else { return };
-        ATTR.with(|a| {
-            let mut attr = a.borrow_mut();
-            attr.transition();
-            attr.stack.pop();
-        });
-        journal::record(stage.metric_name(), journal::Phase::End, None);
-    }
+/// Leaves `stage`, the innermost open one; the span's drop calls this.
+pub(crate) fn exit(stage: Stage) {
+    ATTR.with(|a| {
+        let mut attr = a.borrow_mut();
+        attr.transition();
+        attr.stack.pop();
+    });
+    journal::record(stage.metric_name(), journal::Phase::End, None);
 }
 
 #[cfg(test)]
@@ -224,12 +227,12 @@ mod tests {
         crate::reset();
         let _t = crate::Telemetry::enabled();
         {
-            let _trial = trial_scope();
+            let _trial = trial_scope(1);
             {
-                let _route = scope(Stage::Route);
+                let _route = crate::span!("test.stage.route", Route);
                 std::thread::sleep(Duration::from_millis(4));
                 {
-                    let _lp = scope(Stage::Lp);
+                    let _lp = crate::span!("test.stage.lp", Lp);
                     std::thread::sleep(Duration::from_millis(4));
                 }
             }
@@ -238,11 +241,14 @@ mod tests {
         let run = snap.timer(TRIAL_RUN).expect("trial.run recorded").clone();
         let route = snap.timer(Stage::Route.metric_name()).unwrap().clone();
         let lp = snap.timer(Stage::Lp.metric_name()).unwrap().clone();
+        let lp_span = snap.timer("test.stage.lp").unwrap().clone();
         let _t = crate::Telemetry::disabled();
         crate::reset();
         assert_eq!(run.count, 1);
         assert_eq!(route.count, 1);
         assert_eq!(lp.count, 1);
+        // The same guard fed the span timer.
+        assert_eq!(lp_span.count, 1);
         // Each stage held the thread ~4ms of self-time; the nested lp time
         // must not be double-charged to route.
         assert!(route.total_ns >= 3_000_000, "{route:?}");
@@ -259,7 +265,7 @@ mod tests {
         crate::reset();
         let _t = crate::Telemetry::enabled();
         {
-            let _s = scope(Stage::Decode);
+            let _s = crate::span!("test.stage.decode", Decode);
         }
         let snap = crate::snapshot();
         let _t = crate::Telemetry::disabled();
@@ -274,10 +280,12 @@ mod tests {
     fn disabled_scopes_are_inert() {
         let _g = crate::telemetry_test_guard();
         let _t = crate::Telemetry::disabled();
-        let trial = trial_scope();
-        let stage = scope(Stage::Gen);
+        let trial = trial_scope(1);
+        let span = crate::span!("test.stage.gen", Gen);
         assert!(!trial.active);
-        assert!(stage.stage.is_none());
+        assert!(span.stage.is_none());
+        // The trace context is installed even when nothing records.
+        assert_eq!(trace::current().trial, Some(1));
     }
 
     #[test]
@@ -287,20 +295,27 @@ mod tests {
         journal::reset();
         journal::set_enabled(true);
         {
-            let _trial = trial_scope();
-            let _s = scope(Stage::Entangle);
+            let _trial = trial_scope(7);
+            let _s = crate::span!("test.stage.entangle", Entangle);
         }
         journal::set_enabled(false);
         let events = journal::collect();
         journal::reset();
         let kinds: Vec<(&str, journal::Phase)> =
             events.iter().map(|e| (e.name.as_str(), e.phase)).collect();
+        // The span's records enclose its stage's, and the trial's enclose
+        // both.
         assert_eq!(
             kinds,
             [
+                (TRIAL_SPAN, journal::Phase::Begin),
+                ("test.stage.entangle", journal::Phase::Begin),
                 ("trial.stage.entangle", journal::Phase::Begin),
                 ("trial.stage.entangle", journal::Phase::End),
+                ("test.stage.entangle", journal::Phase::End),
+                (TRIAL_SPAN, journal::Phase::End),
             ]
         );
+        assert!(events.iter().all(|e| e.ctx.trial == Some(7)), "{events:?}");
     }
 }

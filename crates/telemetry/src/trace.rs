@@ -4,8 +4,9 @@
 //! Aggregate counters answer *how much* and the journal answers *when*;
 //! neither answers *which trial* (or which transfer, or which segment) an
 //! event belongs to. This module carries that causal identity as a
-//! thread-local [`TraceCtx`] installed via RAII scopes: the pipeline opens
-//! a [`trial_scope`] per seeded trial, `evaluate_transfers` opens a
+//! thread-local [`TraceCtx`] installed via RAII scopes: the pipeline's
+//! [`crate::stage::trial_scope`] installs a [`trial_scope`] per seeded
+//! trial, `evaluate_transfers` opens a
 //! [`request_scope`] per transfer and a [`segment_scope`] per segment, and
 //! [`crate::journal::record`] snapshots the current context into every
 //! event it writes. Exports then group Chrome-trace tracks per trial and
