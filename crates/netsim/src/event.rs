@@ -25,9 +25,10 @@
 //!   [`StreamConfig::max_defers`] times and then dropped, with drops
 //!   counted per reason in the `netsim.stream.*` metrics and per blocking
 //!   link in the `netsim.stream.link.dropped` family.
-//! * **Plan once per request** — a request is routed on arrival, over a
-//!   table of fiber noises built once per run, and its deferred re-offers
-//!   carry that plan and footprint instead of routing again.
+//! * **Plan once per request** — a request is routed on arrival by one
+//!   [`RouteSearch`] built per run (a bidirectional minimum-noise Dijkstra
+//!   over a flat table of fiber noises), and its deferred re-offers carry
+//!   that plan and footprint instead of routing again.
 //!
 //! Latency and failure accounting follow the unified contract documented
 //! on [`ExecutionConfig::max_ticks`] and
@@ -38,7 +39,7 @@ use crate::execution::{
     recover_route, ExecutionConfig, ExecutionOutcome, PlannedSegment, SegmentOutcome, TransferPlan,
 };
 use crate::request::Request;
-use crate::topology::{Fiber, FiberId, Network, NodeId, NodeKind};
+use crate::topology::{FiberId, Network, NodeId, NodeKind, RouteSearch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use surfnet_telemetry::dim;
@@ -470,19 +471,24 @@ pub fn execute_plan_event<R: Rng + ?Sized>(
 
 /// Plans a request SurfNet-style: the minimum-noise route, split into
 /// segments at each intermediate server (where error correction runs).
-/// Returns `None` for unroutable endpoint pairs.
+///
+/// Returns `None` for unroutable endpoint pairs and for `src == dst`, which
+/// [`Request::new`] rejects but a hand-built trace [`Request`] can carry;
+/// [`simulate`] counts either under `dropped_unroutable`.
+///
+/// Each call builds a [`RouteSearch`] for one query. [`simulate`] builds one
+/// per run and plans every arrival through it.
 pub fn plan_request(net: &Network, request: &Request) -> Option<TransferPlan> {
-    plan_by(net, request, |f| net.fiber(f).noise())
+    plan_by(&mut RouteSearch::new(net), request)
 }
 
-/// [`plan_request`] with each fiber's noise `μ` given by `noise`, so that
-/// [`simulate`] can read it from a table.
-fn plan_by(
-    net: &Network,
-    request: &Request,
-    noise: impl Fn(FiberId) -> f64,
-) -> Option<TransferPlan> {
-    let route = net.shortest_path_by(request.src, request.dst, noise)?;
+/// [`plan_request`] on a search that answers many queries.
+fn plan_by(search: &mut RouteSearch<'_>, request: &Request) -> Option<TransferPlan> {
+    if request.src == request.dst {
+        return None;
+    }
+    let net = search.network();
+    let route = search.path(request.src, request.dst)?;
     let nodes = net.walk(request.src, &route);
     let mut segments = Vec::new();
     let mut seg_fibers: Vec<FiberId> = Vec::new();
@@ -623,9 +629,8 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
             }
         }
     }
-    // Planning reads a fiber's noise on every Dijkstra relaxation; compute
-    // each `μ = ln(1/γ)` once per run.
-    let noise: Vec<f64> = net.fibers().iter().map(Fiber::noise).collect();
+    // Built once per run: it reads each fiber's `μ = ln(1/γ)` once.
+    let mut search = RouteSearch::new(net);
 
     let mut node_in_use = vec![0u32; net.num_nodes()];
     let mut fiber_in_use = vec![0u32; net.num_fibers()];
@@ -708,7 +713,7 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
             }
         };
         stats.arrivals += 1;
-        let Some(plan) = plan_by(net, &request, |f| noise[f]) else {
+        let Some(plan) = plan_by(&mut search, &request) else {
             stats.dropped_unroutable += 1;
             continue;
         };
@@ -737,6 +742,7 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
     surfnet_telemetry::count!("netsim.stream.dropped.unroutable", stats.dropped_unroutable);
     surfnet_telemetry::count!("netsim.stream.dropped.capacity", stats.dropped_capacity);
     surfnet_telemetry::count!("netsim.stream.dropped.pool", stats.dropped_pool);
+    surfnet_telemetry::count!("netsim.stream.plan.settled", search.settled());
     if !link_drops.is_empty() {
         let fam = dim::counter_family("netsim.stream.link.dropped");
         for (f, &n) in link_drops.iter().enumerate() {
@@ -994,6 +1000,30 @@ mod tests {
         let stats = simulate(&net, &config, &mut rng);
         assert_eq!(stats.arrivals, 3);
         assert_eq!(stats.admitted + stats.dropped(), 3);
+    }
+
+    #[test]
+    fn trace_request_to_itself_is_dropped_as_unroutable() {
+        // `Request::new` rejects equal endpoints, but a trace entry built
+        // from the public fields gets through.
+        let net = line_net();
+        let config = StreamConfig {
+            arrival: ArrivalProcess::Trace(vec![(
+                1,
+                Request {
+                    src: 0,
+                    dst: 0,
+                    num_codes: 1,
+                },
+            )]),
+            horizon: 10,
+            ..StreamConfig::default()
+        };
+        let mut rng = SmallRng::seed_from_u64(12);
+        let stats = simulate(&net, &config, &mut rng);
+        assert_eq!(stats.arrivals, 1);
+        assert_eq!(stats.dropped_unroutable, 1);
+        assert_eq!(stats.admitted, 0);
     }
 
     #[test]

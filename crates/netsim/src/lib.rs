@@ -51,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod check;
 pub mod concurrent;
 pub mod entanglement;
 pub mod event;
@@ -64,7 +65,7 @@ pub use execution::{
 };
 pub use generate::NetworkConfig;
 pub use request::Request;
-pub use topology::{Fiber, FiberId, Network, Node, NodeId, NodeKind};
+pub use topology::{Fiber, FiberId, Network, Node, NodeId, NodeKind, RouteSearch};
 
 use std::error::Error;
 use std::fmt;

@@ -2,6 +2,8 @@
 //! fibers (paper Sec. IV-A).
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Index of a node in a [`Network`].
 pub type NodeId = usize;
@@ -288,6 +290,14 @@ impl Network {
     /// Dijkstra with a custom non-negative cost per fiber id, so a caller
     /// can read costs from its own table or tell parallel fibers apart.
     ///
+    /// This is the search for per-call cost closures:
+    /// [`Network::min_hop_path`] (whose integer costs tie),
+    /// [`Network::min_noise_path`], and the failure-masked detours of
+    /// [`crate::execution`]'s fiber-failure recovery, whose costs change
+    /// per transfer. The streaming planner's repeated minimum-noise
+    /// queries go through [`RouteSearch`] instead, and this search is its
+    /// reference in tests and under `SURFNET_CHECK`.
+    ///
     /// # Panics
     ///
     /// Panics if `src` or `dst` is out of range.
@@ -372,6 +382,276 @@ impl Network {
     }
 }
 
+/// One arc of [`RouteSearch`]'s flat adjacency: the far end of an incident
+/// fiber, the fiber, and its noise `μ`.
+#[derive(Debug)]
+struct Hop {
+    to: u32,
+    fiber: u32,
+    noise: f64,
+}
+
+/// One side's label of a node: its distance and tree fiber, valid only
+/// while `stamp` equals the search's current query stamp.
+#[derive(Debug, Clone, Copy)]
+struct Label {
+    dist: f64,
+    via: u32,
+    stamp: u32,
+}
+
+/// One direction of the bidirectional search: per-node labels and a lazy
+/// heap keyed on the bits of non-negative distances (which order like the
+/// distances).
+#[derive(Debug, Clone)]
+struct Side {
+    labels: Vec<Label>,
+    heap: BinaryHeap<(Reverse<u64>, NodeId)>,
+}
+
+impl Side {
+    fn start(&mut self, root: NodeId, stamp: u32) {
+        self.heap.clear();
+        self.labels[root] = Label {
+            dist: 0.0,
+            via: u32::MAX,
+            stamp,
+        };
+        self.heap.push((Reverse(0.0f64.to_bits()), root));
+    }
+
+    fn dist(&self, v: NodeId, stamp: u32) -> f64 {
+        let label = self.labels[v];
+        if label.stamp == stamp {
+            label.dist
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// The smallest live key, dropping stale entries (superseded by a
+    /// shorter label) off the top; `∞` once the heap is empty. Every entry
+    /// was pushed during the current query, so its node's label is current.
+    fn top(&mut self) -> f64 {
+        while let Some(&(Reverse(bits), v)) = self.heap.peek() {
+            let d = f64::from_bits(bits);
+            if d > self.labels[v].dist {
+                self.heap.pop();
+            } else {
+                return d;
+            }
+        }
+        f64::INFINITY
+    }
+}
+
+/// A reusable minimum-noise route search over one network: the streaming
+/// planner's Dijkstra (paper Sec. V-A/B), run from both ends at once.
+///
+/// Built once per network, it holds every fiber's noise `μ = ln(1/γ)` in a
+/// flat adjacency (in [`Network::incident`] order) and answers
+/// [`path`](Self::path) queries by bidirectional Dijkstra: a forward search
+/// from `src` and a backward one from `dst` each expand their smaller
+/// frontier, and the search stops once no meeting can beat the best route
+/// found. On Barabási–Albert graphs the two frontiers meet at the hubs,
+/// long before one-sided Dijkstra would settle `dst`. Labels carry a
+/// per-query stamp, so a query neither allocates nor clears per-node state.
+///
+/// Where the minimum-noise route is unique, it is the route
+/// [`Network::shortest_path_by`] returns over the same noise. On exact ties
+/// the two may return different minimum-noise routes, because the meeting
+/// sum `(d(v) + μ) + d'(u)` rounds differently from a forward fold.
+///
+/// # Examples
+///
+/// ```
+/// use surfnet_netsim::{Network, NodeKind, RouteSearch};
+///
+/// let mut net = Network::new();
+/// let a = net.add_node(NodeKind::User, 8);
+/// let s = net.add_node(NodeKind::Switch, 32);
+/// let b = net.add_node(NodeKind::User, 8);
+/// net.add_fiber(a, s, 0.9, 4, 0.05)?;
+/// net.add_fiber(s, b, 0.85, 4, 0.05)?;
+/// net.add_fiber(a, b, 0.6, 4, 0.05)?;
+/// let mut search = RouteSearch::new(&net);
+/// assert_eq!(search.path(a, b), Some(vec![0, 1]));
+/// assert_eq!(search.path(b, a), Some(vec![1, 0]));
+/// # Ok::<(), surfnet_netsim::NetError>(())
+/// ```
+#[derive(Debug)]
+pub struct RouteSearch<'a> {
+    net: &'a Network,
+    /// Node `v`'s arcs are `hops[first[v]..first[v + 1]]`.
+    first: Vec<u32>,
+    hops: Vec<Hop>,
+    /// Forward (from `src`) and backward (from `dst`) sides.
+    sides: [Side; 2],
+    /// The current query's stamp; labels with another stamp are unset.
+    stamp: u32,
+    settled: u64,
+}
+
+impl<'a> RouteSearch<'a> {
+    /// Builds the search for `net`, reading each fiber's noise once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` has `u32::MAX` or more nodes or arcs.
+    pub fn new(net: &'a Network) -> RouteSearch<'a> {
+        let n = net.num_nodes();
+        assert!(
+            n < u32::MAX as usize && 2 * net.num_fibers() < u32::MAX as usize,
+            "network too large for 32-bit search indices"
+        );
+        let mut first = Vec::with_capacity(n + 1);
+        let mut hops = Vec::with_capacity(2 * net.num_fibers());
+        first.push(0);
+        for v in 0..n {
+            for &f in net.incident(v) {
+                let fiber = net.fiber(f);
+                hops.push(Hop {
+                    to: fiber.other(v) as u32,
+                    fiber: f as u32,
+                    noise: fiber.noise(),
+                });
+            }
+            first.push(hops.len() as u32);
+        }
+        let unset = Label {
+            dist: f64::INFINITY,
+            via: u32::MAX,
+            stamp: 0,
+        };
+        let side = Side {
+            labels: vec![unset; n],
+            heap: BinaryHeap::new(),
+        };
+        RouteSearch {
+            net,
+            first,
+            hops,
+            sides: [side.clone(), side],
+            stamp: 0,
+            settled: 0,
+        }
+    }
+
+    /// The network this search routes over.
+    pub(crate) fn network(&self) -> &'a Network {
+        self.net
+    }
+
+    /// Nodes settled so far, summed over both sides and every query: the
+    /// search's deterministic work count.
+    pub fn settled(&self) -> u64 {
+        self.settled
+    }
+
+    /// Minimum-noise route from `src` to `dst` as a fiber sequence (empty
+    /// when `src == dst`), or `None` if `dst` is unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is out of range.
+    pub fn path(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<FiberId>> {
+        let n = self.net.num_nodes();
+        assert!(src < n && dst < n);
+        let route = self.search(src, dst);
+        if crate::check::enabled() {
+            crate::check::assert_ok(
+                crate::check::check_route(self.net, src, dst, route.as_deref()),
+                "route-search",
+            );
+        }
+        route
+    }
+
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            for side in &mut self.sides {
+                for label in &mut side.labels {
+                    label.stamp = 0;
+                }
+            }
+            self.stamp = 1;
+        }
+        self.stamp
+    }
+
+    fn search(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<FiberId>> {
+        if src == dst {
+            return Some(Vec::new());
+        }
+        let stamp = self.next_stamp();
+        let [fwd, bwd] = &mut self.sides;
+        fwd.start(src, stamp);
+        bwd.start(dst, stamp);
+        let mut best = f64::INFINITY;
+        // The best route's forward-tree end, meeting fiber and
+        // backward-tree end.
+        let mut meet = None;
+        loop {
+            let (top_f, top_b) = (fwd.top(), bwd.top());
+            // Also stops once either side runs dry: its key is then ∞.
+            if top_f + top_b >= best {
+                break;
+            }
+            let forward = top_f <= top_b;
+            let (this, other) = if forward {
+                (&mut *fwd, &*bwd)
+            } else {
+                (&mut *bwd, &*fwd)
+            };
+            let Some((Reverse(bits), v)) = this.heap.pop() else {
+                break;
+            };
+            self.settled += 1;
+            let d = f64::from_bits(bits);
+            for hop in &self.hops[self.first[v] as usize..self.first[v + 1] as usize] {
+                let u = hop.to as usize;
+                let nd = d + hop.noise;
+                let label = &mut this.labels[u];
+                if label.stamp != stamp || nd < label.dist {
+                    *label = Label {
+                        dist: nd,
+                        via: hop.fiber,
+                        stamp,
+                    };
+                    this.heap.push((Reverse(nd.to_bits()), u));
+                }
+                let through = nd + other.dist(u, stamp);
+                if through < best {
+                    best = through;
+                    meet = Some(if forward {
+                        (v, hop.fiber as FiberId, u)
+                    } else {
+                        (u, hop.fiber as FiberId, v)
+                    });
+                }
+            }
+        }
+        let (x, meeting, y) = meet?;
+        let mut route = Vec::new();
+        let mut v = x;
+        while v != src {
+            let f = fwd.labels[v].via as FiberId;
+            route.push(f);
+            v = self.net.fiber(f).other(v);
+        }
+        route.reverse();
+        route.push(meeting);
+        let mut v = y;
+        while v != dst {
+            let f = bwd.labels[v].via as FiberId;
+            route.push(f);
+            v = self.net.fiber(f).other(v);
+        }
+        Some(route)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,6 +729,27 @@ mod tests {
         let net = sample();
         let path = net.min_noise_path(0, 3).unwrap();
         assert_eq!(net.walk(0, &path), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn route_search_survives_the_stamp_wrap() {
+        use rand::SeedableRng;
+        let config = crate::NetworkConfig {
+            num_nodes: 60,
+            ..crate::NetworkConfig::default()
+        };
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+        let net = crate::generate::barabasi_albert(&config, &mut rng).unwrap();
+        let reference = |s, d| net.shortest_path_by(s, d, |f| net.fiber(f).noise());
+        let mut search = RouteSearch::new(&net);
+        // Leave labels stamped 1 behind, then cross the wrap: the query
+        // after it must not read them as its own.
+        assert_eq!(search.path(0, 59), reference(0, 59));
+        search.stamp = u32::MAX - 1;
+        for (s, d) in [(59, 0), (1, 58), (58, 1)] {
+            assert_eq!(search.path(s, d), reference(s, d));
+        }
+        assert_eq!(search.stamp, 2);
     }
 
     #[test]
