@@ -16,6 +16,12 @@ fn main() {
     telemetry_init();
     let args = args();
     let trials = arg_or(&args, "--trials", 400usize);
+    if trials == 0 {
+        eprintln!(
+            "surfnet-bench: --trials must be at least 1 (a grid point's error rate would be 0/0)"
+        );
+        std::process::exit(2);
+    }
     let seed = arg_or(&args, "--seed", 80_000u64);
     let max_distance = arg_or(&args, "--max-distance", 15usize);
     let distances: Vec<usize> = fig8::paper_distances()

@@ -29,6 +29,11 @@ pub mod report_json;
 
 /// Minimal `--key value` argument extraction for the figure binaries.
 ///
+/// An absent flag yields `default`. A present flag whose value is missing
+/// or does not parse prints [`parse_arg`]'s message to stderr and **exits
+/// with status 2**, like a malformed `SURFNET_*` variable: running on the
+/// default instead would silently answer a different question.
+///
 /// # Examples
 ///
 /// ```
@@ -36,11 +41,34 @@ pub mod report_json;
 /// assert_eq!(trials, 12);
 /// ```
 pub fn arg_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_arg(args, key, default).unwrap_or_else(|message| {
+        eprintln!("surfnet-bench: {message}");
+        std::process::exit(2);
+    })
+}
+
+/// The parse behind [`arg_or`]: `default` when `key` is absent, the parsed
+/// value after it otherwise.
+///
+/// # Errors
+///
+/// Returns a message naming the flag, the value and the expected type
+/// when the flag has no value or its value does not parse.
+pub fn parse_arg<T: std::str::FromStr>(
+    args: &[String],
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == key) else {
+        return Ok(default);
+    };
+    let expected = std::any::type_name::<T>();
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{key} needs a value of type {expected}"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{key} {value:?}: expected a value of type {expected}"))
 }
 
 /// Collects process arguments (skipping `argv[0]`).
@@ -105,8 +133,27 @@ mod tests {
         let args: Vec<String> = vec!["--trials".into(), "7".into(), "--x".into()];
         assert_eq!(arg_or(&args, "--trials", 1usize), 7);
         assert_eq!(arg_or(&args, "--seed", 42u64), 42);
-        assert_eq!(arg_or(&args, "--x", 5usize), 5); // missing value
+        // A flag with no value is an error, not the default (arg_or
+        // would exit 2 on it).
+        let err = parse_arg(&args, "--x", 5usize).unwrap_err();
+        assert!(err.contains("--x") && err.contains("usize"), "{err}");
         assert!(has_flag(&args, "--x"));
         assert!(!has_flag(&args, "--y"));
+    }
+
+    #[test]
+    fn parse_arg_rejects_malformed_values() {
+        let args: Vec<String> = ["--trials", "1e3", "--tol", "0.5", "--seed", "-3"]
+            .map(String::from)
+            .to_vec();
+        let err = parse_arg(&args, "--trials", 400usize).unwrap_err();
+        assert!(
+            err.contains("--trials") && err.contains("\"1e3\"") && err.contains("usize"),
+            "{err}"
+        );
+        let err = parse_arg(&args, "--seed", 0u64).unwrap_err();
+        assert!(err.contains("\"-3\"") && err.contains("u64"), "{err}");
+        assert_eq!(parse_arg(&args, "--tol", 0.05f64), Ok(0.5));
+        assert_eq!(parse_arg(&args, "--top", 5usize), Ok(5));
     }
 }

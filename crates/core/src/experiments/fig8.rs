@@ -5,12 +5,12 @@
 //! ≈ 7.25% (SurfNet).
 
 use crate::evaluate::DecoderKind;
-use crate::experiments::runner::parallel_map;
+use crate::experiments::runner::{count_failed_shots, default_workers};
 use crate::report;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use surfnet_decoder::{DecodeWorkspace, SurfNetDecoder, UnionFindDecoder};
+use surfnet_decoder::{SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 
 /// One measured point of the threshold plot.
@@ -50,7 +50,14 @@ pub fn paper_rates() -> Vec<f64> {
 /// The fixed erasure rate of the evaluation.
 pub const ERASURE_RATE: f64 = 0.15;
 
-/// Measures one decoder over the grid.
+/// Measures one decoder over the grid. Grid points run in grid order;
+/// each point decodes its `trials` shots on every core, with the same
+/// result on any core count (see [`crate::experiments::runner`]).
+///
+/// # Panics
+///
+/// Panics if `trials` is 0 (a point's error rate would be 0/0), or if a
+/// distance is not a valid surface-code distance.
 pub fn run(
     decoder: DecoderKind,
     distances: &[usize],
@@ -59,26 +66,32 @@ pub fn run(
     trials: usize,
     base_seed: u64,
 ) -> ThresholdCurves {
-    let grid: Vec<(usize, f64)> = distances
+    assert!(
+        trials > 0,
+        "fig8::run needs at least one trial per grid point"
+    );
+    let threads = default_workers();
+    let points: Vec<ThresholdPoint> = distances
         .iter()
         .flat_map(|&d| rates.iter().map(move |&p| (d, p)))
+        .map(|(distance, pauli_rate)| {
+            let failures = count_failures(
+                decoder,
+                distance,
+                pauli_rate,
+                erasure_rate,
+                trials,
+                base_seed,
+                threads,
+            );
+            ThresholdPoint {
+                distance,
+                pauli_rate,
+                logical_error_rate: failures as f64 / trials as f64,
+                trials,
+            }
+        })
         .collect();
-    let points = parallel_map(grid, |&(distance, pauli_rate)| {
-        let failures = count_failures(
-            decoder,
-            distance,
-            pauli_rate,
-            erasure_rate,
-            trials,
-            base_seed,
-        );
-        ThresholdPoint {
-            distance,
-            pauli_rate,
-            logical_error_rate: failures as f64 / trials as f64,
-            trials,
-        }
-    });
     let threshold = estimate_threshold(&points);
     ThresholdCurves {
         decoder: match decoder {
@@ -90,6 +103,8 @@ pub fn run(
     }
 }
 
+/// One grid point's logical failures over `trials` shots, decoded on
+/// `threads` threads.
 fn count_failures(
     decoder: DecoderKind,
     distance: usize,
@@ -97,38 +112,38 @@ fn count_failures(
     erasure_rate: f64,
     trials: usize,
     base_seed: u64,
+    threads: usize,
 ) -> usize {
     let code = SurfaceCode::new(distance).expect("valid distance");
     let partition = code.core_partition(CoreTopology::Cross);
     let model = ErrorModel::dual_channel(&code, &partition, pauli_rate, erasure_rate);
-    // Seed varies with the grid point so curves are independent samples.
-    let seed = base_seed
-        ^ (distance as u64).wrapping_mul(0x9E3779B97F4A7C15)
-        ^ ((pauli_rate * 1e6) as u64).wrapping_mul(0xD1B54A32D192ED03);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // One workspace per grid point: every shot after the first decodes in
-    // the same buffers (bit-identical to `decode_sample`).
-    let mut ws = DecodeWorkspace::new();
+    let rng = SmallRng::seed_from_u64(point_seed(distance, pauli_rate, base_seed));
+    // Every thread decodes its shots on its own workspace, which
+    // `decode_sample_with` resets per shot (bit-identical to
+    // `decode_sample`).
     match decoder {
         DecoderKind::SurfNet => {
             let d = SurfNetDecoder::from_model(&code, &model);
-            (0..trials)
-                .filter(|_| {
-                    !d.decode_sample_with(&code, &model.sample(&mut rng), &mut ws)
-                        .is_success()
-                })
-                .count()
+            count_failed_shots(&model, rng, trials, threads, |sample, ws| {
+                !d.decode_sample_with(&code, sample, ws).is_success()
+            })
         }
         DecoderKind::UnionFind => {
             let d = UnionFindDecoder::from_model(&code, &model);
-            (0..trials)
-                .filter(|_| {
-                    !d.decode_sample_with(&code, &model.sample(&mut rng), &mut ws)
-                        .is_success()
-                })
-                .count()
+            count_failed_shots(&model, rng, trials, threads, |sample, ws| {
+                !d.decode_sample_with(&code, sample, ws).is_success()
+            })
         }
     }
+}
+
+/// The RNG seed of one grid point: it varies with the point so curves are
+/// independent samples, and not with the decoder, so the two decoders see
+/// the same shots.
+fn point_seed(distance: usize, pauli_rate: f64, base_seed: u64) -> u64 {
+    base_seed
+        ^ (distance as u64).wrapping_mul(0x9E3779B97F4A7C15)
+        ^ ((pauli_rate * 1e6) as u64).wrapping_mul(0xD1B54A32D192ED03)
 }
 
 /// Estimates the threshold as the mean crossing point of adjacent-distance
@@ -223,6 +238,7 @@ pub fn render(result: &ThresholdCurves) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use surfnet_decoder::Decoder;
 
     #[test]
     fn small_grid_runs_and_orders_error_rates() {
@@ -230,6 +246,83 @@ mod tests {
         let curves = run(DecoderKind::UnionFind, &[5], &[0.01, 0.12], 0.10, 60, 3000);
         assert_eq!(curves.points.len(), 2);
         assert!(curves.points[0].logical_error_rate < curves.points[1].logical_error_rate);
+    }
+
+    /// The serial reference: one `sample` and one allocating
+    /// `decode_sample` per shot, in RNG order.
+    fn serial_failures(
+        decoder: DecoderKind,
+        distance: usize,
+        pauli_rate: f64,
+        trials: usize,
+        base_seed: u64,
+    ) -> usize {
+        fn shots<D: Decoder>(
+            d: &D,
+            code: &SurfaceCode,
+            model: &ErrorModel,
+            seed: u64,
+            n: usize,
+        ) -> usize {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            (0..n)
+                .filter(|_| !d.decode_sample(code, &model.sample(&mut rng)).is_success())
+                .count()
+        }
+        let code = SurfaceCode::new(distance).unwrap();
+        let partition = code.core_partition(CoreTopology::Cross);
+        let model = ErrorModel::dual_channel(&code, &partition, pauli_rate, ERASURE_RATE);
+        let seed = point_seed(distance, pauli_rate, base_seed);
+        match decoder {
+            DecoderKind::SurfNet => shots(
+                &SurfNetDecoder::from_model(&code, &model),
+                &code,
+                &model,
+                seed,
+                trials,
+            ),
+            DecoderKind::UnionFind => shots(
+                &UnionFindDecoder::from_model(&code, &model),
+                &code,
+                &model,
+                seed,
+                trials,
+            ),
+        }
+    }
+
+    #[test]
+    fn failures_do_not_depend_on_the_thread_count() {
+        // 250 shots = 15 full chunks and a partial one, so 8 threads
+        // finish on uneven shares and the last chunk is short.
+        let trials = 250;
+        for decoder in [DecoderKind::UnionFind, DecoderKind::SurfNet] {
+            for (distance, rate) in [(5, 0.06), (5, 0.10), (9, 0.08)] {
+                let want = serial_failures(decoder, distance, rate, trials, 4200);
+                assert!(0 < want && want < trials, "uninformative point: {want}");
+                for threads in [1, 2, 3, 8] {
+                    let got = count_failures(
+                        decoder,
+                        distance,
+                        rate,
+                        ERASURE_RATE,
+                        trials,
+                        4200,
+                        threads,
+                    );
+                    assert_eq!(
+                        got, want,
+                        "{decoder:?} d={distance} p={rate} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one trial")]
+    fn run_rejects_zero_trials() {
+        run(DecoderKind::UnionFind, &[5], &[0.05], ERASURE_RATE, 0, 1);
     }
 
     #[test]

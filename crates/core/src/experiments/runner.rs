@@ -1,21 +1,35 @@
-//! Parallel Monte-Carlo execution of trials.
+//! Parallel Monte-Carlo execution: the two fan-outs of the figure sweeps.
 //!
-//! Work is distributed over a crossbeam channel so stragglers (LP-heavy
-//! trials) don't serialize the sweep; results are deterministic per seed
-//! regardless of scheduling order.
+//! * [`parallel_trials`] runs seeded network trials on
+//!   [`default_workers`] scoped threads that pull seeds from a crossbeam
+//!   channel, so stragglers (LP-heavy trials) don't serialize the sweep.
+//!   Results are sorted by seed, so they do not depend on scheduling.
+//! * `count_failed_shots` decodes one Fig. 8 grid point's shots on
+//!   every core. Each thread draws a chunk of shots from the point's one
+//!   RNG under a lock, in the order a serial loop draws them, and decodes
+//!   the chunk on its own workspace. The point's failure count is the sum
+//!   of the threads' counts, so it does not depend on which thread decoded
+//!   which shot.
+//!
+//! Every scoped thread that does work flushes its telemetry shard and
+//! journal ring as its last act (DESIGN §8.1).
 
 use crate::flight;
 use crate::metrics::{MetricsSummary, TrialMetrics};
 use crate::pipeline::{run_trial, Design};
 use crate::scenario::TrialConfig;
 use parking_lot::Mutex;
+use rand::rngs::SmallRng;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use surfnet_decoder::DecodeWorkspace;
+use surfnet_lattice::{ErrorModel, ErrorSample};
 
-/// Number of worker threads: all cores minus one, at least one.
+/// Number of threads a sweep does its work on: one per available core
+/// (`available_parallelism`, which honours the affinity mask), at least
+/// one.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).max(1))
-        .unwrap_or(1)
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
 /// The outcome of a parallel sweep: the metrics of every trial that ran
@@ -100,44 +114,86 @@ pub fn parallel_trials(
     }
 }
 
-/// Generic parallel map over an input grid (used by the decoder-threshold
-/// sweep where the work items are not network trials).
-pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
+/// Shots a thread draws per turn of the RNG lock. Drawing 16 d=15 shots
+/// takes ~70 µs and decoding them ~1 ms, so the lock is mostly free.
+const SHOT_CHUNK: usize = 16;
+
+/// Counts how many of `shots` samples of `model`, drawn from `rng` in
+/// order, `fails` rejects, on `threads` (≥ 1) threads: the caller and
+/// `threads − 1` scoped helpers.
+///
+/// Each thread owns one workspace and one chunk of sample buffers, made
+/// before any thread starts. It takes [`SHOT_CHUNK`] shots at a time from
+/// `rng` under one lock, which it holds only while drawing, and decodes
+/// them outside it. As long as `fails` depends only on its sample (a
+/// `decode_sample_with` verdict does), the count equals the serial loop's
+/// `(0..shots).filter(|_| fails(&model.sample(&mut rng), ws)).count()`
+/// for every thread count.
+pub(crate) fn count_failed_shots<F>(
+    model: &ErrorModel,
+    rng: SmallRng,
+    shots: usize,
+    threads: usize,
+    fails: F,
+) -> usize
 where
-    T: Send,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
+    F: Fn(&ErrorSample, &mut DecodeWorkspace) -> bool + Sync,
 {
-    let indexed: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let n = indexed.len();
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, T)>();
-    for item in indexed {
-        tx.send(item).expect("channel open");
-    }
-    drop(tx);
-    let results: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
-    let recorder = flight::Recorder::current();
-    std::thread::scope(|scope| {
-        for _ in 0..default_workers() {
-            let rx = rx.clone();
-            let results = &results;
-            let f = &f;
-            let recorder = recorder.clone();
-            scope.spawn(move || {
-                recorder.install();
-                while let Ok((i, item)) = rx.recv() {
-                    let out = f(&item);
-                    results.lock().push((i, out));
+    // The point's one RNG and the number of shots drawn from it so far.
+    let source = Mutex::new((rng, 0usize));
+    let mut states: Vec<_> = (0..threads)
+        .map(|_| {
+            let chunk = vec![ErrorSample::clean(model.len()); SHOT_CHUNK];
+            (DecodeWorkspace::new(), chunk)
+        })
+        .collect();
+    let work = |(ws, chunk): &mut (DecodeWorkspace, Vec<ErrorSample>)| -> usize {
+        let mut failures = 0;
+        loop {
+            let drawn = {
+                let mut source = source.lock();
+                let (rng, taken) = &mut *source;
+                let n = SHOT_CHUNK.min(shots - *taken);
+                for sample in &mut chunk[..n] {
+                    model.sample_into(rng, sample);
                 }
-                // See parallel_trials: flush before the scope observes exit.
-                surfnet_telemetry::flush();
-                surfnet_telemetry::journal::flush_thread();
-            });
+                *taken += n;
+                n
+            };
+            if drawn == 0 {
+                return failures;
+            }
+            failures += chunk[..drawn].iter().filter(|s| fails(s, ws)).count();
         }
-    });
-    let mut collected = results.into_inner();
-    collected.sort_by_key(|&(i, _)| i);
-    collected.into_iter().map(|(_, u)| u).collect()
+    };
+    let (caller, helpers) = states.split_first_mut().expect("threads >= 1");
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = helpers
+            .iter_mut()
+            .map(|state| {
+                scope.spawn(move || {
+                    let failures = work(state);
+                    // See parallel_trials: flush before the scope observes
+                    // exit. A layer that is off recorded nothing, and not
+                    // flushing it spares this short-lived thread the
+                    // buffers a flush would allocate.
+                    if surfnet_telemetry::enabled() {
+                        surfnet_telemetry::flush();
+                    }
+                    if surfnet_telemetry::journal::enabled() {
+                        surfnet_telemetry::journal::flush_thread();
+                    }
+                    failures
+                })
+            })
+            .collect();
+        let own = work(caller);
+        own + handles
+            .into_iter()
+            .map(|h| h.join().expect("a shot helper thread panicked"))
+            .sum::<usize>()
+    })
 }
 
 #[cfg(test)]
@@ -159,12 +215,6 @@ mod tests {
         let summary = a.summary();
         assert_eq!(summary.trials, 4);
         assert_eq!(summary.failed_trials, 0);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect(), |&x: &i32| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl ErrorModel {
     /// Draws the `(erased, operator)` outcome for one qubit.
     ///
     /// This is the single source of truth for the per-qubit RNG draw order
-    /// — [`ErrorModel::sample`] and the batch sampler in
+    /// — [`ErrorModel::sample_into`] and the batch sampler in
     /// [`crate::bitplanes`] both call it, which is what makes the batch
     /// path bit-identical to the scalar path: an erasure consumes two draws
     /// (threshold + mixed-state operator), a surviving qubit consumes the
@@ -233,17 +233,27 @@ impl ErrorModel {
     /// maximally mixed state — uniform `{I, X, Y, Z}`), then independent
     /// Pauli errors on the surviving qubits.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> ErrorSample {
+        let mut sample = ErrorSample::clean(self.len());
+        self.sample_into(rng, &mut sample);
+        sample
+    }
+
+    /// [`ErrorModel::sample`] into a reused buffer: makes exactly the same
+    /// draws and leaves `out` equal to the sample it would return, whatever
+    /// `out` held before. Allocates only when `out`'s buffers have room for
+    /// fewer qubits than the model has.
+    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut ErrorSample) {
         let n = self.len();
-        let mut pauli = PauliString::identity(n);
-        let mut erased = vec![false; n];
+        out.pauli.reset_identity(n);
+        out.erased.clear();
+        out.erased.resize(n, false);
         for q in 0..n {
             let (is_erased, op) = self.draw_qubit(q, rng);
-            erased[q] = is_erased;
+            out.erased[q] = is_erased;
             if !op.is_identity() {
-                pauli.set(q, op);
+                out.pauli.set(q, op);
             }
         }
-        ErrorSample { pauli, erased }
     }
 }
 
@@ -359,6 +369,47 @@ mod tests {
 
         let erased = ErrorModel::uniform(&code, 0.0, 1.0).sample(&mut rng);
         assert!(erased.erased.iter().all(|&e| e));
+    }
+
+    #[test]
+    fn sample_into_a_dirty_buffer_matches_a_fresh_sample() {
+        // Reference: the per-qubit draws written into fresh buffers.
+        fn fresh(model: &ErrorModel, rng: &mut SmallRng) -> ErrorSample {
+            let mut s = ErrorSample::clean(model.len());
+            for q in 0..model.len() {
+                let (erased, op) = model.draw_qubit(q, rng);
+                s.erased[q] = erased;
+                s.pauli.set(q, op);
+            }
+            s
+        }
+        let code = SurfaceCode::new(5).unwrap();
+        let part = code.core_partition(CoreTopology::Cross);
+        let model = ErrorModel::dual_channel(&code, &part, 0.3, 0.6);
+        let n = model.len();
+        // Reused buffers longer and shorter than the model, dirtied with
+        // every qubit erased and carrying Y.
+        for len in [n + 17, n - 9] {
+            let mut buf = ErrorSample {
+                pauli: PauliString::from_ops(vec![Pauli::Y; len]),
+                erased: vec![true; len],
+            };
+            let mut into_rng = SmallRng::seed_from_u64(len as u64);
+            let mut fresh_rng = into_rng.clone();
+            let mut sample_rng = into_rng.clone();
+            let mut erasures = 0;
+            for _ in 0..50 {
+                model.sample_into(&mut into_rng, &mut buf);
+                let want = fresh(&model, &mut fresh_rng);
+                assert_eq!(buf, want);
+                assert_eq!(model.sample(&mut sample_rng), want);
+                erasures += want.erased.iter().filter(|&&e| e).count();
+            }
+            // Same draws: the three streams end in the same state.
+            assert_eq!(into_rng, fresh_rng);
+            assert_eq!(into_rng, sample_rng);
+            assert!(erasures > 50 * n / 4, "erasure-heavy: {erasures}");
+        }
     }
 
     #[test]

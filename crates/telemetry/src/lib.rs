@@ -13,12 +13,12 @@
 //! # Architecture
 //!
 //! Recording is **thread-local**: each thread owns a plain-`u64` shard,
-//! so instrumented hot loops in `parallel_trials` / `parallel_map` workers
-//! never contend on shared cache lines and never take a lock. When a thread
-//! exits (or [`flush`] is called) its shard merges into the global shard
-//! with relaxed atomic adds — a lock-free merge that keeps the aggregate
-//! exact regardless of scheduling order, so parallel runs stay
-//! deterministic.
+//! so instrumented hot loops in `parallel_trials` workers and Fig. 8's
+//! shot helpers never contend on shared cache lines and never take a lock.
+//! When a thread exits (or [`flush`] is called) its shard merges into the
+//! global shard with relaxed atomic adds — a lock-free merge that keeps
+//! the aggregate exact regardless of scheduling order, so parallel runs
+//! stay deterministic.
 //!
 //! When telemetry is disabled (the default, [`Telemetry::disabled`]) every
 //! recording macro reduces to one relaxed atomic load and a branch —
