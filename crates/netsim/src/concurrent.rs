@@ -8,68 +8,18 @@
 //! configured rate into a bounded pool (`η_e` pairs), and all Core parts
 //! crossing that fiber drain the same pool. Requests are served round-robin
 //! with a rotating head so no transfer starves.
+//!
+//! The shared pools are what the other engines cannot model, so this
+//! engine keeps its own tick loop; recovery and the segment records are
+//! the shared ones of [`crate::execution`].
 
-use crate::entanglement::core_segment_fidelity;
 use crate::execution::{
-    link_key, recover_route, ExecutionConfig, ExecutionOutcome, PlannedSegment, SegmentOutcome,
-    TransferPlan,
+    link_key, recover_plan, sample_failures, EffectivePlan, ExecutionConfig, ExecutionOutcome,
+    SegmentOutcome, TransferPlan,
 };
 use crate::topology::Network;
 use rand::Rng;
 use surfnet_telemetry::dim;
-
-/// A plan's routes after applying this transfer's sampled fiber failures:
-/// the recovered segments that remain routable, and whether the whole plan
-/// survived (a `false` tail means the transfer fails upon reaching the
-/// first unroutable segment, charging nothing for it — route failures are
-/// detected at segment planning time, matching `execute_plan`).
-struct EffectivePlan {
-    segments: Vec<PlannedSegment>,
-    routable: bool,
-}
-
-/// Applies per-transfer fiber failures to every segment of `plan`,
-/// detouring failed fibers via recovery paths (as `execute_plan` does
-/// lazily, segment by segment).
-fn recover_plan(net: &Network, plan: &TransferPlan, failed: &[bool]) -> EffectivePlan {
-    let mut segments = Vec::with_capacity(plan.segments.len());
-    let mut cursor = plan.src;
-    for seg in &plan.segments {
-        let Some(support_route) = recover_route(net, cursor, &seg.support_route, failed) else {
-            return EffectivePlan {
-                segments,
-                routable: false,
-            };
-        };
-        let end = net
-            .walk(cursor, &support_route)
-            .last()
-            .copied()
-            .unwrap_or(cursor);
-        let core_route = match &seg.core_route {
-            Some(route) => match recover_route(net, cursor, route, failed) {
-                Some(r) => Some(r),
-                None => {
-                    return EffectivePlan {
-                        segments,
-                        routable: false,
-                    }
-                }
-            },
-            None => None,
-        };
-        segments.push(PlannedSegment {
-            core_route,
-            support_route,
-            correct_at_end: seg.correct_at_end,
-        });
-        cursor = end;
-    }
-    EffectivePlan {
-        segments,
-        routable: true,
-    }
-}
 
 /// Per-transfer progress through its plan.
 #[derive(Debug)]
@@ -118,7 +68,7 @@ struct TransferState {
 ///
 /// # Panics
 ///
-/// Panics if a plan references fibers outside `net`.
+/// Panics if a plan references fibers outside `net` or has no segments.
 pub fn execute_concurrently<R: Rng + ?Sized>(
     net: &Network,
     plans: &[TransferPlan],
@@ -130,18 +80,8 @@ pub fn execute_concurrently<R: Rng + ?Sized>(
     let effective: Vec<EffectivePlan> = plans
         .iter()
         .map(|p| {
-            assert!(!p.segments.is_empty(), "plan has no segments");
-            if config.fiber_failure_prob == 0.0 {
-                EffectivePlan {
-                    segments: p.segments.clone(),
-                    routable: true,
-                }
-            } else {
-                let failed: Vec<bool> = (0..net.num_fibers())
-                    .map(|_| rng.gen::<f64>() < config.fiber_failure_prob)
-                    .collect();
-                recover_plan(net, p, &failed)
-            }
+            let failed = sample_failures(net, config.fiber_failure_prob, rng);
+            recover_plan(net, p, &failed)
         })
         .collect();
     let mut states: Vec<TransferState> = effective
@@ -252,17 +192,22 @@ fn step_transfer(
     let core_done = match &seg.core_route {
         Some(route) => {
             if state.core_pos < route.len() {
-                // Longest prefix of fibers ahead with available pairs.
+                // Longest prefix of fibers ahead with available pairs,
+                // claiming each pair as the run grows: a recovery detour
+                // can cross one fiber twice, and then needs two pairs.
+                let ahead = &route[state.core_pos..];
                 let mut run = 0;
-                while state.core_pos + run < route.len() && pools[route[state.core_pos + run]] > 0 {
+                while run < ahead.len() && pools[ahead[run]] > 0 {
+                    pools[ahead[run]] -= 1;
                     run += 1;
                 }
-                let needed = config.min_advance.min(route.len() - state.core_pos);
-                if run >= needed {
-                    for k in 0..run {
-                        pools[route[state.core_pos + k]] -= 1;
-                    }
+                if run >= config.min_advance.min(ahead.len()) {
                     state.core_pos += run;
+                } else {
+                    // Too short to jump: hand the pairs back.
+                    for &f in &ahead[..run] {
+                        pools[f] += 1;
+                    }
                 }
             }
             state.core_pos >= route.len()
@@ -284,27 +229,9 @@ fn step_transfer(
     // Segment complete (plus one tick for EC when scheduled).
     let ec_ticks = u64::from(seg.correct_at_end);
     let seg_ticks = (tick - state.segment_start) + ec_ticks;
-    let support_fidelity = net.path_fidelity(&seg.support_route);
-    let support_erasure_prob = 1.0
-        - seg
-            .support_route
-            .iter()
-            .map(|&f| 1.0 - net.fiber(f).loss_prob)
-            .product::<f64>();
-    let (core_fidelity, core_erasure_prob) = match &seg.core_route {
-        Some(route) => (core_segment_fidelity(net.path_fidelity(route)), 0.0),
-        None => (support_fidelity, support_erasure_prob),
-    };
-    // Clamp to valid probabilities at the boundary, mirroring the
-    // independent-execution path (see execution.rs).
-    state.segments_done.push(SegmentOutcome {
-        core_fidelity: core_fidelity.clamp(0.0, 1.0),
-        support_fidelity: support_fidelity.clamp(0.0, 1.0),
-        support_erasure_prob: support_erasure_prob.clamp(0.0, 1.0),
-        core_erasure_prob: core_erasure_prob.clamp(0.0, 1.0),
-        ticks: seg_ticks,
-        corrected_at_end: seg.correct_at_end,
-    });
+    state
+        .segments_done
+        .push(SegmentOutcome::completed(net, seg, seg_ticks));
     state.total_ticks += seg_ticks;
     state.segment += 1;
     if state.segment == plan.segments.len() {
@@ -581,6 +508,48 @@ mod tests {
         let plans: Vec<_> = (0..8).map(|_| plan()).collect();
         let outs = execute_concurrently(&net, &plans, &config, &mut rng);
         assert!(outs.iter().all(|o| o.completed), "a transfer starved");
+    }
+
+    #[test]
+    fn a_route_that_recrosses_a_fiber_claims_one_pair_per_crossing() {
+        // Recovery detours can re-enter a fiber already on the route:
+        // u0→s1→u0→s1→u2 crosses fiber 0 three times, so its first jump
+        // needs two of fiber 0's pairs at once.
+        let run = |cap| {
+            let mut net = Network::new();
+            let u0 = net.add_node(NodeKind::User, 0);
+            let s1 = net.add_node(NodeKind::Switch, 10);
+            let u2 = net.add_node(NodeKind::User, 0);
+            net.add_fiber(u0, s1, 0.9, cap, 0.0).unwrap();
+            net.add_fiber(s1, u2, 0.9, cap, 0.0).unwrap();
+            let recrossing = TransferPlan {
+                src: u0,
+                dst: u2,
+                segments: vec![PlannedSegment {
+                    core_route: Some(vec![0, 0, 0, 1]),
+                    support_route: vec![0, 0, 0, 1],
+                    correct_at_end: false,
+                }],
+            };
+            let config = ExecutionConfig {
+                entanglement_rate: 1.0,
+                max_ticks: 20,
+                ..ExecutionConfig::default()
+            };
+            let mut rng = SmallRng::seed_from_u64(33);
+            execute_concurrently(&net, &[recrossing], &config, &mut rng)
+                .pop()
+                .unwrap()
+        };
+        // Two pairs per pool: jump two crossings at tick 2, the last two
+        // at tick 3, and the Support arrives at tick 4.
+        let roomy = run(2);
+        assert!(roomy.completed);
+        assert_eq!(roomy.latency, 4);
+        // One pair per pool can never feed a jump over fiber 0 twice.
+        let tight = run(1);
+        assert!(!tight.completed);
+        assert_eq!(tight.latency, 20);
     }
 
     #[test]

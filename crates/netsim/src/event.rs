@@ -18,7 +18,9 @@
 //!   draw ([`execute_plan_event`]); the opportunistic-forwarding walk is
 //!   then a deterministic function of those ready times, reproducing the
 //!   tick engine's dynamics exactly (and bit-identically at
-//!   `entanglement_rate: 1.0`).
+//!   `entanglement_rate: 1.0`). This sampler is all the event engine adds
+//!   to a transfer: recovery, the segment walk and the segment records are
+//!   the ones [`crate::execution`] runs for every engine.
 //! * **Admission control + backpressure** — a request whose route would
 //!   oversubscribe a relay's memory ([`crate::topology::Node::capacity`])
 //!   or a fiber's pair pool (`entanglement_capacity`) is deferred up to
@@ -34,9 +36,9 @@
 //! on [`ExecutionConfig::max_ticks`] and
 //! [`crate::execution::ExecutionOutcome::latency`].
 
-use crate::entanglement::core_segment_fidelity;
 use crate::execution::{
-    recover_route, ExecutionConfig, ExecutionOutcome, PlannedSegment, SegmentOutcome, TransferPlan,
+    link_key, recover_plan, sample_failures, walk_segments, ExecutionConfig, ExecutionOutcome,
+    PlannedSegment, TransferPlan,
 };
 use crate::request::Request;
 use crate::topology::{FiberId, Network, NodeId, NodeKind, RouteSearch};
@@ -357,11 +359,12 @@ fn core_completion(ready: &[u64], min_advance: usize, max_ticks: u64) -> Option<
 ///
 /// Semantically equivalent to [`crate::execution::execute_plan`] — same
 /// per-segment `max_ticks` transport budget (EC ticks exempt), same
-/// failure-latency charging, same fiber-failure recovery — and
-/// *identical* in outcome at `entanglement_rate: 1.0`, where both engines
-/// finish every Core walk at tick 1 (the cross-engine agreement matrix
-/// pins this). At other rates the latency distributions match but
-/// individual draws differ (the RNG streams are consumed differently).
+/// failure-latency charging, same fiber-failure recovery, as both engines
+/// run the same recovery and segment walk — and *identical* in outcome at
+/// `entanglement_rate: 1.0`, where both engines finish every Core walk at
+/// tick 1 (the cross-engine agreement matrix pins this). At other rates
+/// the latency distributions match but individual draws differ (the RNG
+/// streams are consumed differently).
 ///
 /// # Panics
 ///
@@ -373,95 +376,19 @@ pub fn execute_plan_event<R: Rng + ?Sized>(
     config: &ExecutionConfig,
     rng: &mut R,
 ) -> ExecutionOutcome {
-    assert!(!plan.segments.is_empty(), "plan has no segments");
-    // Per-transfer fiber failures, as in `execute_plan`. Sampling is
-    // skipped entirely at probability zero so failure-free streams pay
-    // no RNG cost per request.
-    let failed: Vec<bool> = if config.fiber_failure_prob == 0.0 {
-        vec![false; net.num_fibers()]
-    } else {
-        (0..net.num_fibers())
-            .map(|_| rng.gen::<f64>() < config.fiber_failure_prob)
-            .collect()
-    };
-    let failed = &failed;
-
-    let mut outcome = ExecutionOutcome {
-        completed: true,
-        latency: 0,
-        segments: Vec::with_capacity(plan.segments.len()),
-    };
-    let mut cursor = plan.src;
+    let failed = sample_failures(net, config.fiber_failure_prob, rng);
+    let plan = recover_plan(net, plan, &failed);
     let mut attempts_proxy = 0u64;
-    for seg in &plan.segments {
-        let Some(support_route) = recover_route(net, cursor, &seg.support_route, failed) else {
-            outcome.completed = false;
-            break;
-        };
-        let support_end = net
-            .walk(cursor, &support_route)
-            .last()
-            .copied()
-            .unwrap_or(cursor);
-        let support_ticks = support_route.len() as u64;
-        let support_fidelity = net.path_fidelity(&support_route);
-        let support_erasure_prob = 1.0
-            - support_route
-                .iter()
-                .map(|&f| 1.0 - net.fiber(f).loss_prob)
-                .product::<f64>();
-
-        let (core_fidelity, core_erasure_prob, core_ticks) = match &seg.core_route {
-            Some(route) => {
-                let Some(route) = recover_route(net, cursor, route, failed) else {
-                    outcome.completed = false;
-                    break;
-                };
-                // Batched link sampling: one geometric first-success draw
-                // per fiber replaces per-tick Bernoulli attempts.
-                let ready: Vec<u64> = route
-                    .iter()
-                    .map(|_| geometric(rng, config.entanglement_rate))
-                    .collect();
-                attempts_proxy += ready.iter().map(|&g| g.min(config.max_ticks)).sum::<u64>();
-                match core_completion(&ready, config.min_advance, config.max_ticks) {
-                    Some(t) => (core_segment_fidelity(net.path_fidelity(&route)), 0.0, t),
-                    None => {
-                        // Transport timeout: charge the burned budget
-                        // (unified failure-latency contract).
-                        outcome.latency += config.max_ticks;
-                        outcome.completed = false;
-                        break;
-                    }
-                }
-            }
-            None => (support_fidelity, support_erasure_prob, support_ticks),
-        };
-
-        let transport_ticks = support_ticks.max(core_ticks);
-        if transport_ticks > config.max_ticks {
-            outcome.latency += config.max_ticks;
-            outcome.completed = false;
-            break;
-        }
-        let mut ticks = transport_ticks;
-        if seg.correct_at_end {
-            ticks += 1; // EC cycle; exempt from the transport budget
-        }
-        outcome.latency += ticks;
-        outcome.segments.push(SegmentOutcome {
-            core_fidelity: core_fidelity.clamp(0.0, 1.0),
-            support_fidelity: support_fidelity.clamp(0.0, 1.0),
-            support_erasure_prob: support_erasure_prob.clamp(0.0, 1.0),
-            core_erasure_prob: core_erasure_prob.clamp(0.0, 1.0),
-            ticks,
-            corrected_at_end: seg.correct_at_end,
-        });
-        cursor = support_end;
-    }
-    if outcome.completed {
-        debug_assert_eq!(cursor, plan.dst, "plan segments do not reach dst");
-    }
+    let outcome = walk_segments(net, &plan, config, |route| {
+        // Batched link sampling: one geometric first-success draw per
+        // fiber replaces per-tick Bernoulli attempts.
+        let ready: Vec<u64> = route
+            .iter()
+            .map(|_| geometric(rng, config.entanglement_rate))
+            .collect();
+        attempts_proxy += ready.iter().map(|&g| g.min(config.max_ticks)).sum::<u64>();
+        core_completion(&ready, config.min_advance, config.max_ticks)
+    });
     // Each geometric draw stands in for that many per-tick attempts on
     // one fiber, capped at the budget — the same quantity the tick
     // engines tally per attempt.
@@ -747,8 +674,7 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
         let fam = dim::counter_family("netsim.stream.link.dropped");
         for (f, &n) in link_drops.iter().enumerate() {
             if n > 0 {
-                let fiber = net.fiber(f);
-                fam.add(dim::LabelKey::Link(fiber.a as u16, fiber.b as u16), n);
+                fam.add(link_key(net, f), n);
             }
         }
     }

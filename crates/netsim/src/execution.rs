@@ -4,6 +4,13 @@
 //! local recovery paths around failed fibers, and error correction at
 //! scheduled servers.
 //!
+//! This module also holds the transfer contract all three engines run
+//! (DESIGN §11.1): one recovery walk, one segment walk that applies the
+//! per-segment budget and charges latency, and one segment-record
+//! constructor. [`execute_plan`] passes the walk a per-tick Bernoulli Core
+//! sampler and the event engine a geometric one; the contended engine
+//! keeps its shared-pool tick loop and shares recovery and the records.
+//!
 //! Execution is deliberately decoupled from the surface-code machinery: it
 //! produces per-segment fidelity/erasure records ([`SegmentOutcome`]) that
 //! the `surfnet-core` pipeline turns into error models, samples, and
@@ -133,6 +140,39 @@ pub struct SegmentOutcome {
     pub corrected_at_end: bool,
 }
 
+impl SegmentOutcome {
+    /// The record of `seg` completing in `ticks`, the only place a
+    /// segment's fidelities and erasure rates are computed.
+    pub(crate) fn completed(net: &Network, seg: &PlannedSegment, ticks: u64) -> SegmentOutcome {
+        // Support photons: loss accumulates per hop.
+        let support_fidelity = net.path_fidelity(&seg.support_route);
+        let support_erasure_prob = 1.0
+            - seg
+                .support_route
+                .iter()
+                .map(|&f| 1.0 - net.fiber(f).loss_prob)
+                .product::<f64>();
+        let (core_fidelity, core_erasure_prob) = match &seg.core_route {
+            Some(route) => (core_segment_fidelity(net.path_fidelity(route)), 0.0),
+            // Raw transfer: the Core rides the plain channel with the
+            // Support — same fidelity, same loss exposure.
+            None => (support_fidelity, support_erasure_prob),
+        };
+        // Fidelities and erasure rates feed straight into the decoder's
+        // Bernoulli error model, which rejects values outside [0, 1];
+        // clamp here so extreme fiber parameters degrade gracefully
+        // instead of panicking downstream.
+        SegmentOutcome {
+            core_fidelity: core_fidelity.clamp(0.0, 1.0),
+            support_fidelity: support_fidelity.clamp(0.0, 1.0),
+            support_erasure_prob: support_erasure_prob.clamp(0.0, 1.0),
+            core_erasure_prob: core_erasure_prob.clamp(0.0, 1.0),
+            ticks,
+            corrected_at_end: seg.correct_at_end,
+        }
+    }
+}
+
 /// The result of executing one transfer plan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionOutcome {
@@ -163,103 +203,117 @@ pub fn execute_plan<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> ExecutionOutcome {
     let _span = surfnet_telemetry::span!("netsim.execute_plan", Entangle);
-    assert!(!plan.segments.is_empty(), "plan has no segments");
-    // Sample per-transfer fiber failures once (crashes persist for the
-    // whole transfer; Sec. V-B).
+    // Unlike `sample_failures`, one uniform per fiber even at probability
+    // zero: the seeded figure baselines were recorded on this RNG stream.
     let failed: Vec<bool> = (0..net.num_fibers())
         .map(|_| rng.gen::<f64>() < config.fiber_failure_prob)
         .collect();
+    let plan = recover_plan(net, plan, &failed);
+    walk_segments(net, &plan, config, |route| {
+        advance_core(net, route, config, rng)
+    })
+}
 
+/// Samples one transfer's fiber failures (a crash persists for the whole
+/// transfer; Sec. V-B): one uniform per fiber, and none at all at
+/// probability zero, so failure-free runs pay no RNG cost per transfer.
+pub(crate) fn sample_failures<R: Rng + ?Sized>(net: &Network, p: f64, rng: &mut R) -> Vec<bool> {
+    if p == 0.0 {
+        return vec![false; net.num_fibers()];
+    }
+    (0..net.num_fibers())
+        .map(|_| rng.gen::<f64>() < p)
+        .collect()
+}
+
+/// A plan's routes after applying one transfer's fiber failures: the
+/// recovered segments that remain routable, and whether the whole plan
+/// survived. A `false` tail means the transfer fails upon reaching the
+/// first unroutable segment, charging nothing for it: route failures are
+/// detected at segment planning time.
+pub(crate) struct EffectivePlan {
+    pub(crate) segments: Vec<PlannedSegment>,
+    pub(crate) routable: bool,
+}
+
+/// Detours the failed fibers of every segment of `plan` via recovery
+/// paths, each segment starting where the previous recovered Support
+/// route ended. Recovery draws no randomness, so recovering the whole
+/// plan before walking it leaves every engine's RNG stream as it was.
+pub(crate) fn recover_plan(net: &Network, plan: &TransferPlan, failed: &[bool]) -> EffectivePlan {
+    assert!(!plan.segments.is_empty(), "plan has no segments");
+    let mut segments = Vec::with_capacity(plan.segments.len());
+    let mut cursor = plan.src;
+    for seg in &plan.segments {
+        let support_route = recover_route(net, cursor, &seg.support_route, failed);
+        let core_route = match &seg.core_route {
+            Some(route) => recover_route(net, cursor, route, failed).map(Some),
+            None => Some(None), // Raw: no Core route to recover
+        };
+        let (Some(support_route), Some(core_route)) = (support_route, core_route) else {
+            return EffectivePlan {
+                segments,
+                routable: false,
+            };
+        };
+        cursor = support_route
+            .iter()
+            .fold(cursor, |v, &f| net.fiber(f).other(v));
+        segments.push(PlannedSegment {
+            core_route,
+            support_route,
+            correct_at_end: seg.correct_at_end,
+        });
+    }
+    debug_assert_eq!(cursor, plan.dst, "plan segments do not reach dst");
+    EffectivePlan {
+        segments,
+        routable: true,
+    }
+}
+
+/// Walks `plan`'s segments in order under the transfer contract of
+/// [`ExecutionConfig::max_ticks`] and [`ExecutionOutcome::latency`].
+/// `core_ticks` samples the tick at which a Core walk over a route
+/// completes, or `None` if it does not complete within `max_ticks`. A
+/// segment's transport takes the longer of its Core walk and its Support
+/// transit, one fiber per tick; a Raw segment's Core rides with the
+/// Support.
+pub(crate) fn walk_segments(
+    net: &Network,
+    plan: &EffectivePlan,
+    config: &ExecutionConfig,
+    mut core_ticks: impl FnMut(&[FiberId]) -> Option<u64>,
+) -> ExecutionOutcome {
     let mut outcome = ExecutionOutcome {
-        completed: true,
+        completed: plan.routable,
         latency: 0,
         segments: Vec::with_capacity(plan.segments.len()),
     };
-    let mut cursor = plan.src;
     for seg in &plan.segments {
-        let support_route = match recover_route(net, cursor, &seg.support_route, &failed) {
-            Some(r) => r,
-            None => {
-                outcome.completed = false;
-                break;
-            }
+        let support_ticks = seg.support_route.len() as u64;
+        let core = match &seg.core_route {
+            Some(route) => core_ticks(route),
+            None => Some(support_ticks),
         };
-        let support_end = net
-            .walk(cursor, &support_route)
-            .last()
-            .copied()
-            .unwrap_or(cursor);
-
-        // Support photons: one fiber per tick; loss accumulates per hop.
-        let support_ticks = support_route.len() as u64;
-        let support_fidelity = net.path_fidelity(&support_route);
-        let support_erasure_prob = 1.0
-            - support_route
-                .iter()
-                .map(|&f| 1.0 - net.fiber(f).loss_prob)
-                .product::<f64>();
-
-        let (core_fidelity, core_erasure_prob, core_ticks) = match &seg.core_route {
-            Some(route) => {
-                let route = match recover_route(net, cursor, route, &failed) {
-                    Some(r) => r,
-                    None => {
-                        outcome.completed = false;
-                        break;
-                    }
-                };
-                let ticks = advance_core(net, &route, config, rng);
-                match ticks {
-                    Some(t) => (core_segment_fidelity(net.path_fidelity(&route)), 0.0, t),
-                    None => {
-                        // Transport timeout: the whole per-segment budget
-                        // was burned waiting, so charge it (the unified
-                        // failure-latency contract; route failures above
-                        // are detected before any tick elapses and charge
-                        // nothing).
-                        outcome.latency += config.max_ticks;
-                        outcome.completed = false;
-                        break;
-                    }
-                }
-            }
-            // Raw transfer: the Core rides the plain channel with the
-            // Support — same fidelity, same loss exposure.
-            None => (support_fidelity, support_erasure_prob, support_ticks),
-        };
-
-        // The budget bounds *transport* only: `advance_core` already caps
-        // the Core part, so this check catches Support transits longer
-        // than `max_ticks`. The EC tick below is deterministic processing
-        // and exempt — a segment finishing transport in exactly
-        // `max_ticks` is within budget even when EC follows.
-        let transport_ticks = support_ticks.max(core_ticks);
-        if transport_ticks > config.max_ticks {
+        // The budget bounds *transport* only: the Core sampler caps the
+        // Core part, so the check catches Support transits longer than
+        // `max_ticks`. The EC tick is deterministic processing and exempt
+        // — a segment finishing transport in exactly `max_ticks` is within
+        // budget even when EC follows.
+        let transport = core.map(|t| t.max(support_ticks));
+        let Some(transport) = transport.filter(|&t| t <= config.max_ticks) else {
+            // Transport timeout: the whole per-segment budget was burned
+            // waiting, so charge it.
             outcome.latency += config.max_ticks;
             outcome.completed = false;
             break;
-        }
-        let mut ticks = transport_ticks;
-        if seg.correct_at_end {
-            ticks += 1; // one EC cycle at the server
-        }
+        };
+        let ticks = transport + u64::from(seg.correct_at_end);
         outcome.latency += ticks;
-        // Fidelities and erasure rates feed straight into the decoder's
-        // Bernoulli error model, which rejects values outside [0, 1];
-        // clamp here so extreme fiber parameters degrade gracefully
-        // instead of panicking downstream.
-        outcome.segments.push(SegmentOutcome {
-            core_fidelity: core_fidelity.clamp(0.0, 1.0),
-            support_fidelity: support_fidelity.clamp(0.0, 1.0),
-            support_erasure_prob: support_erasure_prob.clamp(0.0, 1.0),
-            core_erasure_prob: core_erasure_prob.clamp(0.0, 1.0),
-            ticks,
-            corrected_at_end: seg.correct_at_end,
-        });
-        cursor = support_end;
-    }
-    if outcome.completed {
-        debug_assert_eq!(cursor, plan.dst, "plan segments do not reach dst");
+        outcome
+            .segments
+            .push(SegmentOutcome::completed(net, seg, ticks));
     }
     outcome
 }
@@ -321,7 +375,7 @@ fn advance_core<R: Rng + ?Sized>(
 /// Replaces failed fibers on `route` with local detours: for each failed
 /// fiber, the shortest working path between its endpoints (the paper's
 /// recovery paths). Returns `None` when no detour exists.
-pub(crate) fn recover_route(
+fn recover_route(
     net: &Network,
     start: NodeId,
     route: &[FiberId],
@@ -392,19 +446,18 @@ pub fn execute_teleportation<R: Rng + ?Sized>(
     let _span = surfnet_telemetry::span!("netsim.execute_teleportation", Purify);
     let mut latency = 0u64;
     let mut fidelity = 1.0f64;
-    // Waits for one raw pair; returns false on timeout. Every tick is one
-    // generation attempt; `pairs` tallies the deliveries.
+    // Waits for one raw pair; returns false once the fiber's budget of
+    // `max_ticks` attempts is spent. Every tick is one generation attempt;
+    // `pairs` tallies the deliveries.
     let wait_for_pair = |ticks: &mut u64, pairs: &mut u64, rng: &mut R| -> bool {
-        loop {
+        while *ticks < config.max_ticks {
             *ticks += 1;
-            if *ticks > config.max_ticks {
-                return false;
-            }
             if rng.gen::<f64>() < config.entanglement_rate {
                 *pairs += 1;
                 return true;
             }
         }
+        false
     };
     for &f in route {
         let fiber = net.fiber(f);
@@ -446,7 +499,7 @@ pub fn execute_teleportation<R: Rng + ?Sized>(
         surfnet_telemetry::count!("netsim.entanglement_attempts", ticks);
         surfnet_telemetry::count!("netsim.purification_rounds", rounds_done);
         if surfnet_telemetry::enabled() {
-            let key = dim::LabelKey::Link(fiber.a as u16, fiber.b as u16);
+            let key = link_key(net, f);
             dim::counter_family("netsim.link.attempts").add(key, ticks);
             dim::counter_family("netsim.link.successes").add(key, pairs);
             dim::counter_family("netsim.link.purification_rounds").add(key, rounds_done);

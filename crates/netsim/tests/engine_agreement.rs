@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use surfnet_netsim::concurrent::execute_concurrently;
 use surfnet_netsim::event::{execute_plan_event, plan_request};
-use surfnet_netsim::execution::{execute_plan, ExecutionConfig};
+use surfnet_netsim::execution::{execute_plan, execute_teleportation, ExecutionConfig};
 use surfnet_netsim::request::Request;
 use surfnet_netsim::topology::{Network, NodeKind};
 use surfnet_netsim::{ExecutionOutcome, PlannedSegment, TransferPlan};
@@ -170,7 +170,9 @@ fn engines_agree_on_manual_multi_segment_plans() {
 #[test]
 fn engines_agree_on_timeout_latency_charging() {
     // Unified failure contract at rate 0: every engine burns exactly the
-    // per-segment budget on the first segment and charges it.
+    // per-segment budget on the first segment and charges it. The
+    // teleportation executor's budget is per fiber, and its first fiber
+    // burns it.
     let net = line_net();
     let config = ExecutionConfig {
         entanglement_rate: 0.0,
@@ -185,4 +187,7 @@ fn engines_agree_on_timeout_latency_charging() {
     let out = execute_plan(&net, &plan, &config, &mut rng);
     assert!(!out.completed);
     assert_eq!(out.latency, 25);
+    let teleport = execute_teleportation(&net, &[0, 1, 2], 0, &config, &mut rng);
+    assert!(!teleport.completed);
+    assert_eq!(teleport.latency, 25);
 }

@@ -28,9 +28,6 @@ pub const ENV_VARS: &[&str] = &[
     "SURFNET_RACE_SEEDS",
     // Stats sampler: `<path>[:interval_ms]`; ""/"0"/"off" disable.
     "SURFNET_STATS",
-    // fig_stream arrival-horizon override: a positive tick count; ""/unset
-    // keeps the configured horizon.
-    "SURFNET_STREAM_HORIZON",
     // Telemetry exporter mode: "table" or "json"; unset disables.
     "SURFNET_TELEMETRY",
     // Journal trace output: `<path>`; ""/"0"/"off" disable.
