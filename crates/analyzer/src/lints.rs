@@ -945,7 +945,7 @@ mod tests {
                 surfnet_telemetry::event!(begin "pipeline.trial");
                 surfnet_telemetry::event!(end "pipeline.trial");
                 surfnet_telemetry::event!("evaluate.shot_failed");
-                surfnet_telemetry::event!("flight.capture", 3);
+                surfnet_telemetry::event!("evaluate.shot_failed", 3);
             }"#,
         );
         assert!(good.diagnostics.is_empty(), "{:#?}", good.diagnostics);

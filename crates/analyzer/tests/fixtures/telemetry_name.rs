@@ -45,7 +45,7 @@ pub fn event_registered() {
     surfnet_telemetry::event!(begin "pipeline.trial");
     surfnet_telemetry::event!(end "pipeline.trial");
     surfnet_telemetry::event!("evaluate.shot_failed");
-    surfnet_telemetry::event!("flight.capture", 7);
+    surfnet_telemetry::event!("evaluate.shot_failed", 7);
 }
 
 pub fn stage_typo() {

@@ -24,21 +24,19 @@ fn main() {
     report_json::emit("fig6a", params(trials, seed), &flatten::fig6a(&result_6a));
     telemetry_dump("fig6a");
     println!();
-    for param in [
-        fig6b::SweepParam::Capacity,
-        fig6b::SweepParam::Entanglement,
-        fig6b::SweepParam::MessagesPerRequest,
-        fig6b::SweepParam::FidelityThreshold,
-    ] {
+    // Dump after each sweep, as `fig6b` does, so each report carries
+    // only its own sweep's telemetry.
+    for param in fig6b::SweepParam::ALL {
         let sweep = fig6b::run(param, trials, seed + 1);
         println!("{}", fig6b::render(&sweep));
+        let key = flatten::sweep_key(param);
         report_json::emit(
-            &format!("fig6b_{}", flatten::sweep_key(param)),
+            &format!("fig6b_{key}"),
             params(trials, seed + 1),
             &flatten::fig6b(&sweep),
         );
+        telemetry_dump(&format!("fig6b/{key}"));
     }
-    telemetry_dump("fig6b");
     let result_7 = fig7::run(trials, seed + 2);
     print!("{}", fig7::render(&result_7));
     report_json::emit("fig7", params(trials, seed + 2), &flatten::fig7(&result_7));

@@ -6,7 +6,7 @@
 use surfnet_bench::{
     arg_or, args, flatten, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
 };
-use surfnet_core::experiments::fig6b::{self, SweepParam};
+use surfnet_core::experiments::fig6b;
 use surfnet_telemetry::json::Value;
 
 fn main() {
@@ -15,18 +15,10 @@ fn main() {
     let trials = arg_or(&args, "--trials", 30usize);
     let seed = arg_or(&args, "--seed", 62_000u64);
     let which = arg_or(&args, "--param", "all".to_string());
-    let params: Vec<SweepParam> = match which.as_str() {
-        "capacity" => vec![SweepParam::Capacity],
-        "entanglement" => vec![SweepParam::Entanglement],
-        "messages" => vec![SweepParam::MessagesPerRequest],
-        "threshold" => vec![SweepParam::FidelityThreshold],
-        _ => vec![
-            SweepParam::Capacity,
-            SweepParam::Entanglement,
-            SweepParam::MessagesPerRequest,
-            SweepParam::FidelityThreshold,
-        ],
-    };
+    let params = flatten::sweeps_for(&which).unwrap_or_else(|message| {
+        eprintln!("surfnet-bench: {message}");
+        std::process::exit(2);
+    });
     for param in params {
         let sweep = fig6b::run(param, trials, seed);
         println!("{}", fig6b::render(&sweep));

@@ -8,7 +8,11 @@
 //! must keep those suffixes.
 
 use surfnet_core::experiments::{
-    fig6a::Fig6a, fig6b::Sweep, fig7::Fig7, fig8::ThresholdCurves, stream::StreamResult,
+    fig6a::Fig6a,
+    fig6b::{Sweep, SweepParam},
+    fig7::Fig7,
+    fig8::ThresholdCurves,
+    stream::StreamResult,
 };
 
 /// Fig. 6(a): per (scenario, design) throughput, latency, fidelity.
@@ -26,14 +30,34 @@ pub fn fig6a(result: &Fig6a) -> Vec<(String, f64)> {
 
 /// Short stable key for a sweep parameter (the display labels contain
 /// spaces and formulae).
-pub fn sweep_key(param: surfnet_core::experiments::fig6b::SweepParam) -> &'static str {
-    use surfnet_core::experiments::fig6b::SweepParam;
+pub fn sweep_key(param: SweepParam) -> &'static str {
     match param {
         SweepParam::Capacity => "capacity",
         SweepParam::Entanglement => "entanglement",
         SweepParam::MessagesPerRequest => "messages",
         SweepParam::FidelityThreshold => "threshold",
     }
+}
+
+/// The sweeps a `--param` value selects: the one whose [`sweep_key`] it
+/// is, or all four in figure order for `all`.
+///
+/// # Errors
+///
+/// Returns a message naming the value and the accepted values for
+/// anything else.
+pub fn sweeps_for(value: &str) -> Result<Vec<SweepParam>, String> {
+    if value == "all" {
+        return Ok(SweepParam::ALL.to_vec());
+    }
+    SweepParam::ALL
+        .into_iter()
+        .find(|&param| sweep_key(param) == value)
+        .map(|param| vec![param])
+        .ok_or_else(|| {
+            let keys: Vec<&str> = SweepParam::ALL.into_iter().map(sweep_key).collect();
+            format!("--param {value:?}: expected one of {}|all", keys.join("|"))
+        })
 }
 
 /// Fig. 6(b): per sweep point fidelity and throughput, keyed by the
@@ -116,6 +140,31 @@ pub fn stream(result: &StreamResult) -> Vec<(String, f64)> {
 mod tests {
     use super::*;
     use surfnet_core::experiments::fig8::ThresholdPoint;
+
+    #[test]
+    fn sweeps_for_resolves_keys_and_rejects_the_rest() {
+        for param in SweepParam::ALL {
+            assert_eq!(sweeps_for(sweep_key(param)), Ok(vec![param]));
+        }
+        assert_eq!(
+            sweeps_for("all"),
+            Ok(vec![
+                SweepParam::Capacity,
+                SweepParam::Entanglement,
+                SweepParam::MessagesPerRequest,
+                SweepParam::FidelityThreshold,
+            ])
+        );
+        // A typo, and a missing value that swallowed the next flag.
+        for bad in ["capacty", "--trials"] {
+            let err = sweeps_for(bad).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(
+                err.contains("capacity|entanglement|messages|threshold|all"),
+                "{err}"
+            );
+        }
+    }
 
     #[test]
     fn fig8_keys_carry_decoder_distance_and_rate() {

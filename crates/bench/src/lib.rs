@@ -16,9 +16,9 @@
 //! Beyond the terminal tables, every figure binary also emits a
 //! machine-readable `BENCH_<figure>.json` report ([`report_json`]); the
 //! `bench-diff` binary ([`diff`]) compares two reports and fails on
-//! regressions, and the `replay` binary re-executes flight-recorder
-//! artifacts (`surfnet_core::flight`). Set `SURFNET_TRACE=<path>` to get
-//! a Chrome/Perfetto trace of the run.
+//! regressions, and the `report` binary ([`report_analyze`]) breaks a
+//! `SURFNET_TRACE=<path>.jsonl` journal down by stage and trial. Any other
+//! `SURFNET_TRACE` path gets a Chrome/Perfetto trace of the run.
 
 use std::env;
 
@@ -82,16 +82,15 @@ pub fn has_flag(args: &[String], key: &str) -> bool {
 }
 
 /// Enables telemetry according to `SURFNET_TELEMETRY` (`json` or `table`),
-/// the event journal according to `SURFNET_TRACE=<path>`, the time-series
-/// stats sampler according to `SURFNET_STATS=<path>[:interval_ms]`, and
-/// the failure flight recorder according to `SURFNET_FLIGHT=<dir>`.
+/// the event journal according to `SURFNET_TRACE=<path>`, and the
+/// time-series stats sampler according to
+/// `SURFNET_STATS=<path>[:interval_ms]`.
 ///
 /// Every figure binary calls this first thing in `main`.
 pub fn telemetry_init() {
     surfnet_telemetry::Telemetry::init_from_env();
     surfnet_telemetry::journal::init_from_env();
     surfnet_telemetry::stats::init_from_env();
-    surfnet_core::flight::init_from_env();
 }
 
 /// Writes the accumulated event journal to the `SURFNET_TRACE` path (a

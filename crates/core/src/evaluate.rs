@@ -16,11 +16,9 @@
 //! model per distinct signature and reuses one [`DecodeWorkspace`] across
 //! every shot, so the steady-state decode loop allocates nothing.
 
-use crate::flight;
 use crate::pipeline::PipelineError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use surfnet_decoder::{DecodeWorkspace, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{
     DecodeOutcome, ErrorModel, ErrorSample, LatticeError, Partition, SurfaceCode,
@@ -237,29 +235,12 @@ impl DecoderCache {
             let entry = &entries[i].1;
             let sample = entry.model.sample(rng);
             let result = latency_fam.time(dist_key, || {
-                if flight::armed() {
-                    // A tripped SURFNET_CHECK invariant aborts the process;
-                    // with the recorder armed, capture the offending shot
-                    // first so the panic leaves a replayable artifact behind.
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        entry.decoder.decode_sample_with(code, &sample, workspace)
-                    })) {
-                        Ok(result) => result,
-                        Err(payload) => {
-                            let message = flight::panic_text(&payload);
-                            flight::capture_invariant_panic(code, &entry.model, &sample, &message);
-                            resume_unwind(payload)
-                        }
-                    }
-                } else {
-                    entry.decoder.decode_sample_with(code, &sample, workspace)
-                }
+                entry.decoder.decode_sample_with(code, &sample, workspace)
             });
             debug_assert!(result.syndrome_cleared);
             if !result.is_success() {
                 surfnet_telemetry::event!("evaluate.shot_failed");
                 errors_fam.incr(LabelKey::Segment(idx as u32));
-                flight::capture_logical_error(code, &entry.model, &sample);
                 ok = false;
             }
         }

@@ -23,6 +23,14 @@ pub enum SweepParam {
 }
 
 impl SweepParam {
+    /// The four sweeps in figure order, b.1 to b.4.
+    pub const ALL: [SweepParam; 4] = [
+        SweepParam::Capacity,
+        SweepParam::Entanglement,
+        SweepParam::MessagesPerRequest,
+        SweepParam::FidelityThreshold,
+    ];
+
     /// Display label.
     pub fn label(self) -> &'static str {
         match self {

@@ -14,7 +14,6 @@
 //! Every scoped thread that does work flushes its telemetry shard and
 //! journal ring as its last act (DESIGN §8.1).
 
-use crate::flight;
 use crate::metrics::{MetricsSummary, TrialMetrics};
 use crate::pipeline::{run_trial, Design};
 use crate::scenario::TrialConfig;
@@ -72,16 +71,12 @@ pub fn parallel_trials(
     drop(tx);
     let results: Mutex<Vec<(u64, TrialMetrics)>> = Mutex::new(Vec::with_capacity(trials));
     let failures = AtomicUsize::new(0);
-    let recorder = flight::Recorder::current();
     std::thread::scope(|scope| {
         for _ in 0..default_workers() {
             let rx = rx.clone();
             let results = &results;
             let failures = &failures;
-            let recorder = recorder.clone();
             scope.spawn(move || {
-                // Workers capture failing shots into the caller's recorder.
-                recorder.install();
                 while let Ok(seed) = rx.recv() {
                     // A failed trial (e.g. an unluckily degenerate LP) is
                     // counted rather than aborting the whole sweep — and

@@ -10,9 +10,9 @@
 //! * [`evaluate`] — sampling and decoding the transferred surface codes
 //!   from the execution records;
 //! * [`metrics`] — fidelity / latency / throughput aggregation;
-//! * [`experiments`] — drivers regenerating Figs. 6(a), 6(b.1–4), 7, 8;
-//! * [`flight`] — the failure flight recorder: failing shots captured into
-//!   deterministic replay artifacts (`SURFNET_FLIGHT=<dir>`);
+//! * [`experiments`] — the runs behind Figs. 6(a), 6(b.1–4), 7, 8, plus
+//!   the streaming scenario ([`experiments::stream`]: open Poisson
+//!   arrivals through the discrete-event engine);
 //! * [`report`] — terminal tables and series renderings.
 //!
 //! # Examples
@@ -33,7 +33,6 @@
 
 pub mod evaluate;
 pub mod experiments;
-pub mod flight;
 pub mod metrics;
 pub mod pipeline;
 pub mod report;

@@ -3,7 +3,6 @@
 //! sampling and decoding the transferred surface codes.
 
 use crate::evaluate::{DecoderCache, DecoderKind};
-use crate::flight;
 use crate::metrics::TrialMetrics;
 use crate::scenario::TrialConfig;
 use rand::rngs::SmallRng;
@@ -153,7 +152,6 @@ pub fn run_trial_on<R: Rng + ?Sized>(
     requests: &[Request],
     rng: &mut R,
 ) -> Result<TrialMetrics, PipelineError> {
-    let _flight = flight::trial_scope(&design.label(), &cfg.scenario.label());
     let requested: u32 = requests.iter().map(|r| r.num_codes).sum();
     match design {
         Design::SurfNet | Design::Raw => {

@@ -129,10 +129,10 @@ impl ErrorModel {
     /// *probabilities* — the exact values [`ErrorModel::pauli_prob`] /
     /// [`ErrorModel::erasure_prob`] report.
     ///
-    /// This is the flight-recorder replay constructor: round-tripping
+    /// Use it to rebuild a model from recorded probabilities: round-tripping
     /// through fidelities would compute `1 − (1 − p)`, which is not `p` in
     /// floating point, and a one-ulp difference is enough to flip a
-    /// `rng.gen::<f64>() < p` draw and diverge from the captured shot.
+    /// `rng.gen::<f64>() < p` draw and diverge from the recorded model.
     ///
     /// # Errors
     ///

@@ -292,11 +292,11 @@ impl Network {
     ///
     /// This is the search for per-call cost closures:
     /// [`Network::min_hop_path`] (whose integer costs tie),
-    /// [`Network::min_noise_path`], and the failure-masked detours of
-    /// [`crate::execution`]'s fiber-failure recovery, whose costs change
-    /// per transfer. The streaming planner's repeated minimum-noise
-    /// queries go through [`RouteSearch`] instead, and this search is its
-    /// reference in tests and under `SURFNET_CHECK`.
+    /// [`Network::min_noise_path`], the per-transfer detours of fiber-failure
+    /// recovery ([`crate::execution`]) and the routing scheduler's
+    /// capacity-aware paths (an infinite cost bars a fiber). The streaming
+    /// planner's repeated minimum-noise queries go through [`RouteSearch`]
+    /// instead; this search is its reference in tests and under `SURFNET_CHECK`.
     ///
     /// # Panics
     ///

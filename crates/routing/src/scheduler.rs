@@ -15,6 +15,10 @@ use surfnet_netsim::topology::{FiberId, Network, NodeId};
 /// every relay entered must hold `n + m` qubits, every fiber crossed must
 /// hold `n` entangled pairs when `dual`, and intermediate nodes must be
 /// relays.
+///
+/// A fiber is crossable when both its endpoints are open (the source, the
+/// destination, or a relay with room) and, in dual mode, it has the pairs
+/// left; every other fiber costs `f64::INFINITY`, which never relaxes.
 pub fn capacity_aware_path(
     net: &Network,
     residual: &Residual,
@@ -25,61 +29,17 @@ pub fn capacity_aware_path(
 ) -> Option<Vec<FiberId>> {
     let qubits = params.code_size() as f64;
     let pairs = params.n_core as f64;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let n = net.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut via = vec![usize::MAX; n];
-    let mut heap: BinaryHeap<(Reverse<u64>, NodeId)> = BinaryHeap::new();
-    dist[src] = 0.0;
-    heap.push((Reverse(0.0f64.to_bits()), src));
-    while let Some((Reverse(bits), v)) = heap.pop() {
-        let d = f64::from_bits(bits);
-        if d > dist[v] {
-            continue;
+    let open = |v: NodeId| {
+        v == src || v == dst || (net.node(v).kind.is_relay() && residual.node_capacity[v] >= qubits)
+    };
+    net.shortest_path_by(src, dst, |f| {
+        let fiber = net.fiber(f);
+        if open(fiber.a) && open(fiber.b) && (!dual || residual.entanglement[f] >= pairs) {
+            fiber.noise()
+        } else {
+            f64::INFINITY
         }
-        if v == dst {
-            break;
-        }
-        // Only the source and relays may be departed from.
-        if v != src && !net.node(v).kind.is_relay() {
-            continue;
-        }
-        for &f in net.incident(v) {
-            let fiber = net.fiber(f);
-            let u = fiber.other(v);
-            // Head must be the destination or a relay with room.
-            if u != dst {
-                if !net.node(u).kind.is_relay() {
-                    continue;
-                }
-                if residual.node_capacity[u] < qubits {
-                    continue;
-                }
-            }
-            if dual && residual.entanglement[f] < pairs {
-                continue;
-            }
-            let nd = d + fiber.noise();
-            if nd < dist[u] {
-                dist[u] = nd;
-                via[u] = f;
-                heap.push((Reverse(nd.to_bits()), u));
-            }
-        }
-    }
-    if dist[dst].is_infinite() {
-        return None;
-    }
-    let mut path = Vec::new();
-    let mut v = dst;
-    while v != src {
-        let f = via[v];
-        path.push(f);
-        v = net.fiber(f).other(v);
-    }
-    path.reverse();
-    Some(path)
+    })
 }
 
 /// Finds a feasible (route, plan, corrections) for one code of `req`,

@@ -48,8 +48,6 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("decoder.union_find.decode", MetricKind::Timer),
     ("evaluate.segment.logical_errors", MetricKind::Family),
     ("evaluate.shot_failed", MetricKind::Event),
-    ("flight.capture", MetricKind::Event),
-    ("flight.captured", MetricKind::Counter),
     ("journal.dropped", MetricKind::Counter),
     ("lp.iterations", MetricKind::Counter),
     ("lp.pivots", MetricKind::Counter),
@@ -128,7 +126,7 @@ mod tests {
     fn lookup_finds_registered_names_with_kind() {
         assert_eq!(lookup("lp.solve"), Some(MetricKind::Timer));
         assert_eq!(lookup("lp.solves"), Some(MetricKind::Counter));
-        assert_eq!(lookup("flight.capture"), Some(MetricKind::Event));
+        assert_eq!(lookup("evaluate.shot_failed"), Some(MetricKind::Event));
         assert_eq!(lookup("telemetry.dropped"), Some(MetricKind::Counter));
         assert_eq!(lookup("journal.dropped"), Some(MetricKind::Counter));
         assert_eq!(lookup("trial.run"), Some(MetricKind::Timer));

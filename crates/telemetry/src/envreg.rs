@@ -20,10 +20,6 @@ pub const ENV_VARS: &[&str] = &[
     "SURFNET_CHECK",
     // Per-family label cap for dim metric families: a positive integer.
     "SURFNET_DIM_CARDINALITY",
-    // Flight-recorder capture directory: `<dir>` arms; ""/"0"/"off" disarm.
-    "SURFNET_FLIGHT",
-    // Flight-recorder capture budget: a non-negative integer.
-    "SURFNET_FLIGHT_MAX",
     // Race-harness seed count: a positive integer (tests only).
     "SURFNET_RACE_SEEDS",
     // Stats sampler: `<path>[:interval_ms]`; ""/"0"/"off" disable.
@@ -62,7 +58,7 @@ mod tests {
     #[test]
     fn lookup_finds_registered_knobs() {
         assert!(is_registered("SURFNET_TELEMETRY"));
-        assert!(is_registered("SURFNET_FLIGHT_MAX"));
+        assert!(is_registered("SURFNET_DIM_CARDINALITY"));
         assert!(!is_registered("SURFNET_NOPE"));
         assert!(!is_registered("surfnet_telemetry"));
     }

@@ -12,7 +12,7 @@
 //!   with one track per thread, loadable in [Perfetto](https://ui.perfetto.dev)
 //!   or `chrome://tracing`;
 //! * **JSONL** ([`export_jsonl`]) — one event object per line, the format
-//!   the flight recorder embeds and [`parse_jsonl`] reads back.
+//!   the `report` binary analyses and [`parse_jsonl`] reads back.
 //!
 //! Recording is off by default; [`init_from_env`] enables it when
 //! `SURFNET_TRACE=<path>` is set (extension `.jsonl` selects JSONL,
@@ -261,8 +261,8 @@ pub fn collect() -> Vec<OwnedEvent> {
 }
 
 /// The last `max` events recorded by the *calling thread* that are still in
-/// its ring — the "what just happened here" tail the flight recorder
-/// attaches to failure artifacts. Does not drain the ring.
+/// its ring: the "what just happened here" tail of the thread's timeline.
+/// Does not drain the ring.
 pub fn thread_tail(max: usize) -> Vec<OwnedEvent> {
     RING.with(|r| {
         let ring = r.borrow();
