@@ -423,8 +423,7 @@ impl Lint for PanicSite {
 /// Every metric name literal passed to `span!`/`count!`/`event!`/`timer()`/
 /// `counter()`/`counter_family()`/`histogram_family()` must be registered
 /// in `surfnet_telemetry::catalog` with the matching kind. `event!` is
-/// matched in all its forms — `event!("name")`, `event!("name", arg)`, and
-/// the phase-token forms `event!(begin "name")` / `event!(end "name")`;
+/// matched in both its forms — `event!("name")` and `event!("name", arg)`;
 /// both family constructors require the `Family` kind. Reports at error
 /// severity: a typo'd name records into a series nobody reads.
 struct TelemetryName;
@@ -456,16 +455,6 @@ impl Lint for TelemetryName {
                     && ts.get(i + 3).is_some_and(|a| a.kind == TokenKind::Str)
                 {
                     Some((t.text.as_str(), 3))
-                // event!(begin "name") / event!(end "name")
-                } else if is_ident(t, "event")
-                    && ts.get(i + 1).is_some_and(|a| is_punct(a, "!"))
-                    && ts.get(i + 2).is_some_and(|a| is_punct(a, "("))
-                    && ts
-                        .get(i + 3)
-                        .is_some_and(|a| is_ident(a, "begin") || is_ident(a, "end"))
-                    && ts.get(i + 4).is_some_and(|a| a.kind == TokenKind::Str)
-                {
-                    Some((t.text.as_str(), 4))
                 // timer("name") / counter("name") / counter_family("name")
                 // / histogram_family("name")
                 } else if (is_ident(t, "timer")
@@ -920,15 +909,6 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.lint == "telemetry-name" && d.message.contains("not registered")));
-        // Unregistered name, begin/end token form.
-        let bad_begin = run(
-            "crates/core/src/x.rs",
-            r#"fn f() { surfnet_telemetry::event!(begin "core.no_such_event"); }"#,
-        );
-        assert!(bad_begin
-            .diagnostics
-            .iter()
-            .any(|d| d.lint == "telemetry-name"));
         // Registered but as a Counter, not an Event.
         let wrong_kind = run(
             "crates/core/src/x.rs",
@@ -938,12 +918,10 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.lint == "telemetry-name" && d.message.contains("used via `event`")));
-        // All registered Event uses, every macro form: clean.
+        // All registered Event uses, both macro forms: clean.
         let good = run(
             "crates/core/src/x.rs",
             r#"fn f() {
-                surfnet_telemetry::event!(begin "pipeline.trial");
-                surfnet_telemetry::event!(end "pipeline.trial");
                 surfnet_telemetry::event!("evaluate.shot_failed");
                 surfnet_telemetry::event!("evaluate.shot_failed", 3);
             }"#,
@@ -1062,8 +1040,8 @@ fn par() {
     #[test]
     fn env_name_extraction() {
         assert_eq!(
-            extract_env_names("set SURFNET_STATS=out.jsonl:50 and SURFNET_CHECK=1"),
-            vec!["SURFNET_STATS", "SURFNET_CHECK"]
+            extract_env_names("set SURFNET_TRACE=out.jsonl and SURFNET_CHECK=1"),
+            vec!["SURFNET_TRACE", "SURFNET_CHECK"]
         );
         // Prose wildcard and embedded identifiers are not names.
         assert!(extract_env_names("all SURFNET_* knobs").is_empty());

@@ -3,7 +3,7 @@
 
 pub fn knobs() {
     // Registered: clean.
-    let _ = std::env::var("SURFNET_STATS");
+    let _ = std::env::var("SURFNET_TRACE");
     // Typo'd: fires (and would read as "unset" at runtime).
     let _ = std::env::var("SURFNET_SATS");
     // analyzer:allow(env-var-registry): deliberate negative fixture

@@ -1,6 +1,6 @@
 //! Fixture for the `telemetry-name` lint: a typo'd metric, a kind
 //! mismatch, a registered use, a suppressed unregistered use, the
-//! journal `event!` macro in all its forms, and the labeled
+//! journal `event!` macro in both its forms, and the labeled
 //! `counter_family`/`histogram_family` constructors.
 //! Analyzed as text; never compiled.
 
@@ -38,12 +38,10 @@ pub fn event_typo() {
 }
 
 pub fn event_wrong_kind() {
-    surfnet_telemetry::event!(begin "lp.solves");
+    surfnet_telemetry::event!("lp.solves");
 }
 
 pub fn event_registered() {
-    surfnet_telemetry::event!(begin "pipeline.trial");
-    surfnet_telemetry::event!(end "pipeline.trial");
     surfnet_telemetry::event!("evaluate.shot_failed");
     surfnet_telemetry::event!("evaluate.shot_failed", 7);
 }

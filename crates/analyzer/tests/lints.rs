@@ -114,8 +114,8 @@ fn telemetry_name_fires_at_error_severity_and_respects_allow() {
     assert!(findings
         .iter()
         .any(|d| d.message.contains("used via `span`")));
-    // The journal macro is checked too, in both its plain and begin/end
-    // token forms; registered Event names stay clean.
+    // The journal macro is checked too, with and without an argument;
+    // registered Event names stay clean.
     assert!(findings
         .iter()
         .any(|d| d.message.contains("journal.no_such_event")));

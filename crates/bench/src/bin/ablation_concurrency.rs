@@ -6,9 +6,7 @@
 //!
 //! Usage: `cargo run -p surfnet-bench --release --bin ablation_concurrency -- [--trials N]`
 
-use surfnet_bench::{
-    arg_or, args, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
-};
+use surfnet_bench::{arg_or, args, report_json, telemetry_dump, telemetry_init, trace_finish};
 use surfnet_core::experiments::runner::parallel_trials;
 use surfnet_core::pipeline::Design;
 use surfnet_core::scenario::TrialConfig;
@@ -16,7 +14,7 @@ use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed"]);
     let trials = arg_or(&args, "--trials", 40usize);
     let seed = arg_or(&args, "--seed", 77_000u64);
     println!("execution-contention ablation ({trials} trials per row)");
@@ -38,7 +36,6 @@ fn main() {
         vec![("trials", Value::from(trials)), ("seed", Value::from(seed))],
         &metrics,
     );
-    stats_finish();
     telemetry_dump("ablation_concurrency");
     trace_finish();
 }

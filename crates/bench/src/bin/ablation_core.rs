@@ -8,9 +8,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use surfnet_bench::{
-    arg_or, args, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
-};
+use surfnet_bench::{arg_or, args, report_json, telemetry_dump, telemetry_init, trace_finish};
 use surfnet_decoder::{Decoder, SurfNetDecoder};
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 use surfnet_telemetry::json::Value;
@@ -30,7 +28,7 @@ fn rate(code: &SurfaceCode, model: &ErrorModel, trials: usize, seed: u64) -> f64
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--distance", "--pauli", "--erasure"]);
     let trials = arg_or(&args, "--trials", 1500usize);
     let distance = arg_or(&args, "--distance", 9usize);
     let p = arg_or(&args, "--pauli", 0.07f64);
@@ -74,7 +72,6 @@ fn main() {
         ],
         &metrics,
     );
-    stats_finish();
     telemetry_dump("ablation_core");
     trace_finish();
 }

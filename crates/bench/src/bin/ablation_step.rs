@@ -6,9 +6,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use surfnet_bench::{
-    arg_or, args, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
-};
+use surfnet_bench::{arg_or, args, report_json, telemetry_dump, telemetry_init, trace_finish};
 use surfnet_decoder::{Decoder, SurfNetDecoder};
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 use surfnet_telemetry::json::Value;
@@ -21,7 +19,7 @@ fn main() {
     // always available (the dump at the end still obeys the env mode).
     let _telemetry = Telemetry::enabled();
     let trial_timer = surfnet_telemetry::timer("bench.ablation_step.trials");
-    let args = args();
+    let args = args(&["--trials", "--distance"]);
     let trials = arg_or(&args, "--trials", 1200usize);
     let distance = arg_or(&args, "--distance", 9usize);
     let code = SurfaceCode::new(distance).expect("valid distance");
@@ -68,7 +66,6 @@ fn main() {
         ],
         &metrics,
     );
-    stats_finish();
     telemetry_dump("ablation_step");
     trace_finish();
 }

@@ -3,7 +3,7 @@
 //! Usage: `cargo run -p surfnet-bench --release --bin all -- [--trials N] [--fig8-trials N]`
 
 use surfnet_bench::{
-    arg_or, args, flatten, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
+    arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::{fig6a, fig6b, fig7, fig8};
 use surfnet_core::DecoderKind;
@@ -11,7 +11,7 @@ use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--fig8-trials", "--seed"]);
     let trials = arg_or(&args, "--trials", 40usize);
     let fig8_trials = arg_or(&args, "--fig8-trials", 400usize);
     let seed = arg_or(&args, "--seed", 90_000u64);
@@ -58,7 +58,6 @@ fn main() {
         fig8_metrics.extend(flatten::fig8(&curves));
     }
     report_json::emit("fig8", params(fig8_trials, seed + 3), &fig8_metrics);
-    stats_finish();
     telemetry_dump("fig8");
     trace_finish();
 }

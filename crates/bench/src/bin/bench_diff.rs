@@ -11,21 +11,24 @@
 //! the grouped metric-family series (`name{label}` keys) under
 //! `--group-tol`; group values are deterministic for seeded runs, so the
 //! default group tolerance is 0, and a label missing from the candidate
-//! is a regression.
+//! is a regression. Any tolerance of 0 pins its values: a change in
+//! either direction fails, and one in the good direction prints as drift.
 //!
-//! Exit codes: 0 = no regressions, 1 = regressions found, 2 = usage or
-//! malformed report.
+//! Exit codes: 0 = no regressions, 1 = regressions or drift found, 2 =
+//! usage error (an unknown flag included) or malformed report.
 
 use surfnet_bench::{arg_or, args, diff, has_flag};
-use surfnet_telemetry::json::Value;
-
-fn load(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Value::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
-}
 
 fn main() {
-    let args = args();
+    let args = args(&[
+        "--tol",
+        "--counters",
+        "--counter-tol",
+        "--stages",
+        "--stage-tol",
+        "--groups",
+        "--group-tol",
+    ]);
     let positional: Vec<&String> = {
         // Flags either stand alone (--counters) or take a value; strip both.
         let mut out = Vec::new();
@@ -56,8 +59,8 @@ fn main() {
     let stage_tol = has_flag(&args, "--stages").then(|| arg_or(&args, "--stage-tol", 0.5f64));
     let group_tol = has_flag(&args, "--groups").then(|| arg_or(&args, "--group-tol", 0.0f64));
 
-    let result = load(baseline_path)
-        .and_then(|baseline| load(candidate_path).map(|candidate| (baseline, candidate)))
+    let result = diff::load(baseline_path)
+        .and_then(|baseline| diff::load(candidate_path).map(|candidate| (baseline, candidate)))
         .and_then(|(baseline, candidate)| {
             diff::diff(
                 &baseline,

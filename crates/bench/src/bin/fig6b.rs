@@ -4,14 +4,14 @@
 //!     [--param capacity|entanglement|messages|threshold|all] [--trials N] [--seed S]`
 
 use surfnet_bench::{
-    arg_or, args, flatten, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
+    arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::fig6b;
 use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed", "--param"]);
     let trials = arg_or(&args, "--trials", 30usize);
     let seed = arg_or(&args, "--seed", 62_000u64);
     let which = arg_or(&args, "--param", "all".to_string());
@@ -30,8 +30,5 @@ fn main() {
         );
         telemetry_dump(&format!("fig6b/{key}"));
     }
-    // The sampler spans all sweeps; the per-sweep dumps reset the
-    // aggregates, so the mid-run samples carry the series.
-    stats_finish();
     trace_finish();
 }

@@ -5,14 +5,14 @@
 //! (the paper uses `--trials 1080`)
 
 use surfnet_bench::{
-    arg_or, args, flatten, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
+    arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::fig7;
 use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed"]);
     let trials = arg_or(&args, "--trials", 40usize);
     let seed = arg_or(&args, "--seed", 70_000u64);
     let result = fig7::run(trials, seed);
@@ -22,7 +22,6 @@ fn main() {
         vec![("trials", Value::from(trials)), ("seed", Value::from(seed))],
         &flatten::fig7(&result),
     );
-    stats_finish();
     telemetry_dump("fig7");
     trace_finish();
 }

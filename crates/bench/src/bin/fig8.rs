@@ -6,7 +6,7 @@
 //!     [--trials N] [--seed S] [--max-distance D]`
 
 use surfnet_bench::{
-    arg_or, args, flatten, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
+    arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::fig8;
 use surfnet_core::DecoderKind;
@@ -14,7 +14,7 @@ use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed", "--max-distance"]);
     let trials = arg_or(&args, "--trials", 400usize);
     if trials == 0 {
         eprintln!(
@@ -52,7 +52,6 @@ fn main() {
         ],
         &metrics,
     );
-    stats_finish();
     telemetry_dump("fig8");
     trace_finish();
 }

@@ -10,14 +10,14 @@
 //! scenario's ratios.
 
 use surfnet_bench::{
-    arg_or, args, flatten, report_json, stats_finish, telemetry_dump, telemetry_init, trace_finish,
+    arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::stream::{self, StreamParams};
 use surfnet_telemetry::json::Value;
 
 fn main() {
     telemetry_init();
-    let args = args();
+    let args = args(&["--trials", "--seed", "--rate", "--horizon", "--nodes"]);
     let trials = arg_or(&args, "--trials", 4usize);
     let seed = arg_or(&args, "--seed", 90_000u64);
     let mut params = StreamParams::default();
@@ -42,7 +42,6 @@ fn main() {
         ],
         &flatten::stream(&result),
     );
-    stats_finish();
     telemetry_dump("stream");
     trace_finish();
 }

@@ -1,47 +1,46 @@
 //! Run-report analyzer CLI: per-stage critical-path breakdown, top-k
-//! slowest trials, and rate curves from a figure run's observability
+//! slowest trials, and hot links from a figure run's observability
 //! outputs.
 //!
 //! Usage: `cargo run -p surfnet-bench --bin report -- \
-//!     --journal trace.jsonl [--stats stats.jsonl] [--json] [--top K]`
+//!     --journal trace.jsonl [--bench BENCH_fig7.json] [--json] [--top K]`
 //!
 //! `--journal` takes the JSONL event trace written by
-//! `SURFNET_TRACE=<path>.jsonl`; `--stats` the time series written by
-//! `SURFNET_STATS=<path>`. At least one input is required. Output is
+//! `SURFNET_TRACE=<path>.jsonl`; `--bench` the same run's
+//! `BENCH_<figure>.json` report, whose grouped `netsim.link.*` families
+//! rank the hot links. At least one input is required. Output is
 //! markdown by default, `--json` selects the `surfnet-report/v1` JSON
 //! form. The report is a pure function of its inputs — identical files
 //! produce identical output.
 //!
 //! Exit codes: 0 = report printed, 2 = usage error or malformed input.
 
-use surfnet_bench::{arg_or, args, has_flag, report_analyze};
-use surfnet_telemetry::{journal, stats};
-
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
+use surfnet_bench::{arg_or, args, diff, has_flag, report_analyze};
+use surfnet_telemetry::journal;
 
 fn run() -> Result<String, String> {
-    let args = args();
+    let args = args(&["--journal", "--bench", "--json", "--top"]);
     let journal_path = arg_or(&args, "--journal", String::new());
-    let stats_path = arg_or(&args, "--stats", String::new());
-    if journal_path.is_empty() && stats_path.is_empty() {
+    let bench_path = arg_or(&args, "--bench", String::new());
+    if journal_path.is_empty() && bench_path.is_empty() {
         return Err(
-            "usage: report --journal <trace.jsonl> [--stats <stats.jsonl>] [--json] [--top K]"
+            "usage: report --journal <trace.jsonl> [--bench <BENCH_x.json>] [--json] [--top K]"
                 .to_string(),
         );
     }
     let events = if journal_path.is_empty() {
         Vec::new()
     } else {
-        journal::parse_jsonl(&read(&journal_path)?).map_err(|e| format!("{journal_path}: {e}"))?
+        let text = std::fs::read_to_string(&journal_path)
+            .map_err(|e| format!("cannot read {journal_path}: {e}"))?;
+        journal::parse_jsonl(&text).map_err(|e| format!("{journal_path}: {e}"))?
     };
-    let samples = if stats_path.is_empty() {
-        Vec::new()
+    let bench = if bench_path.is_empty() {
+        None
     } else {
-        stats::parse_stats_jsonl(&read(&stats_path)?).map_err(|e| format!("{stats_path}: {e}"))?
+        Some(diff::load(&bench_path)?)
     };
-    let report = report_analyze::analyze(&events, &samples);
+    let report = report_analyze::analyze(&events, bench.as_ref());
     let top_k = arg_or(&args, "--top", 5usize);
     if has_flag(&args, "--json") {
         let mut out = String::new();

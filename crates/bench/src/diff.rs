@@ -4,7 +4,9 @@
 //! segment: latency, error, dropped, failed, and infeasible series are better when
 //! *lower*; everything else (fidelity, throughput, threshold) is better
 //! when *higher*. A metric regresses when it moves in the bad direction by
-//! more than `tol` relative to the baseline value. Counters are only
+//! more than `tol` relative to the baseline value. A zero tolerance pins
+//! the value instead: any change at all fails, in either direction, and a
+//! change in the good direction is reported as drift. Counters are only
 //! compared when a counter tolerance is supplied — they track work done
 //! (growth rounds, LP pivots), which legitimately drifts with trial
 //! counts, so the default check looks at metrics only.
@@ -22,7 +24,8 @@ pub struct MetricDiff {
     pub candidate: f64,
     /// Relative movement in the bad direction (positive = worse).
     pub worsening: f64,
-    /// Whether the movement exceeds the tolerance.
+    /// Whether the row fails: it moved in the bad direction by more than a
+    /// nonzero tolerance, or it changed at all under a zero tolerance.
     pub regression: bool,
 }
 
@@ -40,35 +43,48 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Whether any metric regressed beyond tolerance (missing metrics
-    /// count as regressions — a silently vanished series is the failure
-    /// mode this tool exists to catch).
+    /// Whether any metric failed its tolerance (missing metrics count as
+    /// regressions — a silently vanished series is the failure mode this
+    /// tool exists to catch).
     pub fn has_regressions(&self) -> bool {
         !self.missing.is_empty() || self.rows.iter().any(|r| r.regression)
     }
 
-    /// Compared metrics that regressed.
+    /// Compared metrics that failed their tolerance, drift included.
     pub fn regressions(&self) -> Vec<&MetricDiff> {
         self.rows.iter().filter(|r| r.regression).collect()
     }
 
-    /// Human-readable summary (what `bench-diff` prints).
+    /// Human-readable summary (what `bench-diff` prints). A failing row
+    /// that did not get worse changed under a zero tolerance, so it prints
+    /// as drift rather than as a regression.
     pub fn render(&self) -> String {
+        let (worse, drift): (Vec<&MetricDiff>, Vec<&MetricDiff>) = self
+            .regressions()
+            .into_iter()
+            .partition(|r| r.worsening > 0.0);
         let mut out = format!(
-            "bench-diff [{}]: {} metrics compared, {} regressed, {} missing, {} added\n",
+            "bench-diff [{}]: {} metrics compared, {} regressed, {} drifted, {} missing, {} added\n",
             self.figure,
             self.rows.len(),
-            self.regressions().len(),
+            worse.len(),
+            drift.len(),
             self.missing.len(),
             self.added.len()
         );
-        for r in self.rows.iter().filter(|r| r.regression) {
+        for r in worse {
             out.push_str(&format!(
                 "  REGRESSION {}: {} -> {} ({:+.1}% worse)\n",
                 r.name,
                 r.baseline,
                 r.candidate,
                 r.worsening * 100.0
+            ));
+        }
+        for r in drift {
+            out.push_str(&format!(
+                "  DRIFT {}: {} -> {} (tolerance 0)\n",
+                r.name, r.baseline, r.candidate
             ));
         }
         for m in &self.missing {
@@ -138,6 +154,20 @@ fn check_schema(report: &Value, which: &str) -> Result<(), String> {
     }
 }
 
+/// Reads a `BENCH_<figure>.json` report from `path`, checking that it
+/// parses and carries the [`crate::report_json::SCHEMA`] tag.
+///
+/// # Errors
+///
+/// Returns a message naming the path when the file is unreadable, is not
+/// JSON, or is not a surfnet-bench report.
+pub fn load(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let report = Value::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+    check_schema(&report, path)?;
+    Ok(report)
+}
+
 fn compare(
     baseline: &[(String, f64)],
     candidate: &[(String, f64)],
@@ -159,12 +189,17 @@ fn compare(
         // Relative to the baseline magnitude, with a floor so a zero
         // baseline doesn't turn every epsilon into a regression.
         let worsening = worse_by / base.abs().max(1e-9);
+        let regression = if tol == 0.0 {
+            cand != *base
+        } else {
+            worse_by > 0.0 && worsening > tol
+        };
         report.rows.push(MetricDiff {
             name: name.clone(),
             baseline: *base,
             candidate: cand,
             worsening,
-            regression: worse_by > 0.0 && worsening > tol,
+            regression,
         });
     }
     for (name, _) in candidate {
@@ -176,7 +211,8 @@ fn compare(
 
 /// Diffs `candidate` against `baseline`.
 ///
-/// `tol` is the relative tolerance for `metrics`; counters are compared
+/// `tol` is the relative tolerance for `metrics` (zero pins every value:
+/// any change fails, in either direction); counters are compared
 /// too when `counter_tol` is given (they get their own, typically much
 /// looser, tolerance), the per-stage timer means (`trial.run` and
 /// `trial.stage.*`, as `<name>/mean_ns` keys, lower-is-better) when
@@ -300,10 +336,22 @@ mod tests {
         // The same movement inside tolerance passes.
         let d = diff(&base, &worse, 0.25, None, None, None).unwrap();
         assert!(!d.has_regressions());
-        // Movement in the *good* direction is never a regression.
+        // Under a nonzero tolerance, movement in the *good* direction is
+        // never a regression.
         let better = report(&[("a/fidelity", 0.99), ("a/latency", 5.0)]);
-        let d = diff(&base, &better, 0.0, None, None, None).unwrap();
+        let d = diff(&base, &better, 0.05, None, None, None).unwrap();
         assert!(!d.has_regressions());
+        // A zero tolerance pins the values: any change fails, in either
+        // direction, and a better value prints as drift.
+        let d = diff(&base, &better, 0.0, None, None, None).unwrap();
+        assert_eq!(d.regressions().len(), 2);
+        let text = d.render();
+        assert!(text.contains("0 regressed, 2 drifted"), "{text}");
+        assert!(text.contains("DRIFT a/fidelity: 0.9 -> 0.99"), "{text}");
+        assert!(!text.contains("REGRESSION"), "{text}");
+        let d = diff(&base, &worse, 0.0, None, None, None).unwrap();
+        assert_eq!(d.regressions().len(), 2);
+        assert!(d.render().contains("REGRESSION a/latency"));
     }
 
     #[test]
@@ -360,11 +408,15 @@ mod tests {
         let d = diff(&base, &slower, 0.0, None, Some(0.2), None).unwrap();
         assert_eq!(d.regressions().len(), 1);
         assert_eq!(d.regressions()[0].name, "trial.stage.decode/mean_ns");
-        // A loose enough tolerance passes, and faster stages never regress.
+        // A loose enough tolerance passes, and under a nonzero tolerance
+        // faster stages never regress; a zero one fails them as drift.
         assert!(!diff(&base, &slower, 0.0, None, Some(2.0), None)
             .unwrap()
             .has_regressions());
-        assert!(!diff(&slower, &base, 0.0, None, Some(0.0), None)
+        assert!(!diff(&slower, &base, 0.0, None, Some(0.2), None)
+            .unwrap()
+            .has_regressions());
+        assert!(diff(&slower, &base, 0.0, None, Some(0.0), None)
             .unwrap()
             .has_regressions());
         // A baseline predating stage timers compares nothing but errors on
@@ -402,12 +454,18 @@ mod tests {
         assert!(!diff(&base, &drifted, 0.0, None, None, None)
             .unwrap()
             .has_regressions());
-        // Attempts carry no lower-is-better marker, so only a *drop*
-        // regresses at zero tolerance; the higher candidate passes.
-        assert!(!diff(&base, &drifted, 0.0, None, None, Some(0.0))
+        // A zero group tolerance fails the drift in either direction.
+        for (a, b) in [(&base, &drifted), (&drifted, &base)] {
+            let d = diff(a, b, 0.0, None, None, Some(0.0)).unwrap();
+            assert_eq!(d.regressions().len(), 1);
+            assert_eq!(d.regressions()[0].name, "netsim.link.attempts{0-1}");
+        }
+        // Attempts carry no lower-is-better marker, so under a nonzero
+        // tolerance only a *drop* regresses; the higher candidate passes.
+        assert!(!diff(&base, &drifted, 0.0, None, None, Some(0.001))
             .unwrap()
             .has_regressions());
-        let d = diff(&drifted, &base, 0.0, None, None, Some(0.0)).unwrap();
+        let d = diff(&drifted, &base, 0.0, None, None, Some(0.001)).unwrap();
         assert_eq!(d.regressions().len(), 1);
         assert_eq!(d.regressions()[0].name, "netsim.link.attempts{0-1}");
     }

@@ -71,9 +71,36 @@ pub fn parse_arg<T: std::str::FromStr>(
         .map_err(|_| format!("{key} {value:?}: expected a value of type {expected}"))
 }
 
-/// Collects process arguments (skipping `argv[0]`).
-pub fn args() -> Vec<String> {
-    env::args().skip(1).collect()
+/// Collects process arguments (skipping `argv[0]`), checked against the
+/// binary's accepted `flags`. An argument outside them that starts with
+/// `--` prints [`check_flags`]'s message to stderr and **exits with status
+/// 2**: a typo'd flag would otherwise run on the default it meant to set.
+pub fn args(flags: &[&str]) -> Vec<String> {
+    let args: Vec<String> = env::args().skip(1).collect();
+    check_flags(&args, flags).unwrap_or_else(|message| {
+        eprintln!("surfnet-bench: {message}");
+        std::process::exit(2);
+    });
+    args
+}
+
+/// The check behind [`args`]: every argument that starts with `--` must be
+/// one of `flags`.
+///
+/// # Errors
+///
+/// Returns a message naming the first unknown flag and the accepted ones.
+pub fn check_flags(args: &[String], flags: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
+    {
+        Some(unknown) => Err(format!(
+            "unknown flag {unknown:?}; accepted flags: {}",
+            flags.join(", ")
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Whether a bare flag is present.
@@ -81,16 +108,13 @@ pub fn has_flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
 
-/// Enables telemetry according to `SURFNET_TELEMETRY` (`json` or `table`),
-/// the event journal according to `SURFNET_TRACE=<path>`, and the
-/// time-series stats sampler according to
-/// `SURFNET_STATS=<path>[:interval_ms]`.
+/// Enables telemetry according to `SURFNET_TELEMETRY` (`json` or `table`)
+/// and the event journal according to `SURFNET_TRACE=<path>`.
 ///
 /// Every figure binary calls this first thing in `main`.
 pub fn telemetry_init() {
     surfnet_telemetry::Telemetry::init_from_env();
     surfnet_telemetry::journal::init_from_env();
-    surfnet_telemetry::stats::init_from_env();
 }
 
 /// Writes the accumulated event journal to the `SURFNET_TRACE` path (a
@@ -101,16 +125,6 @@ pub fn trace_finish() {
         Ok(Some(path)) => eprintln!("surfnet-trace: wrote {}", path.display()),
         Ok(None) => {}
         Err(e) => eprintln!("surfnet-trace: write failed: {e}"),
-    }
-}
-
-/// Stops the `SURFNET_STATS` sampler, writing one final exact sample.
-/// Figure binaries call this after `report_json::emit` (which reads the
-/// live snapshot) and **before** [`telemetry_dump`] (which resets the
-/// aggregates the final sample snapshots).
-pub fn stats_finish() {
-    if let Some(path) = surfnet_telemetry::stats::finish() {
-        eprintln!("surfnet-stats: wrote {}", path.display());
     }
 }
 
@@ -154,5 +168,25 @@ mod tests {
         assert!(err.contains("\"-3\"") && err.contains("u64"), "{err}");
         assert_eq!(parse_arg(&args, "--tol", 0.05f64), Ok(0.5));
         assert_eq!(parse_arg(&args, "--top", 5usize), Ok(5));
+    }
+
+    #[test]
+    fn check_flags_rejects_unknown_flags() {
+        let flags = ["--trials", "--seed", "--detail"];
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(check_flags(&args(&[]), &flags), Ok(()));
+        // Values, negative numbers and positional paths are not flags.
+        assert_eq!(
+            check_flags(&args(&["--seed", "-3", "--detail", "x.json"]), &flags),
+            Ok(())
+        );
+        let err = check_flags(&args(&["--trails", "1"]), &flags).unwrap_err();
+        assert!(
+            err.contains("\"--trails\"") && err.contains("--trials"),
+            "{err}"
+        );
+        // A prefix of a known flag is no match.
+        assert!(check_flags(&args(&["--trial", "1"]), &flags).is_err());
+        assert!(check_flags(&args(&["--seed", "1", "--group"]), &flags).is_err());
     }
 }

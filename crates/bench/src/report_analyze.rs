@@ -1,10 +1,10 @@
 //! Run-report analyzer: turns a journal JSONL trace (`SURFNET_TRACE=*.jsonl`)
-//! plus an optional stats time series (`SURFNET_STATS=<path>`) into a
+//! plus the same run's optional `BENCH_<figure>.json` report into a
 //! per-stage critical-path breakdown, a top-k slowest-trials table with
-//! stage attribution, and rate-curve summaries.
+//! stage attribution, and the hot links of the network.
 //!
 //! The analysis is a pure function of its inputs: the same journal and
-//! stats files always produce the same report, byte for byte (the `report`
+//! BENCH files always produce the same report, byte for byte (the `report`
 //! binary relies on this — CI runs it twice and diffs the outputs).
 //!
 //! Stage self-times are reconstructed exactly the way the live
@@ -47,23 +47,8 @@ pub struct TrialSummary {
     pub stages: Vec<(String, u64)>,
 }
 
-/// Min/mean/max of one derived gauge over the stats time series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSummary {
-    /// Gauge name (`shots_per_sec`, `decoder.cache_hit_rate`, ...).
-    pub name: String,
-    /// Number of samples in which the gauge appeared.
-    pub samples: u64,
-    /// Smallest observed value.
-    pub min: f64,
-    /// Mean over observed samples.
-    pub mean: f64,
-    /// Largest observed value.
-    pub max: f64,
-}
-
-/// One network link's entanglement traffic, reconstructed from the final
-/// stats sample's grouped `netsim.link.*` families.
+/// One network link's entanglement traffic, read from the BENCH report's
+/// grouped `netsim.link.*` families.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotLink {
     /// Rendered link label (`"<lo>-<hi>"` endpoint pair).
@@ -91,15 +76,11 @@ pub struct RunReport {
     pub total_run_ns: u64,
     /// All trials seen in the journal, slowest first.
     pub trials: Vec<TrialSummary>,
-    /// Gauge summaries from the stats series, input order.
-    pub gauges: Vec<GaugeSummary>,
-    /// Number of stats records ingested.
-    pub stats_samples: u64,
-    /// `journal.dropped` from the final stats sample (0 when no stats
-    /// series was supplied). Non-zero means the breakdown is approximate.
+    /// `journal.dropped` from the BENCH report's counters (0 when no
+    /// report was supplied). Non-zero means the breakdown is approximate.
     pub journal_dropped: u64,
-    /// Per-link traffic from the final stats sample's grouped families,
-    /// most attempts first (ties broken by link label). Empty when the run
+    /// Per-link traffic from the BENCH report's grouped families, most
+    /// attempts first (ties broken by link label). Empty when the run
     /// recorded no per-link families.
     pub hot_links: Vec<HotLink>,
 }
@@ -129,8 +110,9 @@ fn bump(totals: &mut Vec<(String, u64)>, name: &str, ns: u64) {
 }
 
 /// Reconstructs the per-stage / per-trial breakdown from journal events
-/// and folds in the stats time series.
-pub fn analyze(events: &[OwnedEvent], stats: &[Value]) -> RunReport {
+/// and reads the journal-drop count and hot links from the run's BENCH
+/// report, when one is given.
+pub fn analyze(events: &[OwnedEvent], bench: Option<&Value>) -> RunReport {
     let mut events: Vec<&OwnedEvent> = events.iter().collect();
     events.sort_by_key(|e| (e.tid, e.ts_ns));
 
@@ -209,52 +191,21 @@ pub fn analyze(events: &[OwnedEvent], stats: &[Value]) -> RunReport {
         .trials
         .sort_by(|a, b| b.run_ns.cmp(&a.run_ns).then_with(|| a.trial.cmp(&b.trial)));
 
-    // Stats series: gauge curves and the final journal-drop count.
-    report.stats_samples = stats.len() as u64;
-    let mut gauges: Vec<GaugeSummary> = Vec::new();
-    for record in stats {
-        if let Some(fields) = record.get("gauges").and_then(Value::as_object) {
-            for (name, v) in fields {
-                let Some(x) = v.as_f64() else { continue };
-                match gauges.iter_mut().find(|g| g.name == *name) {
-                    Some(g) => {
-                        g.samples += 1;
-                        g.min = g.min.min(x);
-                        g.max = g.max.max(x);
-                        g.mean += x; // sum for now; divided below
-                    }
-                    None => gauges.push(GaugeSummary {
-                        name: name.clone(),
-                        samples: 1,
-                        min: x,
-                        mean: x,
-                        max: x,
-                    }),
-                }
-            }
-        }
-    }
-    for g in &mut gauges {
-        g.mean /= g.samples as f64;
-    }
-    report.gauges = gauges;
-    report.journal_dropped = stats
-        .last()
+    report.journal_dropped = bench
         .and_then(|r| r.get("counters"))
         .and_then(|c| c.get("journal.dropped"))
         .and_then(Value::as_u64)
         .unwrap_or(0);
-    report.hot_links = hot_links(stats);
+    report.hot_links = hot_links(bench);
     report
 }
 
-/// Collects per-link traffic from the final stats sample's flattened
-/// `groups` object (`netsim.link.attempts{lo-hi}` /
-/// `netsim.link.successes{lo-hi}` keys), most attempts first. The
-/// `__overflow` bucket aggregates many links, so it is excluded.
-fn hot_links(stats: &[Value]) -> Vec<HotLink> {
-    let Some(groups) = stats
-        .last()
+/// Collects per-link traffic from the BENCH report's flattened `groups`
+/// object (`netsim.link.attempts{lo-hi}` / `netsim.link.successes{lo-hi}`
+/// keys), most attempts first. The `__overflow` bucket aggregates many
+/// links, so it is excluded.
+fn hot_links(bench: Option<&Value>) -> Vec<HotLink> {
+    let Some(groups) = bench
         .and_then(|r| r.get("groups"))
         .and_then(Value::as_object)
     else {
@@ -304,10 +255,9 @@ impl RunReport {
     pub fn render_markdown(&self, top_k: usize) -> String {
         let mut out = String::from("# surfnet run report\n\n");
         out.push_str(&format!(
-            "- trials: {} (total {})\n- stats samples: {}\n",
+            "- trials: {} (total {})\n",
             self.trials.len(),
-            ms(self.total_run_ns),
-            self.stats_samples
+            ms(self.total_run_ns)
         ));
         if self.journal_dropped > 0 {
             out.push_str(&format!(
@@ -373,8 +323,8 @@ impl RunReport {
         out.push_str("\n## Hot links\n\n");
         if self.hot_links.is_empty() {
             out.push_str(
-                "no per-link families in the stats series \
-                 (was `SURFNET_STATS` set with telemetry enabled?)\n",
+                "no per-link families in the BENCH report \
+                 (was `--bench` given, from a run with `SURFNET_TELEMETRY` set?)\n",
             );
         } else {
             let row = |l: &HotLink| {
@@ -405,19 +355,6 @@ impl RunReport {
             out.push_str("| link | attempts | successes | failure rate |\n|---|---|---|---|\n");
             for l in by_rate.iter().take(top_k) {
                 out.push_str(&row(l));
-            }
-        }
-
-        out.push_str("\n## Rate curves\n\n");
-        if self.gauges.is_empty() {
-            out.push_str("no gauges in the stats series (was `SURFNET_STATS` set?)\n");
-        } else {
-            out.push_str("| gauge | samples | min | mean | max |\n|---|---|---|---|---|\n");
-            for g in &self.gauges {
-                out.push_str(&format!(
-                    "| {} | {} | {:.3} | {:.3} | {:.3} |\n",
-                    g.name, g.samples, g.min, g.mean, g.max
-                ));
             }
         }
         out
@@ -454,19 +391,6 @@ impl RunReport {
                 ])
             })
             .collect();
-        let gauges: Value = self
-            .gauges
-            .iter()
-            .map(|g| {
-                json::obj(vec![
-                    ("name", Value::from(g.name.as_str())),
-                    ("samples", Value::from(g.samples)),
-                    ("min", Value::Num(g.min)),
-                    ("mean", Value::Num(g.mean)),
-                    ("max", Value::Num(g.max)),
-                ])
-            })
-            .collect();
         let hot_links: Value = self
             .hot_links
             .iter()
@@ -485,10 +409,8 @@ impl RunReport {
             ("trial_count", Value::from(self.trials.len())),
             ("total_run_ns", Value::from(self.total_run_ns)),
             ("journal_dropped", Value::from(self.journal_dropped)),
-            ("stats_samples", Value::from(self.stats_samples)),
             ("stages", stages),
             ("slowest_trials", trials),
-            ("gauges", gauges),
             ("hot_links", hot_links),
         ])
     }
@@ -539,7 +461,7 @@ mod tests {
 
     #[test]
     fn breakdown_reconstructs_self_times_and_trials() {
-        let report = analyze(&sample_events(), &[]);
+        let report = analyze(&sample_events(), None);
         assert_eq!(report.trials.len(), 2);
         assert_eq!(report.total_run_ns, 2000 + 5000);
         // Slowest first: trial 11 (5000ns) before trial 10 (2000ns).
@@ -584,69 +506,47 @@ mod tests {
             ev(200, 1, TRIAL_SPAN, Begin, Some(2)),
             ev(300, 1, "trial.stage.gen", Begin, Some(2)),
         ];
-        let report = analyze(&events, &[]);
+        let report = analyze(&events, None);
         assert!(report.trials.is_empty());
         assert!(report.stages.is_empty());
     }
 
-    #[test]
-    fn gauges_and_drop_count_come_from_stats() {
-        let stats = vec![
-            Value::parse(
-                r#"{"schema":"surfnet-stats/v1","t_ms":500,
-                   "counters":{"journal.dropped":0},
-                   "gauges":{"shots_per_sec":100.0}}"#,
-            )
-            .unwrap(),
-            Value::parse(
-                r#"{"schema":"surfnet-stats/v1","t_ms":1000,
-                   "counters":{"journal.dropped":7},
-                   "gauges":{"shots_per_sec":300.0,"decoder.cache_hit_rate":0.5}}"#,
-            )
-            .unwrap(),
-        ];
-        let report = analyze(&[], &stats);
-        assert_eq!(report.stats_samples, 2);
-        assert_eq!(report.journal_dropped, 7);
-        let sps = report
-            .gauges
-            .iter()
-            .find(|g| g.name == "shots_per_sec")
-            .unwrap();
-        assert_eq!(sps.samples, 2);
-        assert_eq!(sps.min, 100.0);
-        assert_eq!(sps.mean, 200.0);
-        assert_eq!(sps.max, 300.0);
-        let markdown = report.render_markdown(5);
-        assert!(markdown.contains("WARNING"), "{markdown}");
-        assert!(markdown.contains("journal dropped 7 events"), "{markdown}");
+    /// A BENCH report carrying the given `counters` and `groups` objects.
+    fn bench(counters: &str, groups: &str) -> Value {
+        Value::parse(&format!(
+            r#"{{"schema":"surfnet-bench/v1","figure":"fig7","metrics":{{}},
+               "counters":{counters},"timers":{{}},"groups":{groups}}}"#
+        ))
+        .unwrap()
     }
 
     #[test]
-    fn hot_links_come_from_the_final_stats_sample() {
-        let stats = vec![
-            Value::parse(
-                r#"{"schema":"surfnet-stats/v1","t_ms":500,"counters":{},
-                   "groups":{"netsim.link.attempts{0-1}":10,
-                             "netsim.link.successes{0-1}":10}}"#,
-            )
-            .unwrap(),
-            Value::parse(
-                r#"{"schema":"surfnet-stats/v1","t_ms":1000,"counters":{},
-                   "groups":{"netsim.link.attempts{0-1}":100,
-                             "netsim.link.successes{0-1}":80,
-                             "netsim.link.attempts{1-2}":400,
-                             "netsim.link.successes{1-2}":390,
-                             "netsim.link.attempts{__overflow}":9,
-                             "netsim.link.successes{__overflow}":3,
-                             "netsim.link.attempts{2-3}":0,
-                             "routing.request.code_distance{d5}":12}}"#,
-            )
-            .unwrap(),
-        ];
-        let report = analyze(&[], &stats);
-        // Only the last sample counts; overflow and zero-attempt links are
-        // excluded; most attempts first.
+    fn journal_drops_come_from_the_bench_counters() {
+        let report = analyze(&[], Some(&bench(r#"{"journal.dropped":7}"#, "{}")));
+        assert_eq!(report.journal_dropped, 7);
+        let markdown = report.render_markdown(5);
+        assert!(markdown.contains("WARNING"), "{markdown}");
+        assert!(markdown.contains("journal dropped 7 events"), "{markdown}");
+        // No drops, or no BENCH report at all: no warning.
+        let clean = analyze(&[], Some(&bench(r#"{"journal.dropped":0}"#, "{}")));
+        assert_eq!(clean.journal_dropped, 0);
+        assert!(!clean.render_markdown(5).contains("WARNING"));
+        assert_eq!(analyze(&[], None).journal_dropped, 0);
+    }
+
+    #[test]
+    fn hot_links_come_from_the_bench_groups() {
+        let groups = r#"{"netsim.link.attempts{0-1}":100,
+                         "netsim.link.successes{0-1}":80,
+                         "netsim.link.attempts{1-2}":400,
+                         "netsim.link.successes{1-2}":390,
+                         "netsim.link.attempts{__overflow}":9,
+                         "netsim.link.successes{__overflow}":3,
+                         "netsim.link.attempts{2-3}":0,
+                         "routing.request.code_distance{d5}":12}"#;
+        let report = analyze(&[], Some(&bench("{}", groups)));
+        // Overflow and zero-attempt links are excluded; most attempts
+        // first.
         assert_eq!(
             report
                 .hot_links
@@ -669,20 +569,20 @@ mod tests {
         assert_eq!(links.len(), 2);
         assert_eq!(links[0].get("link").and_then(Value::as_str), Some("1-2"));
         // Runs without per-link families render the placeholder instead.
-        let empty = analyze(&[], &[]);
-        assert!(empty.hot_links.is_empty());
-        assert!(empty.render_markdown(5).contains("no per-link families"));
+        for empty in [analyze(&[], None), analyze(&[], Some(&bench("{}", "{}")))] {
+            assert!(empty.hot_links.is_empty());
+            assert!(empty.render_markdown(5).contains("no per-link families"));
+        }
     }
 
     #[test]
     fn renderings_are_deterministic_and_json_round_trips() {
-        let stats = vec![Value::parse(
-            r#"{"schema":"surfnet-stats/v1","t_ms":500,
-               "counters":{},"gauges":{"shots_per_sec":50.0}}"#,
-        )
-        .unwrap()];
-        let a = analyze(&sample_events(), &stats);
-        let b = analyze(&sample_events(), &stats);
+        let bench = bench(
+            "{}",
+            r#"{"netsim.link.attempts{4-7}":50,"netsim.link.successes{4-7}":45}"#,
+        );
+        let a = analyze(&sample_events(), Some(&bench));
+        let b = analyze(&sample_events(), Some(&bench));
         assert_eq!(a.render_markdown(3), b.render_markdown(3));
         assert_eq!(a.to_json(3).to_string(), b.to_json(3).to_string());
         let v = a.to_json(3);
@@ -695,6 +595,6 @@ mod tests {
         let md = a.render_markdown(3);
         assert!(md.contains("| trial.stage.decode |"), "{md}");
         assert!(md.contains("| 11 |"), "{md}");
-        assert!(md.contains("shots_per_sec"), "{md}");
+        assert!(md.contains("| 4-7 | 50 | 45 | 10.0% |"), "{md}");
     }
 }

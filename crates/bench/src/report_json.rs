@@ -40,9 +40,9 @@ const SWITCH_LIKE: &[&str] = &[
 /// directory; `""`, `0`, or `off` disables emission.
 ///
 /// A malformed value prints the accepted forms to stderr and **exits with
-/// status 2** (mirroring `SURFNET_STATS` and `SURFNET_DIM_CARDINALITY`): a
-/// garbled spec means the caller expected reports somewhere specific and
-/// would otherwise silently not get them there.
+/// status 2** (mirroring `SURFNET_TELEMETRY`): a garbled spec means the
+/// caller expected reports somewhere specific and would otherwise silently
+/// not get them there.
 pub fn bench_dir() -> Option<PathBuf> {
     match parse_bench_dir(std::env::var("SURFNET_BENCH_DIR").ok().as_deref()) {
         Ok(dir) => dir,

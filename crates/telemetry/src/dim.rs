@@ -13,11 +13,10 @@
 //!   the exact discipline the race harness and the `scoped-flush` lint
 //!   enforce.
 //! * **Cardinality is bounded.** Each family admits at most
-//!   `SURFNET_DIM_CARDINALITY` distinct labels (default
-//!   [`DEFAULT_CARDINALITY`]); labels past the cap route to a per-family
-//!   `__overflow` bucket and each newly rejected label bumps the
-//!   `telemetry.dim.dropped_labels` counter exactly once, so totals are
-//!   conserved and the loss is visible in every export.
+//!   [`DEFAULT_CARDINALITY`] distinct labels; labels past the cap route to
+//!   a per-family `__overflow` bucket and each newly rejected label bumps
+//!   the `telemetry.dim.dropped_labels` counter exactly once, so totals
+//!   are conserved and the loss is visible in every export.
 //! * **Snapshots are deterministic.** [`snapshot_families`] orders families
 //!   by name and labels by their encoded key, so repeated runs of a seeded
 //!   workload export byte-identical group sections.
@@ -29,7 +28,9 @@ use std::time::Instant;
 
 use crate::enabled;
 
-/// Default per-family label cap (`SURFNET_DIM_CARDINALITY` overrides).
+/// Per-family label cap. The largest family in any CI baseline holds 294
+/// labels (`netsim.stream.link.dropped`), so the cap bounds memory without
+/// ever shedding a label in the shipped workloads.
 pub const DEFAULT_CARDINALITY: usize = 1024;
 
 /// The label of the per-family overflow bucket that absorbs every record
@@ -160,61 +161,21 @@ pub fn dropped_labels() -> u64 {
     DROPPED_LABELS.load(Ordering::Relaxed)
 }
 
-// 0 means "not yet resolved from the environment".
+// 0 means "no override": the cap is DEFAULT_CARDINALITY.
 static CARDINALITY: AtomicUsize = AtomicUsize::new(0);
 
-/// Parses a `SURFNET_DIM_CARDINALITY` value: a positive integer (the
-/// per-family label cap), or unset/empty for [`DEFAULT_CARDINALITY`].
-///
-/// # Errors
-///
-/// Anything else is rejected with a message naming the bad value and the
-/// accepted forms — the process aborts rather than silently running with a
-/// default the operator did not choose.
-pub fn parse_cardinality(raw: Option<&str>) -> Result<usize, String> {
-    let raw = raw.unwrap_or("").trim();
-    if raw.is_empty() {
-        return Ok(DEFAULT_CARDINALITY);
-    }
-    match raw.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!(
-            "unrecognized SURFNET_DIM_CARDINALITY value {raw:?}; \
-             expected a positive integer (per-family label cap) or unset"
-        )),
-    }
-}
-
 fn cardinality() -> usize {
-    // analyzer:allow(atomic-ordering): lazily cached parse result; every
-    // thread resolves the same value from the same environment
-    let cached = CARDINALITY.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached;
+    // analyzer:allow(atomic-ordering): test-support override read
+    // standalone; no other memory access depends on it
+    match CARDINALITY.load(Ordering::Relaxed) {
+        0 => DEFAULT_CARDINALITY,
+        cap => cap,
     }
-    let parsed = match parse_cardinality(std::env::var("SURFNET_DIM_CARDINALITY").ok().as_deref()) {
-        Ok(n) => n,
-        Err(message) => {
-            eprintln!("surfnet-telemetry: {message}");
-            std::process::exit(2);
-        }
-    };
-    // analyzer:allow(atomic-ordering): idempotent cache publish
-    CARDINALITY.store(parsed, Ordering::Relaxed);
-    parsed
-}
-
-/// Resolves `SURFNET_DIM_CARDINALITY` eagerly so a garbled value aborts
-/// at startup (exit 2) rather than on the first labeled record — which
-/// with telemetry off would never happen, silently accepting the typo.
-/// Called from [`Telemetry::init_from_env`](crate::Telemetry).
-pub fn init_from_env() {
-    let _ = cardinality();
 }
 
 /// Overrides the per-family label cap (test support — lets the overflow
-/// path be exercised without touching the process environment). Pass 0 to
-/// fall back to the environment on next use.
+/// path be exercised with a small cap). Pass 0 to restore
+/// [`DEFAULT_CARDINALITY`].
 #[doc(hidden)]
 pub fn set_cardinality_override(cap: usize) {
     // analyzer:allow(atomic-ordering): test-support knob
@@ -674,19 +635,6 @@ mod tests {
             let err = std::panic::catch_unwind(|| histogram_family("test.dim.kind"));
             assert!(err.is_err());
         });
-    }
-
-    #[test]
-    fn parse_cardinality_accepts_positive_and_rejects_garbage() {
-        assert_eq!(parse_cardinality(None), Ok(DEFAULT_CARDINALITY));
-        assert_eq!(parse_cardinality(Some("")), Ok(DEFAULT_CARDINALITY));
-        assert_eq!(parse_cardinality(Some(" 64 ")), Ok(64));
-        assert_eq!(parse_cardinality(Some("1")), Ok(1));
-        for bad in ["0", "-3", "lots", "1e4", "1024x"] {
-            let err = parse_cardinality(Some(bad)).unwrap_err();
-            assert!(err.contains("SURFNET_DIM_CARDINALITY"), "{err}");
-            assert!(err.contains(bad), "{err}");
-        }
     }
 
     #[test]

@@ -18,12 +18,8 @@ pub const ENV_VARS: &[&str] = &[
     "SURFNET_BENCH_DIR",
     // Debug-build invariant checkers in decoder/lp: "1" enables.
     "SURFNET_CHECK",
-    // Per-family label cap for dim metric families: a positive integer.
-    "SURFNET_DIM_CARDINALITY",
     // Race-harness seed count: a positive integer (tests only).
     "SURFNET_RACE_SEEDS",
-    // Stats sampler: `<path>[:interval_ms]`; ""/"0"/"off" disable.
-    "SURFNET_STATS",
     // Telemetry exporter mode: "table" or "json"; unset disables.
     "SURFNET_TELEMETRY",
     // Journal trace output: `<path>`; ""/"0"/"off" disable.
@@ -58,7 +54,7 @@ mod tests {
     #[test]
     fn lookup_finds_registered_knobs() {
         assert!(is_registered("SURFNET_TELEMETRY"));
-        assert!(is_registered("SURFNET_DIM_CARDINALITY"));
+        assert!(is_registered("SURFNET_TRACE"));
         assert!(!is_registered("SURFNET_NOPE"));
         assert!(!is_registered("surfnet_telemetry"));
     }

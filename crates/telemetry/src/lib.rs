@@ -52,7 +52,6 @@ pub mod hist;
 pub mod journal;
 pub mod json;
 pub mod stage;
-pub mod stats;
 pub mod trace;
 
 use std::cell::RefCell;
@@ -123,19 +122,17 @@ impl Telemetry {
     }
 
     /// Reads `SURFNET_TELEMETRY` (`json`, `table`, or unset), enables
-    /// recording accordingly, and returns the selected mode. An
-    /// unrecognized value prints a diagnostic to stderr (it almost always
-    /// means a typo'd mode that would otherwise silently record nothing)
-    /// and falls back to [`Mode::Off`].
+    /// recording accordingly, and returns the selected mode.
+    ///
+    /// An unrecognized value prints the accepted forms to stderr and
+    /// **exits with status 2**, like every other `SURFNET_*` knob: a
+    /// typo'd mode would otherwise silently record nothing.
     pub fn init_from_env() -> Mode {
         let raw = std::env::var("SURFNET_TELEMETRY").unwrap_or_default();
-        let mode = match parse_mode(&raw) {
-            Ok(mode) => mode,
-            Err(message) => {
-                eprintln!("surfnet-telemetry: {message}");
-                Mode::Off
-            }
-        };
+        let mode = parse_mode(&raw).unwrap_or_else(|message| {
+            eprintln!("surfnet-telemetry: {message}");
+            std::process::exit(2);
+        });
         let tag = match mode {
             Mode::Off => 0,
             Mode::Json => 1,
@@ -146,7 +143,6 @@ impl Telemetry {
         MODE.store(tag, Ordering::Relaxed);
         // analyzer:allow(atomic-ordering): same single-threaded init gate
         ENABLED.store(mode != Mode::Off, Ordering::Relaxed);
-        dim::init_from_env();
         mode
     }
 
@@ -168,8 +164,8 @@ impl Telemetry {
 /// # Errors
 ///
 /// Anything else is rejected with a message naming the bad value and the
-/// accepted ones — [`Telemetry::init_from_env`] prints it to stderr rather
-/// than silently running with telemetry off.
+/// accepted ones — [`Telemetry::init_from_env`] prints it and exits 2
+/// rather than silently running with telemetry off.
 pub fn parse_mode(raw: &str) -> Result<Mode, String> {
     match raw.trim().to_ascii_lowercase().as_str() {
         "" => Ok(Mode::Off),
