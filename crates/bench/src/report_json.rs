@@ -23,60 +23,38 @@
 //! commit and parameters must produce byte-identical files.
 
 use std::path::PathBuf;
+use surfnet_telemetry::envreg;
 use surfnet_telemetry::json::{self, Value};
 
 /// Schema tag checked by `bench-diff`.
 pub const SCHEMA: &str = "surfnet-bench/v1";
 
-/// Values that read as boolean switches rather than directories; rejected
-/// so `SURFNET_BENCH_DIR=1` (someone guessing at an on/off knob) fails
-/// loudly instead of scattering reports into a directory named `1`.
-const SWITCH_LIKE: &[&str] = &[
-    "1", "on", "true", "yes", "y", "enable", "enabled", "false", "no", "n", "disable", "disabled",
-    "none",
-];
-
 /// Where reports go: `SURFNET_BENCH_DIR`, defaulting to the current
 /// directory; `""`, `0`, or `off` disables emission.
 ///
 /// A malformed value prints the accepted forms to stderr and **exits with
-/// status 2** (mirroring `SURFNET_TELEMETRY`): a garbled spec means the
+/// status 2** (like every `SURFNET_*` knob): a garbled spec means the
 /// caller expected reports somewhere specific and would otherwise silently
 /// not get them there.
 pub fn bench_dir() -> Option<PathBuf> {
-    match parse_bench_dir(std::env::var("SURFNET_BENCH_DIR").ok().as_deref()) {
-        Ok(dir) => dir,
-        Err(message) => {
-            eprintln!("surfnet-bench: {message}");
-            std::process::exit(2);
-        }
-    }
+    envreg::or_exit(parse_bench_dir(
+        std::env::var("SURFNET_BENCH_DIR").ok().as_deref(),
+    ))
 }
 
 /// Parses a `SURFNET_BENCH_DIR` value: unset means the current directory,
-/// `""` / `0` / `off` disables emission, anything else is the report
-/// directory — except switch-like values (`1`, `true`, ...), which are
-/// rejected as a misunderstanding of the knob.
+/// an off form ([`envreg::is_off`]) disables emission, anything else is
+/// the report directory — except switch-like values (`1`, `true`, ...),
+/// which are rejected as a misunderstanding of the knob.
 ///
 /// # Errors
 ///
 /// Returns a message naming the accepted forms.
 pub fn parse_bench_dir(raw: Option<&str>) -> Result<Option<PathBuf>, String> {
-    let Some(raw) = raw else {
-        return Ok(Some(PathBuf::from(".")));
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() || trimmed == "0" || trimmed.eq_ignore_ascii_case("off") {
-        return Ok(None);
+    match raw {
+        None => Ok(Some(PathBuf::from("."))),
+        Some(raw) => envreg::parse_path("SURFNET_BENCH_DIR", "report directory", raw),
     }
-    if SWITCH_LIKE.contains(&trimmed.to_ascii_lowercase().as_str()) {
-        return Err(format!(
-            "ambiguous SURFNET_BENCH_DIR value {trimmed:?} — the knob takes a report \
-             directory, not an on/off switch; accepted forms: a directory path, unset \
-             for the current directory, or \"\"/\"0\"/\"off\" to disable emission"
-        ));
-    }
-    Ok(Some(PathBuf::from(trimmed)))
 }
 
 /// The current git revision (short), or `unknown` outside a checkout.

@@ -35,12 +35,12 @@ fn violation(message: String) -> Result<(), InvariantViolation> {
     Err(InvariantViolation { message })
 }
 
-/// Whether runtime invariant checking is on (`SURFNET_CHECK` set to
-/// anything but `0`/empty, debug builds only).
+/// Whether runtime invariant checking is on (`SURFNET_CHECK` set to `1`
+/// or `on`, debug builds only; see
+/// [`surfnet_telemetry::envreg::check_enabled`]).
 #[cfg(debug_assertions)]
 pub fn enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("SURFNET_CHECK").is_ok_and(|v| !v.is_empty() && v != "0"))
+    surfnet_telemetry::envreg::check_enabled()
 }
 
 /// Release builds: checking compiles to `false`, and the guarded blocks

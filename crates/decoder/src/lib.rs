@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod blossom;
 pub mod check;
 pub mod cluster;
@@ -63,7 +62,6 @@ pub mod union_find;
 pub mod weights;
 pub mod workspace;
 
-pub use batch::{decode_batch_with, BatchScratch, LaneDecoder};
 pub use decoder::{Decoder, MwpmDecoder, SurfNetDecoder, UnionFindDecoder};
 pub use graph::{DecodingGraph, GraphEdge, GraphKind};
 pub use union_find::UnionFind;

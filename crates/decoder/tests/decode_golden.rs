@@ -9,8 +9,8 @@
 //! edges finish growing, or how peeling walks the support moves at least
 //! one correction bit and therefore the digest.
 //!
-//! The workspace and batch equivalence tests compare two paths over the
-//! same kernel; this test pins the kernel itself.
+//! The workspace equivalence test compares two paths over the same
+//! kernel; this test pins the kernel itself.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -17,21 +17,10 @@
 //!   qubit 1  │   word 0     │   word 1     │ …   (z-plane identical)
 //!      ⋮     └──────────────┴──────────────┴──
 //! ```
-//!
-//! Error *sampling* is deliberately not word-parallel: the scalar
-//! [`ErrorModel::sample`] draws its RNG per qubit in a fixed order, and
-//! the batch pipeline guarantees bit-identical verdicts to the scalar
-//! path, which requires consuming the RNG stream in exactly the same
-//! order. [`ErrorModel::sample_lane_into`] therefore replays the scalar
-//! draw sequence into one lane; the word-parallelism lives downstream in
-//! [`SurfaceCode::extract_syndrome_batch`] and
-//! [`SurfaceCode::logical_failure_batch`].
 
 use crate::code::SurfaceCode;
-use crate::error_model::{ErrorModel, ErrorSample};
 use crate::pauli::{Pauli, PauliString};
 use crate::syndrome::Syndrome;
-use rand::Rng;
 
 /// Shots per `u64` word.
 pub const LANES_PER_WORD: usize = 64;
@@ -158,19 +147,6 @@ impl BitPlane {
             }
         }
     }
-
-    /// ORs every row into `out` (one word per word column): bit `l` of
-    /// `out[w]` is set iff *any* row has lane `64w + l` set. `out` is
-    /// resized and zeroed first.
-    pub fn any_rows_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(self.words_per_row, 0);
-        for row in 0..self.rows {
-            for (acc, &word) in out.iter_mut().zip(self.row_words(row)) {
-                *acc |= word;
-            }
-        }
-    }
 }
 
 /// A batch of Pauli strings packed as two [`BitPlane`]s — the symplectic
@@ -266,8 +242,8 @@ impl PauliBitplanes {
             "string length does not match the plane"
         );
         assert!(lane < self.lanes(), "lane out of range");
-        // Hot path for batch decoding: clear the lane's column in both
-        // planes, then set only the support (corrections are low-weight).
+        // Clear the lane's column in both planes, then set only the
+        // support (strings are typically low-weight).
         let word = lane / LANES_PER_WORD;
         let mask = 1u64 << (lane % LANES_PER_WORD);
         let stride = self.x.words_per_row;
@@ -275,41 +251,6 @@ impl PauliBitplanes {
             self.x.bits[q * stride + word] &= !mask;
             self.z.bits[q * stride + word] &= !mask;
         }
-        for (q, op) in string.support() {
-            let idx = q * stride + word;
-            if op.has_x_component() {
-                self.x.bits[idx] |= mask;
-            }
-            if op.has_z_component() {
-                self.z.bits[idx] |= mask;
-            }
-        }
-    }
-
-    /// [`Self::pack_lane`] for a lane already known to be identity (as
-    /// after [`Self::reset`]): ORs only `string`'s support into the lane,
-    /// skipping the clear pass. The batch decode hot path packs
-    /// low-weight corrections into a freshly reset plane, where clearing
-    /// again would dominate the write cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or `string` has the wrong length.
-    /// Debug builds also assert the lane really is identity.
-    pub fn pack_lane_cleared(&mut self, lane: usize, string: &PauliString) {
-        assert_eq!(
-            string.len(),
-            self.num_qubits(),
-            "string length does not match the plane"
-        );
-        assert!(lane < self.lanes(), "lane out of range");
-        debug_assert!(
-            (0..self.num_qubits()).all(|q| self.op(lane, q).is_identity()),
-            "pack_lane_cleared on a dirty lane"
-        );
-        let word = lane / LANES_PER_WORD;
-        let mask = 1u64 << (lane % LANES_PER_WORD);
-        let stride = self.x.words_per_row;
         for (q, op) in string.support() {
             let idx = q * stride + word;
             if op.has_x_component() {
@@ -345,14 +286,6 @@ impl PauliBitplanes {
         let mut out = PauliString::identity(self.num_qubits());
         self.unpack_lane_into(lane, &mut out);
         out
-    }
-
-    /// Copies `other` into `self`, reusing allocations.
-    pub fn copy_from(&mut self, other: &PauliBitplanes) {
-        self.x.reset(other.x.rows(), other.x.lanes());
-        self.x.bits.copy_from_slice(&other.x.bits);
-        self.z.reset(other.z.rows(), other.z.lanes());
-        self.z.bits.copy_from_slice(&other.z.bits);
     }
 
     /// Multiplies `other` into `self`, every lane at once: the phase-free
@@ -425,8 +358,7 @@ impl SyndromeBitplanes {
     /// Panics if `lane` is out of range.
     pub fn lane_into(&self, lane: usize, out: &mut Syndrome) {
         assert!(lane < self.lanes(), "lane out of range");
-        // One strided pass per plane over the lane's word column — the
-        // per-decoded-lane hot path of `decode_batch_with`.
+        // One strided pass per plane over the lane's word column.
         let word = lane / LANES_PER_WORD;
         let mask = 1u64 << (lane % LANES_PER_WORD);
         out.z_flips.clear();
@@ -552,198 +484,10 @@ fn xor_support(plane: &BitPlane, support: &[usize], out: &mut [u64]) {
     }
 }
 
-/// A batch of sampled transmissions: the packed Pauli errors plus the
-/// decoder-visible erasure plane. Allocated with a fixed lane capacity;
-/// lanes are filled in order (so a ragged final batch simply stops
-/// early), and unfilled lanes stay identity / not-erased.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ErrorBatch {
-    pauli: PauliBitplanes,
-    erased: BitPlane,
-    len: usize,
-}
-
-impl ErrorBatch {
-    /// An empty batch with room for `capacity` lanes of `num_qubits`
-    /// qubits.
-    pub fn new(num_qubits: usize, capacity: usize) -> ErrorBatch {
-        ErrorBatch {
-            pauli: PauliBitplanes::new(num_qubits, capacity),
-            erased: BitPlane::new(num_qubits, capacity),
-            len: 0,
-        }
-    }
-
-    /// Resizes to `num_qubits` × `capacity` and empties the batch,
-    /// reusing allocations.
-    pub fn reset(&mut self, num_qubits: usize, capacity: usize) {
-        self.pauli.reset(num_qubits, capacity);
-        self.erased.reset(num_qubits, capacity);
-        self.len = 0;
-    }
-
-    /// Empties the batch, keeping dimensions and allocations.
-    pub fn clear(&mut self) {
-        self.pauli.x.clear();
-        self.pauli.z.clear();
-        self.erased.clear();
-        self.len = 0;
-    }
-
-    /// Number of qubits per lane.
-    pub fn num_qubits(&self) -> usize {
-        self.pauli.num_qubits()
-    }
-
-    /// Maximum number of lanes.
-    pub fn capacity(&self) -> usize {
-        self.pauli.lanes()
-    }
-
-    /// Number of filled lanes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no lane is filled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether every lane is filled.
-    pub fn is_full(&self) -> bool {
-        self.len == self.capacity()
-    }
-
-    /// Claims the next lane (identity / not-erased until written) and
-    /// returns its index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is full.
-    pub fn push_lane(&mut self) -> usize {
-        assert!(self.len < self.capacity(), "error batch is full");
-        self.len += 1;
-        self.len - 1
-    }
-
-    /// The packed Pauli errors.
-    pub fn pauli(&self) -> &PauliBitplanes {
-        &self.pauli
-    }
-
-    /// The erasure plane (one bit per `(qubit, lane)`).
-    pub fn erased_plane(&self) -> &BitPlane {
-        &self.erased
-    }
-
-    /// Unpacks lane `lane`'s erasure flags into `out`, reusing its
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn erased_lane_into(&self, lane: usize, out: &mut Vec<bool>) {
-        assert!(lane < self.len);
-        out.clear();
-        out.extend((0..self.num_qubits()).map(|q| self.erased.get(q, lane)));
-    }
-
-    /// Overwrites lane `lane` with an explicit sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is not a filled lane or the sample has the wrong
-    /// width.
-    pub fn set_lane(&mut self, lane: usize, sample: &ErrorSample) {
-        assert!(lane < self.len);
-        assert_eq!(sample.len(), self.num_qubits());
-        self.pauli.pack_lane(lane, &sample.pauli);
-        for (q, &e) in sample.erased.iter().enumerate() {
-            self.erased.set(q, lane, e);
-        }
-    }
-
-    /// Unpacks lane `lane` into a fresh [`ErrorSample`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is not a filled lane.
-    pub fn lane_sample(&self, lane: usize) -> ErrorSample {
-        assert!(lane < self.len);
-        ErrorSample {
-            pauli: self.pauli.unpack_lane(lane),
-            erased: (0..self.num_qubits())
-                .map(|q| self.erased.get(q, lane))
-                .collect(),
-        }
-    }
-
-    /// Packs a slice of samples into a full batch (capacity = length).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the samples differ in width.
-    pub fn pack(samples: &[ErrorSample]) -> ErrorBatch {
-        let n = samples.first().map_or(0, ErrorSample::len);
-        let mut batch = ErrorBatch::new(n, samples.len());
-        for sample in samples {
-            let lane = batch.push_lane();
-            batch.set_lane(lane, sample);
-        }
-        batch
-    }
-}
-
-impl ErrorModel {
-    /// Samples one transmission directly into lane `lane` of `batch`,
-    /// consuming the RNG in exactly the order [`ErrorModel::sample`]
-    /// does — the draws, and therefore every downstream verdict, are
-    /// bit-identical to the scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is not a filled lane of `batch` or the widths
-    /// differ.
-    pub fn sample_lane_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        batch: &mut ErrorBatch,
-        lane: usize,
-    ) {
-        assert!(lane < batch.len());
-        assert_eq!(
-            self.len(),
-            batch.num_qubits(),
-            "model width does not match batch"
-        );
-        for q in 0..self.len() {
-            let (erased, op) = self.draw_qubit(q, rng);
-            if erased {
-                batch.erased.set(q, lane, true);
-            }
-            if !op.is_identity() {
-                batch.pauli.set_op(lane, q, op);
-            }
-        }
-    }
-
-    /// Samples `shots` transmissions into a fresh full batch, lane by
-    /// lane in shot order (see [`ErrorModel::sample_lane_into`] for why
-    /// sampling is not word-parallel).
-    pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, shots: usize) -> ErrorBatch {
-        let mut batch = ErrorBatch::new(self.len(), shots);
-        for _ in 0..shots {
-            let lane = batch.push_lane();
-            self.sample_lane_into(rng, &mut batch, lane);
-        }
-        batch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error_model::{ErrorModel, ErrorSample};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -803,9 +547,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         // 70 shots forces a ragged second word.
         let samples: Vec<ErrorSample> = (0..70).map(|_| model.sample(&mut rng)).collect();
-        let batch = ErrorBatch::pack(&samples);
+        let paulis: Vec<PauliString> = samples.iter().map(|s| s.pauli.clone()).collect();
         let mut syndromes = SyndromeBitplanes::default();
-        code.extract_syndrome_batch(batch.pauli(), &mut syndromes);
+        code.extract_syndrome_batch(&PauliBitplanes::pack(&paulis), &mut syndromes);
         for (lane, sample) in samples.iter().enumerate() {
             assert_eq!(syndromes.lane(lane), code.extract_syndrome(&sample.pauli));
         }
@@ -827,56 +571,13 @@ mod tests {
         let model = ErrorModel::uniform(&code, 0.3, 0.2);
         let mut rng = SmallRng::seed_from_u64(5);
         let samples: Vec<ErrorSample> = (0..40).map(|_| model.sample(&mut rng)).collect();
-        let batch = ErrorBatch::pack(&samples);
+        let paulis: Vec<PauliString> = samples.iter().map(|s| s.pauli.clone()).collect();
         let (mut x_mask, mut z_mask) = (Vec::new(), Vec::new());
-        code.logical_failure_batch(batch.pauli(), &mut x_mask, &mut z_mask);
+        code.logical_failure_batch(&PauliBitplanes::pack(&paulis), &mut x_mask, &mut z_mask);
         for (lane, sample) in samples.iter().enumerate() {
             let f = code.logical_failure(&sample.pauli);
             assert_eq!(x_mask[0] >> lane & 1 == 1, f.x, "lane {lane} x");
             assert_eq!(z_mask[0] >> lane & 1 == 1, f.z, "lane {lane} z");
         }
-    }
-
-    #[test]
-    fn lane_sampling_is_bit_identical_to_scalar_sampling() {
-        let code = SurfaceCode::new(5).unwrap();
-        let partition = code.core_partition(crate::partition::CoreTopology::Cross);
-        let model = ErrorModel::dual_channel(&code, &partition, 0.07, 0.15);
-        let shots = 130;
-        let scalar: Vec<ErrorSample> = {
-            let mut rng = SmallRng::seed_from_u64(77);
-            (0..shots).map(|_| model.sample(&mut rng)).collect()
-        };
-        let batch = {
-            let mut rng = SmallRng::seed_from_u64(77);
-            model.sample_batch(&mut rng, shots)
-        };
-        assert_eq!(batch.len(), shots);
-        for (lane, sample) in scalar.iter().enumerate() {
-            assert_eq!(&batch.lane_sample(lane), sample, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn ragged_batch_tracks_len_separately_from_capacity() {
-        let mut batch = ErrorBatch::new(13, 64);
-        assert!(batch.is_empty());
-        for _ in 0..5 {
-            batch.push_lane();
-        }
-        assert_eq!(batch.len(), 5);
-        assert_eq!(batch.capacity(), 64);
-        assert!(!batch.is_full());
-        batch.clear();
-        assert!(batch.is_empty());
-        assert_eq!(batch.capacity(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "error batch is full")]
-    fn overfilling_a_batch_panics() {
-        let mut batch = ErrorBatch::new(3, 1);
-        batch.push_lane();
-        batch.push_lane();
     }
 }

@@ -125,41 +125,6 @@ impl ErrorModel {
         })
     }
 
-    /// Builds a model directly from per-qubit Pauli and erasure
-    /// *probabilities* — the exact values [`ErrorModel::pauli_prob`] /
-    /// [`ErrorModel::erasure_prob`] report.
-    ///
-    /// Use it to rebuild a model from recorded probabilities: round-tripping
-    /// through fidelities would compute `1 − (1 − p)`, which is not `p` in
-    /// floating point, and a one-ulp difference is enough to flip a
-    /// `rng.gen::<f64>() < p` draw and diverge from the recorded model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LatticeError::LengthMismatch`] if the vectors differ in
-    /// length, and [`LatticeError::InvalidProbability`] if any value falls
-    /// outside `[0, 1]`.
-    pub fn from_probabilities(
-        pauli_probs: &[f64],
-        erasure_probs: &[f64],
-    ) -> Result<ErrorModel, LatticeError> {
-        if pauli_probs.len() != erasure_probs.len() {
-            return Err(LatticeError::LengthMismatch {
-                expected: pauli_probs.len(),
-                got: erasure_probs.len(),
-            });
-        }
-        for &v in pauli_probs.iter().chain(erasure_probs.iter()) {
-            if !(0.0..=1.0).contains(&v) {
-                return Err(LatticeError::InvalidProbability(v));
-            }
-        }
-        Ok(ErrorModel {
-            pauli_prob: pauli_probs.to_vec(),
-            erasure_prob: erasure_probs.to_vec(),
-        })
-    }
-
     /// Number of data qubits covered.
     pub fn len(&self) -> usize {
         self.pauli_prob.len()
@@ -213,11 +178,9 @@ impl ErrorModel {
     /// Draws the `(erased, operator)` outcome for one qubit.
     ///
     /// This is the single source of truth for the per-qubit RNG draw order
-    /// — [`ErrorModel::sample_into`] and the batch sampler in
-    /// [`crate::bitplanes`] both call it, which is what makes the batch
-    /// path bit-identical to the scalar path: an erasure consumes two draws
-    /// (threshold + mixed-state operator), a surviving qubit consumes the
-    /// threshold draw and, on a hit, the error-operator draw.
+    /// that [`ErrorModel::sample_into`] consumes: an erasure consumes two
+    /// draws (threshold + mixed-state operator), a surviving qubit consumes
+    /// the threshold draw and, on a hit, the error-operator draw.
     #[inline]
     pub(crate) fn draw_qubit<R: Rng + ?Sized>(&self, q: usize, rng: &mut R) -> (bool, Pauli) {
         if rng.gen::<f64>() < self.erasure_prob[q] {
@@ -330,33 +293,6 @@ mod tests {
         assert!(ErrorModel::from_fidelities(&code, &vec![0.9; n], &vec![0.1; n]).is_ok());
         assert!(ErrorModel::from_fidelities(&code, &vec![0.9; n - 1], &vec![0.1; n]).is_err());
         assert!(ErrorModel::from_fidelities(&code, &vec![1.1; n], &vec![0.1; n]).is_err());
-    }
-
-    #[test]
-    fn from_probabilities_is_bit_exact() {
-        let code = SurfaceCode::new(3).unwrap();
-        let part = code.core_partition(CoreTopology::Cross);
-        let original = ErrorModel::dual_channel(&code, &part, 0.07, 0.15);
-        let n = code.num_data_qubits();
-        let pauli: Vec<f64> = (0..n).map(|q| original.pauli_prob(q)).collect();
-        let erasure: Vec<f64> = (0..n).map(|q| original.erasure_prob(q)).collect();
-        let rebuilt = ErrorModel::from_probabilities(&pauli, &erasure).unwrap();
-        for q in 0..n {
-            assert_eq!(
-                original.pauli_prob(q).to_bits(),
-                rebuilt.pauli_prob(q).to_bits()
-            );
-            assert_eq!(
-                original.erasure_prob(q).to_bits(),
-                rebuilt.erasure_prob(q).to_bits()
-            );
-        }
-        // Identical models draw identical samples from identical RNG state.
-        let a = original.sample(&mut SmallRng::seed_from_u64(9));
-        let b = rebuilt.sample(&mut SmallRng::seed_from_u64(9));
-        assert_eq!(a, b);
-        assert!(ErrorModel::from_probabilities(&pauli[1..], &erasure).is_err());
-        assert!(ErrorModel::from_probabilities(&[2.0], &[0.0]).is_err());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod pauli;
 pub mod rotated;
 pub mod syndrome;
 
-pub use bitplanes::{BitPlane, ErrorBatch, PauliBitplanes, SyndromeBitplanes, LANES_PER_WORD};
+pub use bitplanes::{BitPlane, PauliBitplanes, SyndromeBitplanes, LANES_PER_WORD};
 pub use code::SurfaceCode;
 pub use css::CssCode;
 pub use error_model::{ErrorModel, ErrorSample};

@@ -19,6 +19,7 @@
 //! anything else Chrome trace). When disabled, every journal call is one
 //! relaxed atomic load.
 
+use crate::envreg;
 use crate::json::{obj, JsonError, Value};
 use crate::trace::{self, TraceCtx};
 use std::cell::RefCell;
@@ -297,16 +298,13 @@ fn trace_path() -> &'static Mutex<Option<PathBuf>> {
     PATH.get_or_init(|| Mutex::new(None))
 }
 
-/// Reads `SURFNET_TRACE`; a non-empty value enables the journal and sets
-/// the export path ([`write_trace`] writes there). `0`/`off` (or unset)
-/// disables. Returns the configured path, if any.
+/// Reads `SURFNET_TRACE`; a path enables the journal and sets the export
+/// path ([`write_trace`] writes there), and an off form
+/// ([`envreg::is_off`]) disables. Returns the configured path, if any. An
+/// on/off switch value (`1`, `on`, ...) exits 2 ([`envreg::parse_path`]).
 pub fn init_from_env() -> Option<PathBuf> {
-    let value = std::env::var("SURFNET_TRACE").unwrap_or_default();
-    let value = value.trim();
-    let path = match value {
-        "" | "0" | "off" => None,
-        p => Some(PathBuf::from(p)),
-    };
+    let raw = std::env::var("SURFNET_TRACE").unwrap_or_default();
+    let path = envreg::or_exit(envreg::parse_path("SURFNET_TRACE", "trace file", &raw));
     *trace_path().lock().unwrap_or_else(PoisonError::into_inner) = path.clone();
     set_enabled(path.is_some());
     if path.is_some() {

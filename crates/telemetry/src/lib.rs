@@ -121,7 +121,7 @@ impl Telemetry {
         Telemetry
     }
 
-    /// Reads `SURFNET_TELEMETRY` (`json`, `table`, or unset), enables
+    /// Reads `SURFNET_TELEMETRY` (`json`, `table`, or an off form), enables
     /// recording accordingly, and returns the selected mode.
     ///
     /// An unrecognized value prints the accepted forms to stderr and
@@ -129,10 +129,7 @@ impl Telemetry {
     /// typo'd mode would otherwise silently record nothing.
     pub fn init_from_env() -> Mode {
         let raw = std::env::var("SURFNET_TELEMETRY").unwrap_or_default();
-        let mode = parse_mode(&raw).unwrap_or_else(|message| {
-            eprintln!("surfnet-telemetry: {message}");
-            std::process::exit(2);
-        });
+        let mode = envreg::or_exit(parse_mode(&raw));
         let tag = match mode {
             Mode::Off => 0,
             Mode::Json => 1,
@@ -158,8 +155,9 @@ impl Telemetry {
     }
 }
 
-/// Parses a `SURFNET_TELEMETRY` value: `json`, `table`, or unset/empty
-/// (case-insensitive, surrounding whitespace ignored).
+/// Parses a `SURFNET_TELEMETRY` value: `json`, `table`, or an off form
+/// ([`envreg::is_off`]), case-insensitive with surrounding whitespace
+/// ignored.
 ///
 /// # Errors
 ///
@@ -167,13 +165,16 @@ impl Telemetry {
 /// accepted ones — [`Telemetry::init_from_env`] prints it and exits 2
 /// rather than silently running with telemetry off.
 pub fn parse_mode(raw: &str) -> Result<Mode, String> {
+    if envreg::is_off(raw) {
+        return Ok(Mode::Off);
+    }
     match raw.trim().to_ascii_lowercase().as_str() {
-        "" => Ok(Mode::Off),
         "json" => Ok(Mode::Json),
         "table" => Ok(Mode::Table),
         other => Err(format!(
-            "unrecognized SURFNET_TELEMETRY value {other:?}; \
-             expected \"json\", \"table\", or unset"
+            "unrecognized SURFNET_TELEMETRY value {other:?}; expected \"json\" or \
+             \"table\", or unset, {} to disable",
+            envreg::OFF_FORMS
         )),
     }
 }
@@ -1092,6 +1093,9 @@ mod tests {
         assert_eq!(parse_mode("  "), Ok(Mode::Off));
         assert_eq!(parse_mode("json"), Ok(Mode::Json));
         assert_eq!(parse_mode(" TABLE "), Ok(Mode::Table));
+        assert_eq!(parse_mode("off"), Ok(Mode::Off));
+        assert_eq!(parse_mode(" 0 "), Ok(Mode::Off));
+        assert_eq!(parse_mode("OFF"), Ok(Mode::Off));
         for bad in ["jsonl", "yes", "1", "tables", "off-by-one"] {
             let err = parse_mode(bad).unwrap_err();
             assert!(err.contains(bad), "{err}");
