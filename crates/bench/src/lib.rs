@@ -109,12 +109,15 @@ pub fn has_flag(args: &[String], key: &str) -> bool {
 }
 
 /// Enables telemetry according to `SURFNET_TELEMETRY` (`json` or `table`)
-/// and the event journal according to `SURFNET_TRACE=<path>`.
+/// and the event journal according to `SURFNET_TRACE=<path>`, and parses
+/// `SURFNET_BENCH_DIR` ([`report_json::bench_dir`]), so a garbled value of
+/// any of the three exits 2 before the figure runs, not after it.
 ///
 /// Every figure binary calls this first thing in `main`.
 pub fn telemetry_init() {
     surfnet_telemetry::Telemetry::init_from_env();
     surfnet_telemetry::journal::init_from_env();
+    report_json::bench_dir();
 }
 
 /// Writes the accumulated event journal to the `SURFNET_TRACE` path (a

@@ -19,8 +19,12 @@
 //! `metrics` is a flat map (see [`crate::flatten`]) so `bench-diff` can
 //! compare reports key by key. Reports land in `SURFNET_BENCH_DIR`
 //! (default: the current directory; `0`/`off` disables emission). The
-//! report deliberately carries no timestamp — two runs of the same
-//! commit and parameters must produce byte-identical files.
+//! report carries no timestamp, so with telemetry off two runs of the
+//! same commit and parameters produce byte-identical files. With
+//! telemetry on (`SURFNET_TELEMETRY=json`, as CI and every baseline run),
+//! the `timers` section holds wall-clock nanoseconds (`total_ns`,
+//! `mean_ns`, `p95_ns`, ...), which differ between runs; `bench-diff`
+//! compares timers only under `--stages`.
 
 use std::path::PathBuf;
 use surfnet_telemetry::envreg;

@@ -7,7 +7,7 @@
 //! that terminate on the code boundary; decoders may connect syndromes to it
 //! instead of pairing them.
 
-use crate::weights::{edge_weight, erasure_weight, ERASURE_FIDELITY};
+use crate::weights::{edge_weight, erasure_weight};
 use surfnet_lattice::rotated::RotatedSurfaceCode;
 use surfnet_lattice::{CssCode, EdgeEnd, ErrorModel, SurfaceCode};
 
@@ -204,15 +204,6 @@ impl DecodingGraph {
             erasure_weight()
         } else {
             edge_weight(self.edges[i].fidelity)
-        }
-    }
-
-    /// The effective fidelity of edge `i` under the erasure flags.
-    pub fn sample_fidelity(&self, i: usize, erased: &[bool]) -> f64 {
-        if erased[i] {
-            ERASURE_FIDELITY
-        } else {
-            self.edges[i].fidelity
         }
     }
 

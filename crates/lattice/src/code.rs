@@ -72,8 +72,6 @@ pub struct SurfaceCode {
     measure_z_coords: Vec<Coord>,
     measure_x_coords: Vec<Coord>,
     data_index: CoordIndex,
-    measure_z_index: CoordIndex,
-    measure_x_index: CoordIndex,
     /// Data qubit supports of each Z stabilizer.
     z_stabilizers: Vec<Vec<usize>>,
     /// Data qubit supports of each X stabilizer.
@@ -213,8 +211,6 @@ impl SurfaceCode {
             measure_z_coords,
             measure_x_coords,
             data_index,
-            measure_z_index,
-            measure_x_index,
             z_stabilizers,
             x_stabilizers,
             z_edges,
@@ -262,16 +258,6 @@ impl SurfaceCode {
     /// Dense index of the data qubit at `c`, if `c` holds one.
     pub fn data_qubit_at(&self, c: Coord) -> Option<usize> {
         self.data_index.get(c)
-    }
-
-    /// Dense index of the measure-Z qubit at `c`, if any.
-    pub fn measure_z_at(&self, c: Coord) -> Option<usize> {
-        self.measure_z_index.get(c)
-    }
-
-    /// Dense index of the measure-X qubit at `c`, if any.
-    pub fn measure_x_at(&self, c: Coord) -> Option<usize> {
-        self.measure_x_index.get(c)
     }
 
     /// Board coordinate of measure-Z qubit `i`.

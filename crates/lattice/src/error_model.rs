@@ -165,16 +165,6 @@ impl ErrorModel {
         self.pauli_prob[q] = p;
     }
 
-    /// Overrides the erasure probability of one qubit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range or `p` outside `[0, 1]`.
-    pub fn set_erasure_prob(&mut self, q: usize, p: f64) {
-        assert!((0.0..=1.0).contains(&p));
-        self.erasure_prob[q] = p;
-    }
-
     /// Draws the `(erased, operator)` outcome for one qubit.
     ///
     /// This is the single source of truth for the per-qubit RNG draw order

@@ -1,8 +1,6 @@
-//! Entanglement primitives: probabilistic pair generation, swapping, and
-//! purification (paper Secs. IV-B, V-B).
-
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+//! Entanglement fidelity arithmetic: swapping, the purification
+//! recurrence, and the Core-segment fidelity (paper Secs. IV-B, IV-C, V-A).
+//! The engines ([`crate::execution`], [`crate::event`]) draw link attempts.
 
 /// Entanglement purification update from \[11\] (paper Sec. IV-C):
 /// `ρ' = ρ₁ρ₂ / (ρ₁ρ₂ + (1−ρ₁)(1−ρ₂))`.
@@ -52,50 +50,9 @@ pub fn core_segment_fidelity(segment_fidelity: f64) -> f64 {
     segment_fidelity.sqrt()
 }
 
-/// A probabilistic entangled-pair source across one fiber.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EntanglementSource {
-    /// Probability that one generation attempt (one tick) succeeds.
-    pub success_prob: f64,
-    /// Fidelity of a freshly generated pair (the fiber's fidelity).
-    pub pair_fidelity: f64,
-}
-
-impl EntanglementSource {
-    /// Creates a source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either probability is outside `[0, 1]`.
-    pub fn new(success_prob: f64, pair_fidelity: f64) -> EntanglementSource {
-        assert!((0.0..=1.0).contains(&success_prob));
-        assert!((0.0..=1.0).contains(&pair_fidelity));
-        EntanglementSource {
-            success_prob,
-            pair_fidelity,
-        }
-    }
-
-    /// One generation attempt.
-    pub fn attempt<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen::<f64>() < self.success_prob
-    }
-
-    /// Expected attempts until success (∞ when `success_prob` is 0).
-    pub fn expected_attempts(&self) -> f64 {
-        if self.success_prob == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / self.success_prob
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn purify_matches_closed_form() {
@@ -134,24 +91,5 @@ mod tests {
         assert!((rho - 0.9).abs() < 1e-12);
         // ln(1/ρ) == ln(1/seg)/2
         assert!(((1.0 / rho).ln() - (1.0 / seg).ln() / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn source_attempt_rate_matches() {
-        let src = EntanglementSource::new(0.3, 0.9);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let trials = 10_000;
-        let hits = (0..trials).filter(|_| src.attempt(&mut rng)).count();
-        let rate = hits as f64 / trials as f64;
-        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
-        assert!((src.expected_attempts() - 1.0 / 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_rate_source_never_fires() {
-        let src = EntanglementSource::new(0.0, 0.9);
-        let mut rng = SmallRng::seed_from_u64(4);
-        assert!((0..100).all(|_| !src.attempt(&mut rng)));
-        assert!(src.expected_attempts().is_infinite());
     }
 }

@@ -191,17 +191,6 @@ impl Default for StreamConfig {
     }
 }
 
-/// Why a request was dropped at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// No route exists between the endpoints.
-    Unroutable,
-    /// A relay's quantum memory would be oversubscribed.
-    Capacity,
-    /// A fiber's entanglement-pair pool would be oversubscribed.
-    Pool,
-}
-
 /// Aggregate results of one streaming run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamStats {
@@ -232,15 +221,6 @@ impl StreamStats {
     /// Total drops across all reasons.
     pub fn dropped(&self) -> u64 {
         self.dropped_unroutable + self.dropped_capacity + self.dropped_pool
-    }
-
-    /// Drops attributed to one [`DropReason`].
-    pub fn dropped_for(&self, reason: DropReason) -> u64 {
-        match reason {
-            DropReason::Unroutable => self.dropped_unroutable,
-            DropReason::Capacity => self.dropped_capacity,
-            DropReason::Pool => self.dropped_pool,
-        }
     }
 
     /// Dropped fraction of all arrivals (0 when nothing arrived).

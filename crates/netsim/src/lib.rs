@@ -8,8 +8,8 @@
 //! * [`generate::barabasi_albert`] — the evaluation's random topologies:
 //!   Barabási–Albert graphs whose most connected nodes become servers and
 //!   switches (Sec. VI-B);
-//! * [`entanglement`] — probabilistic pair generation, swapping, and the
-//!   purification recurrence of \[11\];
+//! * [`entanglement`] — the fidelity of swapped pairs, the purification
+//!   recurrence of \[11\], and SurfNet's Core-segment fidelity;
 //! * [`execution`] — the tick-based online execution engine (Sec. V-B):
 //!   Support photons over plain channels, Core qubits over the
 //!   entanglement channel with opportunistic forwarding (minimum segment
