@@ -6,7 +6,9 @@
 //!
 //! Usage: `cargo run -p surfnet-bench --release --bin ablation_concurrency -- [--trials N]`
 
-use surfnet_bench::{arg_or, args, report_json, telemetry_dump, telemetry_init, trace_finish};
+use surfnet_bench::{
+    arg_in, arg_or, args, report_json, telemetry_dump, telemetry_init, trace_finish,
+};
 use surfnet_core::experiments::runner::parallel_trials;
 use surfnet_core::pipeline::Design;
 use surfnet_core::scenario::TrialConfig;
@@ -15,7 +17,7 @@ use surfnet_telemetry::json::Value;
 fn main() {
     telemetry_init();
     let args = args(&["--trials", "--seed"]);
-    let trials = arg_or(&args, "--trials", 40usize);
+    let trials = arg_in(&args, "--trials", 40usize, "at least 1", |&n| n >= 1);
     let seed = arg_or(&args, "--seed", 77_000u64);
     println!("execution-contention ablation ({trials} trials per row)");
     let mut metrics = Vec::new();

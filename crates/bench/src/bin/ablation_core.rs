@@ -8,7 +8,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use surfnet_bench::{arg_or, args, report_json, telemetry_dump, telemetry_init, trace_finish};
+use surfnet_bench::{arg_in, args, report_json, telemetry_dump, telemetry_init, trace_finish};
 use surfnet_decoder::{Decoder, SurfNetDecoder};
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 use surfnet_telemetry::json::Value;
@@ -29,10 +29,13 @@ fn rate(code: &SurfaceCode, model: &ErrorModel, trials: usize, seed: u64) -> f64
 fn main() {
     telemetry_init();
     let args = args(&["--trials", "--distance", "--pauli", "--erasure"]);
-    let trials = arg_or(&args, "--trials", 1500usize);
-    let distance = arg_or(&args, "--distance", 9usize);
-    let p = arg_or(&args, "--pauli", 0.07f64);
-    let pe = arg_or(&args, "--erasure", 0.15f64);
+    let trials = arg_in(&args, "--trials", 1500usize, "at least 1", |&n| n >= 1);
+    let distance = arg_in(&args, "--distance", 9usize, "odd and at least 3", |&d| {
+        d >= 3 && !d.is_multiple_of(2)
+    });
+    let probability = |p: &f64| (0.0..=1.0).contains(p);
+    let p = arg_in(&args, "--pauli", 0.07f64, "in [0, 1]", probability);
+    let pe = arg_in(&args, "--erasure", 0.15f64, "in [0, 1]", probability);
     let code = SurfaceCode::new(distance).expect("valid distance");
     println!(
         "core-topology ablation: d={distance}, pauli {:.1}%, erasure {:.1}%, {trials} trials",

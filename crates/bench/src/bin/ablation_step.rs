@@ -6,7 +6,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use surfnet_bench::{arg_or, args, report_json, telemetry_dump, telemetry_init, trace_finish};
+use surfnet_bench::{arg_in, args, report_json, telemetry_dump, telemetry_init, trace_finish};
 use surfnet_decoder::{Decoder, SurfNetDecoder};
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 use surfnet_telemetry::json::Value;
@@ -20,8 +20,10 @@ fn main() {
     let _telemetry = Telemetry::enabled();
     let trial_timer = surfnet_telemetry::timer("bench.ablation_step.trials");
     let args = args(&["--trials", "--distance"]);
-    let trials = arg_or(&args, "--trials", 1200usize);
-    let distance = arg_or(&args, "--distance", 9usize);
+    let trials = arg_in(&args, "--trials", 1200usize, "at least 1", |&n| n >= 1);
+    let distance = arg_in(&args, "--distance", 9usize, "odd and at least 3", |&d| {
+        d >= 3 && !d.is_multiple_of(2)
+    });
     let code = SurfaceCode::new(distance).expect("valid distance");
     let part = code.core_partition(CoreTopology::Cross);
     let model = ErrorModel::dual_channel(&code, &part, 0.07, 0.15);

@@ -3,7 +3,7 @@
 //! Usage: `cargo run -p surfnet-bench --release --bin all -- [--trials N] [--fig8-trials N]`
 
 use surfnet_bench::{
-    arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
+    arg_in, arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::{fig6a, fig6b, fig7, fig8};
 use surfnet_core::DecoderKind;
@@ -12,8 +12,8 @@ use surfnet_telemetry::json::Value;
 fn main() {
     telemetry_init();
     let args = args(&["--trials", "--fig8-trials", "--seed"]);
-    let trials = arg_or(&args, "--trials", 40usize);
-    let fig8_trials = arg_or(&args, "--fig8-trials", 400usize);
+    let trials = arg_in(&args, "--trials", 40usize, "at least 1", |&n| n >= 1);
+    let fig8_trials = arg_in(&args, "--fig8-trials", 400usize, "at least 1", |&n| n >= 1);
     let seed = arg_or(&args, "--seed", 90_000u64);
     let params = |trials: usize, seed: u64| {
         vec![("trials", Value::from(trials)), ("seed", Value::from(seed))]

@@ -3,7 +3,8 @@
 //! Usage: `cargo run -p surfnet-bench --release --bin fig6a -- [--trials N] [--seed S]`
 
 use surfnet_bench::{
-    arg_or, args, flatten, has_flag, report_json, telemetry_dump, telemetry_init, trace_finish,
+    arg_in, arg_or, args, flatten, has_flag, report_json, telemetry_dump, telemetry_init,
+    trace_finish,
 };
 use surfnet_core::experiments::fig6a;
 use surfnet_telemetry::json::Value;
@@ -11,7 +12,7 @@ use surfnet_telemetry::json::Value;
 fn main() {
     telemetry_init();
     let args = args(&["--trials", "--seed", "--detail"]);
-    let trials = arg_or(&args, "--trials", 40usize);
+    let trials = arg_in(&args, "--trials", 40usize, "at least 1", |&n| n >= 1);
     let seed = arg_or(&args, "--seed", 61_000u64);
     let result = fig6a::run(trials, seed);
     print!("{}", fig6a::render(&result));

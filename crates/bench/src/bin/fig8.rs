@@ -6,7 +6,7 @@
 //!     [--trials N] [--seed S] [--max-distance D]`
 
 use surfnet_bench::{
-    arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
+    arg_in, arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::fig8;
 use surfnet_core::DecoderKind;
@@ -15,15 +15,14 @@ use surfnet_telemetry::json::Value;
 fn main() {
     telemetry_init();
     let args = args(&["--trials", "--seed", "--max-distance"]);
-    let trials = arg_or(&args, "--trials", 400usize);
-    if trials == 0 {
-        eprintln!(
-            "surfnet-bench: --trials must be at least 1 (a grid point's error rate would be 0/0)"
-        );
-        std::process::exit(2);
-    }
+    let trials = arg_in(&args, "--trials", 400usize, "at least 1", |&n| n >= 1);
     let seed = arg_or(&args, "--seed", 80_000u64);
-    let max_distance = arg_or(&args, "--max-distance", 15usize);
+    // Below the smallest paper distance the grid would be empty.
+    let smallest = fig8::paper_distances().into_iter().min().unwrap_or(0);
+    let domain = format!("at least {smallest}");
+    let max_distance = arg_in(&args, "--max-distance", 15usize, &domain, |&d| {
+        d >= smallest
+    });
     let distances: Vec<usize> = fig8::paper_distances()
         .into_iter()
         .filter(|&d| d <= max_distance)

@@ -71,6 +71,40 @@ pub fn parse_arg<T: std::str::FromStr>(
         .map_err(|_| format!("{key} {value:?}: expected a value of type {expected}"))
 }
 
+/// [`arg_or`] for a flag whose value has a domain: a parsed value for which
+/// `in_domain` is false prints a message naming the flag, the value and
+/// `domain` to stderr and **exits with status 2**, before the figure does
+/// any work. Run on such a value, a figure would panic midway, hang, or
+/// print a table of zeros or NaN.
+pub fn arg_in<T: std::str::FromStr + std::fmt::Display>(
+    args: &[String],
+    key: &str,
+    default: T,
+    domain: &str,
+    in_domain: impl Fn(&T) -> bool,
+) -> T {
+    parse_arg_in(args, key, default, domain, in_domain).unwrap_or_else(|message| {
+        eprintln!("surfnet-bench: {message}");
+        std::process::exit(2);
+    })
+}
+
+/// The check behind [`arg_in`]: [`parse_arg`], then `in_domain`.
+fn parse_arg_in<T: std::str::FromStr + std::fmt::Display>(
+    args: &[String],
+    key: &str,
+    default: T,
+    domain: &str,
+    in_domain: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let value = parse_arg(args, key, default)?;
+    if in_domain(&value) {
+        Ok(value)
+    } else {
+        Err(format!("{key} {value}: must be {domain}"))
+    }
+}
+
 /// Collects process arguments (skipping `argv[0]`), checked against the
 /// binary's accepted `flags`. An argument outside them that starts with
 /// `--` prints [`check_flags`]'s message to stderr and **exits with status
@@ -171,6 +205,25 @@ mod tests {
         assert!(err.contains("\"-3\"") && err.contains("u64"), "{err}");
         assert_eq!(parse_arg(&args, "--tol", 0.05f64), Ok(0.5));
         assert_eq!(parse_arg(&args, "--top", 5usize), Ok(5));
+        // A value that parses but lies outside the flag's domain is an
+        // error too, naming the flag, the value and the domain.
+        let args: Vec<String> = ["--trials", "0", "--pauli", "NaN", "--distance", "4"]
+            .map(String::from)
+            .to_vec();
+        let at_least_one = |&n: &usize| n >= 1;
+        let err = parse_arg_in(&args, "--trials", 40, "at least 1", at_least_one).unwrap_err();
+        assert_eq!(err, "--trials 0: must be at least 1");
+        let probability = |p: &f64| (0.0..=1.0).contains(p);
+        let err = parse_arg_in(&args, "--pauli", 0.07, "in [0, 1]", probability).unwrap_err();
+        assert_eq!(err, "--pauli NaN: must be in [0, 1]");
+        let odd = |&d: &usize| d >= 3 && !d.is_multiple_of(2);
+        let err = parse_arg_in(&args, "--distance", 9, "odd and at least 3", odd).unwrap_err();
+        assert_eq!(err, "--distance 4: must be odd and at least 3");
+        // An absent flag's default is checked too; a malformed value still
+        // reports its type.
+        assert_eq!(parse_arg_in(&args, "--seed", 9, "odd", odd), Ok(9));
+        let err = parse_arg_in(&args, "--pauli", 0usize, "any", |_| true).unwrap_err();
+        assert!(err.contains("usize"), "{err}");
     }
 
     #[test]

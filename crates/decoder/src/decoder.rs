@@ -1,6 +1,7 @@
 //! The [`Decoder`] trait and the three complete surface-code decoders:
 //! [`MwpmDecoder`] (Algorithm 1), [`UnionFindDecoder`] (the paper's
 //! baseline, after \[32\] + \[39\]), and [`SurfNetDecoder`] (Algorithm 2).
+//! Each is built from a [`SurfaceCode`] and its [`ErrorModel`].
 //!
 //! All three decode the two CSS problems independently: X-type errors on
 //! the primal graph (measure-Z syndromes) and Z-type errors on the dual
@@ -14,7 +15,6 @@ use crate::peeling::{peel_into, PeelScratch};
 use crate::weights::{growth_speed, DEFAULT_STEP_SIZE};
 use crate::workspace::DecodeWorkspace;
 use crate::DecoderError;
-use surfnet_lattice::rotated::RotatedSurfaceCode;
 use surfnet_lattice::{
     DecodeOutcome, ErrorModel, ErrorSample, Pauli, PauliString, SurfaceCode, Syndrome,
 };
@@ -262,34 +262,9 @@ impl MwpmDecoder {
         }
     }
 
-    /// Builds the decoder for a rotated surface code.
-    pub fn from_rotated(code: &RotatedSurfaceCode, model: &ErrorModel) -> MwpmDecoder {
-        MwpmDecoder {
-            primal: DecodingGraph::from_rotated(code, model, GraphKind::Primal),
-            dual: DecodingGraph::from_rotated(code, model, GraphKind::Dual),
-            num_qubits: code.num_data_qubits(),
-        }
-    }
-
-    /// Graph-level decoding: produces a correction from a syndrome and
-    /// per-qubit erasure flags, independent of the code family the graphs
-    /// were built from.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecoderError`] when syndromes cannot be paired.
-    pub fn correction_for(
-        &self,
-        syndrome: &Syndrome,
-        erased: &[bool],
-    ) -> Result<PauliString, DecoderError> {
-        let mut ws = DecodeWorkspace::new();
-        self.correction_for_with(syndrome, erased, &mut ws)?;
-        Ok(ws.correction)
-    }
-
-    /// [`Self::correction_for`] running entirely inside `ws` — no per-shot
-    /// allocations, bit-identical corrections.
+    /// Produces a correction from a syndrome and per-qubit erasure flags,
+    /// entirely inside `ws` — no per-shot allocations. [`Decoder::decode`]
+    /// runs it on a fresh workspace, so both give bit-identical corrections.
     ///
     /// # Errors
     ///
@@ -354,7 +329,9 @@ impl Decoder for MwpmDecoder {
         erased: &[bool],
     ) -> Result<PauliString, DecoderError> {
         debug_assert_eq!(code.num_data_qubits(), self.num_qubits);
-        self.correction_for(syndrome, erased)
+        let mut ws = DecodeWorkspace::new();
+        self.correction_for_with(syndrome, erased, &mut ws)?;
+        Ok(ws.correction)
     }
 }
 
@@ -367,50 +344,23 @@ pub struct UnionFindDecoder {
 }
 
 impl UnionFindDecoder {
-    /// Builds the decoder for `code`. The error model is accepted for
+    /// Builds the decoder for `code`, with uniform half-edge growth on both
+    /// graphs (Delfosse–Nickerson). The error model is accepted for
     /// interface symmetry; the plain Union-Find decoder ignores fidelity
     /// variations (that is exactly what the SurfNet decoder adds).
     pub fn from_model(code: &SurfaceCode, model: &ErrorModel) -> UnionFindDecoder {
-        UnionFindDecoder::new(
-            DecodingGraph::from_code(code, model, GraphKind::Primal),
-            DecodingGraph::from_code(code, model, GraphKind::Dual),
-            code.num_data_qubits(),
-        )
-    }
-
-    /// Builds the decoder for a rotated surface code.
-    pub fn from_rotated(code: &RotatedSurfaceCode, model: &ErrorModel) -> UnionFindDecoder {
-        UnionFindDecoder::new(
-            DecodingGraph::from_rotated(code, model, GraphKind::Primal),
-            DecodingGraph::from_rotated(code, model, GraphKind::Dual),
-            code.num_data_qubits(),
-        )
-    }
-
-    /// Uniform half-edge growth on both graphs (Delfosse–Nickerson).
-    fn new(primal: DecodingGraph, dual: DecodingGraph, num_qubits: usize) -> UnionFindDecoder {
         UnionFindDecoder {
-            graphs: GrowthGraphs::new(primal, dual, num_qubits, |_| 0.5),
+            graphs: GrowthGraphs::new(
+                DecodingGraph::from_code(code, model, GraphKind::Primal),
+                DecodingGraph::from_code(code, model, GraphKind::Dual),
+                code.num_data_qubits(),
+                |_| 0.5,
+            ),
         }
     }
 
-    /// Graph-level decoding (see [`MwpmDecoder::correction_for`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecoderError`] when syndromes cannot be paired.
-    pub fn correction_for(
-        &self,
-        syndrome: &Syndrome,
-        erased: &[bool],
-    ) -> Result<PauliString, DecoderError> {
-        let mut ws = DecodeWorkspace::new();
-        self.correction_for_with(syndrome, erased, &mut ws)?;
-        Ok(ws.correction)
-    }
-
-    /// [`Self::correction_for`] running entirely inside `ws` — no per-shot
-    /// allocations, bit-identical corrections.
+    /// Produces a correction inside `ws` (see
+    /// [`MwpmDecoder::correction_for_with`]).
     ///
     /// # Errors
     ///
@@ -455,7 +405,9 @@ impl Decoder for UnionFindDecoder {
         erased: &[bool],
     ) -> Result<PauliString, DecoderError> {
         debug_assert_eq!(code.num_data_qubits(), self.graphs.num_qubits);
-        self.correction_for(syndrome, erased)
+        let mut ws = DecodeWorkspace::new();
+        self.correction_for_with(syndrome, erased, &mut ws)?;
+        Ok(ws.correction)
     }
 }
 
@@ -478,66 +430,31 @@ impl SurfNetDecoder {
     /// Builds the decoder with an explicit step size `r`, which trades
     /// decoding speed against accuracy (Algorithm 2).
     ///
+    /// Growth runs at the per-edge weighted speeds `−r / ln(1 − ρ)`, from
+    /// each edge's estimated fidelity. Erased edges are known-useless
+    /// qubits (maximally mixed states): like the Union-Find baseline they
+    /// pre-seed the clusters instead of merely growing fast, otherwise
+    /// high-fidelity edges accumulate spurious growth during the rounds
+    /// spent crossing erasures.
+    ///
     /// # Panics
     ///
     /// Panics if `step` is not positive.
     pub fn with_step(code: &SurfaceCode, model: &ErrorModel, step: f64) -> SurfNetDecoder {
         assert!(step > 0.0, "step size must be positive");
-        SurfNetDecoder::new(
-            DecodingGraph::from_code(code, model, GraphKind::Primal),
-            DecodingGraph::from_code(code, model, GraphKind::Dual),
-            code.num_data_qubits(),
-            step,
-        )
-    }
-
-    /// Builds the decoder for a rotated surface code (default step size).
-    pub fn from_rotated(code: &RotatedSurfaceCode, model: &ErrorModel) -> SurfNetDecoder {
-        SurfNetDecoder::new(
-            DecodingGraph::from_rotated(code, model, GraphKind::Primal),
-            DecodingGraph::from_rotated(code, model, GraphKind::Dual),
-            code.num_data_qubits(),
-            DEFAULT_STEP_SIZE,
-        )
-    }
-
-    /// Per-edge weighted growth speeds `−r / ln(1 − ρ)` (Algorithm 2),
-    /// from each edge's estimated fidelity. Erased edges are known-useless
-    /// qubits (maximally mixed states): like the Union-Find baseline they
-    /// pre-seed the clusters instead of merely growing fast, otherwise
-    /// high-fidelity edges accumulate spurious growth during the rounds
-    /// spent crossing erasures.
-    fn new(
-        primal: DecodingGraph,
-        dual: DecodingGraph,
-        num_qubits: usize,
-        step: f64,
-    ) -> SurfNetDecoder {
         SurfNetDecoder {
-            graphs: GrowthGraphs::new(primal, dual, num_qubits, |edge| {
-                growth_speed(edge.fidelity, step)
-            }),
+            graphs: GrowthGraphs::new(
+                DecodingGraph::from_code(code, model, GraphKind::Primal),
+                DecodingGraph::from_code(code, model, GraphKind::Dual),
+                code.num_data_qubits(),
+                |edge| growth_speed(edge.fidelity, step),
+            ),
             step,
         }
     }
 
-    /// Graph-level decoding (see [`MwpmDecoder::correction_for`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecoderError`] when syndromes cannot be paired.
-    pub fn correction_for(
-        &self,
-        syndrome: &Syndrome,
-        erased: &[bool],
-    ) -> Result<PauliString, DecoderError> {
-        let mut ws = DecodeWorkspace::new();
-        self.correction_for_with(syndrome, erased, &mut ws)?;
-        Ok(ws.correction)
-    }
-
-    /// [`Self::correction_for`] running entirely inside `ws` — no per-shot
-    /// allocations, bit-identical corrections.
+    /// Produces a correction inside `ws` (see
+    /// [`MwpmDecoder::correction_for_with`]).
     ///
     /// # Errors
     ///
@@ -587,7 +504,9 @@ impl Decoder for SurfNetDecoder {
         erased: &[bool],
     ) -> Result<PauliString, DecoderError> {
         debug_assert_eq!(code.num_data_qubits(), self.graphs.num_qubits);
-        self.correction_for(syndrome, erased)
+        let mut ws = DecodeWorkspace::new();
+        self.correction_for_with(syndrome, erased, &mut ws)?;
+        Ok(ws.correction)
     }
 }
 

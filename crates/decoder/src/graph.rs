@@ -8,8 +8,7 @@
 //! instead of pairing them.
 
 use crate::weights::{edge_weight, erasure_weight};
-use surfnet_lattice::rotated::RotatedSurfaceCode;
-use surfnet_lattice::{CssCode, EdgeEnd, ErrorModel, SurfaceCode};
+use surfnet_lattice::{EdgeEnd, ErrorModel, SurfaceCode};
 
 /// Which of the two CSS decoding problems a graph represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,14 +98,10 @@ impl DecodingGraph {
         }
     }
 
-    /// Builds the primal or dual decoding graph of any [`CssCode`], taking
-    /// per-qubit estimated fidelities from `model`
+    /// Builds the primal or dual decoding graph of an unrotated planar
+    /// surface code, taking per-qubit estimated fidelities from `model`
     /// (`ρ = 1 − p_pauli`, paper Sec. IV-C).
-    pub fn from_css<C: CssCode + ?Sized>(
-        code: &C,
-        model: &ErrorModel,
-        kind: GraphKind,
-    ) -> DecodingGraph {
+    pub fn from_code(code: &SurfaceCode, model: &ErrorModel, kind: GraphKind) -> DecodingGraph {
         let num_checks = match kind {
             GraphKind::Primal => code.num_measure_z(),
             GraphKind::Dual => code.num_measure_x(),
@@ -131,22 +126,6 @@ impl DecodingGraph {
             })
             .collect();
         DecodingGraph::from_edges(num_checks, edges)
-    }
-
-    /// Builds the primal or dual decoding graph of an unrotated planar
-    /// surface code (convenience wrapper over [`DecodingGraph::from_css`]).
-    pub fn from_code(code: &SurfaceCode, model: &ErrorModel, kind: GraphKind) -> DecodingGraph {
-        DecodingGraph::from_css(code, model, kind)
-    }
-
-    /// Builds the primal or dual decoding graph of a **rotated** surface
-    /// code (the paper's 25-qubit sizing example family).
-    pub fn from_rotated(
-        code: &RotatedSurfaceCode,
-        model: &ErrorModel,
-        kind: GraphKind,
-    ) -> DecodingGraph {
-        DecodingGraph::from_css(code, model, kind)
     }
 
     /// Number of check (non-boundary) vertices.

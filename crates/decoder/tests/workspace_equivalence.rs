@@ -2,7 +2,7 @@
 //! allocating path.
 //!
 //! `decode_sample_with`/`correction_for_with` reuse caller-owned buffers
-//! across shots; `decode_sample`/`correction_for` build fresh scratch per
+//! across shots; `decode_sample`/`decode` build fresh scratch per
 //! call. Both must produce the same correction string (not merely an
 //! equivalent one) for every decoder kind, with and without erasures, so
 //! that the shot-loop cache in `surfnet-core` cannot drift from the

@@ -36,16 +36,6 @@ impl ErrorModel {
     ///
     /// Panics if `p` or `p_e` is outside `[0, 1]`.
     pub fn uniform(code: &SurfaceCode, p: f64, p_e: f64) -> ErrorModel {
-        ErrorModel::uniform_len(code.num_data_qubits(), p, p_e)
-    }
-
-    /// [`ErrorModel::uniform`] over an explicit qubit count (for code
-    /// families other than the unrotated planar code).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` or `p_e` is outside `[0, 1]`.
-    pub fn uniform_len(len: usize, p: f64, p_e: f64) -> ErrorModel {
         assert!(
             (0.0..=1.0).contains(&p),
             "pauli probability {p} not in [0,1]"
@@ -54,25 +44,11 @@ impl ErrorModel {
             (0.0..=1.0).contains(&p_e),
             "erasure probability {p_e} not in [0,1]"
         );
+        let len = code.num_data_qubits();
         ErrorModel {
             pauli_prob: vec![p; len],
             erasure_prob: vec![p_e; len],
         }
-    }
-
-    /// The dual-channel model over an explicit [`Partition`] (rates halved
-    /// on the Core), independent of the code family.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rates are outside `[0, 1]`.
-    pub fn dual_channel_partition(partition: &Partition, p: f64, p_e: f64) -> ErrorModel {
-        let mut model = ErrorModel::uniform_len(partition.len(), p, p_e);
-        for &q in partition.core() {
-            model.pauli_prob[q] = p / 2.0;
-            model.erasure_prob[q] = p_e / 2.0;
-        }
-        model
     }
 
     /// The dual-channel model of the paper's decoder evaluation (Sec. VI-B):
@@ -90,7 +66,12 @@ impl ErrorModel {
             code.num_data_qubits(),
             "partition does not match code size"
         );
-        ErrorModel::dual_channel_partition(partition, p, p_e)
+        let mut model = ErrorModel::uniform(code, p, p_e);
+        for &q in partition.core() {
+            model.pauli_prob[q] = p / 2.0;
+            model.erasure_prob[q] = p_e / 2.0;
+        }
+        model
     }
 
     /// Builds a model from per-qubit *fidelities* `ρ` (probability of no

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod code;
-pub mod css;
 pub mod error_model;
 pub mod geometry;
 pub mod logical;
@@ -48,7 +47,6 @@ pub mod rotated;
 pub mod syndrome;
 
 pub use code::SurfaceCode;
-pub use css::CssCode;
 pub use error_model::{ErrorModel, ErrorSample};
 pub use geometry::{Boundary, Coord, EdgeEnd, SiteKind};
 pub use logical::{DecodeOutcome, LogicalFailure};

@@ -278,17 +278,20 @@ impl StreamStats {
 
 /// One geometric draw: the first-success tick (≥ 1) of per-tick Bernoulli
 /// attempts at probability `p`. `p ≥ 1` succeeds at tick 1 without
-/// consuming randomness; `p ≤ 0` never succeeds (`u64::MAX`).
+/// consuming randomness; `p ≤ 0`, NaN, and any `p` too small for
+/// `ln(1 − p)` to differ from 0 (below about 1.1e-16) never succeed
+/// (`u64::MAX`).
 fn geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
     if p >= 1.0 {
         return 1;
     }
-    if p <= 0.0 {
+    let denom = (1.0 - p).ln();
+    if p <= 0.0 || denom.is_nan() || denom == 0.0 {
         return u64::MAX;
     }
     // Inversion on u ∈ (0, 1]: G = ceil(ln u / ln(1-p)), clamped to ≥ 1.
     let u = 1.0 - rng.gen::<f64>();
-    let g = (u.ln() / (1.0 - p).ln()).ceil();
+    let g = (u.ln() / denom).ceil();
     if g < 1.0 {
         1
     } else if g >= 1e18 {
@@ -764,6 +767,11 @@ mod tests {
         assert_eq!(geometric(&mut rng, 1.0), 1);
         assert_eq!(geometric(&mut rng, 1.5), 1);
         assert_eq!(geometric(&mut rng, 0.0), u64::MAX);
+        // ln(1 - p) rounds to 0 below about 1.1e-16, and is NaN for NaN:
+        // neither may turn into the fastest gap or a gap of 0.
+        for p in [1e-17, f64::MIN_POSITIVE, f64::NAN] {
+            assert_eq!(geometric(&mut rng, p), u64::MAX, "p = {p:e}");
+        }
         for _ in 0..100 {
             let g = geometric(&mut rng, 0.4);
             assert!(g >= 1);

@@ -170,24 +170,27 @@ fn engines_agree_on_manual_multi_segment_plans() {
 #[test]
 fn engines_agree_on_timeout_latency_charging() {
     // Unified failure contract at rate 0: every engine burns exactly the
-    // per-segment budget on the first segment and charges it. The
-    // teleportation executor's budget is per fiber, and its first fiber
-    // burns it.
+    // per-segment budget on the first segment and charges it. A rate too
+    // small for `ln(1 - p)` to differ from 0 must time out the same way.
+    // The teleportation executor's budget is per fiber, and its first
+    // fiber burns it.
     let net = line_net();
-    let config = ExecutionConfig {
-        entanglement_rate: 0.0,
+    let plan = plan_request(&net, &Request::new(0, 3, 1)).unwrap();
+    let config = |rate| ExecutionConfig {
+        entanglement_rate: rate,
         max_ticks: 25,
         ..ExecutionConfig::default()
     };
-    let plan = plan_request(&net, &Request::new(0, 3, 1)).unwrap();
-    for seed in 0..4u64 {
-        assert_engines_agree(&net, &plan, &config, 4000 + seed);
+    for rate in [0.0, 1e-17] {
+        for seed in 0..4u64 {
+            assert_engines_agree(&net, &plan, &config(rate), 4000 + seed);
+        }
     }
     let mut rng = SmallRng::seed_from_u64(4100);
-    let out = execute_plan(&net, &plan, &config, &mut rng);
+    let out = execute_plan(&net, &plan, &config(0.0), &mut rng);
     assert!(!out.completed);
     assert_eq!(out.latency, 25);
-    let teleport = execute_teleportation(&net, &[0, 1, 2], 0, &config, &mut rng);
+    let teleport = execute_teleportation(&net, &[0, 1, 2], 0, &config(0.0), &mut rng);
     assert!(!teleport.completed);
     assert_eq!(teleport.latency, 25);
 }

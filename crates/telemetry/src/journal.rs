@@ -261,18 +261,6 @@ pub fn collect() -> Vec<OwnedEvent> {
     events
 }
 
-/// The last `max` events recorded by the *calling thread* that are still in
-/// its ring: the "what just happened here" tail of the thread's timeline.
-/// Does not drain the ring.
-pub fn thread_tail(max: usize) -> Vec<OwnedEvent> {
-    RING.with(|r| {
-        let ring = r.borrow();
-        let events: Vec<&Event> = ring.in_order().collect();
-        let skip = events.len().saturating_sub(max);
-        events[skip..].iter().map(|e| e.to_owned_event()).collect()
-    })
-}
-
 /// Clears the global buffer, the calling thread's ring, and the dropped
 /// tally (test support).
 pub fn reset() {
@@ -523,25 +511,15 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_beyond_capacity() {
         with_journal(|| {
-            for _ in 0..THREAD_RING_CAPACITY + 10 {
-                record("test.flood", Phase::Instant, None);
+            for i in 0..THREAD_RING_CAPACITY as u64 + 10 {
+                record("test.flood", Phase::Instant, Some(i));
             }
-            let tail = thread_tail(usize::MAX);
-            assert_eq!(tail.len(), THREAD_RING_CAPACITY);
-            // Oldest-first order maintained across the wrap.
-            assert!(tail.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-        });
-    }
-
-    #[test]
-    fn thread_tail_returns_most_recent() {
-        with_journal(|| {
-            for i in 0..10u64 {
-                record("test.tail", Phase::Instant, Some(i));
-            }
-            let tail = thread_tail(3);
-            let args: Vec<u64> = tail.iter().filter_map(|e| e.arg).collect();
-            assert_eq!(args, [7, 8, 9]);
+            // The 10 oldest were overwritten; the rest come back oldest
+            // first across the wrap.
+            let args: Vec<u64> = collect().iter().filter_map(|e| e.arg).collect();
+            assert_eq!(args.len(), THREAD_RING_CAPACITY);
+            assert_eq!(args.first(), Some(&10));
+            assert!(args.windows(2).all(|w| w[1] == w[0] + 1));
         });
     }
 
