@@ -19,10 +19,8 @@
 use crate::pipeline::PipelineError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use surfnet_decoder::{DecodeWorkspace, SurfNetDecoder, UnionFindDecoder};
-use surfnet_lattice::{
-    DecodeOutcome, ErrorModel, ErrorSample, LatticeError, Partition, SurfaceCode,
-};
+use surfnet_decoder::{DecodeWorkspace, Decoder, SurfNetDecoder, UnionFindDecoder};
+use surfnet_lattice::{ErrorModel, LatticeError, Partition, SurfaceCode};
 use surfnet_netsim::execution::{ExecutionOutcome, SegmentOutcome};
 use surfnet_telemetry::dim::{self, LabelKey};
 
@@ -38,9 +36,9 @@ pub enum DecoderKind {
 /// Placeholder left by the retired shot-batching path: no fields, no
 /// effect. It stays only because `perfbench`'s `traced_trial` copy of the
 /// trial pipeline still passes `&cfg.batch` to
-/// [`DecoderCache::evaluate_transfers`]; ROADMAP item 2 deletes it with
-/// that copy, together with [`crate::TrialConfig::batch`] and the
-/// parameter.
+/// [`DecoderCache::evaluate_transfers`]; the `perfbench/` change that
+/// deletes that copy deletes it too, together with
+/// [`crate::TrialConfig::batch`] and the parameter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchConfig;
 
@@ -106,32 +104,11 @@ fn canonical_bits(v: f64) -> u64 {
     }
 }
 
-/// A constructed decoder of either kind.
-#[derive(Debug)]
-enum AnyDecoder {
-    SurfNet(SurfNetDecoder),
-    UnionFind(UnionFindDecoder),
-}
-
-impl AnyDecoder {
-    fn decode_sample_with(
-        &self,
-        code: &SurfaceCode,
-        sample: &ErrorSample,
-        ws: &mut DecodeWorkspace,
-    ) -> DecodeOutcome {
-        match self {
-            AnyDecoder::SurfNet(d) => d.decode_sample_with(code, sample, ws),
-            AnyDecoder::UnionFind(d) => d.decode_sample_with(code, sample, ws),
-        }
-    }
-}
-
 /// One cached decoder + the error model it was built from.
 #[derive(Debug)]
 struct CacheEntry {
     model: ErrorModel,
-    decoder: AnyDecoder,
+    decoder: Box<dyn Decoder>,
 }
 
 /// Per-trial decoder cache: one constructed decoder and [`ErrorModel`]
@@ -181,11 +158,9 @@ impl DecoderCache {
         }
         surfnet_telemetry::count!("decoder.cache_misses");
         let model = segment_error_model(code, partition, segment)?;
-        let built = match decoder {
-            DecoderKind::SurfNet => AnyDecoder::SurfNet(SurfNetDecoder::from_model(code, &model)),
-            DecoderKind::UnionFind => {
-                AnyDecoder::UnionFind(UnionFindDecoder::from_model(code, &model))
-            }
+        let built: Box<dyn Decoder> = match decoder {
+            DecoderKind::SurfNet => Box::new(SurfNetDecoder::from_model(code, &model)),
+            DecoderKind::UnionFind => Box::new(UnionFindDecoder::from_model(code, &model)),
         };
         self.entries.push((
             key,

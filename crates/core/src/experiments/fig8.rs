@@ -10,7 +10,7 @@ use crate::report;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use surfnet_decoder::{SurfNetDecoder, UnionFindDecoder};
+use surfnet_decoder::{Decoder, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 
 /// One measured point of the threshold plot.
@@ -121,20 +121,13 @@ fn count_failures(
     // Every thread decodes its shots on its own workspace, which
     // `decode_sample_with` resets per shot (bit-identical to
     // `decode_sample`).
-    match decoder {
-        DecoderKind::SurfNet => {
-            let d = SurfNetDecoder::from_model(&code, &model);
-            count_failed_shots(&model, rng, trials, threads, |sample, ws| {
-                !d.decode_sample_with(&code, sample, ws).is_success()
-            })
-        }
-        DecoderKind::UnionFind => {
-            let d = UnionFindDecoder::from_model(&code, &model);
-            count_failed_shots(&model, rng, trials, threads, |sample, ws| {
-                !d.decode_sample_with(&code, sample, ws).is_success()
-            })
-        }
-    }
+    let d: Box<dyn Decoder + Sync> = match decoder {
+        DecoderKind::SurfNet => Box::new(SurfNetDecoder::from_model(&code, &model)),
+        DecoderKind::UnionFind => Box::new(UnionFindDecoder::from_model(&code, &model)),
+    };
+    count_failed_shots(&model, rng, trials, threads, |sample, ws| {
+        !d.decode_sample_with(&code, sample, ws).is_success()
+    })
 }
 
 /// The RNG seed of one grid point: it varies with the point so curves are

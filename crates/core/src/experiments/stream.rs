@@ -21,7 +21,8 @@ use surfnet_netsim::generate::{barabasi_albert, NetworkConfig};
 pub struct StreamParams {
     /// Topology to generate per trial.
     pub net: NetworkConfig,
-    /// Expected Poisson arrivals per tick.
+    /// Expected Poisson arrivals per tick, in `(0, 1]`: [`simulate`]
+    /// panics on any other value.
     pub arrival_rate: f64,
     /// Streaming-engine tunables (horizon, defer policy, execution).
     /// The arrival process inside is overridden by `arrival_rate`.

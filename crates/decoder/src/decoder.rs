@@ -19,13 +19,13 @@ use surfnet_lattice::{
     DecodeOutcome, ErrorModel, ErrorSample, Pauli, PauliString, SurfaceCode, Syndrome,
 };
 
-/// The trivial-shot fast path shared by the three `decode_sample_with`
-/// implementations: a shot with an empty syndrome and no erasures decodes
-/// to the identity correction on every kernel (growth, peeling, and
-/// matching all start from defects or erasure clusters, and there are
-/// none), so the outcome is just the logical parity of the raw error —
-/// which can still be a failure when the error is itself a logical
-/// operator. Bit-identity to actually running the kernel is pinned by
+/// The trivial-shot fast path of [`Decoder::decode_sample_with`]: a shot
+/// with an empty syndrome and no erasures decodes to the identity
+/// correction on every kernel (growth, peeling, and matching all start
+/// from defects or erasure clusters, and there are none), so the outcome
+/// is just the logical parity of the raw error — which can still be a
+/// failure when the error is itself a logical operator. Bit-identity to
+/// actually running the kernel is pinned by
 /// `tests/workspace_equivalence.rs`, whose raw [`Decoder::decode`]
 /// reference sees mostly trivial shots from its quiet d=5 model.
 fn trivial_fast_path(
@@ -43,56 +43,47 @@ fn trivial_fast_path(
     })
 }
 
-/// The body of the three `decode_sample_with` methods: extract the
-/// syndrome into `ws`, then either take the trivial-shot fast path or run
-/// `correct` and score the correction it leaves in `ws`.
-///
-/// # Panics
-///
-/// Panics if `correct` fails (same contract as
-/// [`Decoder::decode_sample`]).
-fn decode_sample_in(
-    code: &SurfaceCode,
-    sample: &ErrorSample,
-    ws: &mut DecodeWorkspace,
-    correct: impl FnOnce(&Syndrome, &[bool], &mut DecodeWorkspace) -> Result<(), DecoderError>,
-) -> DecodeOutcome {
-    let mut syndrome = std::mem::take(&mut ws.syndrome);
-    code.extract_syndrome_into(&sample.pauli, &mut syndrome);
-    let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
-        fast
-    } else {
-        correct(&syndrome, &sample.erased, ws)
-            // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
-            .expect("decoding a well-formed surface code sample cannot fail");
-        code.score_correction(&sample.pauli, &ws.correction)
-    };
-    ws.syndrome = syndrome;
-    outcome
-}
-
 /// A complete surface-code decoder.
 ///
 /// Implementations are constructed against a fixed code + error model (the
 /// estimated per-qubit fidelities of Sec. IV-C) and then decode many
-/// samples.
-pub trait Decoder {
+/// samples. Each implements `name` and `correction_for_with` only.
+pub trait Decoder: std::fmt::Debug {
     /// Human-readable decoder name (used in benchmark tables).
     fn name(&self) -> &'static str;
 
-    /// Produces a Pauli correction for the observed syndrome and per-qubit
-    /// erasure flags.
+    /// Produces a correction from a syndrome and per-qubit erasure flags,
+    /// entirely inside `ws` — no per-shot allocations.
     ///
     /// # Errors
     ///
     /// Returns a [`DecoderError`] when the syndrome cannot be decoded
     /// (e.g. unpairable defects on a malformed graph).
+    fn correction_for_with<'ws>(
+        &self,
+        syndrome: &Syndrome,
+        erased: &[bool],
+        ws: &'ws mut DecodeWorkspace,
+    ) -> Result<&'ws PauliString, DecoderError>;
+
+    /// Produces a Pauli correction for the observed syndrome and per-qubit
+    /// erasure flags: [`Decoder::correction_for_with`] on a fresh
+    /// workspace, so both give bit-identical corrections.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecoderError`] when the syndrome cannot be decoded.
     fn decode(
         &self,
         code: &SurfaceCode,
         syndrome: &Syndrome,
         erased: &[bool],
-    ) -> Result<PauliString, DecoderError>;
+    ) -> Result<PauliString, DecoderError> {
+        let mut ws = DecodeWorkspace::new();
+        self.correction_for_with(syndrome, erased, &mut ws)?;
+        debug_assert_eq!(ws.correction.len(), code.num_data_qubits());
+        Ok(ws.correction)
+    }
 
     /// Convenience: extract the syndrome of `sample`, decode it, and score
     /// the correction against the hidden error.
@@ -109,24 +100,33 @@ pub trait Decoder {
             .expect("decoding a well-formed surface code sample cannot fail");
         code.score_correction(&sample.pauli, &correction)
     }
-}
 
-/// Combines per-graph corrections into a Pauli string in place
-/// (X from the primal graph, Z from the dual; overlaps become Y).
-fn assemble_correction_into(
-    out: &mut PauliString,
-    num_qubits: usize,
-    primal_edges: &[usize],
-    dual_edges: &[usize],
-    primal: &DecodingGraph,
-    dual: &DecodingGraph,
-) {
-    out.reset_identity(num_qubits);
-    for &e in primal_edges {
-        out.apply(primal.edge(e).qubit, Pauli::X);
-    }
-    for &e in dual_edges {
-        out.apply(dual.edge(e).qubit, Pauli::Z);
+    /// [`Decoder::decode_sample`] running entirely inside `ws`, with a fast
+    /// path for shots that have no defect and no erasure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if decoding fails (same contract as
+    /// [`Decoder::decode_sample`]).
+    fn decode_sample_with(
+        &self,
+        code: &SurfaceCode,
+        sample: &ErrorSample,
+        ws: &mut DecodeWorkspace,
+    ) -> DecodeOutcome {
+        let mut syndrome = std::mem::take(&mut ws.syndrome);
+        code.extract_syndrome_into(&sample.pauli, &mut syndrome);
+        let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
+            fast
+        } else {
+            let correction = self
+                .correction_for_with(&syndrome, &sample.erased, ws)
+                // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
+                .expect("decoding a well-formed surface code sample cannot fail");
+            code.score_correction(&sample.pauli, correction)
+        };
+        ws.syndrome = syndrome;
+        outcome
     }
 }
 
@@ -261,15 +261,14 @@ impl MwpmDecoder {
             num_qubits: code.num_data_qubits(),
         }
     }
+}
 
-    /// Produces a correction from a syndrome and per-qubit erasure flags,
-    /// entirely inside `ws` — no per-shot allocations. [`Decoder::decode`]
-    /// runs it on a fresh workspace, so both give bit-identical corrections.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecoderError`] when syndromes cannot be paired.
-    pub fn correction_for_with<'ws>(
+impl Decoder for MwpmDecoder {
+    fn name(&self) -> &'static str {
+        "mwpm"
+    }
+
+    fn correction_for_with<'ws>(
         &self,
         syndrome: &Syndrome,
         erased: &[bool],
@@ -298,40 +297,24 @@ impl MwpmDecoder {
         );
         Ok(correction)
     }
-
-    /// [`Decoder::decode_sample`] running entirely inside `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if decoding fails (same contract as
-    /// [`Decoder::decode_sample`]).
-    pub fn decode_sample_with(
-        &self,
-        code: &SurfaceCode,
-        sample: &ErrorSample,
-        ws: &mut DecodeWorkspace,
-    ) -> DecodeOutcome {
-        decode_sample_in(code, sample, ws, |syndrome, erased, ws| {
-            self.correction_for_with(syndrome, erased, ws).map(|_| ())
-        })
-    }
 }
 
-impl Decoder for MwpmDecoder {
-    fn name(&self) -> &'static str {
-        "mwpm"
+/// Combines per-graph corrections into a Pauli string in place
+/// (X from the primal graph, Z from the dual; overlaps become Y).
+fn assemble_correction_into(
+    out: &mut PauliString,
+    num_qubits: usize,
+    primal_edges: &[usize],
+    dual_edges: &[usize],
+    primal: &DecodingGraph,
+    dual: &DecodingGraph,
+) {
+    out.reset_identity(num_qubits);
+    for &e in primal_edges {
+        out.apply(primal.edge(e).qubit, Pauli::X);
     }
-
-    fn decode(
-        &self,
-        code: &SurfaceCode,
-        syndrome: &Syndrome,
-        erased: &[bool],
-    ) -> Result<PauliString, DecoderError> {
-        debug_assert_eq!(code.num_data_qubits(), self.num_qubits);
-        let mut ws = DecodeWorkspace::new();
-        self.correction_for_with(syndrome, erased, &mut ws)?;
-        Ok(ws.correction)
+    for &e in dual_edges {
+        out.apply(dual.edge(e).qubit, Pauli::Z);
     }
 }
 
@@ -358,39 +341,6 @@ impl UnionFindDecoder {
             ),
         }
     }
-
-    /// Produces a correction inside `ws` (see
-    /// [`MwpmDecoder::correction_for_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecoderError`] when syndromes cannot be paired.
-    pub fn correction_for_with<'ws>(
-        &self,
-        syndrome: &Syndrome,
-        erased: &[bool],
-        ws: &'ws mut DecodeWorkspace,
-    ) -> Result<&'ws PauliString, DecoderError> {
-        let _span = surfnet_telemetry::span!("decoder.union_find.decode");
-        self.graphs.correction_for_with(syndrome, erased, ws)
-    }
-
-    /// [`Decoder::decode_sample`] running entirely inside `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if decoding fails (same contract as
-    /// [`Decoder::decode_sample`]).
-    pub fn decode_sample_with(
-        &self,
-        code: &SurfaceCode,
-        sample: &ErrorSample,
-        ws: &mut DecodeWorkspace,
-    ) -> DecodeOutcome {
-        decode_sample_in(code, sample, ws, |syndrome, erased, ws| {
-            self.correction_for_with(syndrome, erased, ws).map(|_| ())
-        })
-    }
 }
 
 impl Decoder for UnionFindDecoder {
@@ -398,16 +348,14 @@ impl Decoder for UnionFindDecoder {
         "union-find"
     }
 
-    fn decode(
+    fn correction_for_with<'ws>(
         &self,
-        code: &SurfaceCode,
         syndrome: &Syndrome,
         erased: &[bool],
-    ) -> Result<PauliString, DecoderError> {
-        debug_assert_eq!(code.num_data_qubits(), self.graphs.num_qubits);
-        let mut ws = DecodeWorkspace::new();
-        self.correction_for_with(syndrome, erased, &mut ws)?;
-        Ok(ws.correction)
+        ws: &'ws mut DecodeWorkspace,
+    ) -> Result<&'ws PauliString, DecoderError> {
+        let _span = surfnet_telemetry::span!("decoder.union_find.decode");
+        self.graphs.correction_for_with(syndrome, erased, ws)
     }
 }
 
@@ -453,39 +401,6 @@ impl SurfNetDecoder {
         }
     }
 
-    /// Produces a correction inside `ws` (see
-    /// [`MwpmDecoder::correction_for_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecoderError`] when syndromes cannot be paired.
-    pub fn correction_for_with<'ws>(
-        &self,
-        syndrome: &Syndrome,
-        erased: &[bool],
-        ws: &'ws mut DecodeWorkspace,
-    ) -> Result<&'ws PauliString, DecoderError> {
-        let _span = surfnet_telemetry::span!("decoder.surfnet.decode");
-        self.graphs.correction_for_with(syndrome, erased, ws)
-    }
-
-    /// [`Decoder::decode_sample`] running entirely inside `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if decoding fails (same contract as
-    /// [`Decoder::decode_sample`]).
-    pub fn decode_sample_with(
-        &self,
-        code: &SurfaceCode,
-        sample: &ErrorSample,
-        ws: &mut DecodeWorkspace,
-    ) -> DecodeOutcome {
-        decode_sample_in(code, sample, ws, |syndrome, erased, ws| {
-            self.correction_for_with(syndrome, erased, ws).map(|_| ())
-        })
-    }
-
     /// The configured step size `r`.
     pub fn step(&self) -> f64 {
         self.step
@@ -497,16 +412,14 @@ impl Decoder for SurfNetDecoder {
         "surfnet"
     }
 
-    fn decode(
+    fn correction_for_with<'ws>(
         &self,
-        code: &SurfaceCode,
         syndrome: &Syndrome,
         erased: &[bool],
-    ) -> Result<PauliString, DecoderError> {
-        debug_assert_eq!(code.num_data_qubits(), self.graphs.num_qubits);
-        let mut ws = DecodeWorkspace::new();
-        self.correction_for_with(syndrome, erased, &mut ws)?;
-        Ok(ws.correction)
+        ws: &'ws mut DecodeWorkspace,
+    ) -> Result<&'ws PauliString, DecoderError> {
+        let _span = surfnet_telemetry::span!("decoder.surfnet.decode");
+        self.graphs.correction_for_with(syndrome, erased, ws)
     }
 }
 

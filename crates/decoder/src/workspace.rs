@@ -9,9 +9,11 @@
 //! one instance serves MWPM, Union-Find, and SurfNet decodes
 //! interchangeably, on any graph size.
 //!
-//! The `*_with` decoder methods taking a workspace produce bit-identical
-//! results to their allocating counterparts — the algorithms are shared,
-//! only the buffer lifetimes differ.
+//! The [`crate::Decoder`] trait requires `correction_for_with`, which
+//! decodes inside a workspace, and provides `decode_sample_with` over it.
+//! Its allocating `decode` and `decode_sample` run the same kernels on a
+//! fresh workspace, so both give bit-identical results — only the buffer
+//! lifetimes differ.
 
 use crate::cluster::ClusterScratch;
 use crate::mwpm::MatchScratch;

@@ -43,7 +43,6 @@ pub mod geometry;
 pub mod logical;
 pub mod partition;
 pub mod pauli;
-pub mod rotated;
 pub mod syndrome;
 
 pub use code::SurfaceCode;
@@ -52,7 +51,6 @@ pub use geometry::{Boundary, Coord, EdgeEnd, SiteKind};
 pub use logical::{DecodeOutcome, LogicalFailure};
 pub use partition::{CoreTopology, Partition};
 pub use pauli::{Pauli, PauliString};
-pub use rotated::RotatedSurfaceCode;
 pub use syndrome::Syndrome;
 
 use std::error::Error;

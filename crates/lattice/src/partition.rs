@@ -61,17 +61,8 @@ impl Partition {
     ///
     /// Returns [`LatticeError::QubitOutOfRange`] if any index is not a data
     /// qubit of the code.
-    pub fn from_core(code: &SurfaceCode, core: Vec<usize>) -> Result<Partition, LatticeError> {
-        Partition::with_len(code.num_data_qubits(), core)
-    }
-
-    /// Builds a partition over `len` data qubits (for code families other
-    /// than the unrotated [`SurfaceCode`], e.g. the rotated code).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LatticeError::QubitOutOfRange`] if any index is `>= len`.
-    pub fn with_len(len: usize, mut core: Vec<usize>) -> Result<Partition, LatticeError> {
+    pub fn from_core(code: &SurfaceCode, mut core: Vec<usize>) -> Result<Partition, LatticeError> {
+        let len = code.num_data_qubits();
         core.sort_unstable();
         core.dedup();
         if let Some(&bad) = core.iter().find(|&&q| q >= len) {

@@ -1,4 +1,4 @@
-//! Streaming discrete-event simulation engine (ROADMAP item 2).
+//! Streaming discrete-event simulation engine.
 //!
 //! The tick engines ([`crate::execution::execute_plan`],
 //! [`crate::concurrent::execute_concurrently`]) replay one static batch of
@@ -146,8 +146,8 @@ impl<T> EventQueue<T> {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
     /// Open Poisson-like arrivals: inter-arrival gaps are geometric with
-    /// per-tick success probability `rate` (clamped to `(0, 1]`), the
-    /// discrete-time analog of exponential gaps. Endpoints are drawn
+    /// per-tick success probability `rate` (which must lie in `(0, 1]`),
+    /// the discrete-time analog of exponential gaps. Endpoints are drawn
     /// uniformly over distinct user pairs, code counts uniformly in
     /// `1..=max_codes_per_request`.
     Poisson {
@@ -514,14 +514,18 @@ struct Active {
 /// # Panics
 ///
 /// Panics if a Poisson process is configured on a network with fewer than
-/// two users.
+/// two users, or with a rate outside `(0, 1]` (NaN included).
 pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut R) -> StreamStats {
     let _span = surfnet_telemetry::span!("netsim.stream.simulate");
     let users = net.users();
     let poisson_rate = match &config.arrival {
         ArrivalProcess::Poisson { rate } => {
             assert!(users.len() >= 2, "Poisson arrivals need at least two users");
-            Some(rate.clamp(f64::MIN_POSITIVE, 1.0))
+            assert!(
+                *rate > 0.0 && *rate <= 1.0,
+                "Poisson arrival rate {rate} outside (0, 1]"
+            );
+            Some(*rate)
         }
         ArrivalProcess::Trace(_) => None,
     };
@@ -864,6 +868,25 @@ mod tests {
         assert_eq!(a.arrivals, a.admitted + a.dropped());
         assert_eq!(a.admitted, a.completed + a.failed);
         assert_eq!(a.completed as usize, a.latencies.len());
+    }
+
+    #[test]
+    fn poisson_rate_outside_unit_interval_is_rejected() {
+        // A rate above 1 cannot be a per-tick arrival probability, and 0 or
+        // NaN would yield no arrivals: running any of them would report
+        // results for a rate the run did not use.
+        let net = line_net();
+        for rate in [2.0, 1e300, 0.0, -1.0, f64::NAN] {
+            let config = StreamConfig {
+                arrival: ArrivalProcess::Poisson { rate },
+                horizon: 10,
+                ..StreamConfig::default()
+            };
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                simulate(&net, &config, &mut SmallRng::seed_from_u64(13))
+            }));
+            assert!(run.is_err(), "rate {rate} was accepted");
+        }
     }
 
     #[test]
