@@ -421,10 +421,10 @@ impl Lint for PanicSite {
 }
 
 /// Every metric name literal passed to `span!`/`count!`/`event!`/`timer()`/
-/// `counter()`/`counter_family()`/`histogram_family()` must be registered
-/// in `surfnet_telemetry::catalog` with the matching kind. `event!` is
+/// `counter()`/`counter_family()` must be registered in
+/// `surfnet_telemetry::catalog` with the matching kind. `event!` is
 /// matched in both its forms — `event!("name")` and `event!("name", arg)`;
-/// both family constructors require the `Family` kind. Reports at error
+/// the family constructor requires the `Family` kind. Reports at error
 /// severity: a typo'd name records into a series nobody reads.
 struct TelemetryName;
 
@@ -456,11 +456,9 @@ impl Lint for TelemetryName {
                 {
                     Some((t.text.as_str(), 3))
                 // timer("name") / counter("name") / counter_family("name")
-                // / histogram_family("name")
                 } else if (is_ident(t, "timer")
                     || is_ident(t, "counter")
-                    || is_ident(t, "counter_family")
-                    || is_ident(t, "histogram_family"))
+                    || is_ident(t, "counter_family"))
                     && ts.get(i + 1).is_some_and(|a| is_punct(a, "("))
                     && ts.get(i + 2).is_some_and(|a| a.kind == TokenKind::Str)
                 {
@@ -474,7 +472,7 @@ impl Lint for TelemetryName {
             let want = match call {
                 "span" | "timer" => MetricKind::Timer,
                 "event" => MetricKind::Event,
-                "counter_family" | "histogram_family" => MetricKind::Family,
+                "counter_family" => MetricKind::Family,
                 _ => MetricKind::Counter,
             };
             let metric = &ts[i + name_off].text;

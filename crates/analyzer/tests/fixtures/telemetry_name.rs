@@ -1,7 +1,7 @@
 //! Fixture for the `telemetry-name` lint: a typo'd metric, a kind
 //! mismatch, a registered use, a suppressed unregistered use, the
 //! journal `event!` macro in both its forms, and the labeled
-//! `counter_family`/`histogram_family` constructors.
+//! `counter_family` constructor.
 //! Analyzed as text; never compiled.
 
 pub fn typo() {
@@ -53,7 +53,7 @@ pub fn stage_typo() {
 
 pub fn family_registered() {
     let _f = surfnet_telemetry::dim::counter_family("netsim.link.attempts");
-    let _h = surfnet_telemetry::dim::histogram_family("decoder.distance.decode_latency");
+    let _d = surfnet_telemetry::dim::counter_family("decoder.distance.decodes");
 }
 
 pub fn family_typo() {
@@ -69,7 +69,7 @@ pub fn family_name_via_flat_counter() {
 
 pub fn flat_name_via_family() {
     // And the converse: a Counter name used as a family constructor.
-    let _f = surfnet_telemetry::dim::histogram_family("lp.solves");
+    let _f = surfnet_telemetry::dim::counter_family("lp.solves");
 }
 
 pub fn family_grandfathered() {

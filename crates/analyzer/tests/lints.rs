@@ -145,10 +145,10 @@ fn telemetry_name_fires_at_error_severity_and_respects_allow() {
         .any(|d| d.message.contains("registered as a Family") && d.message.contains("`count`")));
     assert!(findings
         .iter()
-        .any(|d| d.message.contains("used via `histogram_family`")));
+        .any(|d| d.message.contains("used via `counter_family`")));
     assert!(!findings
         .iter()
-        .any(|d| d.message.contains("decoder.distance.decode_latency")));
+        .any(|d| d.message.contains("decoder.distance.decodes")));
     assert_eq!(r.suppressed, 2);
 }
 

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use surfnet_netsim::generate::{barabasi_albert, NetworkConfig};
 use surfnet_netsim::request::random_requests;
 use surfnet_routing::formulation::build;
-use surfnet_routing::{ChannelMode, GreedyScheduler, RoutingParams, SurfNetScheduler};
+use surfnet_routing::{ChannelMode, RoutingParams, SurfNetScheduler};
 
 fn setup() -> (
     surfnet_netsim::Network,
@@ -37,10 +37,6 @@ fn bench_routing(c: &mut Criterion) {
     let scheduler = SurfNetScheduler::new(params);
     c.bench_function("schedule-surfnet", |b| {
         b.iter(|| scheduler.schedule(&net, &requests).unwrap())
-    });
-    let greedy = GreedyScheduler::new(params);
-    c.bench_function("schedule-greedy", |b| {
-        b.iter(|| greedy.schedule(&net, &requests).unwrap())
     });
 }
 

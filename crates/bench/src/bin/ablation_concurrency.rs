@@ -4,10 +4,10 @@
 //! is unchanged (it is route-determined); latency degrades under
 //! contention — the effect the capacity constraints of Eq. 5 budget for.
 //!
-//! Usage: `cargo run -p surfnet-bench --release --bin ablation_concurrency -- [--trials N]`
+//! Usage: `cargo run -p surfnet-bench --release --bin ablation_concurrency -- [--trials N] [--seed S]`
 
 use surfnet_bench::{
-    arg_in, arg_or, args, report_json, telemetry_dump, telemetry_init, trace_finish,
+    arg_in, args, report_json, seed_arg, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::runner::parallel_trials;
 use surfnet_core::pipeline::Design;
@@ -18,7 +18,7 @@ fn main() {
     telemetry_init();
     let args = args(&["--trials", "--seed"]);
     let trials = arg_in(&args, "--trials", 40usize, "at least 1", |&n| n >= 1);
-    let seed = arg_or(&args, "--seed", 77_000u64);
+    let seed = seed_arg(&args, 77_000u64, trials as u64);
     println!("execution-contention ablation ({trials} trials per row)");
     let mut metrics = Vec::new();
     for (label, concurrent) in [("independent", false), ("concurrent", true)] {

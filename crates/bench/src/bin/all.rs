@@ -1,9 +1,9 @@
 //! Regenerates every evaluation figure in one run.
 //!
-//! Usage: `cargo run -p surfnet-bench --release --bin all -- [--trials N] [--fig8-trials N]`
+//! Usage: `cargo run -p surfnet-bench --release --bin all -- [--trials N] [--fig8-trials N] [--seed S]`
 
 use surfnet_bench::{
-    arg_in, arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
+    arg_in, args, flatten, report_json, seed_arg, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::{fig6a, fig6b, fig7, fig8};
 use surfnet_core::DecoderKind;
@@ -14,7 +14,7 @@ fn main() {
     let args = args(&["--trials", "--fig8-trials", "--seed"]);
     let trials = arg_in(&args, "--trials", 40usize, "at least 1", |&n| n >= 1);
     let fig8_trials = arg_in(&args, "--fig8-trials", 400usize, "at least 1", |&n| n >= 1);
-    let seed = arg_or(&args, "--seed", 90_000u64);
+    let seed = seed_arg(&args, 90_000u64, (trials as u64).saturating_add(3));
     let params = |trials: usize, seed: u64| {
         vec![("trials", Value::from(trials)), ("seed", Value::from(seed))]
     };

@@ -3,7 +3,7 @@
 //! Usage: `cargo run -p surfnet-bench --release --bin fig6a -- [--trials N] [--seed S]`
 
 use surfnet_bench::{
-    arg_in, arg_or, args, flatten, has_flag, report_json, telemetry_dump, telemetry_init,
+    arg_in, args, flatten, has_flag, report_json, seed_arg, telemetry_dump, telemetry_init,
     trace_finish,
 };
 use surfnet_core::experiments::fig6a;
@@ -13,7 +13,7 @@ fn main() {
     telemetry_init();
     let args = args(&["--trials", "--seed", "--detail"]);
     let trials = arg_in(&args, "--trials", 40usize, "at least 1", |&n| n >= 1);
-    let seed = arg_or(&args, "--seed", 61_000u64);
+    let seed = seed_arg(&args, 61_000u64, trials as u64);
     let result = fig6a::run(trials, seed);
     print!("{}", fig6a::render(&result));
     if has_flag(&args, "--detail") {

@@ -4,7 +4,8 @@
 //!     [--param capacity|entanglement|messages|threshold|all] [--trials N] [--seed S]`
 
 use surfnet_bench::{
-    arg_in, arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
+    arg_in, arg_or, args, flatten, report_json, seed_arg, telemetry_dump, telemetry_init,
+    trace_finish,
 };
 use surfnet_core::experiments::fig6b;
 use surfnet_telemetry::json::Value;
@@ -13,7 +14,7 @@ fn main() {
     telemetry_init();
     let args = args(&["--trials", "--seed", "--param"]);
     let trials = arg_in(&args, "--trials", 30usize, "at least 1", |&n| n >= 1);
-    let seed = arg_or(&args, "--seed", 62_000u64);
+    let seed = seed_arg(&args, 62_000u64, trials as u64);
     let which = arg_or(&args, "--param", "all".to_string());
     let params = flatten::sweeps_for(&which).unwrap_or_else(|message| {
         eprintln!("surfnet-bench: {message}");

@@ -5,7 +5,7 @@
 //! (the paper uses `--trials 1080`)
 
 use surfnet_bench::{
-    arg_in, arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
+    arg_in, args, flatten, report_json, seed_arg, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::fig7;
 use surfnet_telemetry::json::Value;
@@ -14,7 +14,7 @@ fn main() {
     telemetry_init();
     let args = args(&["--trials", "--seed"]);
     let trials = arg_in(&args, "--trials", 40usize, "at least 1", |&n| n >= 1);
-    let seed = arg_or(&args, "--seed", 70_000u64);
+    let seed = seed_arg(&args, 70_000u64, trials as u64);
     let result = fig7::run(trials, seed);
     print!("{}", fig7::render(&result));
     report_json::emit(

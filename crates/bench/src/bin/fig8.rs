@@ -6,7 +6,7 @@
 //!     [--trials N] [--seed S] [--max-distance D]`
 
 use surfnet_bench::{
-    arg_in, arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
+    arg_in, args, flatten, report_json, seed_arg, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::fig8;
 use surfnet_core::DecoderKind;
@@ -16,7 +16,7 @@ fn main() {
     telemetry_init();
     let args = args(&["--trials", "--seed", "--max-distance"]);
     let trials = arg_in(&args, "--trials", 400usize, "at least 1", |&n| n >= 1);
-    let seed = arg_or(&args, "--seed", 80_000u64);
+    let seed = seed_arg(&args, 80_000u64, 1);
     // Below the smallest paper distance the grid would be empty.
     let smallest = fig8::paper_distances().into_iter().min().unwrap_or(0);
     let domain = format!("at least {smallest}");

@@ -10,7 +10,7 @@
 //! scenario's ratios.
 
 use surfnet_bench::{
-    arg_in, arg_or, args, flatten, report_json, telemetry_dump, telemetry_init, trace_finish,
+    arg_in, args, flatten, report_json, seed_arg, telemetry_dump, telemetry_init, trace_finish,
 };
 use surfnet_core::experiments::stream::{self, StreamParams};
 use surfnet_netsim::generate::NetworkConfig;
@@ -31,7 +31,7 @@ fn main() {
     telemetry_init();
     let args = args(&["--trials", "--seed", "--rate", "--horizon", "--nodes"]);
     let trials = arg_in(&args, "--trials", 4usize, "at least 1", |&n| n >= 1);
-    let seed = arg_or(&args, "--seed", 90_000u64);
+    let seed = seed_arg(&args, 90_000u64, trials as u64);
     let mut params = StreamParams::default();
     // At most one arrival per tick: `simulate` cannot represent more.
     params.arrival_rate = arg_in(&args, "--rate", params.arrival_rate, "in (0, 1]", |&r| {

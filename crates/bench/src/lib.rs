@@ -105,6 +105,22 @@ fn parse_arg_in<T: std::str::FromStr + std::fmt::Display>(
     }
 }
 
+/// `--seed` for a run that uses the `span` seeds `seed`, `seed + 1`, …:
+/// [`arg_in`] with the domain `seed + span ≤ 2^53`, so each is an exact
+/// [`surfnet_telemetry::json`] number, and the BENCH report, the trace and
+/// `report` name the seed that ran.
+pub fn seed_arg(args: &[String], default: u64, span: u64) -> u64 {
+    arg_in(args, "--seed", default, &seed_domain(span), seeds_fit(span))
+}
+
+fn seed_domain(span: u64) -> String {
+    format!("at most 2^53 - {span}")
+}
+
+fn seeds_fit(span: u64) -> impl Fn(&u64) -> bool {
+    move |&seed| seed.checked_add(span).is_some_and(|end| end <= 1 << 53)
+}
+
 /// Collects process arguments (skipping `argv[0]`), checked against the
 /// binary's accepted `flags`. An argument outside them that starts with
 /// `--` prints [`check_flags`]'s message to stderr and **exits with status
@@ -224,6 +240,16 @@ mod tests {
         assert_eq!(parse_arg_in(&args, "--seed", 9, "odd", odd), Ok(9));
         let err = parse_arg_in(&args, "--pauli", 0usize, "any", |_| true).unwrap_err();
         assert!(err.contains("usize"), "{err}");
+        // A seed fits while the last seed of its span stays below 2^53;
+        // `u64::MAX` plus a span overflows and is rejected, not wrapped.
+        let seed = |value: &str, span: u64| {
+            let args = ["--seed", value].map(String::from).to_vec();
+            parse_arg_in(&args, "--seed", 0, &seed_domain(span), seeds_fit(span))
+        };
+        assert_eq!(seed("9007199254740988", 4), Ok((1 << 53) - 4));
+        let err = seed("9007199254740988", 5).unwrap_err();
+        assert_eq!(err, "--seed 9007199254740988: must be at most 2^53 - 5");
+        assert!(seed(&u64::MAX.to_string(), 2).is_err());
     }
 
     #[test]

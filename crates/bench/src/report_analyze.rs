@@ -11,8 +11,8 @@
 //! [`surfnet_telemetry::stage`] accounting charges them: each
 //! `trial.stage.*` begin/end interval is charged to its stage *minus* any
 //! nested stage intervals, and every stage interval is attributed to the
-//! nearest enclosing `pipeline.trial` span (whose trace context carries
-//! the trial id). A stage interval that no trial encloses is charged to
+//! nearest enclosing `pipeline.trial` span (whose `Begin` record carries
+//! the trial seed). A stage interval that no trial encloses is charged to
 //! nothing, as live. Spans left open by journal truncation are dropped.
 
 use surfnet_telemetry::journal::{OwnedEvent, Phase};
@@ -38,8 +38,8 @@ pub struct StageBreakdown {
 /// One trial's duration and per-stage self-times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialSummary {
-    /// Trial id from the trace context (the trial RNG seed), when the
-    /// span carried one.
+    /// Trial id: the trial RNG seed its `pipeline.trial` `Begin` record
+    /// carries (`None` for traces written before the seed rode there).
     pub trial: Option<u64>,
     /// Wall time of the `pipeline.trial` span, nanoseconds.
     pub run_ns: u64,
@@ -91,7 +91,7 @@ struct Frame {
     begin_ns: u64,
     /// Time consumed by nested *tracked* spans (subtracted for self-time).
     child_ns: u64,
-    /// Trace-context trial id captured at begin.
+    /// The `Begin` record's argument (the seed, for trial frames).
     trial: Option<u64>,
     /// Per-stage self-times accumulated inside this frame (trial frames
     /// only).
@@ -136,7 +136,7 @@ pub fn analyze(events: &[OwnedEvent], bench: Option<&Value>) -> RunReport {
                 name: e.name.clone(),
                 begin_ns: e.ts_ns,
                 child_ns: 0,
-                trial: e.ctx.trial,
+                trial: e.arg,
                 stage_totals: Vec::new(),
             }),
             Phase::End => {
@@ -419,20 +419,14 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use surfnet_telemetry::trace::TraceCtx;
 
-    fn ev(ts_ns: u64, tid: u32, name: &str, phase: Phase, trial: Option<u64>) -> OwnedEvent {
+    fn ev(ts_ns: u64, tid: u32, name: &str, phase: Phase, arg: Option<u64>) -> OwnedEvent {
         OwnedEvent {
             ts_ns,
             tid,
             name: name.to_string(),
             phase,
-            arg: None,
-            ctx: TraceCtx {
-                trial,
-                request: None,
-                segment: None,
-            },
+            arg,
         }
     }
 
@@ -443,17 +437,17 @@ mod tests {
         use Phase::{Begin, End};
         vec![
             ev(0, 1, TRIAL_SPAN, Begin, Some(10)),
-            ev(100, 1, "trial.stage.gen", Begin, Some(10)),
-            ev(400, 1, "trial.stage.gen", End, Some(10)),
-            ev(500, 1, "trial.stage.decode", Begin, Some(10)),
-            ev(1500, 1, "trial.stage.decode", End, Some(10)),
-            ev(2000, 1, TRIAL_SPAN, End, Some(10)),
+            ev(100, 1, "trial.stage.gen", Begin, None),
+            ev(400, 1, "trial.stage.gen", End, None),
+            ev(500, 1, "trial.stage.decode", Begin, None),
+            ev(1500, 1, "trial.stage.decode", End, None),
+            ev(2000, 1, TRIAL_SPAN, End, None),
             ev(3000, 1, TRIAL_SPAN, Begin, Some(11)),
-            ev(3100, 1, "trial.stage.route", Begin, Some(11)),
-            ev(3200, 1, "trial.stage.lp", Begin, Some(11)),
-            ev(3700, 1, "trial.stage.lp", End, Some(11)),
-            ev(3900, 1, "trial.stage.route", End, Some(11)),
-            ev(8000, 1, TRIAL_SPAN, End, Some(11)),
+            ev(3100, 1, "trial.stage.route", Begin, None),
+            ev(3200, 1, "trial.stage.lp", Begin, None),
+            ev(3700, 1, "trial.stage.lp", End, None),
+            ev(3900, 1, "trial.stage.route", End, None),
+            ev(8000, 1, TRIAL_SPAN, End, None),
             ev(9000, 1, "trial.stage.entangle", Begin, None),
             ev(9900, 1, "trial.stage.entangle", End, None),
         ]
@@ -502,9 +496,9 @@ mod tests {
         use Phase::{Begin, End};
         // An End with no Begin (fell off the ring) and a Begin with no End.
         let events = vec![
-            ev(100, 1, "trial.stage.decode", End, Some(1)),
+            ev(100, 1, "trial.stage.decode", End, None),
             ev(200, 1, TRIAL_SPAN, Begin, Some(2)),
-            ev(300, 1, "trial.stage.gen", Begin, Some(2)),
+            ev(300, 1, "trial.stage.gen", Begin, None),
         ];
         let report = analyze(&events, None);
         assert!(report.trials.is_empty());

@@ -199,19 +199,17 @@ impl DecoderCache {
         if !outcome.completed {
             return Ok(false);
         }
-        let latency_fam = dim::histogram_family("decoder.distance.decode_latency");
+        let decodes_fam = dim::counter_family("decoder.distance.decodes");
         let errors_fam = dim::counter_family("evaluate.segment.logical_errors");
         let dist_key = LabelKey::Distance(code.distance() as u16);
         let mut ok = true;
         for (idx, segment) in outcome.segments.iter().enumerate() {
-            let _seg = surfnet_telemetry::trace::segment_scope(idx as u64);
             let i = self.entry_index(code, partition, segment, decoder)?;
             let DecoderCache { entries, workspace } = self;
             let entry = &entries[i].1;
             let sample = entry.model.sample(rng);
-            let result = latency_fam.time(dist_key, || {
-                entry.decoder.decode_sample_with(code, &sample, workspace)
-            });
+            let result = entry.decoder.decode_sample_with(code, &sample, workspace);
+            decodes_fam.incr(dist_key);
             debug_assert!(result.syndrome_cleared);
             if !result.is_success() {
                 surfnet_telemetry::event!("evaluate.shot_failed");
@@ -224,8 +222,8 @@ impl DecoderCache {
 
     /// Evaluates a whole slice of transfers in order, returning one
     /// verdict per transfer (`false` for incomplete executions): exactly
-    /// [`Self::evaluate_transfer`] on each outcome, under a per-transfer
-    /// trace scope. `_batch` is the inert [`BatchConfig`] placeholder.
+    /// [`Self::evaluate_transfer`] on each outcome. `_batch` is the inert
+    /// [`BatchConfig`] placeholder.
     ///
     /// # Errors
     ///
@@ -242,11 +240,7 @@ impl DecoderCache {
     ) -> Result<Vec<bool>, PipelineError> {
         outcomes
             .iter()
-            .enumerate()
-            .map(|(t, o)| {
-                let _req = surfnet_telemetry::trace::request_scope(t as u64);
-                self.evaluate_transfer(code, partition, o, decoder, rng)
-            })
+            .map(|o| self.evaluate_transfer(code, partition, o, decoder, rng))
             .collect()
     }
 }

@@ -216,8 +216,7 @@ pub fn run_trial_on<R: Rng + ?Sized>(
             let mut executed = 0u32;
             let mut fidelity_sum = 0.0f64;
             let mut latency_sum = 0u64;
-            for (t, assignment) in schedule.assignments.iter().enumerate() {
-                let _req = surfnet_telemetry::trace::request_scope(t as u64);
+            for assignment in &schedule.assignments {
                 let outcome = execute_teleportation(net, &assignment.route, n, &cfg.execution, rng);
                 if !outcome.completed {
                     continue;

@@ -5,9 +5,9 @@
 //!   initialization/termination, conservation + server coupling, capacity,
 //!   entanglement, and the two per-code noise constraints.
 //! * [`scheduler`] — [`SurfNetScheduler`] (LP + rounding + capacity-aware
-//!   path assignment with greedy error-correction placement),
+//!   path assignment with greedy error-correction placement) and
 //!   [`RawScheduler`] (the paper's plain-channel baseline with a capacity
-//!   bonus), and [`GreedyScheduler`] (the hierarchical mode of Sec. V-B).
+//!   bonus).
 //! * [`purification`] — the mainstream teleportation baselines
 //!   (Purification N = 1, 2, 9).
 //! * [`noise`] — the noise accounting of Sec. V-A, including the worked
@@ -44,7 +44,7 @@ pub mod scheduler;
 pub use params::RoutingParams;
 pub use purification::{PurificationSchedule, PurificationScheduler};
 pub use schedule::{ChannelMode, Residual, Schedule, ScheduledCode};
-pub use scheduler::{GreedyScheduler, RawScheduler, SurfNetScheduler};
+pub use scheduler::{RawScheduler, SurfNetScheduler};
 
 use std::error::Error;
 use std::fmt;

@@ -1,6 +1,6 @@
 //! Schedulers: offline scheduling (Sec. V-A) for SurfNet and the Raw
 //! baseline — LP relaxation with rounding, then capacity-aware path
-//! assignment — plus the hierarchical greedy scheduler of Sec. V-B.
+//! assignment.
 
 use crate::formulation::build;
 use crate::params::RoutingParams;
@@ -119,7 +119,6 @@ pub fn assign_codes(
             if schedule.scheduled_per_request[k] >= quotas[k] {
                 continue;
             }
-            let _req = surfnet_telemetry::trace::request_scope(k as u64);
             let Some((route, plan, x)) = find_feasible_code(net, &residual, req, params, mode)
             else {
                 surfnet_telemetry::count!("routing.infeasible_attempts");
@@ -251,40 +250,6 @@ impl RawScheduler {
     }
 }
 
-/// The hierarchical mode of Sec. V-B: no centralized LP; every request
-/// greedily claims capacity until the network saturates.
-#[derive(Debug, Clone)]
-pub struct GreedyScheduler {
-    /// Routing-protocol parameters.
-    pub params: RoutingParams,
-}
-
-impl GreedyScheduler {
-    /// Creates the scheduler.
-    pub fn new(params: RoutingParams) -> GreedyScheduler {
-        GreedyScheduler { params }
-    }
-
-    /// Schedules `requests` greedily (quota = everything requested).
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter validation failures.
-    pub fn schedule(&self, net: &Network, requests: &[Request]) -> Result<Schedule, RoutingError> {
-        let _span = surfnet_telemetry::span!("routing.schedule", Route);
-        self.params.validate()?;
-        let quotas: Vec<u32> = requests.iter().map(|r| r.num_codes).collect();
-        Ok(assign_codes(
-            net,
-            requests,
-            &quotas,
-            &self.params,
-            ChannelMode::DualChannel,
-            1.0,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,19 +308,6 @@ mod tests {
         for code in &schedule.codes {
             assert!(code.plan.segments.iter().all(|s| s.core_route.is_none()));
         }
-    }
-
-    #[test]
-    fn greedy_matches_lp_when_resources_abound() {
-        let net = net();
-        let requests = vec![Request::new(0, 4, 2), Request::new(5, 6, 2)];
-        let lp = SurfNetScheduler::new(params())
-            .schedule(&net, &requests)
-            .unwrap();
-        let greedy = GreedyScheduler::new(params())
-            .schedule(&net, &requests)
-            .unwrap();
-        assert_eq!(lp.total_scheduled(), greedy.total_scheduled());
     }
 
     #[test]

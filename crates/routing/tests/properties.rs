@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use surfnet_netsim::generate::{barabasi_albert, NetworkConfig};
 use surfnet_netsim::request::random_requests;
 use surfnet_routing::{
-    GreedyScheduler, PurificationScheduler, RawScheduler, RoutingParams, Schedule, SurfNetScheduler,
+    PurificationScheduler, RawScheduler, RoutingParams, Schedule, SurfNetScheduler,
 };
 
 fn params() -> RoutingParams {
@@ -71,34 +71,6 @@ proptest! {
         for (s, r) in schedule.scheduled_per_request.iter().zip(&requests) {
             prop_assert!(*s <= r.num_codes);
         }
-    }
-
-    #[test]
-    fn greedy_schedules_respect_capacities(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let net = barabasi_albert(&NetworkConfig::default(), &mut rng).unwrap();
-        let requests = random_requests(&net, 5, 3, &mut rng);
-        let p = params();
-        let schedule = GreedyScheduler::new(p).schedule(&net, &requests).unwrap();
-        audit(&net, &schedule, &p, 1.0);
-    }
-
-    #[test]
-    fn greedy_at_least_matches_lp_rounding(seed in any::<u64>()) {
-        // The greedy scheduler's quota is everything requested, so it can
-        // never schedule fewer codes than the LP-rounded quota assignment
-        // run through the same greedy fitter... it can differ, but both
-        // must stay within request bounds and the LP objective is an upper
-        // bound on any feasible integral schedule.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let net = barabasi_albert(&NetworkConfig::default(), &mut rng).unwrap();
-        let requests = random_requests(&net, 4, 2, &mut rng);
-        let p = params();
-        let lp = SurfNetScheduler::new(p).schedule(&net, &requests).unwrap();
-        let greedy = GreedyScheduler::new(p).schedule(&net, &requests).unwrap();
-        let total: u32 = requests.iter().map(|r| r.num_codes).sum();
-        prop_assert!(lp.total_scheduled() <= total);
-        prop_assert!(greedy.total_scheduled() <= total);
     }
 
     #[test]

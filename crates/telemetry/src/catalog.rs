@@ -20,8 +20,8 @@ pub enum MetricKind {
     /// Journal record (an `event!` instant, or the `pipeline.trial` span the
     /// trial scope writes), exported via `SURFNET_TRACE`.
     Event,
-    /// Labeled metric family (`dim::counter_family()` /
-    /// `dim::histogram_family()`), keyed by a `dim::LabelKey`.
+    /// Labeled counter family (`dim::counter_family()`), keyed by a
+    /// `dim::LabelKey`.
     Family,
 }
 
@@ -35,7 +35,7 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("decoder.cache_hits", MetricKind::Counter),
     ("decoder.cache_misses", MetricKind::Counter),
     ("decoder.dijkstra_relaxations", MetricKind::Counter),
-    ("decoder.distance.decode_latency", MetricKind::Family),
+    ("decoder.distance.decodes", MetricKind::Family),
     ("decoder.growth_rounds", MetricKind::Counter),
     ("decoder.mwpm.decode", MetricKind::Timer),
     ("decoder.peel", MetricKind::Timer),
@@ -129,10 +129,7 @@ mod tests {
         assert_eq!(lookup("trial.run"), Some(MetricKind::Timer));
         assert_eq!(lookup("trial.stage.decode"), Some(MetricKind::Timer));
         assert_eq!(lookup("netsim.link.attempts"), Some(MetricKind::Family));
-        assert_eq!(
-            lookup("decoder.distance.decode_latency"),
-            Some(MetricKind::Family)
-        );
+        assert_eq!(lookup("decoder.distance.decodes"), Some(MetricKind::Family));
         assert_eq!(lookup("no.such.metric"), None);
     }
 }

@@ -1,11 +1,12 @@
-//! Labeled metric **families**: one catalog name, many small-integer labels.
+//! Labeled counter **families**: one catalog name, many small-integer labels.
 //!
 //! A family is registered once under a static catalog name (e.g.
 //! `netsim.link.attempts`) and keyed at record time by a [`LabelKey`] — a
-//! link endpoint pair, a node id, a segment index, or a code distance. This
-//! is the "one bounded family per name" shape per-entity consumers (a
-//! link-quality control plane, per-distance latency attribution) need,
-//! without giving up the flat layer's discipline:
+//! link endpoint pair, a node id, a segment index, or a code distance.
+//! Every series is a monotonic `u64` event count. This is the "one bounded
+//! family per name" shape per-entity consumers (a link-quality control
+//! plane, per-distance decode counts) need, without giving up the flat
+//! layer's discipline:
 //!
 //! * **Hot path is lock-free.** Recording appends to a thread-local label
 //!   map inside the same shard the flat counters use; the global state is
@@ -24,7 +25,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::Instant;
 
 use crate::enabled;
 
@@ -90,65 +90,26 @@ fn render_label(code: u64) -> String {
     }
 }
 
-/// Whether a family counts events or accumulates duration samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FamilyKind {
-    /// Monotonic per-label event counts ([`counter_family`]).
-    Counter,
-    /// Per-label duration samples — count + total nanoseconds
-    /// ([`histogram_family`]).
-    Histogram,
-}
-
-/// Per-label accumulator: `value` is the counter value (counter families)
-/// or the sample count (histogram families); `sum_ns` is the accumulated
-/// nanoseconds (histogram families only).
-#[derive(Debug, Clone, Copy, Default)]
-struct LabelData {
-    value: u64,
-    sum_ns: u64,
-}
-
-impl LabelData {
-    fn absorb(&mut self, other: LabelData) {
-        self.value += other.value;
-        self.sum_ns += other.sum_ns;
-    }
-
-    fn is_zero(&self) -> bool {
-        self.value == 0 && self.sum_ns == 0
-    }
-}
-
 /// Admission state of one label in the global store. `Dropped` entries
 /// remember a rejected label so `telemetry.dim.dropped_labels` counts each
 /// distinct rejected label exactly once, not once per merge.
 enum LabelSlot {
-    Admitted(LabelData),
+    Admitted(u64),
     Dropped,
 }
 
+/// One registered family in the global store; its index is its id.
 #[derive(Default)]
-struct FamilyValues {
+struct Family {
+    name: &'static str,
     labels: BTreeMap<u64, LabelSlot>,
     admitted: usize,
-    overflow: LabelData,
+    overflow: u64,
 }
 
-struct FamilyDef {
-    name: &'static str,
-    kind: FamilyKind,
-}
-
-#[derive(Default)]
-struct DimState {
-    defs: Vec<FamilyDef>,
-    values: Vec<FamilyValues>,
-}
-
-fn state() -> &'static Mutex<DimState> {
-    static STATE: OnceLock<Mutex<DimState>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(DimState::default()))
+fn families() -> &'static Mutex<Vec<Family>> {
+    static FAMILIES: OnceLock<Mutex<Vec<Family>>> = OnceLock::new();
+    FAMILIES.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 static DROPPED_LABELS: AtomicU64 = AtomicU64::new(0);
@@ -182,18 +143,16 @@ pub fn set_cardinality_override(cap: usize) {
     CARDINALITY.store(cap, Ordering::Relaxed);
 }
 
-fn register_family(name: &'static str, kind: FamilyKind) -> u32 {
-    let mut st = state().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(id) = st.defs.iter().position(|d| d.name == name) {
-        assert!(
-            st.defs[id].kind == kind,
-            "family {name:?} registered as both counter and histogram"
-        );
+fn register_family(name: &'static str) -> u32 {
+    let mut fams = families().lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(id) = fams.iter().position(|f| f.name == name) {
         return id as u32;
     }
-    st.defs.push(FamilyDef { name, kind });
-    st.values.push(FamilyValues::default());
-    (st.defs.len() - 1) as u32
+    fams.push(Family {
+        name,
+        ..Family::default()
+    });
+    (fams.len() - 1) as u32
 }
 
 /// Handle to a labeled counter family. Cheap to copy; resolve once with
@@ -206,7 +165,7 @@ pub struct CounterFamily {
 /// Registers (or finds) the counter family `name`.
 pub fn counter_family(name: &'static str) -> CounterFamily {
     CounterFamily {
-        id: register_family(name, FamilyKind::Counter),
+        id: register_family(name),
     }
 }
 
@@ -215,7 +174,7 @@ impl CounterFamily {
     #[inline]
     pub fn add(&self, key: LabelKey, n: u64) {
         if enabled() && n != 0 {
-            record_local(self.id, key.encode(), n, 0);
+            record_local(self.id, key.encode(), n);
         }
     }
 
@@ -223,44 +182,6 @@ impl CounterFamily {
     #[inline]
     pub fn incr(&self, key: LabelKey) {
         self.add(key, 1);
-    }
-}
-
-/// Handle to a labeled histogram family (per-label duration samples).
-/// Cheap to copy; resolve once with [`histogram_family`] and cache at the
-/// call site for hot loops.
-#[derive(Debug, Clone, Copy)]
-pub struct HistogramFamily {
-    id: u32,
-}
-
-/// Registers (or finds) the histogram family `name`.
-pub fn histogram_family(name: &'static str) -> HistogramFamily {
-    HistogramFamily {
-        id: register_family(name, FamilyKind::Histogram),
-    }
-}
-
-impl HistogramFamily {
-    /// Records one externally measured sample of `ns` nanoseconds.
-    #[inline]
-    pub fn record_ns(&self, key: LabelKey, ns: u64) {
-        if enabled() {
-            record_local(self.id, key.encode(), 1, ns);
-        }
-    }
-
-    /// Times one closure invocation as a single sample.
-    #[inline]
-    pub fn time<R>(&self, key: LabelKey, f: impl FnOnce() -> R) -> R {
-        if !enabled() {
-            return f();
-        }
-        let start = Instant::now();
-        let r = f();
-        let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        record_local(self.id, key.encode(), 1, ns);
-        r
     }
 }
 
@@ -272,22 +193,21 @@ impl HistogramFamily {
 /// any sane workload) and a vec scan beats a map for a handful of entries.
 #[derive(Default)]
 pub(crate) struct FamilyShard {
-    labels: Vec<(u64, LabelData)>,
+    labels: Vec<(u64, u64)>,
 }
 
 #[inline]
-fn record_local(id: u32, code: u64, value: u64, sum_ns: u64) {
+fn record_local(id: u32, code: u64, value: u64) {
     crate::with_dim_shard(|dim| {
         let id = id as usize;
         if dim.len() <= id {
             dim.resize_with(id + 1, FamilyShard::default);
         }
         let shard = &mut dim[id];
-        if let Some((_, data)) = shard.labels.iter_mut().find(|(c, _)| *c == code) {
-            data.value += value;
-            data.sum_ns += sum_ns;
+        if let Some((_, total)) = shard.labels.iter_mut().find(|(c, _)| *c == code) {
+            *total += value;
         } else {
-            shard.labels.push((code, LabelData { value, sum_ns }));
+            shard.labels.push((code, value));
         }
     });
 }
@@ -301,30 +221,30 @@ pub(crate) fn merge_local(dim: &mut [FamilyShard]) {
         return;
     }
     let cap = cardinality();
-    let mut st = state().lock().unwrap_or_else(PoisonError::into_inner);
+    let mut fams = families().lock().unwrap_or_else(PoisonError::into_inner);
     for (id, shard) in dim.iter_mut().enumerate() {
         if shard.labels.is_empty() {
             continue;
         }
-        let Some(fam) = st.values.get_mut(id) else {
+        let Some(fam) = fams.get_mut(id) else {
             continue;
         };
-        for (code, data) in shard.labels.drain(..) {
+        for (code, value) in shard.labels.drain(..) {
             match fam.labels.get_mut(&code) {
-                Some(LabelSlot::Admitted(existing)) => existing.absorb(data),
-                Some(LabelSlot::Dropped) => fam.overflow.absorb(data),
+                Some(LabelSlot::Admitted(existing)) => *existing += value,
+                Some(LabelSlot::Dropped) => fam.overflow += value,
                 None => {
                     if fam.admitted < cap {
                         fam.admitted += 1;
-                        fam.labels.insert(code, LabelSlot::Admitted(data));
+                        fam.labels.insert(code, LabelSlot::Admitted(value));
                     } else {
                         // First sighting of an over-cap label: remember the
                         // rejection (so the drop counts once), fold the
-                        // data into the overflow bucket.
+                        // value into the overflow bucket.
                         fam.labels.insert(code, LabelSlot::Dropped);
                         // analyzer:allow(atomic-ordering): commutative tally
                         DROPPED_LABELS.fetch_add(1, Ordering::Relaxed);
-                        fam.overflow.absorb(data);
+                        fam.overflow += value;
                     }
                 }
             }
@@ -340,10 +260,8 @@ pub(crate) fn merge_local(dim: &mut [FamilyShard]) {
 pub struct LabelValue {
     /// Rendered label (`"3-7"`, `"n12"`, `"s2"`, `"d5"`, or `__overflow`).
     pub label: String,
-    /// Counter value (counter families) or sample count (histograms).
+    /// Counter value.
     pub value: u64,
-    /// Accumulated nanoseconds (histogram families; 0 for counters).
-    pub total_ns: u64,
 }
 
 /// Point-in-time aggregate of one metric family.
@@ -351,8 +269,6 @@ pub struct LabelValue {
 pub struct FamilySnapshot {
     /// Family catalog name.
     pub name: String,
-    /// Counter or histogram family.
-    pub kind: FamilyKind,
     /// Per-label values, in deterministic order: labels sorted by encoded
     /// key, the `__overflow` bucket (if any data was shed) last.
     pub labels: Vec<LabelValue>,
@@ -378,40 +294,36 @@ impl FamilySnapshot {
 /// sorted by name, labels by encoded key). The caller is expected to have
 /// flushed contributing threads first — [`crate::snapshot`] does.
 pub fn snapshot_families() -> Vec<FamilySnapshot> {
-    let st = state().lock().unwrap_or_else(PoisonError::into_inner);
-    let mut fams: Vec<FamilySnapshot> = st
-        .defs
+    let mut snaps: Vec<FamilySnapshot> = families()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
-        .zip(&st.values)
-        .map(|(def, vals)| {
-            let mut labels: Vec<LabelValue> = vals
+        .map(|fam| {
+            let mut labels: Vec<LabelValue> = fam
                 .labels
                 .iter()
                 .filter_map(|(code, slot)| match slot {
-                    LabelSlot::Admitted(data) => Some(LabelValue {
+                    LabelSlot::Admitted(value) => Some(LabelValue {
                         label: render_label(*code),
-                        value: data.value,
-                        total_ns: data.sum_ns,
+                        value: *value,
                     }),
                     LabelSlot::Dropped => None,
                 })
                 .collect();
-            if !vals.overflow.is_zero() {
+            if fam.overflow != 0 {
                 labels.push(LabelValue {
                     label: render_label(OVERFLOW_CODE),
-                    value: vals.overflow.value,
-                    total_ns: vals.overflow.sum_ns,
+                    value: fam.overflow,
                 });
             }
             FamilySnapshot {
-                name: def.name.to_string(),
-                kind: def.kind,
+                name: fam.name.to_string(),
                 labels,
             }
         })
         .collect();
-    fams.sort_by(|a, b| a.name.cmp(&b.name));
-    fams
+    snaps.sort_by(|a, b| a.name.cmp(&b.name));
+    snaps
 }
 
 /// Zeroes every family's label data and the dropped-label count. Family
@@ -420,11 +332,11 @@ pub fn snapshot_families() -> Vec<FamilySnapshot> {
 pub(crate) fn reset() {
     // analyzer:allow(atomic-ordering): quiescent-state zeroing
     DROPPED_LABELS.store(0, Ordering::Relaxed);
-    let mut st = state().lock().unwrap_or_else(PoisonError::into_inner);
-    for fam in &mut st.values {
+    let mut fams = families().lock().unwrap_or_else(PoisonError::into_inner);
+    for fam in fams.iter_mut() {
         fam.labels.clear();
         fam.admitted = 0;
-        fam.overflow = LabelData::default();
+        fam.overflow = 0;
     }
 }
 
@@ -461,28 +373,9 @@ mod tests {
             fam.incr(LabelKey::Link(2, 4));
             let snap = crate::snapshot();
             let links = family(&snap.groups, "test.dim.links");
-            assert_eq!(links.kind, FamilyKind::Counter);
             assert_eq!(links.label("1-3"), Some(7));
             assert_eq!(links.label("2-4"), Some(1));
             assert_eq!(links.total(), 8);
-        });
-    }
-
-    #[test]
-    fn histogram_family_tracks_count_and_total() {
-        with_isolated(|| {
-            let fam = histogram_family("test.dim.latency");
-            fam.record_ns(LabelKey::Distance(3), 1_000);
-            fam.record_ns(LabelKey::Distance(3), 3_000);
-            fam.record_ns(LabelKey::Distance(5), 500);
-            fam.time(LabelKey::Distance(5), || {});
-            let snap = crate::snapshot();
-            let lat = family(&snap.groups, "test.dim.latency");
-            assert_eq!(lat.kind, FamilyKind::Histogram);
-            assert_eq!(lat.label("d3"), Some(2));
-            assert_eq!(lat.label("d5"), Some(2));
-            let d3 = lat.labels.iter().find(|l| l.label == "d3").unwrap();
-            assert_eq!(d3.total_ns, 4_000);
         });
     }
 
@@ -535,7 +428,7 @@ mod tests {
             let render = |scrambled: bool| {
                 crate::reset();
                 let fam = counter_family("test.dim.order");
-                let hist = histogram_family("test.dim.order_hist");
+                let dist = counter_family("test.dim.order_dist");
                 let mut keys = [
                     LabelKey::Link(7, 2),
                     LabelKey::Link(0, 1),
@@ -548,8 +441,8 @@ mod tests {
                     fam.add(*k, (i + 1) as u64);
                     crate::flush();
                 }
-                hist.record_ns(LabelKey::Distance(5), 10);
-                hist.record_ns(LabelKey::Distance(3), 10);
+                dist.incr(LabelKey::Distance(5));
+                dist.incr(LabelKey::Distance(3));
                 let snap = crate::snapshot();
                 snap.groups
                     .iter()
@@ -625,15 +518,6 @@ mod tests {
                 family(&crate::snapshot().groups, "test.dim.reset").label("s1"),
                 Some(2)
             );
-        });
-    }
-
-    #[test]
-    fn kind_mismatch_panics() {
-        with_isolated(|| {
-            counter_family("test.dim.kind");
-            let err = std::panic::catch_unwind(|| histogram_family("test.dim.kind"));
-            assert!(err.is_err());
         });
     }
 

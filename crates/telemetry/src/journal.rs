@@ -2,7 +2,9 @@
 //! instant records.
 //!
 //! Counters and span timers (the aggregate layer in the crate root) answer
-//! *how much* and *how long on average*; the journal answers *when*. Each
+//! *how much* and *how long on average*; the journal answers *when*, and
+//! *in which trial*: a record belongs to the [`crate::stage::TRIAL_SPAN`]
+//! open on its thread, whose `Begin` record carries the trial seed. Each
 //! thread appends `Event`s into its own fixed-capacity ring (no locks, no
 //! shared cache lines on the hot path), oldest records are overwritten when
 //! the ring fills, and rings drain into a bounded global buffer when their
@@ -21,7 +23,6 @@
 
 use crate::envreg;
 use crate::json::{obj, JsonError, Value};
-use crate::trace::{self, TraceCtx};
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -102,7 +103,6 @@ struct Event {
     name: &'static str,
     phase: Phase,
     arg: Option<u64>,
-    ctx: TraceCtx,
 }
 
 /// One journal record with an owned name — the form exporters consume and
@@ -120,9 +120,6 @@ pub struct OwnedEvent {
     pub phase: Phase,
     /// Optional numeric payload.
     pub arg: Option<u64>,
-    /// Trace context installed when the event was recorded (see
-    /// [`crate::trace`]): which trial / request / segment it belongs to.
-    pub ctx: TraceCtx,
 }
 
 impl Event {
@@ -133,7 +130,6 @@ impl Event {
             name: self.name.to_string(),
             phase: self.phase,
             arg: self.arg,
-            ctx: self.ctx,
         }
     }
 }
@@ -221,7 +217,6 @@ pub fn record(name: &'static str, phase: Phase, arg: Option<u64>) {
         return;
     }
     let ts_ns = epoch().elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    let ctx = trace::current();
     RING.with(|r| {
         let mut ring = r.borrow_mut();
         let tid = ring.tid;
@@ -231,7 +226,6 @@ pub fn record(name: &'static str, phase: Phase, arg: Option<u64>) {
             name,
             phase,
             arg,
-            ctx,
         });
     });
 }
@@ -330,55 +324,25 @@ pub fn write_trace() -> std::io::Result<Option<PathBuf>> {
 
 /// Renders events as Chrome trace format (JSON object with a
 /// `traceEvents` array; timestamps in microseconds, one `tid` track per
-/// recording thread). Loadable in Perfetto and `chrome://tracing`.
-///
-/// Events carrying a trial id are grouped into one *process* track per
-/// trial (`pid` = trial id, named by a `process_name` metadata record);
-/// context-free events land on the default `pid` 1. Request / segment ids
-/// surface in `args`.
+/// recording thread, all under `pid` 1). Loadable in Perfetto and
+/// `chrome://tracing`. An event's payload shows as `args.arg`, so each
+/// [`crate::stage::TRIAL_SPAN`] slice shows its trial seed.
 pub fn export_chrome(events: &[OwnedEvent]) -> String {
     let mut trace_events: Vec<Value> = Vec::with_capacity(events.len());
-    let mut named_trials: Vec<u64> = Vec::new();
     for e in events {
-        let pid = e.ctx.trial.unwrap_or(1);
-        if let Some(trial) = e.ctx.trial {
-            if !named_trials.contains(&trial) {
-                named_trials.push(trial);
-                trace_events.push(obj(vec![
-                    ("name", Value::from("process_name")),
-                    ("ph", Value::from("M")),
-                    ("pid", Value::from(trial)),
-                    ("tid", Value::from(e.tid)),
-                    (
-                        "args",
-                        obj(vec![("name", Value::Str(format!("trial {trial}")))]),
-                    ),
-                ]));
-            }
-        }
         let mut pairs = vec![
             ("name", Value::from(e.name.as_str())),
             ("ph", Value::from(e.phase.code())),
             // Integer-nanosecond precision: µs with fractional part.
             ("ts", Value::Num(e.ts_ns as f64 / 1_000.0)),
-            ("pid", Value::from(pid)),
+            ("pid", Value::from(1u64)),
             ("tid", Value::from(e.tid)),
         ];
         if e.phase == Phase::Instant {
             pairs.push(("s", Value::from("t")));
         }
-        let mut args = Vec::new();
         if let Some(arg) = e.arg {
-            args.push(("arg", Value::from(arg)));
-        }
-        if let Some(request) = e.ctx.request {
-            args.push(("req", Value::from(request)));
-        }
-        if let Some(segment) = e.ctx.segment {
-            args.push(("seg", Value::from(segment)));
-        }
-        if !args.is_empty() {
-            pairs.push(("args", obj(args)));
+            pairs.push(("args", obj(vec![("arg", Value::from(arg))])));
         }
         trace_events.push(obj(pairs));
     }
@@ -389,9 +353,8 @@ pub fn export_chrome(events: &[OwnedEvent]) -> String {
     .to_string()
 }
 
-/// Renders events as JSONL: one
-/// `{"ts_ns","tid","name","phase","arg"?,"trial"?,"req"?,"seg"?}` object
-/// per line. [`parse_jsonl`] inverts this exactly.
+/// Renders events as JSONL: one `{"ts_ns","tid","name","phase","arg"?}`
+/// object per line. [`parse_jsonl`] inverts this exactly.
 pub fn export_jsonl(events: &[OwnedEvent]) -> String {
     let mut out = String::new();
     for e in events {
@@ -403,15 +366,6 @@ pub fn export_jsonl(events: &[OwnedEvent]) -> String {
         ];
         if let Some(arg) = e.arg {
             pairs.push(("arg", Value::from(arg)));
-        }
-        if let Some(trial) = e.ctx.trial {
-            pairs.push(("trial", Value::from(trial)));
-        }
-        if let Some(request) = e.ctx.request {
-            pairs.push(("req", Value::from(request)));
-        }
-        if let Some(segment) = e.ctx.segment {
-            pairs.push(("seg", Value::from(segment)));
         }
         obj(pairs).write(&mut out);
         out.push('\n');
@@ -456,11 +410,6 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEvent>, JsonError> {
                 .and_then(Phase::from_code)
                 .ok_or_else(|| bad(format!("line {}: bad phase", i + 1)))?,
             arg: v.get("arg").and_then(Value::as_u64),
-            ctx: TraceCtx {
-                trial: v.get("trial").and_then(Value::as_u64),
-                request: v.get("req").and_then(Value::as_u64),
-                segment: v.get("seg").and_then(Value::as_u64),
-            },
         });
     }
     Ok(events)
@@ -607,92 +556,6 @@ mod tests {
             assert_eq!(dropped_events(), 10);
             reset();
             assert_eq!(dropped_events(), 0);
-        });
-    }
-
-    #[test]
-    fn events_snapshot_the_installed_trace_context() {
-        with_journal(|| {
-            let _t = trace::trial_scope(70_001);
-            {
-                let _r = trace::request_scope(2);
-                let _s = trace::segment_scope(1);
-                record("test.ctx", Phase::Instant, Some(5));
-            }
-            record("test.trial-only", Phase::Instant, None);
-            let events = collect();
-            assert_eq!(events.len(), 2);
-            assert_eq!(
-                events[0].ctx,
-                TraceCtx {
-                    trial: Some(70_001),
-                    request: Some(2),
-                    segment: Some(1),
-                }
-            );
-            assert_eq!(events[1].ctx.trial, Some(70_001));
-            assert_eq!(events[1].ctx.request, None);
-        });
-    }
-
-    #[test]
-    fn jsonl_round_trips_context_fields() {
-        with_journal(|| {
-            {
-                let _t = trace::trial_scope(9);
-                let _r = trace::request_scope(0);
-                record("test.ctx-rt", Phase::Begin, None);
-                record("test.ctx-rt", Phase::End, Some(1));
-            }
-            record("test.bare", Phase::Instant, None);
-            let events = collect();
-            let text = export_jsonl(&events);
-            assert!(text.contains("\"trial\":9"));
-            assert!(text.contains("\"req\":0"));
-            let parsed = parse_jsonl(&text).unwrap();
-            assert_eq!(parsed, events);
-        });
-    }
-
-    #[test]
-    fn chrome_export_groups_tracks_per_trial() {
-        with_journal(|| {
-            record("test.outside", Phase::Instant, None);
-            {
-                let _t = trace::trial_scope(41);
-                record("test.inside", Phase::Instant, None);
-            }
-            {
-                let _t = trace::trial_scope(42);
-                let _s = trace::segment_scope(3);
-                record("test.inside", Phase::Instant, None);
-            }
-            let text = export_chrome(&collect());
-            let v = Value::parse(&text).unwrap();
-            let events = v.get("traceEvents").unwrap().as_array().unwrap();
-            // 3 records + 2 process_name metadata records.
-            assert_eq!(events.len(), 5);
-            let pid_of = |name: &str| {
-                events
-                    .iter()
-                    .filter(|e| e.get("name").unwrap().as_str() == Some(name))
-                    .map(|e| e.get("pid").unwrap().as_u64().unwrap())
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(pid_of("test.outside"), [1]);
-            assert_eq!(pid_of("test.inside"), [41, 42]);
-            assert_eq!(pid_of("process_name"), [41, 42]);
-            let seg = events
-                .iter()
-                .find(|e| {
-                    e.get("name").unwrap().as_str() == Some("test.inside")
-                        && e.get("pid").unwrap().as_u64() == Some(42)
-                })
-                .unwrap();
-            assert_eq!(
-                seg.get("args").unwrap().get("seg").and_then(Value::as_u64),
-                Some(3)
-            );
         });
     }
 }

@@ -4,8 +4,9 @@
 //! machine-readable artifact (Chrome traces, JSONL journals, `report` output,
 //! `BENCH_*.json` reports) flows through this module instead. The subset is
 //! full JSON; the only deliberate restriction is that numbers are `f64`
-//! (integers round-trip exactly up to 2^53, which covers every value the
-//! workspace emits — nanosecond spans, counters, seeds).
+//! (integers round-trip exactly up to 2^53, which covers nanosecond spans
+//! and counters; seeds fit because the figure binaries reject a `--seed`
+//! whose run would use a seed of 2^53 or more, `surfnet_bench::seed_arg`).
 //!
 //! Objects preserve insertion order (they are vectors of pairs, not maps),
 //! so written artifacts are deterministic and diff-friendly.

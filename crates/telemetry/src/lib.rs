@@ -52,7 +52,6 @@ pub mod hist;
 pub mod journal;
 pub mod json;
 pub mod stage;
-pub mod trace;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -736,10 +735,8 @@ impl Snapshot {
                 })
                 .collect(),
         );
-        // Metric families flatten to `name{label}` keys. Only the deterministic
-        // face of a family is exported — counter values and histogram sample
-        // counts, never accumulated durations — so grouped sections diff at
-        // zero tolerance across reruns of a seeded workload.
+        // Metric families flatten to `name{label}` keys. Every family counts
+        // events, so grouped sections diff at zero tolerance across reruns.
         let groups = Value::Obj(
             self.groups
                 .iter()

@@ -22,7 +22,7 @@
 //! Everything is inert — two relaxed loads — unless telemetry or the
 //! journal is recording.
 
-use crate::{journal, trace};
+use crate::journal;
 use std::cell::RefCell;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -78,7 +78,8 @@ impl Stage {
 /// The per-trial total timer fed by [`trial_scope`].
 pub const TRIAL_RUN: &str = "trial.run";
 
-/// The journal span [`trial_scope`] writes around each whole trial.
+/// The journal span [`trial_scope`] writes around each whole trial. Its
+/// `Begin` record's argument is the trial seed, which names the trial.
 pub const TRIAL_SPAN: &str = "pipeline.trial";
 
 struct Attribution {
@@ -129,25 +130,21 @@ fn timers() -> &'static (crate::Timer, [crate::Timer; ALL_STAGES.len()]) {
     })
 }
 
-/// RAII guard for one trial: its trace context, its stage accounting and
-/// its [`TRIAL_SPAN`] journal records. Records the per-stage histograms on
-/// drop.
+/// RAII guard for one trial: its stage accounting and its [`TRIAL_SPAN`]
+/// journal records. Records the per-stage histograms on drop.
 #[must_use = "a trial scope records on drop; binding it to _ drops it immediately"]
 #[derive(Debug)]
 pub struct TrialScope {
     active: bool,
-    /// Restores the enclosing trace context after `drop` has run.
-    _ctx: trace::CtxScope,
 }
 
-/// Opens trial `seed` on this thread. It installs the trial's trace
-/// context ([`trace::trial_scope`]) unconditionally. While telemetry or the
-/// journal is recording, it also zeroes the stage accumulators, starts the
-/// trial clock and writes the [`TRIAL_SPAN`] `Begin` record.
+/// Opens trial `seed` on this thread. While telemetry or the journal is
+/// recording, it zeroes the stage accumulators, starts the trial clock and
+/// writes the [`TRIAL_SPAN`] `Begin` record carrying `seed`; otherwise it
+/// does nothing.
 pub fn trial_scope(seed: u64) -> TrialScope {
     let scope = TrialScope {
         active: crate::recording(),
-        _ctx: trace::trial_scope(seed),
     };
     if scope.active {
         ATTR.with(|a| {
@@ -157,7 +154,7 @@ pub fn trial_scope(seed: u64) -> TrialScope {
             attr.totals = [0; ALL_STAGES.len()];
             attr.last = now;
         });
-        journal::record(TRIAL_SPAN, journal::Phase::Begin, None);
+        journal::record(TRIAL_SPAN, journal::Phase::Begin, Some(seed));
     }
     scope
 }
@@ -284,8 +281,6 @@ mod tests {
         let span = crate::span!("test.stage.gen", Gen);
         assert!(!trial.active);
         assert!(span.stage.is_none());
-        // The trace context is installed even when nothing records.
-        assert_eq!(trace::current().trial, Some(1));
     }
 
     #[test]
@@ -316,6 +311,7 @@ mod tests {
                 (TRIAL_SPAN, journal::Phase::End),
             ]
         );
-        assert!(events.iter().all(|e| e.ctx.trial == Some(7)), "{events:?}");
+        let args: Vec<Option<u64>> = events.iter().map(|e| e.arg).collect();
+        assert_eq!(args, [Some(7), None, None, None, None, None]);
     }
 }

@@ -1,7 +1,7 @@
 //! Network routing: schedule a batch of requests on a random
 //! Barabási–Albert network with the LP-based SurfNet scheduler, execute
-//! the schedule online, and compare against the Raw baseline and the
-//! hierarchical greedy scheduler.
+//! the schedule online, and compare against the Raw and Purification
+//! baselines.
 //!
 //! ```sh
 //! cargo run --example network_routing
@@ -13,7 +13,7 @@ use surfnet::core::pipeline::{run_trial_on, Design};
 use surfnet::core::scenario::TrialConfig;
 use surfnet::netsim::generate::{barabasi_albert, NetworkConfig};
 use surfnet::netsim::request::random_requests;
-use surfnet::routing::{GreedyScheduler, RoutingParams, SurfNetScheduler};
+use surfnet::routing::{RoutingParams, SurfNetScheduler};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SmallRng::seed_from_u64(20_24);
@@ -66,14 +66,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             code.corrections
         );
     }
-
-    // The hierarchical mode (Sec. V-B): greedy, no central LP.
-    let greedy = GreedyScheduler::new(params).schedule(&net, &requests)?;
-    println!(
-        "greedy/hierarchical schedule: {} codes (throughput {:.2})",
-        greedy.total_scheduled(),
-        greedy.throughput()
-    );
 
     // Full pipeline on the same network: execution + decoding.
     let cfg = TrialConfig::default();
