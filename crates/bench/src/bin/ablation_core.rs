@@ -9,22 +9,10 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use surfnet_bench::{arg_in, args, report_json, telemetry_dump, telemetry_init, trace_finish};
-use surfnet_decoder::{Decoder, SurfNetDecoder};
+use surfnet_core::experiments::runner::{count_failed_shots, default_workers};
+use surfnet_decoder::SurfNetDecoder;
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 use surfnet_telemetry::json::Value;
-
-fn rate(code: &SurfaceCode, model: &ErrorModel, trials: usize, seed: u64) -> f64 {
-    let decoder = SurfNetDecoder::from_model(code, model);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let failures = (0..trials)
-        .filter(|_| {
-            !decoder
-                .decode_sample(code, &model.sample(&mut rng))
-                .is_success()
-        })
-        .count();
-    failures as f64 / trials as f64
-}
 
 fn main() {
     telemetry_init();
@@ -61,7 +49,10 @@ fn main() {
                 ErrorModel::dual_channel(&code, &part, p, pe)
             }
         };
-        let error_rate = rate(&code, &model, trials, 11);
+        let decoder = SurfNetDecoder::from_model(&code, &model);
+        let rng = SmallRng::seed_from_u64(11);
+        let failures = count_failed_shots(&decoder, &code, &model, rng, trials, default_workers());
+        let error_rate = failures as f64 / trials as f64;
         println!("  {label:<16} logical error rate {error_rate:.4}");
         metrics.push((format!("{key}/logical_error_rate"), error_rate));
     }

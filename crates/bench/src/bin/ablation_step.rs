@@ -6,19 +6,15 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::time::Instant;
 use surfnet_bench::{arg_in, args, report_json, telemetry_dump, telemetry_init, trace_finish};
-use surfnet_decoder::{Decoder, SurfNetDecoder};
+use surfnet_core::experiments::runner::{count_failed_shots, default_workers};
+use surfnet_decoder::SurfNetDecoder;
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 use surfnet_telemetry::json::Value;
-use surfnet_telemetry::Telemetry;
 
 fn main() {
     telemetry_init();
-    // All timing flows through the telemetry timer below — force recording
-    // on even when SURFNET_TELEMETRY is unset so the decodes/s column is
-    // always available (the dump at the end still obeys the env mode).
-    let _telemetry = Telemetry::enabled();
-    let trial_timer = surfnet_telemetry::timer("bench.ablation_step.trials");
     let args = args(&["--trials", "--distance"]);
     let trials = arg_in(&args, "--trials", 1200usize, "at least 1", |&n| n >= 1);
     let distance = arg_in(&args, "--distance", 9usize, "odd and at least 3", |&d| {
@@ -27,29 +23,18 @@ fn main() {
     let code = SurfaceCode::new(distance).expect("valid distance");
     let part = code.core_partition(CoreTopology::Cross);
     let model = ErrorModel::dual_channel(&code, &part, 0.07, 0.15);
-    println!("step-size ablation: d={distance}, pauli 7%, erasure 15%, {trials} trials");
-    let mut prev_total_ns = 0u64;
+    let threads = default_workers();
+    println!(
+        "step-size ablation: d={distance}, pauli 7%, erasure 15%, {trials} trials, \
+         {threads} threads"
+    );
     let mut metrics = Vec::new();
     for r in [0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 1.5] {
         let decoder = SurfNetDecoder::with_step(&code, &model, r);
-        let mut rng = SmallRng::seed_from_u64(23);
-        let failures = trial_timer.time(|| {
-            (0..trials)
-                .filter(|_| {
-                    !decoder
-                        .decode_sample(&code, &model.sample(&mut rng))
-                        .is_success()
-                })
-                .count()
-        });
-        // Per-r wall time is the delta of the timer's running total; no
-        // mid-run reset, so the final dump keeps the aggregate stats.
-        let total_ns = surfnet_telemetry::snapshot()
-            .timer("bench.ablation_step.trials")
-            .map(|t| t.total_ns)
-            .unwrap_or(0);
-        let elapsed = (total_ns.saturating_sub(prev_total_ns)) as f64 / 1e9;
-        prev_total_ns = total_ns;
+        let rng = SmallRng::seed_from_u64(23);
+        let start = Instant::now();
+        let failures = count_failed_shots(&decoder, &code, &model, rng, trials, threads);
+        let elapsed = start.elapsed().as_secs_f64();
         let error_rate = failures as f64 / trials as f64;
         println!(
             "  r = {r:<5.3} logical error rate {:.4}  ({:.1} decodes/s)",

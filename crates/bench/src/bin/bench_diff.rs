@@ -3,16 +3,14 @@
 //!
 //! Usage: `cargo run -p surfnet-bench --bin bench-diff -- \
 //!     <baseline.json> <candidate.json> [--tol 0.05] [--counters] [--counter-tol 0.5] \
-//!     [--stages] [--stage-tol 0.5] [--groups] [--group-tol 0]`
+//!     [--groups] [--group-tol 0]`
 //!
-//! `--stages` also compares the per-stage timer means (`trial.run` and
-//! `trial.stage.*` mean_ns, lower-is-better) under `--stage-tol` — a
-//! loose default, since stage times are wall-clock. `--groups` compares
-//! the grouped metric-family series (`name{label}` keys) under
-//! `--group-tol`; group values are deterministic for seeded runs, so the
-//! default group tolerance is 0, and a label missing from the candidate
-//! is a regression. Any tolerance of 0 pins its values: a change in
-//! either direction fails, and one in the good direction prints as drift.
+//! `--groups` compares the grouped metric-family series (`name{label}`
+//! keys) under `--group-tol`; group values are deterministic for seeded
+//! runs, so the default group tolerance is 0, and a label missing from the
+//! candidate is a regression. Timers are wall-clock and never compared.
+//! Any tolerance of 0 pins its values: a change in either direction
+//! fails, and one in the good direction prints as drift.
 //!
 //! Exit codes: 0 = no regressions, 1 = regressions or drift found, 2 =
 //! usage error (an unknown flag included) or malformed report.
@@ -24,8 +22,6 @@ fn main() {
         "--tol",
         "--counters",
         "--counter-tol",
-        "--stages",
-        "--stage-tol",
         "--groups",
         "--group-tol",
     ]);
@@ -36,7 +32,7 @@ fn main() {
         for a in &args {
             if skip {
                 skip = false;
-            } else if a == "--counters" || a == "--stages" || a == "--groups" {
+            } else if a == "--counters" || a == "--groups" {
                 // bare flags
             } else if a.starts_with("--") {
                 skip = true;
@@ -49,27 +45,18 @@ fn main() {
     let [baseline_path, candidate_path] = positional.as_slice() else {
         eprintln!(
             "usage: bench-diff <baseline.json> <candidate.json> [--tol T] \
-             [--counters] [--counter-tol T] [--stages] [--stage-tol T] \
-             [--groups] [--group-tol T]"
+             [--counters] [--counter-tol T] [--groups] [--group-tol T]"
         );
         std::process::exit(2);
     };
     let tol = arg_or(&args, "--tol", 0.05f64);
     let counter_tol = has_flag(&args, "--counters").then(|| arg_or(&args, "--counter-tol", 0.5f64));
-    let stage_tol = has_flag(&args, "--stages").then(|| arg_or(&args, "--stage-tol", 0.5f64));
     let group_tol = has_flag(&args, "--groups").then(|| arg_or(&args, "--group-tol", 0.0f64));
 
     let result = diff::load(baseline_path)
         .and_then(|baseline| diff::load(candidate_path).map(|candidate| (baseline, candidate)))
         .and_then(|(baseline, candidate)| {
-            diff::diff(
-                &baseline,
-                &candidate,
-                tol,
-                counter_tol,
-                stage_tol,
-                group_tol,
-            )
+            diff::diff(&baseline, &candidate, tol, counter_tol, group_tol)
         });
     match result {
         Ok(report) => {

@@ -127,25 +127,6 @@ fn object(report: &Value, key: &str) -> Result<Vec<(String, f64)>, String> {
         .collect()
 }
 
-/// Extracts the per-stage timer means (`trial.run` and `trial.stage.*`)
-/// from a report's `timers` object as flat `<name>/mean_ns` keys, so the
-/// stage breakdown can be compared with the same machinery as metrics.
-fn stage_timers(report: &Value) -> Result<Vec<(String, f64)>, String> {
-    Ok(report
-        .get("timers")
-        .and_then(Value::as_object)
-        .ok_or("report has no `timers` object")?
-        .iter()
-        .filter(|(name, _)| name == "trial.run" || name.starts_with("trial.stage."))
-        .filter_map(|(name, entry)| {
-            entry
-                .get("mean_ns")
-                .and_then(Value::as_f64)
-                .map(|mean| (format!("{name}/mean_ns"), mean))
-        })
-        .collect())
-}
-
 fn check_schema(report: &Value, which: &str) -> Result<(), String> {
     match report.get("schema").and_then(Value::as_str) {
         Some(crate::report_json::SCHEMA) => Ok(()),
@@ -214,15 +195,12 @@ fn compare(
 /// `tol` is the relative tolerance for `metrics` (zero pins every value:
 /// any change fails, in either direction); counters are compared
 /// too when `counter_tol` is given (they get their own, typically much
-/// looser, tolerance), the per-stage timer means (`trial.run` and
-/// `trial.stage.*`, as `<name>/mean_ns` keys, lower-is-better) when
-/// `stage_tol` is given — stage times are wall-clock, so its tolerance
-/// should be loose too — and the grouped metric-family series
+/// looser, tolerance), and the grouped metric-family series
 /// (`name{label}` keys from the `groups` object) when `group_tol` is
-/// given. Group values are counter values / histogram sample counts
-/// (deterministic for seeded runs), so a zero group tolerance is the
-/// normal CI setting; a label vanishing from a family surfaces through
-/// the usual missing-key regression.
+/// given. Timers are wall-clock and never compared. Group values are
+/// counter values (deterministic for seeded runs), so a zero group
+/// tolerance is the normal CI setting; a label vanishing from a family
+/// surfaces through the usual missing-key regression.
 ///
 /// # Errors
 ///
@@ -233,7 +211,6 @@ pub fn diff(
     candidate: &Value,
     tol: f64,
     counter_tol: Option<f64>,
-    stage_tol: Option<f64>,
     group_tol: Option<f64>,
 ) -> Result<DiffReport, String> {
     check_schema(baseline, "baseline")?;
@@ -263,14 +240,6 @@ pub fn diff(
             &object(baseline, "counters")?,
             &object(candidate, "counters")?,
             ctol,
-            &mut report,
-        );
-    }
-    if let Some(stol) = stage_tol {
-        compare(
-            &stage_timers(baseline)?,
-            &stage_timers(candidate)?,
-            stol,
             &mut report,
         );
     }
@@ -322,7 +291,7 @@ mod tests {
     #[test]
     fn identical_reports_have_zero_regressions() {
         let r = report(&[("a/fidelity", 0.9), ("a/latency", 10.0)]);
-        let d = diff(&r, &r, 0.0, None, None, None).unwrap();
+        let d = diff(&r, &r, 0.0, None, None).unwrap();
         assert!(!d.has_regressions());
         assert_eq!(d.rows.len(), 2);
     }
@@ -331,25 +300,25 @@ mod tests {
     fn worse_fidelity_and_worse_latency_regress() {
         let base = report(&[("a/fidelity", 0.9), ("a/latency", 10.0)]);
         let worse = report(&[("a/fidelity", 0.8), ("a/latency", 12.0)]);
-        let d = diff(&base, &worse, 0.05, None, None, None).unwrap();
+        let d = diff(&base, &worse, 0.05, None, None).unwrap();
         assert_eq!(d.regressions().len(), 2);
         // The same movement inside tolerance passes.
-        let d = diff(&base, &worse, 0.25, None, None, None).unwrap();
+        let d = diff(&base, &worse, 0.25, None, None).unwrap();
         assert!(!d.has_regressions());
         // Under a nonzero tolerance, movement in the *good* direction is
         // never a regression.
         let better = report(&[("a/fidelity", 0.99), ("a/latency", 5.0)]);
-        let d = diff(&base, &better, 0.05, None, None, None).unwrap();
+        let d = diff(&base, &better, 0.05, None, None).unwrap();
         assert!(!d.has_regressions());
         // A zero tolerance pins the values: any change fails, in either
         // direction, and a better value prints as drift.
-        let d = diff(&base, &better, 0.0, None, None, None).unwrap();
+        let d = diff(&base, &better, 0.0, None, None).unwrap();
         assert_eq!(d.regressions().len(), 2);
         let text = d.render();
         assert!(text.contains("0 regressed, 2 drifted"), "{text}");
         assert!(text.contains("DRIFT a/fidelity: 0.9 -> 0.99"), "{text}");
         assert!(!text.contains("REGRESSION"), "{text}");
-        let d = diff(&base, &worse, 0.0, None, None, None).unwrap();
+        let d = diff(&base, &worse, 0.0, None, None).unwrap();
         assert_eq!(d.regressions().len(), 2);
         assert!(d.render().contains("REGRESSION a/latency"));
     }
@@ -358,73 +327,10 @@ mod tests {
     fn missing_metric_is_a_regression_added_is_not() {
         let base = report(&[("a/fidelity", 0.9), ("b/fidelity", 0.9)]);
         let cand = report(&[("a/fidelity", 0.9), ("c/fidelity", 0.9)]);
-        let d = diff(&base, &cand, 0.05, None, None, None).unwrap();
+        let d = diff(&base, &cand, 0.05, None, None).unwrap();
         assert!(d.has_regressions());
         assert_eq!(d.missing, vec!["b/fidelity".to_string()]);
         assert_eq!(d.added, vec!["c/fidelity".to_string()]);
-    }
-
-    fn report_with_timers(metrics: &[(&str, f64)], timers: &[(&str, f64)]) -> Value {
-        let metrics_body: String = metrics
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let timers_body: String = timers
-            .iter()
-            .map(|(k, mean)| format!("\"{k}\":{{\"count\":4,\"mean_ns\":{mean}}}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        Value::parse(&format!(
-            "{{\"schema\":\"surfnet-bench/v1\",\"figure\":\"t\",\
-             \"metrics\":{{{metrics_body}}},\"counters\":{{}},\"timers\":{{{timers_body}}}}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn stage_means_compare_only_when_requested() {
-        let base = report_with_timers(
-            &[("a/fidelity", 0.9)],
-            &[
-                ("trial.run", 1000.0),
-                ("trial.stage.decode", 700.0),
-                ("pipeline.evaluate", 500.0), // not a stage timer: ignored
-            ],
-        );
-        let slower = report_with_timers(
-            &[("a/fidelity", 0.9)],
-            &[
-                ("trial.run", 1000.0),
-                ("trial.stage.decode", 1400.0),
-                ("pipeline.evaluate", 9999.0),
-            ],
-        );
-        // Without a stage tolerance the slowdown is invisible.
-        let d = diff(&base, &slower, 0.0, None, None, None).unwrap();
-        assert!(!d.has_regressions());
-        // With one, the decode stage regresses (mean_ns is lower-is-better)
-        // and the non-stage timer still doesn't participate.
-        let d = diff(&base, &slower, 0.0, None, Some(0.2), None).unwrap();
-        assert_eq!(d.regressions().len(), 1);
-        assert_eq!(d.regressions()[0].name, "trial.stage.decode/mean_ns");
-        // A loose enough tolerance passes, and under a nonzero tolerance
-        // faster stages never regress; a zero one fails them as drift.
-        assert!(!diff(&base, &slower, 0.0, None, Some(2.0), None)
-            .unwrap()
-            .has_regressions());
-        assert!(!diff(&slower, &base, 0.0, None, Some(0.2), None)
-            .unwrap()
-            .has_regressions());
-        assert!(diff(&slower, &base, 0.0, None, Some(0.0), None)
-            .unwrap()
-            .has_regressions());
-        // A baseline predating stage timers compares nothing but errors on
-        // a missing `timers` object outright.
-        let old = report(&[("a/fidelity", 0.9)]);
-        assert!(diff(&old, &slower, 0.0, None, Some(0.2), None)
-            .unwrap_err()
-            .contains("timers"));
     }
 
     fn report_with_groups(groups: &[(&str, f64)]) -> Value {
@@ -451,21 +357,21 @@ mod tests {
             ("netsim.link.attempts{1-2}", 450.0),
         ]);
         // Without a group tolerance the drift is invisible.
-        assert!(!diff(&base, &drifted, 0.0, None, None, None)
+        assert!(!diff(&base, &drifted, 0.0, None, None)
             .unwrap()
             .has_regressions());
         // A zero group tolerance fails the drift in either direction.
         for (a, b) in [(&base, &drifted), (&drifted, &base)] {
-            let d = diff(a, b, 0.0, None, None, Some(0.0)).unwrap();
+            let d = diff(a, b, 0.0, None, Some(0.0)).unwrap();
             assert_eq!(d.regressions().len(), 1);
             assert_eq!(d.regressions()[0].name, "netsim.link.attempts{0-1}");
         }
         // Attempts carry no lower-is-better marker, so under a nonzero
         // tolerance only a *drop* regresses; the higher candidate passes.
-        assert!(!diff(&base, &drifted, 0.0, None, None, Some(0.001))
+        assert!(!diff(&base, &drifted, 0.0, None, Some(0.001))
             .unwrap()
             .has_regressions());
-        let d = diff(&drifted, &base, 0.0, None, None, Some(0.001)).unwrap();
+        let d = diff(&drifted, &base, 0.0, None, Some(0.001)).unwrap();
         assert_eq!(d.regressions().len(), 1);
         assert_eq!(d.regressions()[0].name, "netsim.link.attempts{0-1}");
     }
@@ -477,13 +383,13 @@ mod tests {
             ("netsim.link.attempts{1-2}", 450.0),
         ]);
         let lost_label = report_with_groups(&[("netsim.link.attempts{0-1}", 700.0)]);
-        let d = diff(&base, &lost_label, 0.0, None, None, Some(0.0)).unwrap();
+        let d = diff(&base, &lost_label, 0.0, None, Some(0.0)).unwrap();
         assert!(d.has_regressions());
         assert_eq!(d.missing, vec!["netsim.link.attempts{1-2}".to_string()]);
         // A baseline predating grouped exports errors outright rather than
         // silently comparing nothing.
         let old = report(&[]);
-        assert!(diff(&old, &base, 0.0, None, None, Some(0.0))
+        assert!(diff(&old, &base, 0.0, None, Some(0.0))
             .unwrap_err()
             .contains("groups"));
     }
@@ -493,11 +399,11 @@ mod tests {
         let a = report(&[]);
         let mut b_text = a.to_string().replace("\"t\"", "\"u\"");
         let b = Value::parse(&b_text).unwrap();
-        assert!(diff(&a, &b, 0.05, None, None, None)
+        assert!(diff(&a, &b, 0.05, None, None)
             .unwrap_err()
             .contains("different"));
         b_text = a.to_string().replace("surfnet-bench/v1", "x/y");
         let b = Value::parse(&b_text).unwrap();
-        assert!(diff(&b, &a, 0.05, None, None, None).is_err());
+        assert!(diff(&b, &a, 0.05, None, None).is_err());
     }
 }

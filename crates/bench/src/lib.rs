@@ -10,8 +10,8 @@
 //! * `fig8` — Fig. 8: decoder thresholds (Union-Find vs SurfNet);
 //! * `all` — everything above with paper-scale defaults.
 //!
-//! Criterion benches (`cargo bench -p surfnet-bench`) measure the decoder
-//! and matcher scaling claims (Theorems 1–2) and the LP scheduler.
+//! `fig_decoders` times the three decoders per shot at d = 5/7/9 on
+//! Fig. 8's shots, the cost side of Theorems 1–2.
 //!
 //! Beyond the terminal tables, every figure binary also emits a
 //! machine-readable `BENCH_<figure>.json` report ([`report_json`]); the

@@ -24,7 +24,7 @@
 //! telemetry on (`SURFNET_TELEMETRY=json`, as CI and every baseline run),
 //! the `timers` section holds wall-clock nanoseconds (`total_ns`,
 //! `mean_ns`, `p95_ns`, ...), which differ between runs; `bench-diff`
-//! compares timers only under `--stages`.
+//! never compares timers.
 
 use std::path::PathBuf;
 use surfnet_telemetry::envreg;

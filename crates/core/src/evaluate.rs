@@ -33,6 +33,17 @@ pub enum DecoderKind {
     UnionFind,
 }
 
+impl DecoderKind {
+    /// Builds this decoder's weighted graphs from the estimated
+    /// fidelities in `model`.
+    pub fn build(self, code: &SurfaceCode, model: &ErrorModel) -> Box<dyn Decoder + Sync> {
+        match self {
+            DecoderKind::SurfNet => Box::new(SurfNetDecoder::from_model(code, model)),
+            DecoderKind::UnionFind => Box::new(UnionFindDecoder::from_model(code, model)),
+        }
+    }
+}
+
 /// Placeholder left by the retired shot-batching path: no fields, no
 /// effect. It stays only because `perfbench`'s `traced_trial` copy of the
 /// trial pipeline still passes `&cfg.batch` to
@@ -158,17 +169,8 @@ impl DecoderCache {
         }
         surfnet_telemetry::count!("decoder.cache_misses");
         let model = segment_error_model(code, partition, segment)?;
-        let built: Box<dyn Decoder> = match decoder {
-            DecoderKind::SurfNet => Box::new(SurfNetDecoder::from_model(code, &model)),
-            DecoderKind::UnionFind => Box::new(UnionFindDecoder::from_model(code, &model)),
-        };
-        self.entries.push((
-            key,
-            CacheEntry {
-                model,
-                decoder: built,
-            },
-        ));
+        let decoder = decoder.build(code, &model);
+        self.entries.push((key, CacheEntry { model, decoder }));
         Ok(self.entries.len() - 1)
     }
 

@@ -10,7 +10,7 @@ use crate::report;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use surfnet_decoder::{Decoder, SurfNetDecoder, UnionFindDecoder};
+use surfnet_decoder::Decoder;
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 
 /// One measured point of the threshold plot.
@@ -50,16 +50,49 @@ pub fn paper_rates() -> Vec<f64> {
 /// The fixed erasure rate of the evaluation.
 pub const ERASURE_RATE: f64 = 0.15;
 
-/// Measures one decoder over the grid. Grid points run in grid order;
-/// each point decodes its `trials` shots on every core, with the same
-/// result on any core count (see [`crate::experiments::runner`]).
+/// Measures one of the network's decoders over the grid: [`run_with`]
+/// under the decoder's name.
+///
+/// # Panics
+///
+/// As [`run_with`].
+pub fn run(
+    decoder: DecoderKind,
+    distances: &[usize],
+    rates: &[f64],
+    erasure_rate: f64,
+    trials: usize,
+    base_seed: u64,
+) -> ThresholdCurves {
+    let name = match decoder {
+        DecoderKind::SurfNet => "SurfNet Decoder",
+        DecoderKind::UnionFind => "Union-Find",
+    };
+    run_with(
+        name,
+        |code, model| decoder.build(code, model),
+        distances,
+        rates,
+        erasure_rate,
+        trials,
+        base_seed,
+    )
+}
+
+/// Measures the decoder `build` makes from each point's code and error
+/// model over the grid, as `name`. Grid points run in grid order; each
+/// point decodes its `trials` shots on every core, with the same result on
+/// any core count (see [`crate::experiments::runner`]). A point's shots do
+/// not depend on the decoder, so two decoders measured at one `base_seed`
+/// decode the same shots.
 ///
 /// # Panics
 ///
 /// Panics if `trials` is 0 (a point's error rate would be 0/0), or if a
 /// distance is not a valid surface-code distance.
-pub fn run(
-    decoder: DecoderKind,
+pub fn run_with(
+    name: &str,
+    build: impl Fn(&SurfaceCode, &ErrorModel) -> Box<dyn Decoder + Sync>,
     distances: &[usize],
     rates: &[f64],
     erasure_rate: f64,
@@ -76,7 +109,7 @@ pub fn run(
         .flat_map(|&d| rates.iter().map(move |&p| (d, p)))
         .map(|(distance, pauli_rate)| {
             let failures = count_failures(
-                decoder,
+                &build,
                 distance,
                 pauli_rate,
                 erasure_rate,
@@ -94,10 +127,7 @@ pub fn run(
         .collect();
     let threshold = estimate_threshold(&points);
     ThresholdCurves {
-        decoder: match decoder {
-            DecoderKind::SurfNet => "SurfNet Decoder".to_string(),
-            DecoderKind::UnionFind => "Union-Find".to_string(),
-        },
+        decoder: name.to_string(),
         points,
         threshold,
     }
@@ -106,7 +136,7 @@ pub fn run(
 /// One grid point's logical failures over `trials` shots, decoded on
 /// `threads` threads.
 fn count_failures(
-    decoder: DecoderKind,
+    build: impl Fn(&SurfaceCode, &ErrorModel) -> Box<dyn Decoder + Sync>,
     distance: usize,
     pauli_rate: f64,
     erasure_rate: f64,
@@ -118,16 +148,7 @@ fn count_failures(
     let partition = code.core_partition(CoreTopology::Cross);
     let model = ErrorModel::dual_channel(&code, &partition, pauli_rate, erasure_rate);
     let rng = SmallRng::seed_from_u64(point_seed(distance, pauli_rate, base_seed));
-    // Every thread decodes its shots on its own workspace, which
-    // `decode_sample_with` resets per shot (bit-identical to
-    // `decode_sample`).
-    let d: Box<dyn Decoder + Sync> = match decoder {
-        DecoderKind::SurfNet => Box::new(SurfNetDecoder::from_model(&code, &model)),
-        DecoderKind::UnionFind => Box::new(UnionFindDecoder::from_model(&code, &model)),
-    };
-    count_failed_shots(&model, rng, trials, threads, |sample, ws| {
-        !d.decode_sample_with(&code, sample, ws).is_success()
-    })
+    count_failed_shots(&*build(&code, &model), &code, &model, rng, trials, threads)
 }
 
 /// The RNG seed of one grid point: it varies with the point so curves are
@@ -231,7 +252,7 @@ pub fn render(result: &ThresholdCurves) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use surfnet_decoder::Decoder;
+    use surfnet_decoder::MwpmDecoder;
 
     #[test]
     fn small_grid_runs_and_orders_error_rates() {
@@ -241,47 +262,30 @@ mod tests {
         assert!(curves.points[0].logical_error_rate < curves.points[1].logical_error_rate);
     }
 
+    /// A decoder builder, as [`run_with`] takes one.
+    type Build = fn(&SurfaceCode, &ErrorModel) -> Box<dyn Decoder + Sync>;
+
     /// The serial reference: one `sample` and one allocating
     /// `decode_sample` per shot, in RNG order.
     fn serial_failures(
-        decoder: DecoderKind,
+        build: Build,
         distance: usize,
         pauli_rate: f64,
         trials: usize,
         base_seed: u64,
     ) -> usize {
-        fn shots<D: Decoder>(
-            d: &D,
-            code: &SurfaceCode,
-            model: &ErrorModel,
-            seed: u64,
-            n: usize,
-        ) -> usize {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..n)
-                .filter(|_| !d.decode_sample(code, &model.sample(&mut rng)).is_success())
-                .count()
-        }
         let code = SurfaceCode::new(distance).unwrap();
         let partition = code.core_partition(CoreTopology::Cross);
         let model = ErrorModel::dual_channel(&code, &partition, pauli_rate, ERASURE_RATE);
-        let seed = point_seed(distance, pauli_rate, base_seed);
-        match decoder {
-            DecoderKind::SurfNet => shots(
-                &SurfNetDecoder::from_model(&code, &model),
-                &code,
-                &model,
-                seed,
-                trials,
-            ),
-            DecoderKind::UnionFind => shots(
-                &UnionFindDecoder::from_model(&code, &model),
-                &code,
-                &model,
-                seed,
-                trials,
-            ),
-        }
+        let decoder = build(&code, &model);
+        let mut rng = SmallRng::seed_from_u64(point_seed(distance, pauli_rate, base_seed));
+        (0..trials)
+            .filter(|_| {
+                !decoder
+                    .decode_sample(&code, &model.sample(&mut rng))
+                    .is_success()
+            })
+            .count()
     }
 
     #[test]
@@ -289,24 +293,21 @@ mod tests {
         // 250 shots = 15 full chunks and a partial one, so 8 threads
         // finish on uneven shares and the last chunk is short.
         let trials = 250;
-        for decoder in [DecoderKind::UnionFind, DecoderKind::SurfNet] {
-            for (distance, rate) in [(5, 0.06), (5, 0.10), (9, 0.08)] {
-                let want = serial_failures(decoder, distance, rate, trials, 4200);
+        let points = [(5, 0.06), (5, 0.10), (9, 0.08)];
+        // MWPM at the d = 5 points only: it is the slowest by far.
+        let cases: [(&str, Build, usize); 3] = [
+            ("Union-Find", |c, m| DecoderKind::UnionFind.build(c, m), 3),
+            ("SurfNet", |c, m| DecoderKind::SurfNet.build(c, m), 3),
+            ("MWPM", |c, m| Box::new(MwpmDecoder::from_model(c, m)), 2),
+        ];
+        for (name, build, n) in cases {
+            for &(distance, rate) in &points[..n] {
+                let want = serial_failures(build, distance, rate, trials, 4200);
                 assert!(0 < want && want < trials, "uninformative point: {want}");
                 for threads in [1, 2, 3, 8] {
-                    let got = count_failures(
-                        decoder,
-                        distance,
-                        rate,
-                        ERASURE_RATE,
-                        trials,
-                        4200,
-                        threads,
-                    );
-                    assert_eq!(
-                        got, want,
-                        "{decoder:?} d={distance} p={rate} threads={threads}"
-                    );
+                    let got =
+                        count_failures(build, distance, rate, ERASURE_RATE, trials, 4200, threads);
+                    assert_eq!(got, want, "{name} d={distance} p={rate} threads={threads}");
                 }
             }
         }

@@ -4,12 +4,12 @@
 //!   [`default_workers`] scoped threads that pull seeds from a crossbeam
 //!   channel, so stragglers (LP-heavy trials) don't serialize the sweep.
 //!   Results are sorted by seed, so they do not depend on scheduling.
-//! * `count_failed_shots` decodes one Fig. 8 grid point's shots on
-//!   every core. Each thread draws a chunk of shots from the point's one
-//!   RNG under a lock, in the order a serial loop draws them, and decodes
-//!   the chunk on its own workspace. The point's failure count is the sum
-//!   of the threads' counts, so it does not depend on which thread decoded
-//!   which shot.
+//! * [`count_failed_shots`] decodes one logical-error-rate estimate's
+//!   shots (a Fig. 8 grid point, an ablation case) on every core. Each
+//!   thread draws a chunk of shots from the estimate's one RNG under a
+//!   lock, in the order a serial loop draws them, and decodes the chunk on
+//!   its own workspace. The failure count is the sum of the threads'
+//!   counts, so it does not depend on which thread decoded which shot.
 //!
 //! Every scoped thread that does work flushes its telemetry shard and
 //! journal ring as its last act (DESIGN §8.1).
@@ -21,8 +21,8 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use surfnet_decoder::DecodeWorkspace;
-use surfnet_lattice::{ErrorModel, ErrorSample};
+use surfnet_decoder::{DecodeWorkspace, Decoder};
+use surfnet_lattice::{ErrorModel, ErrorSample, SurfaceCode};
 
 /// Number of threads a sweep does its work on: one per available core
 /// (`available_parallelism`, which honours the affinity mask), at least
@@ -114,27 +114,31 @@ pub fn parallel_trials(
 const SHOT_CHUNK: usize = 16;
 
 /// Counts how many of `shots` samples of `model`, drawn from `rng` in
-/// order, `fails` rejects, on `threads` (≥ 1) threads: the caller and
-/// `threads − 1` scoped helpers.
+/// order, `decoder` fails to correct on `code` (a logical error or an
+/// uncleared syndrome), on `threads` (≥ 1) threads: the caller and
+/// `threads − 1` scoped helpers. Sweeps pass [`default_workers`].
 ///
 /// Each thread owns one workspace and one chunk of sample buffers, made
-/// before any thread starts. It takes [`SHOT_CHUNK`] shots at a time from
-/// `rng` under one lock, which it holds only while drawing, and decodes
-/// them outside it. As long as `fails` depends only on its sample (a
-/// `decode_sample_with` verdict does), the count equals the serial loop's
-/// `(0..shots).filter(|_| fails(&model.sample(&mut rng), ws)).count()`
-/// for every thread count.
-pub(crate) fn count_failed_shots<F>(
+/// before any thread starts. It takes 16 shots (`SHOT_CHUNK`) at a time
+/// from `rng` under one lock, which it holds only while drawing, and
+/// decodes them outside it with [`Decoder::decode_sample_with`], whose
+/// verdict depends only on its sample. So the count equals the serial
+/// loop's `(0..shots).filter(|_| !decoder.decode_sample(code,
+/// &model.sample(&mut rng)).is_success()).count()` for every thread count.
+///
+/// # Panics
+///
+/// Panics if `threads` is 0, or if a decode fails (as
+/// [`Decoder::decode_sample_with`] does).
+pub fn count_failed_shots(
+    decoder: &(dyn Decoder + Sync),
+    code: &SurfaceCode,
     model: &ErrorModel,
     rng: SmallRng,
     shots: usize,
     threads: usize,
-    fails: F,
-) -> usize
-where
-    F: Fn(&ErrorSample, &mut DecodeWorkspace) -> bool + Sync,
-{
-    // The point's one RNG and the number of shots drawn from it so far.
+) -> usize {
+    // The estimate's one RNG and the number of shots drawn from it so far.
     let source = Mutex::new((rng, 0usize));
     let mut states: Vec<_> = (0..threads)
         .map(|_| {
@@ -158,7 +162,10 @@ where
             if drawn == 0 {
                 return failures;
             }
-            failures += chunk[..drawn].iter().filter(|s| fails(s, ws)).count();
+            failures += chunk[..drawn]
+                .iter()
+                .filter(|s| !decoder.decode_sample_with(code, s, ws).is_success())
+                .count();
         }
     };
     let (caller, helpers) = states.split_first_mut().expect("threads >= 1");

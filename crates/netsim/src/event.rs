@@ -6,7 +6,7 @@
 //! module scales the same execution semantics to open workloads on
 //! network-scale topologies:
 //!
-//! * [`EventQueue`] — an indexed binary-heap event queue with
+//! * [`EventQueue`] — a binary-heap event queue with
 //!   deterministic tie-breaking: events order by `(time, seq)`, where
 //!   `seq` is the monotone schedule order, so same-tick events process
 //!   FIFO and a seeded run replays byte-for-byte.
@@ -44,17 +44,49 @@ use crate::request::Request;
 use crate::topology::{FiberId, Network, NodeId, NodeKind, RouteSearch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use surfnet_telemetry::dim;
 
-/// An indexed binary min-heap of timed events with deterministic
-/// tie-breaking: events at equal times pop in schedule (`seq`) order.
+/// A binary min-heap of timed events with deterministic tie-breaking:
+/// events at equal times pop in schedule (`seq`) order.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// Heap-ordered `(time, seq, payload)` triples.
-    heap: Vec<(u64, u64, T)>,
+    /// Pending events; [`Entry`]'s order makes the max-heap pop the
+    /// earliest `(time, seq)` first.
+    heap: BinaryHeap<Entry<T>>,
     /// Next sequence number; monotone over the queue's lifetime.
     next_seq: u64,
 }
+
+/// One pending event, ordered by *reversed* `(time, seq)`. The keys are
+/// unique, so the payload never takes part in a comparison.
+#[derive(Debug)]
+struct Entry<T> {
+    time: u64,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Entry<T> {}
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
@@ -66,7 +98,7 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<T> {
         EventQueue {
-            heap: Vec::new(),
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
@@ -81,64 +113,18 @@ impl<T> EventQueue<T> {
         self.heap.is_empty()
     }
 
-    /// Schedules `payload` at `time`; returns the event's sequence number
-    /// (the FIFO rank among same-time events).
-    pub fn push(&mut self, time: u64, payload: T) -> u64 {
+    /// Schedules `payload` at `time`, after every event already scheduled
+    /// at that time.
+    pub fn push(&mut self, time: u64, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push((time, seq, payload));
-        self.sift_up(self.heap.len() - 1);
-        seq
+        self.heap.push(Entry { time, seq, payload });
     }
 
     /// Removes and returns the earliest event (ties broken by schedule
     /// order).
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let (time, _seq, payload) = self.heap.pop()?;
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        Some((time, payload))
-    }
-
-    fn key(&self, i: usize) -> (u64, u64) {
-        (self.heap[i].0, self.heap[i].1)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.key(i) < self.key(parent) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < n && self.key(l) < self.key(smallest) {
-                smallest = l;
-            }
-            if r < n && self.key(r) < self.key(smallest) {
-                smallest = r;
-            }
-            if smallest == i {
-                return;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
-        }
+        self.heap.pop().map(|e| (e.time, e.payload))
     }
 }
 

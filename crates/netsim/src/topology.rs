@@ -292,11 +292,11 @@ impl Network {
     ///
     /// This is the search for per-call cost closures:
     /// [`Network::min_hop_path`] (whose integer costs tie),
-    /// [`Network::min_noise_path`], the per-transfer detours of fiber-failure
-    /// recovery ([`crate::execution`]) and the routing scheduler's
-    /// capacity-aware paths (an infinite cost bars a fiber). The streaming
-    /// planner's repeated minimum-noise queries go through [`RouteSearch`]
-    /// instead; this search is its reference in tests and under `SURFNET_CHECK`.
+    /// [`Network::min_noise_path`], fiber-failure recovery's detours
+    /// ([`crate::execution`]), and the capacity-aware routes of the routing
+    /// scheduler and Purification-N (an infinite cost bars a fiber). The
+    /// streaming planner's repeated minimum-noise queries go through
+    /// [`RouteSearch`]; this search is its reference in tests and `SURFNET_CHECK`.
     ///
     /// # Panics
     ///

@@ -132,6 +132,9 @@ impl PurificationScheduler {
 /// Min-noise route using only fibers with at least `pairs_needed` pairs
 /// left. Teleportation networks relay at any node kind (pairs live at the
 /// nodes), but we keep the paper's structure: intermediates must be relays.
+/// As in [`crate::scheduler::capacity_aware_path`], a fiber is crossable
+/// when both its endpoints are open (`src`, `dst` or a relay) and it has
+/// the pairs left; every other fiber costs `f64::INFINITY`.
 fn best_route(
     net: &Network,
     remaining: &[f64],
@@ -139,48 +142,15 @@ fn best_route(
     dst: NodeId,
     pairs_needed: f64,
 ) -> Option<Vec<FiberId>> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let n = net.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut via = vec![usize::MAX; n];
-    let mut heap: BinaryHeap<(Reverse<u64>, NodeId)> = BinaryHeap::new();
-    dist[src] = 0.0;
-    heap.push((Reverse(0.0f64.to_bits()), src));
-    while let Some((Reverse(bits), v)) = heap.pop() {
-        let d = f64::from_bits(bits);
-        if d > dist[v] {
-            continue;
+    let open = |v: NodeId| v == src || v == dst || net.node(v).kind.is_relay();
+    net.shortest_path_by(src, dst, |f| {
+        let fiber = net.fiber(f);
+        if open(fiber.a) && open(fiber.b) && remaining[f] >= pairs_needed {
+            fiber.noise()
+        } else {
+            f64::INFINITY
         }
-        if v != src && v != dst && !net.node(v).kind.is_relay() {
-            continue;
-        }
-        for &f in net.incident(v) {
-            if remaining[f] < pairs_needed {
-                continue;
-            }
-            let fiber = net.fiber(f);
-            let u = fiber.other(v);
-            let nd = d + fiber.noise();
-            if nd < dist[u] {
-                dist[u] = nd;
-                via[u] = f;
-                heap.push((Reverse(nd.to_bits()), u));
-            }
-        }
-    }
-    if dist[dst].is_infinite() {
-        return None;
-    }
-    let mut path = Vec::new();
-    let mut v = dst;
-    while v != src {
-        let f = via[v];
-        path.push(f);
-        v = net.fiber(f).other(v);
-    }
-    path.reverse();
-    Some(path)
+    })
 }
 
 #[cfg(test)]

@@ -27,9 +27,6 @@ pub enum MetricKind {
 
 /// All registered metric names, sorted by name.
 pub const CATALOG: &[(&str, MetricKind)] = &[
-    ("bench.ablation_step.trials", MetricKind::Timer),
-    ("bench.overhead.counter", MetricKind::Counter),
-    ("bench.overhead.span", MetricKind::Timer),
     ("decoder.blossom.match", MetricKind::Timer),
     ("decoder.blossom_stages", MetricKind::Counter),
     ("decoder.cache_hits", MetricKind::Counter),
