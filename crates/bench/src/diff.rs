@@ -100,17 +100,9 @@ impl DiffReport {
 /// Whether a metric key denotes a lower-is-better quantity.
 pub fn lower_is_better(name: &str) -> bool {
     let last = name.rsplit('/').next().unwrap_or(name);
-    [
-        "latency",
-        "error",
-        "dropped",
-        "infeasible",
-        "std",
-        "failed",
-        "mean_ns",
-    ]
-    .iter()
-    .any(|marker| last.contains(marker))
+    ["latency", "error", "dropped", "infeasible", "std", "failed"]
+        .iter()
+        .any(|marker| last.contains(marker))
 }
 
 fn object(report: &Value, key: &str) -> Result<Vec<(String, f64)>, String> {
@@ -277,8 +269,6 @@ mod tests {
         assert!(lower_is_better("surfnet/d9/p0.0500/logical_error_rate"));
         assert!(lower_is_better("telemetry.dropped"));
         assert!(lower_is_better("a/b/failed_trials"));
-        assert!(lower_is_better("trial.stage.decode/mean_ns"));
-        assert!(lower_is_better("trial.run/mean_ns"));
         assert!(!lower_is_better("a/b/fidelity"));
         assert!(!lower_is_better("a/b/throughput"));
         assert!(!lower_is_better("surfnet/threshold"));

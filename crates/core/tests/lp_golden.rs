@@ -6,7 +6,10 @@
 //! solves each, and folds every solution into one FNV-1a digest. The digest
 //! was recorded from the dense reference solver; any change to the pivot
 //! sequence (entering column, leaving row, iteration count) moves at least
-//! one solution bit and therefore the digest.
+//! one solution bit and therefore the digest. A second digest pins the
+//! programs themselves, through their `Debug` rendering (Rust's `f64`
+//! `Debug` output round-trips, so it is exact), so a change to the
+//! formulation's build is judged apart from the solver.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -24,12 +27,20 @@ const SEEDS: u64 = 8;
 const BASE_SEED: u64 = 70_000;
 /// FNV-1a digest of every solution, recorded from the dense reference solver.
 const GOLDEN_DIGEST: u64 = 0x8b45_95aa_a6c3_7069;
+/// FNV-1a digest of every program's `Debug` rendering, recorded from the
+/// formulation that filtered every directed edge per node and merged
+/// duplicate terms by linear search.
+const BUILD_DIGEST: u64 = 0x2011_619b_1ea1_e5c3;
 
 struct Fnv(u64);
 
 impl Fnv {
     fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -92,6 +103,28 @@ fn fig7_programs_solve_bit_identically() {
     assert_eq!(
         digest.0, GOLDEN_DIGEST,
         "solutions moved: digest {:#018x}",
+        digest.0
+    );
+}
+
+#[test]
+fn fig7_programs_build_identically() {
+    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut programs = 0;
+    for scenario in fig7::scenarios() {
+        let mut cfg = TrialConfig::default();
+        cfg.scenario = scenario;
+        for seed in BASE_SEED..BASE_SEED + SEEDS {
+            for lp in trial_programs(&cfg, seed) {
+                programs += 1;
+                digest.bytes(format!("{lp:?}").as_bytes());
+            }
+        }
+    }
+    assert_eq!(programs, 64, "4 scenarios x 8 seeds x {{SurfNet, Raw}}");
+    assert_eq!(
+        digest.0, BUILD_DIGEST,
+        "programs moved: digest {:#018x}",
         digest.0
     );
 }

@@ -4,11 +4,11 @@
 //! maximizing network throughput under capacity, entanglement and noise
 //! constraints; the paper's evaluation solves its LP relaxation with
 //! rounding. No LP solver crate is available offline, so this crate
-//! provides one from scratch: a bounded-variable builder
-//! ([`LinearProgram`]) and a classic two-phase tableau simplex
-//! ([`simplex`]) with a Bland-rule fallback against cycling. The tableau
-//! is one flat row-major buffer without the fixed variables' columns, and
-//! each pivot touches only the rows and columns its nonzeros reach.
+//! provides one from scratch: a bounded-variable builder ([`LinearProgram`])
+//! and a two-phase tableau simplex ([`simplex`]) with a Bland-rule fallback
+//! against cycling. Its tableau is one flat row-major buffer without fixed
+//! variables' columns; each pivot visits only the entering column's and the
+//! pivot row's nonzeros, updating four rows per pass over the latter.
 //!
 //! # Examples
 //!

@@ -106,7 +106,8 @@ impl LinearProgram {
     }
 
     /// Adds a constraint `Σ coeff·var  op  rhs`. Duplicate variables in
-    /// `terms` are summed.
+    /// `terms` are summed left to right into the variable's first
+    /// appearance; a list without duplicates is stored as given.
     ///
     /// # Panics
     ///
@@ -114,11 +115,16 @@ impl LinearProgram {
     /// coefficient/rhs is NaN.
     pub fn add_constraint(&mut self, terms: &[(Variable, f64)], op: ConstraintOp, rhs: f64) {
         assert!(!rhs.is_nan(), "constraint rhs is NaN");
+        // Sorting a copy finds a repeat in O(t log t); only then are terms merged.
+        let mut vars: Vec<usize> = terms.iter().map(|&(v, _)| v.0).collect();
+        vars.sort_unstable();
+        let repeats = vars.windows(2).any(|w| w[0] == w[1]);
         let mut dense: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
             assert!(v.0 < self.num_vars(), "variable out of range");
             assert!(!c.is_nan(), "constraint coefficient is NaN");
-            if let Some(slot) = dense.iter_mut().find(|(i, _)| *i == v.0) {
+            let merged = repeats.then(|| dense.iter_mut().find(|(i, _)| *i == v.0));
+            if let Some(slot) = merged.flatten() {
                 slot.1 += c;
             } else {
                 dense.push((v.0, c));
@@ -209,6 +215,57 @@ mod tests {
         let x = lp.add_var(1.0, 0.0, f64::INFINITY);
         lp.add_constraint(&[(x, 1.0), (x, 2.0)], ConstraintOp::Le, 3.0);
         assert_eq!(lp.constraints[0].terms, vec![(0, 3.0)]);
+    }
+
+    #[test]
+    fn duplicate_terms_merge_in_first_appearance_order() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Each term looked up among those merged so far, in appearance order.
+        let naive = |terms: &[(Variable, f64)]| {
+            let mut dense: Vec<(usize, f64)> = Vec::new();
+            for &(v, c) in terms {
+                match dense.iter_mut().find(|(i, _)| *i == v.0) {
+                    Some(slot) => slot.1 += c,
+                    None => dense.push((v.0, c)),
+                }
+            }
+            dense
+        };
+        let bits = |terms: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            terms.iter().map(|&(i, c)| (i, c.to_bits())).collect()
+        };
+        let mut rng = SmallRng::seed_from_u64(41);
+        let mut lp = LinearProgram::new();
+        let vars: Vec<Variable> = (0..8).map(|_| lp.add_var(0.0, 0.0, 1.0)).collect();
+        for _ in 0..300 {
+            // Magnitudes far apart, so a sum taken in another order rounds
+            // differently.
+            let len = rng.gen_range(1..=200usize);
+            let terms: Vec<(Variable, f64)> = (0..len)
+                .map(|_| {
+                    let scale = [1e-8, 1.0, 1e8][rng.gen_range(0..3usize)];
+                    (
+                        vars[rng.gen_range(0..8usize)],
+                        scale * rng.gen_range(-1.0..1.0),
+                    )
+                })
+                .collect();
+            lp.add_constraint(&terms, ConstraintOp::Le, 0.0);
+            let stored = &lp.constraints.last().unwrap().terms;
+            assert_eq!(bits(stored), bits(&naive(&terms)), "{terms:?}");
+        }
+        // Without repeats the list is stored verbatim, `-0.0` included.
+        let terms = [
+            (vars[5], -0.0),
+            (vars[1], 3.0),
+            (vars[7], 0.1),
+            (vars[0], -2.5),
+        ];
+        lp.add_constraint(&terms, ConstraintOp::Eq, 1.0);
+        let stored = &lp.constraints.last().unwrap().terms;
+        let verbatim: Vec<(usize, f64)> = terms.iter().map(|&(v, c)| (v.0, c)).collect();
+        assert_eq!(bits(stored), bits(&verbatim));
     }
 
     #[test]

@@ -10,18 +10,20 @@
 //! The tableau is one row-major `Vec<f64>` holding only the columns that can
 //! ever enter the basis: fixed variables (`upper == lower`, the hundreds of
 //! forbidden edge flows of a routing program) are presolved out and mapped
-//! back on extraction. A pivot scales the pivot row, gathers its nonzeros
-//! once, and updates only the rows with a nonzero in the entering column, at
-//! those columns only. On the Fig. 7 routing programs a pivot row holds ~31
-//! nonzeros in ~485 columns and ~31 of ~180 rows need updating, so most of
-//! a dense sweep's work is skipped.
+//! back on extraction. Each iteration lists the entering column's nonzeros
+//! once, and the ratio test and the pivot visit only those rows. A pivot
+//! lists the scaled pivot row's nonzeros once and updates each of those rows
+//! at those columns only, four rows per pass. One fig7 pass of the benchmark
+//! (1,280 programs at `--seed 0`) takes 216,629 pivots on tableaus of 245 ×
+//! 644 (SurfNet) and 115 × 324 (Raw) cells, updating 32 rows at 65 nonzeros
+//! per pivot on average.
 //!
-//! Neither change moves the pivot path. Presolve keeps the relative column
-//! order, so Dantzig's first strict minimum, Bland's lowest basis index and
-//! the phase-1 cleanup's first usable column pick the same variable as on
-//! the full tableau. A skipped update is `x − f·0`, which on finite data can
-//! only turn `-0.0` into `0.0` or back — and no comparison in the solver
-//! distinguishes the two zeros. The iteration budgets are sized from the
+//! None of this moves the pivot path. Presolve keeps the relative column
+//! order, so every selection rule picks the same variable as on the full
+//! tableau, and listing nonzeros, blocking rows and reducing the cost row to
+//! its minimum reorder only reads. A skipped update is `x − f·0`, which on
+//! finite data can only flip the sign of a zero that no comparison in the
+//! solver distinguishes. The iteration budgets are sized from the
 //! unpresolved program, so the Bland fallback starts at the same iteration.
 
 use crate::problem::{ConstraintOp, Direction, LinearProgram};
@@ -43,12 +45,6 @@ pub fn solve(lp: &LinearProgram, direction: Direction) -> Result<Solution, LpErr
     let _span = surfnet_telemetry::span!("lp.solve", Lp);
     surfnet_telemetry::count!("lp.solves");
     let n = lp.num_vars();
-    if n == 0 {
-        return Ok(Solution {
-            objective: 0.0,
-            values: Vec::new(),
-        });
-    }
 
     // Presolve: shifted variables y = x - l ≥ 0 get a tableau column unless
     // their range is empty. A fixed variable would be an all-zero column
@@ -186,7 +182,10 @@ pub fn solve(lp: &LinearProgram, direction: Direction) -> Result<Solution, LpErr
         for ri in 0..m {
             if is_art(t.basis[ri]) {
                 match t.row(ri)[..art_start].iter().position(|a| a.abs() > EPS) {
-                    Some(j) => t.pivot(ri, j),
+                    Some(j) => {
+                        t.gather(j);
+                        t.pivot(ri, j);
+                    }
                     // Redundant row: zero it (keeps indices stable).
                     None => t.row_mut(ri).fill(0.0),
                 }
@@ -249,10 +248,18 @@ pub fn solve(lp: &LinearProgram, direction: Direction) -> Result<Solution, LpErr
         .map(|i| lp.lower[i] + col_of[i].map_or(0.0, |j| y[j]))
         .collect();
     Ok(Solution {
-        objective: lp.objective_value(&values),
+        // Without variables the objective is 0; their empty sum reads -0.0.
+        objective: if n == 0 {
+            0.0
+        } else {
+            lp.objective_value(&values)
+        },
         values,
     })
 }
+
+/// Rows eliminated per pass over the pivot row's nonzeros.
+const BLOCK: usize = 4;
 
 /// Row-major simplex tableau: one row per constraint, `width` entries per
 /// row, the last of which is the rhs.
@@ -261,9 +268,13 @@ struct Tableau {
     width: usize,
     /// Basic column of each row.
     basis: Vec<usize>,
-    /// The last pivot row's nonzeros `(column, value)`, after scaling.
-    /// Lives for the whole solve so pivots never allocate.
-    pivot_nz: Vec<(usize, f64)>,
+    /// The nonzeros of the entering column (copied out by
+    /// [`Tableau::gather`]) and of the last scaled pivot row (without the
+    /// entering column), as parallel index and value arrays in index order.
+    col_rows: Vec<usize>,
+    col_vals: Vec<f64>,
+    nz_cols: Vec<usize>,
+    nz_vals: Vec<f64>,
 }
 
 impl Tableau {
@@ -272,12 +283,11 @@ impl Tableau {
             cells: vec![0.0; rows * width],
             width,
             basis: vec![usize::MAX; rows],
-            pivot_nz: Vec::with_capacity(width),
+            col_rows: Vec::with_capacity(rows),
+            col_vals: Vec::with_capacity(rows),
+            nz_cols: Vec::with_capacity(width),
+            nz_vals: Vec::with_capacity(width),
         }
-    }
-
-    fn rows(&self) -> usize {
-        self.basis.len()
     }
 
     fn row(&self, ri: usize) -> &[f64] {
@@ -288,42 +298,73 @@ impl Tableau {
         &mut self.cells[ri * self.width..(ri + 1) * self.width]
     }
 
-    fn at(&self, ri: usize, j: usize) -> f64 {
-        self.cells[ri * self.width + j]
-    }
-
     fn rhs(&self, ri: usize) -> f64 {
-        self.at(ri, self.width - 1)
+        self.cells[ri * self.width + self.width - 1]
     }
 
-    /// Pivots column `enter` into the basis at row `leave`.
+    /// Copies column `j`'s nonzeros into `col_rows` and `col_vals`.
+    fn gather(&mut self, j: usize) {
+        self.col_rows.clear();
+        self.col_vals.clear();
+        for (ri, &a) in self.cells[j..].iter().step_by(self.width).enumerate() {
+            if a.abs() > 0.0 {
+                self.col_rows.push(ri);
+                self.col_vals.push(a);
+            }
+        }
+    }
+
+    /// Pivots column `enter`, which [`Tableau::gather`] copied out last,
+    /// into the basis at row `leave`.
     ///
     /// Only the pivot row's nonzeros, and only rows with a nonzero in the
     /// entering column, are touched; every entry that is updated sees the
-    /// same `x - f * v` a dense sweep would compute.
+    /// same `x - f * v` a dense sweep would compute (two roundings: never a
+    /// fused `mul_add`), and the entering column's entries are set to their
+    /// final 0 or 1 directly.
     fn pivot(&mut self, leave: usize, enter: usize) {
         surfnet_telemetry::count!("lp.pivots");
         let w = self.width;
-        let (above, rest) = self.cells.split_at_mut(leave * w);
-        let (prow, below) = rest.split_at_mut(w);
+        let prow = &mut self.cells[leave * w..(leave + 1) * w];
         let p = prow[enter];
         debug_assert!(p.abs() > EPS, "pivot on near-zero element");
         let inv = 1.0 / p;
-        self.pivot_nz.clear();
-        for (j, x) in prow.iter_mut().enumerate() {
-            if *x != 0.0 {
-                *x = if j == enter { 1.0 } else { *x * inv };
-                self.pivot_nz.push((j, *x));
+        self.nz_cols.clear();
+        self.nz_vals.clear();
+        // Eight columns at a time, so that a run of zeros costs one test (a
+        // fold, which vectorizes, rather than a short-circuiting `any`).
+        let live =
+            |(_, chunk): &(usize, &mut [f64])| chunk.iter().fold(false, |nz, &x| nz | (x != 0.0));
+        for (c, chunk) in prow.chunks_mut(8).enumerate().filter(live) {
+            for (k, x) in chunk.iter_mut().enumerate() {
+                let j = 8 * c + k;
+                if *x != 0.0 && j != enter {
+                    *x *= inv;
+                    self.nz_cols.push(j);
+                    self.nz_vals.push(*x);
+                }
             }
         }
-        for row in above.chunks_exact_mut(w).chain(below.chunks_exact_mut(w)) {
-            let f = row[enter];
-            if f.abs() > 0.0 {
-                for &(j, v) in &self.pivot_nz {
-                    row[j] -= f * v;
-                }
-                row[enter] = 0.0;
+        prow[enter] = 1.0;
+        // Each pass over the nonzeros updates a block of BLOCK rows.
+        let mut block: [(f64, &mut [f64]); BLOCK] = Default::default();
+        let mut k = 0;
+        // `rest` holds the rows from `first` on.
+        let (mut rest, mut first) = (&mut self.cells[..], 0);
+        let rows = self.col_rows.iter().zip(&self.col_vals);
+        for (&ri, &f) in rows.filter(|&(&ri, _)| ri != leave) {
+            let (row, tail) = std::mem::take(&mut rest)[(ri - first) * w..].split_at_mut(w);
+            (rest, first) = (tail, ri + 1);
+            row[enter] = 0.0;
+            block[k] = (f, row);
+            k += 1;
+            if k == BLOCK {
+                eliminate(&mut block, &self.nz_cols, &self.nz_vals);
+                k = 0;
             }
+        }
+        for entry in &mut block[..k] {
+            eliminate(std::array::from_mut(entry), &self.nz_cols, &self.nz_vals);
         }
         self.basis[leave] = enter;
     }
@@ -333,12 +374,39 @@ impl Tableau {
         self.pivot(leave, enter);
         let factor = cost[enter];
         if factor.abs() > 0.0 {
-            for &(j, v) in &self.pivot_nz {
+            for (&j, &v) in self.nz_cols.iter().zip(&self.nz_vals) {
                 cost[j] -= factor * v;
             }
             cost[enter] = 0.0;
         }
     }
+}
+
+/// `row[j] -= f * v` for every pivot-row nonzero `(j, v)` and every
+/// `(f, row)` of `rows`, in one pass over the nonzeros.
+fn eliminate<const N: usize>(rows: &mut [(f64, &mut [f64]); N], cols: &[usize], vals: &[f64]) {
+    for (&j, &v) in cols.iter().zip(vals) {
+        for (f, row) in rows.iter_mut() {
+            row[j] -= *f * v;
+        }
+    }
+}
+
+/// The smallest entry of `xs` that is not NaN (`+∞` if none), reduced in
+/// four independent lanes so that the loop vectorizes.
+fn min_entry(xs: &[f64]) -> f64 {
+    let mut lanes = [f64::INFINITY; 4];
+    let chunks = xs.chunks_exact(4);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            *m = if x < *m { x } else { *m };
+        }
+    }
+    lanes
+        .iter()
+        .chain(tail)
+        .fold(f64::INFINITY, |m, &x| if x < m { x } else { m })
 }
 
 /// Runs simplex iterations until optimality.
@@ -351,27 +419,27 @@ fn run_simplex(
     max_iters: usize,
     bland_after: usize,
 ) -> Result<(), LpError> {
-    let m = t.rows();
     let rhs_col = t.width - 1;
     for iter in 0..max_iters {
         surfnet_telemetry::count!("lp.iterations");
         let use_bland = iter >= bland_after;
-        // Entering column: most negative reduced cost (Dantzig) or first
-        // negative (Bland).
-        let mut enter = usize::MAX;
-        let mut best = -EPS;
-        for (j, &c) in cost[..rhs_col].iter().enumerate() {
-            if c < best {
-                enter = j;
-                if use_bland {
-                    break;
-                }
-                best = c;
+        // Entering column: the first most negative reduced cost (Dantzig)
+        // or the first negative one (Bland).
+        let prices = &cost[..rhs_col];
+        let enter = if use_bland {
+            prices.iter().position(|&c| c < -EPS)
+        } else {
+            let min = min_entry(prices);
+            if min < -EPS {
+                prices.iter().position(|&c| c == min)
+            } else {
+                None
             }
-        }
-        if enter == usize::MAX {
+        };
+        let Some(enter) = enter else {
             return Ok(());
-        }
+        };
+        t.gather(enter);
         // Ratio test, Harris-style two-pass. Comparing raw ratios with an
         // absolute tolerance is scale-blind: when the entering column holds
         // entries of ~1e15, two ratios 1e-14 apart look "tied" yet pivoting
@@ -380,8 +448,7 @@ fn run_simplex(
         // rhs; pass 2 picks among the rows whose ratio fits inside that
         // bound, so any choice degrades feasibility by at most RATIO_TOL.
         let mut t_limit = f64::INFINITY;
-        for ri in 0..m {
-            let a = t.at(ri, enter);
+        for (&ri, &a) in t.col_rows.iter().zip(&t.col_vals) {
             if a > EPS {
                 let bound = (t.rhs(ri).max(0.0) + RATIO_TOL) / a;
                 if bound < t_limit {
@@ -396,8 +463,7 @@ fn run_simplex(
         // (Dantzig phase) or lowest basis index (Bland anti-cycling phase).
         let mut leave = usize::MAX;
         let mut best_a = 0.0;
-        for ri in 0..m {
-            let a = t.at(ri, enter);
+        for (&ri, &a) in t.col_rows.iter().zip(&t.col_vals) {
             if a > EPS && t.rhs(ri) / a <= t_limit {
                 let better = if use_bland {
                     leave == usize::MAX || t.basis[ri] < t.basis[leave]
@@ -610,6 +676,25 @@ mod tests {
         let s = lp.maximize().unwrap();
         assert_eq!(s.objective, 0.0);
         assert!(s.values.is_empty());
+    }
+
+    #[test]
+    fn constraints_without_variables_are_checked() {
+        // Without variables, a constraint reads `0 op rhs`.
+        let solve = |op, rhs| {
+            let mut lp = LinearProgram::new();
+            lp.add_constraint(&[], op, rhs);
+            lp.maximize()
+        };
+        assert_eq!(solve(ConstraintOp::Ge, 1.0), Err(LpError::Infeasible));
+        assert_eq!(solve(ConstraintOp::Eq, -2.0), Err(LpError::Infeasible));
+        for (op, rhs) in [(ConstraintOp::Le, 1.0), (ConstraintOp::Eq, 0.0)] {
+            let s = solve(op, rhs).unwrap();
+            assert_eq!(s.objective.to_bits(), 0.0f64.to_bits(), "{op:?} {rhs}");
+            assert!(s.values.is_empty());
+        }
+        let empty = LinearProgram::new().maximize().unwrap();
+        assert_eq!(empty.objective.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

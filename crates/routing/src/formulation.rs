@@ -79,6 +79,18 @@ pub fn build(
         ChannelMode::PlainOnly => size,
     };
     let dual = mode == ChannelMode::DualChannel;
+    let relays = net.relays();
+    // Each node's incoming and outgoing directed edges, in increasing edge
+    // order, and each directed edge's noise μ, computed once.
+    let mut in_of: Vec<Vec<usize>> = vec![Vec::new(); net.num_nodes()];
+    let mut out_of: Vec<Vec<usize>> = vec![Vec::new(); net.num_nodes()];
+    for de in 0..num_de {
+        in_of[directed_head(net, de)].push(de);
+        out_of[directed_tail(net, de)].push(de);
+    }
+    let in_edges = |v: NodeId| in_of[v].iter().copied();
+    let out_edges = |v: NodeId| out_of[v].iter().copied();
+    let mu: Vec<f64> = (0..num_de).map(|de| net.fiber(de / 2).noise()).collect();
 
     let mut lp = LinearProgram::new();
     let mut y = Vec::with_capacity(requests.len());
@@ -118,8 +130,6 @@ pub fn build(
         let xk: Vec<Variable> = servers.iter().map(|_| lp.add_var(0.0, 0.0, ik)).collect();
 
         // Eq. 3: initialization and termination.
-        let in_edges = |v: NodeId| (0..num_de).filter(move |&de| directed_head(net, de) == v);
-        let out_edges = |v: NodeId| (0..num_de).filter(move |&de| directed_tail(net, de) == v);
         if dual {
             let terms: Vec<_> = in_edges(req.dst).map(|de| (ak[de], 1.0)).collect();
             let mut terms = terms;
@@ -139,7 +149,7 @@ pub fn build(
         // Eq. 4: conservation at every relay (except when it is an
         // endpoint, which cannot happen — endpoints are users), plus the
         // server coupling to x_r.
-        for &r in &net.relays() {
+        for &r in &relays {
             if dual {
                 let mut terms: Vec<_> = in_edges(r).map(|de| (ak[de], 1.0)).collect();
                 terms.extend(out_edges(r).map(|de| (ak[de], -1.0)));
@@ -164,9 +174,8 @@ pub fn build(
         // example of Sec. V-A.
         if dual {
             // 0 ≤ (1/n)·Σ μ_e a_e − ω Σ x_r ≤ W_c · Y_k
-            let mut terms: Vec<(Variable, f64)> = (0..num_de)
-                .map(|de| (ak[de], net.fiber(de / 2).noise() / n))
-                .collect();
+            let mut terms: Vec<(Variable, f64)> =
+                (0..num_de).map(|de| (ak[de], mu[de] / n)).collect();
             for (si, _) in servers.iter().enumerate() {
                 terms.push((xk[si], -params.omega));
             }
@@ -179,11 +188,10 @@ pub fn build(
             // (1/(n+m))·Σ μ_e (a_e/2 + b_e) − ω Σ x_r ≤ W · Y_k
             let mut terms: Vec<(Variable, f64)> = Vec::new();
             for de in 0..num_de {
-                let mu = net.fiber(de / 2).noise();
                 if dual {
-                    terms.push((ak[de], 0.5 * mu / size));
+                    terms.push((ak[de], 0.5 * mu[de] / size));
                 }
-                terms.push((bk[de], mu / size));
+                terms.push((bk[de], mu[de] / size));
             }
             for (si, _) in servers.iter().enumerate() {
                 terms.push((xk[si], -params.omega));
@@ -198,10 +206,10 @@ pub fn build(
     }
 
     // Eq. 5: capacities couple all requests.
-    for &r in &net.relays() {
+    for &r in &relays {
         let mut terms: Vec<(Variable, f64)> = Vec::new();
         for k in 0..requests.len() {
-            for de in (0..num_de).filter(|&de| directed_head(net, de) == r) {
+            for de in in_edges(r) {
                 if dual {
                     terms.push((a[k][de], 1.0));
                 }
