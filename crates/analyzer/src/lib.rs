@@ -2,15 +2,18 @@
 //! workspace.
 //!
 //! The reproduction's results are only trustworthy if every trial is
-//! bit-for-bit deterministic under a seed and every decoder output is a
-//! valid correction. Those properties regress silently: an `Instant::now`
-//! sneaking into a hot loop, a `HashMap` whose iteration order leaks into
-//! a schedule, a typo'd telemetry metric name recording into a series
-//! nobody reads, a scoped worker thread whose telemetry shard dies with
-//! it. This crate is a from-scratch lint pass — a hand-rolled token
-//! scanner (the container is offline; no proc-macro or rustc plumbing)
-//! feeding a pluggable lint registry — that turns each of those
-//! regressions into a file/line diagnostic.
+//! bit-for-bit deterministic under a seed and its telemetry says where
+//! the time went. Clippy enforces the generic rules (no wall-clock read or
+//! hash-ordered collection in result-bearing code, no `unwrap`/`expect`/
+//! `panic!` in decoder, LP and netsim library code, no print in library
+//! code; see the root `clippy.toml`). The project's own rules regress just
+//! as silently and no clippy lint expresses them: a typo'd telemetry metric
+//! name recording into a series nobody reads, a scoped worker thread whose
+//! telemetry shard dies with it, an unjustified `Ordering::Relaxed`, an
+//! unregistered `SURFNET_*` knob. This crate is a from-scratch lint pass —
+//! a hand-rolled token scanner (the build is offline; no proc-macro or
+//! rustc plumbing) feeding a pluggable lint registry — that turns each of
+//! those regressions into a file/line diagnostic.
 //!
 //! Analysis is two-pass: every file is scanned first, then a workspace
 //! symbol index ([`index::WorkspaceIndex`]) is built over the full set —
@@ -26,11 +29,14 @@
 //! auditable in both directions.
 //!
 //! The dynamic counterpart lives in the target crates themselves: the
-//! `SURFNET_CHECK=1` invariant checkers in `surfnet-decoder` and
-//! `surfnet-lp` (see `decoder::check` and `lp::check`), and the
-//! deterministic interleaving race harness in `surfnet-telemetry`
-//! (`tests/race_harness.rs`), which exercises at runtime the same
-//! scoped-thread shard-loss defect `scoped-flush` denies statically.
+//! `SURFNET_CHECK=1` invariant checkers in `surfnet-decoder`, `surfnet-lp`
+//! and `surfnet-netsim` (`decoder::check`, `lp::check` and the netsim route
+//! checker), and the deterministic interleaving race harness in
+//! `surfnet-telemetry` (`tests/race_harness.rs`), which exercises at
+//! runtime the same scoped-thread shard-loss defect `scoped-flush` denies
+//! statically.
+
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod diagnostics;
 pub mod index;
@@ -41,15 +47,15 @@ pub mod source;
 pub use diagnostics::{Diagnostic, Report, Severity};
 pub use index::WorkspaceIndex;
 pub use lints::{analyze_files, default_lints, Lint};
-pub use source::{FileKind, SourceFile};
+pub use source::SourceFile;
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Analyzes one source string under an explicit path label. The path drives
-/// crate/kind scoping exactly as it would on disk. The workspace index
-/// covers just this file, so cross-file lints see a one-file workspace.
+/// crate and test-file scoping exactly as it would on disk. The workspace
+/// index covers just this file, so cross-file lints see a one-file workspace.
 pub fn analyze_source(path_label: &str, source: &str) -> Report {
     analyze_sources(&[(path_label, source)])
 }

@@ -1,31 +1,30 @@
-//! The lint registry and the built-in lints.
+//! The lint registry and the built-in lints: the project's own rules,
+//! which clippy cannot express. The generic hygiene rules (wall-clock
+//! reads, hash-ordered collections, panic and print sites) are clippy's,
+//! configured in the root `clippy.toml` and each crate's `lib.rs`.
 //!
 //! | lint | family | severity | scope |
 //! |------|--------|----------|-------|
-//! | `wall-clock` | determinism | warning | everything except `telemetry`/`bench` |
-//! | `hash-collections` | determinism | warning | library code of `decoder`/`netsim`/`routing`/`lattice` |
-//! | `unseeded-rng` | determinism | warning | everything except shims |
-//! | `panic-site` | panic-safety | warning | library code of `decoder`/`lp`/`netsim` |
 //! | `telemetry-name` | telemetry discipline | error | everything except `telemetry` |
-//! | `print-site` | workspace hygiene | warning | library code except `telemetry`/`bench` exporters |
 //! | `scoped-flush` | concurrency | warning | everywhere, **including test code** |
 //! | `atomic-ordering` | concurrency | warning | everything except test code |
 //! | `env-var-registry` | configuration discipline | error | everywhere, including test code |
 //! | `catalog-unused` | telemetry discipline | warning | the catalog/env registries themselves |
 //!
 //! Test code (`tests/` files and `#[cfg(test)]`/`#[test]` regions) is
-//! exempt from most lints, but **not** from `scoped-flush` (both historical
-//! scoped-thread shard losses lived in test code) or `env-var-registry`
-//! (a typo'd knob in a test silently tests nothing). Any finding can be
-//! suppressed with a `// analyzer:allow(<lint>): <reason>` comment on the
-//! same line or the line above; a directive without a reason is itself
-//! reported (`bad-allow`), and a directive that suppresses nothing is
-//! reported too (`unused-allow`), so the suppression trail can neither rot
-//! nor accumulate.
+//! exempt from `telemetry-name` and `atomic-ordering`, but **not** from
+//! `scoped-flush` (both historical scoped-thread shard losses lived in test
+//! code) or `env-var-registry` (a typo'd knob in a test silently tests
+//! nothing). Any finding can be suppressed with a
+//! `// analyzer:allow(<lint>): <reason>` comment on the same line or the
+//! line above; a directive without a reason is itself reported
+//! (`bad-allow`), and a directive that suppresses nothing is reported too
+//! (`unused-allow`), so the suppression trail can neither rot nor
+//! accumulate.
 
 use crate::diagnostics::{Diagnostic, Report, Severity};
 use crate::index::{match_paren, slice_calls_flush, WorkspaceIndex};
-use crate::source::{FileKind, SourceFile};
+use crate::source::SourceFile;
 use std::collections::BTreeSet;
 use surfnet_telemetry::catalog::{self, MetricKind};
 use surfnet_telemetry::envreg;
@@ -61,12 +60,7 @@ pub trait Lint {
 /// The built-in lint set, in reporting order.
 pub fn default_lints() -> Vec<Box<dyn Lint>> {
     vec![
-        Box::new(WallClock),
-        Box::new(HashCollections),
-        Box::new(UnseededRng),
-        Box::new(PanicSite),
         Box::new(TelemetryName),
-        Box::new(PrintSite),
         Box::new(ScopedFlush),
         Box::new(AtomicOrdering),
         Box::new(EnvVarRegistry),
@@ -236,190 +230,6 @@ fn diag(
     }
 }
 
-/// Bans wall-clock reads (`Instant::now`, `SystemTime`) outside the
-/// telemetry and bench crates: trial timing must flow through telemetry
-/// spans so results stay deterministic and profiles stay comparable.
-struct WallClock;
-
-impl Lint for WallClock {
-    fn name(&self) -> &'static str {
-        "wall-clock"
-    }
-    fn description(&self) -> &'static str {
-        "Instant::now/SystemTime outside telemetry/bench; route timing through telemetry spans"
-    }
-    fn check(&self, file: &SourceFile, _index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
-        if matches!(file.crate_name.as_str(), "telemetry" | "bench") {
-            return;
-        }
-        let ts = &file.tokens;
-        for (i, t) in ts.iter().enumerate() {
-            if in_test(file, t) {
-                continue;
-            }
-            if is_ident(t, "Instant")
-                && ts.get(i + 1).is_some_and(|a| is_punct(a, ":"))
-                && ts.get(i + 2).is_some_and(|a| is_punct(a, ":"))
-                && ts.get(i + 3).is_some_and(|a| is_ident(a, "now"))
-            {
-                out.push(diag(
-                    self.name(),
-                    self.severity(),
-                    file,
-                    t.line,
-                    "Instant::now() outside telemetry/bench; use a telemetry span/timer instead"
-                        .to_string(),
-                ));
-            }
-            if is_ident(t, "SystemTime") {
-                out.push(diag(
-                    self.name(),
-                    self.severity(),
-                    file,
-                    t.line,
-                    "SystemTime is nondeterministic; derive time from seeds or telemetry"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-}
-
-/// Bans `HashMap`/`HashSet` in result-bearing library crates, where
-/// iteration order can leak into decoder/routing output and break
-/// seed-for-seed reproducibility. Use `BTreeMap`/`BTreeSet` or index-keyed
-/// `Vec`s.
-struct HashCollections;
-
-impl Lint for HashCollections {
-    fn name(&self) -> &'static str {
-        "hash-collections"
-    }
-    fn description(&self) -> &'static str {
-        "HashMap/HashSet in decoder/netsim/routing/lattice library code; iteration order leaks"
-    }
-    fn check(&self, file: &SourceFile, _index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
-        if !matches!(
-            file.crate_name.as_str(),
-            "decoder" | "netsim" | "routing" | "lattice"
-        ) || file.kind != FileKind::Lib
-        {
-            return;
-        }
-        for t in &file.tokens {
-            if in_test(file, t) {
-                continue;
-            }
-            if is_ident(t, "HashMap") || is_ident(t, "HashSet") {
-                out.push(diag(
-                    self.name(),
-                    self.severity(),
-                    file,
-                    t.line,
-                    format!(
-                        "{} in order-sensitive library code; use BTreeMap/BTreeSet or an index-keyed Vec",
-                        t.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Bans RNG constructors that pull entropy from the environment. Every
-/// random stream must be seeded explicitly so trials replay bit-for-bit.
-struct UnseededRng;
-
-impl Lint for UnseededRng {
-    fn name(&self) -> &'static str {
-        "unseeded-rng"
-    }
-    fn description(&self) -> &'static str {
-        "RNG construction from ambient entropy; seed explicitly (seed_from_u64)"
-    }
-    fn check(&self, file: &SourceFile, _index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
-        if file.crate_name.starts_with("shims/") {
-            return;
-        }
-        const BANNED: &[&str] = &[
-            "from_entropy",
-            "thread_rng",
-            "from_os_rng",
-            "OsRng",
-            "getrandom",
-        ];
-        for t in &file.tokens {
-            if in_test(file, t) {
-                continue;
-            }
-            if t.kind == TokenKind::Ident && BANNED.contains(&t.text.as_str()) {
-                out.push(diag(
-                    self.name(),
-                    self.severity(),
-                    file,
-                    t.line,
-                    format!(
-                        "`{}` draws ambient entropy; construct RNGs with seed_from_u64",
-                        t.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Bans `unwrap`/`expect`/`panic!` in the library hot paths of the decoder,
-/// LP, and network-simulation crates. Convert to a typed error, or
-/// allow-annotate with the proof of unreachability.
-struct PanicSite;
-
-impl Lint for PanicSite {
-    fn name(&self) -> &'static str {
-        "panic-site"
-    }
-    fn description(&self) -> &'static str {
-        "unwrap/expect/panic! in decoder/lp/netsim library code; use typed errors"
-    }
-    fn check(&self, file: &SourceFile, _index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
-        if !matches!(file.crate_name.as_str(), "decoder" | "lp" | "netsim")
-            || file.kind != FileKind::Lib
-        {
-            return;
-        }
-        let ts = &file.tokens;
-        for (i, t) in ts.iter().enumerate() {
-            if in_test(file, t) {
-                continue;
-            }
-            let method_call = |name: &str| {
-                is_punct(t, ".")
-                    && ts.get(i + 1).is_some_and(|a| is_ident(a, name))
-                    && ts.get(i + 2).is_some_and(|a| is_punct(a, "("))
-            };
-            if method_call("unwrap") || method_call("expect") {
-                let name = &ts[i + 1].text;
-                out.push(diag(
-                    self.name(),
-                    self.severity(),
-                    file,
-                    t.line,
-                    format!(".{name}() in library hot path; return a typed error or annotate why it cannot fire"),
-                ));
-            }
-            if is_ident(t, "panic") && ts.get(i + 1).is_some_and(|a| is_punct(a, "!")) {
-                out.push(diag(
-                    self.name(),
-                    self.severity(),
-                    file,
-                    t.line,
-                    "panic! in library hot path; return a typed error or annotate the contract"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-}
-
 /// Every metric name literal passed to `span!`/`count!`/`event!`/`timer()`/
 /// `counter()`/`counter_family()` must be registered in
 /// `surfnet_telemetry::catalog` with the matching kind. `event!` is
@@ -496,46 +306,6 @@ impl Lint for TelemetryName {
                     ),
                 )),
                 Some(_) => {}
-            }
-        }
-    }
-}
-
-/// Bans ad-hoc stdout/stderr output in library crates: all human-facing
-/// output belongs to binaries and the telemetry/bench exporters.
-struct PrintSite;
-
-impl Lint for PrintSite {
-    fn name(&self) -> &'static str {
-        "print-site"
-    }
-    fn description(&self) -> &'static str {
-        "println!/dbg!/eprintln! in library code outside the telemetry/bench exporters"
-    }
-    fn check(&self, file: &SourceFile, _index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
-        if file.kind != FileKind::Lib || matches!(file.crate_name.as_str(), "telemetry" | "bench") {
-            return;
-        }
-        const BANNED: &[&str] = &["println", "print", "eprintln", "eprint", "dbg"];
-        let ts = &file.tokens;
-        for (i, t) in ts.iter().enumerate() {
-            if in_test(file, t) {
-                continue;
-            }
-            if t.kind == TokenKind::Ident
-                && BANNED.contains(&t.text.as_str())
-                && ts.get(i + 1).is_some_and(|a| is_punct(a, "!"))
-            {
-                out.push(diag(
-                    self.name(),
-                    self.severity(),
-                    file,
-                    t.line,
-                    format!(
-                        "{}! in library code; print from binaries or exporters only",
-                        t.text
-                    ),
-                ));
             }
         }
     }
@@ -831,50 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_fires_outside_telemetry() {
-        let r = run(
-            "crates/routing/src/x.rs",
-            "fn f() { let t = Instant::now(); }",
-        );
-        assert!(r.diagnostics.iter().any(|d| d.lint == "wall-clock"));
-        let r = run(
-            "crates/bench/src/x.rs",
-            "fn f() { let t = Instant::now(); }",
-        );
-        assert!(r.diagnostics.iter().all(|d| d.lint != "wall-clock"));
-    }
-
-    #[test]
-    fn panic_site_scope_and_suppression() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
-        assert!(run("crates/decoder/src/x.rs", src)
-            .diagnostics
-            .iter()
-            .any(|d| d.lint == "panic-site"));
-        // Out of scope: routing crate.
-        assert!(run("crates/routing/src/x.rs", src)
-            .diagnostics
-            .iter()
-            .all(|d| d.lint != "panic-site"));
-        // Suppressed with reason: clean, counted.
-        let r = run(
-            "crates/decoder/src/x.rs",
-            "fn f(x: Option<u8>) -> u8 { x.unwrap() } // analyzer:allow(panic-site): x is Some by construction",
-        );
-        assert!(r.diagnostics.is_empty());
-        assert_eq!(r.suppressed, 1);
-    }
-
-    #[test]
-    fn unwrap_or_is_not_a_panic_site() {
-        let r = run(
-            "crates/decoder/src/x.rs",
-            "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }",
-        );
-        assert!(r.diagnostics.iter().all(|d| d.lint != "panic-site"));
-    }
-
-    #[test]
     fn telemetry_name_checks_catalog_and_kind() {
         let bad = run(
             "crates/decoder/src/x.rs",
@@ -931,7 +657,7 @@ mod tests {
     fn allow_without_reason_is_reported() {
         let r = run(
             "crates/decoder/src/x.rs",
-            "fn f(x: Option<u8>) -> u8 { x.unwrap() } // analyzer:allow(panic-site)",
+            "fn f(x: &AtomicU64) -> u64 { x.load(Ordering::Relaxed) } // analyzer:allow(atomic-ordering)",
         );
         assert!(r.diagnostics.iter().any(|d| d.lint == BAD_ALLOW));
         // The directive still suppresses — the bad-allow diagnostic is the
@@ -941,26 +667,36 @@ mod tests {
 
     #[test]
     fn unknown_allow_lint_is_reported() {
-        let r = run(
-            "crates/decoder/src/x.rs",
-            "fn f() {} // analyzer:allow(no-such-lint): whatever",
-        );
-        assert!(r
-            .diagnostics
-            .iter()
-            .any(|d| d.lint == BAD_ALLOW && d.message.contains("no-such-lint")));
+        // A rule that moved to clippy is unknown too, so a stale directive
+        // for it cannot linger silently.
+        for lint in ["no-such-lint", "panic-site"] {
+            let r = run(
+                "crates/decoder/src/x.rs",
+                &format!("fn f() {{}} // analyzer:allow({lint}): whatever"),
+            );
+            assert!(
+                r.diagnostics.iter().any(|d| d.lint == BAD_ALLOW
+                    && d.message.contains(&format!("unknown lint `{lint}`"))),
+                "{lint}: {:#?}",
+                r.diagnostics
+            );
+        }
     }
 
     #[test]
     fn test_regions_are_exempt() {
         let src = "\
-pub fn lib_code() {}\n\
+pub fn lib_code(x: &AtomicU64) -> u64 { x.load(Ordering::Relaxed) }\n\
 #[cfg(test)]\n\
 mod tests {\n\
-    fn helper(x: Option<u8>) -> u8 { x.unwrap() }\n\
+    fn helper(x: &AtomicU64) -> u64 { x.load(Ordering::Relaxed) }\n\
 }\n";
         let r = run("crates/decoder/src/x.rs", src);
-        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
+        // Only the library access fires; the same access in the test
+        // module does not.
+        let lines: Vec<u32> = r.diagnostics.iter().map(|d| d.line).collect();
+        assert_eq!(lines, vec![1], "{:?}", r.diagnostics);
+        assert!(r.diagnostics.iter().all(|d| d.lint == "atomic-ordering"));
     }
 
     #[test]
@@ -1051,26 +787,26 @@ fn par() {
         // The allow names a real lint but nothing on its line fires.
         let r = run(
             "crates/decoder/src/x.rs",
-            "fn f() {} // analyzer:allow(panic-site): nothing here panics\n",
+            "fn f() {} // analyzer:allow(atomic-ordering): nothing here is atomic\n",
         );
         assert!(
             r.diagnostics
                 .iter()
-                .any(|d| d.lint == UNUSED_ALLOW && d.message.contains("panic-site")),
+                .any(|d| d.lint == UNUSED_ALLOW && d.message.contains("atomic-ordering")),
             "{:#?}",
             r.diagnostics
         );
         // A used allow is not flagged.
         let r = run(
             "crates/decoder/src/x.rs",
-            "fn f(x: Option<u8>) -> u8 { x.unwrap() } // analyzer:allow(panic-site): fine\n",
+            "fn f(x: &AtomicU64) -> u64 { x.load(Ordering::Relaxed) } // analyzer:allow(atomic-ordering): fine\n",
         );
         assert!(r.diagnostics.iter().all(|d| d.lint != UNUSED_ALLOW));
         // An unused allow can itself be allowed (cfg-dependent code).
         let r = run(
             "crates/decoder/src/x.rs",
             "// analyzer:allow(unused-allow): fires only on windows builds\n\
-             fn f() {} // analyzer:allow(panic-site): windows-only unwrap\n",
+             fn f() {} // analyzer:allow(atomic-ordering): windows-only relaxed load\n",
         );
         assert!(
             r.diagnostics.iter().all(|d| d.lint != UNUSED_ALLOW),

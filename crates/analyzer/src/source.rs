@@ -1,22 +1,7 @@
-//! Per-file model: crate/kind classification, `#[cfg(test)]` region
-//! detection, and allow-directive lookup.
+//! Per-file model: crate and test-file classification, `#[cfg(test)]`
+//! region detection, and allow-directive lookup.
 
 use crate::lexer::{scan, AllowDirective, Scan, Token, TokenKind};
-
-/// How a file participates in the build — lints scope on this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Library code (`crates/<name>/src/**` outside `bin/`).
-    Lib,
-    /// A binary target (`src/bin/**` or the root crate's `src/main.rs`).
-    Bin,
-    /// An example (`examples/**`).
-    Example,
-    /// An integration test (`tests/**`).
-    Test,
-    /// A benchmark (`benches/**`).
-    Bench,
-}
 
 /// One scanned source file plus everything lints need to know about it.
 #[derive(Debug)]
@@ -26,8 +11,8 @@ pub struct SourceFile {
     /// The crate the file belongs to (`decoder`, `lp`, ... or `surfnet`
     /// for the workspace root crate, `shims/<name>` for shims).
     pub crate_name: String,
-    /// Build role of the file.
-    pub kind: FileKind,
+    /// Whether the file is an integration test (`tests/**`).
+    test_file: bool,
     /// Lexed code tokens.
     pub tokens: Vec<Token>,
     /// Captured `analyzer:allow` directives.
@@ -40,7 +25,7 @@ pub struct SourceFile {
 impl SourceFile {
     /// Lexes `source` and classifies it from its workspace-relative `path`.
     pub fn parse(path: &str, source: &str) -> SourceFile {
-        let (crate_name, kind) = classify(path);
+        let (crate_name, test_file) = classify(path);
         let Scan {
             tokens,
             allows,
@@ -50,21 +35,11 @@ impl SourceFile {
         SourceFile {
             path: path.to_string(),
             crate_name,
-            kind,
+            test_file,
             tokens,
             allows,
             in_test_region,
         }
-    }
-
-    /// Like [`SourceFile::parse`], but with an explicit crate/kind — used by
-    /// fixture tests to simulate scoping without replicating the workspace
-    /// layout.
-    pub fn parse_as(path: &str, source: &str, crate_name: &str, kind: FileKind) -> SourceFile {
-        let mut file = SourceFile::parse(path, source);
-        file.crate_name = crate_name.to_string();
-        file.kind = kind;
-        file
     }
 
     /// Whether the 1-based `line` is inside a `#[cfg(test)]`/`#[test]` item.
@@ -75,10 +50,9 @@ impl SourceFile {
             .unwrap_or(false)
     }
 
-    /// Whether the whole file is test code (integration tests, plus any
-    /// file classified as [`FileKind::Test`]).
+    /// Whether the whole file is test code (an integration test).
     pub fn is_test_file(&self) -> bool {
-        self.kind == FileKind::Test
+        self.test_file
     }
 
     /// Finds an allow directive suppressing `lint` at `line`: either a
@@ -105,40 +79,18 @@ impl SourceFile {
     }
 }
 
-/// Maps a workspace-relative path to `(crate_name, kind)`.
-pub fn classify(path: &str) -> (String, FileKind) {
+/// Maps a workspace-relative path to `(crate_name, is_test_file)`.
+pub fn classify(path: &str) -> (String, bool) {
     let path = path.replace('\\', "/");
     if let Some(rest) = path.strip_prefix("crates/") {
         let crate_name = rest.split('/').next().unwrap_or("").to_string();
-        let kind = if rest.contains("/tests/") {
-            FileKind::Test
-        } else if rest.contains("/benches/") {
-            FileKind::Bench
-        } else if rest.contains("/examples/") {
-            FileKind::Example
-        } else if rest.contains("/src/bin/") || rest.ends_with("/src/main.rs") {
-            FileKind::Bin
-        } else {
-            FileKind::Lib
-        };
-        return (crate_name, kind);
+        return (crate_name, rest.contains("/tests/"));
     }
     if let Some(rest) = path.strip_prefix("shims/") {
         let crate_name = format!("shims/{}", rest.split('/').next().unwrap_or(""));
-        return (crate_name, FileKind::Lib);
+        return (crate_name, false);
     }
-    let kind = if path.starts_with("tests/") {
-        FileKind::Test
-    } else if path.starts_with("examples/") {
-        FileKind::Example
-    } else if path.starts_with("benches/") {
-        FileKind::Bench
-    } else if path.ends_with("src/main.rs") || path.contains("src/bin/") {
-        FileKind::Bin
-    } else {
-        FileKind::Lib
-    };
-    ("surfnet".to_string(), kind)
+    ("surfnet".to_string(), path.starts_with("tests/"))
 }
 
 /// Marks the line ranges covered by `#[cfg(test)]` items and `#[test]`
@@ -251,24 +203,22 @@ mod tests {
     fn classify_paths() {
         assert_eq!(
             classify("crates/decoder/src/blossom.rs"),
-            ("decoder".to_string(), FileKind::Lib)
+            ("decoder".to_string(), false)
         );
         assert_eq!(
             classify("crates/bench/src/bin/ablation_step.rs"),
-            ("bench".to_string(), FileKind::Bin)
+            ("bench".to_string(), false)
         );
         assert_eq!(
             classify("crates/analyzer/tests/lints.rs"),
-            ("analyzer".to_string(), FileKind::Test)
+            ("analyzer".to_string(), true)
         );
         assert_eq!(
             classify("shims/rand/src/lib.rs"),
-            ("shims/rand".to_string(), FileKind::Lib)
+            ("shims/rand".to_string(), false)
         );
-        assert_eq!(
-            classify("src/lib.rs"),
-            ("surfnet".to_string(), FileKind::Lib)
-        );
+        assert_eq!(classify("src/lib.rs"), ("surfnet".to_string(), false));
+        assert_eq!(classify("tests/pipeline.rs"), ("surfnet".to_string(), true));
     }
 
     #[test]

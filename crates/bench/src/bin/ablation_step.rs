@@ -3,6 +3,10 @@
 //! with the default 2/3 generally achieving a good balance").
 //!
 //! Usage: `cargo run -p surfnet-bench --release --bin ablation_step -- [--trials N]`
+#![expect(
+    clippy::disallowed_methods,
+    reason = "prints each step size's decode time next to its rates; the time never enters the report"
+)]
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -6,6 +6,10 @@
 //!
 //! Usage: `cargo run -p surfnet-bench --release --bin fig_decoders -- \
 //!     [--trials N] [--seed S]`
+#![expect(
+    clippy::disallowed_methods,
+    reason = "prints each decoder's µs per shot; the time never enters the report"
+)]
 
 use std::time::Instant;
 use surfnet_bench::{

@@ -296,7 +296,10 @@ impl Matcher {
         let bb = self.inblossom[base];
         let mut bv = self.inblossom[v];
         let mut bw = self.inblossom[w];
-        // analyzer:allow(panic-site): nvertex spare ids are preallocated and every blossom absorbs >= 3 children, so at most nvertex/2 can ever be live
+        #[expect(
+            clippy::expect_used,
+            reason = "nvertex spare ids are preallocated and every blossom absorbs >= 3 children, so at most nvertex/2 can ever be live"
+        )]
         let b = self.unusedblossoms.pop().expect("ran out of blossom ids");
         self.blossombase[b] = base;
         self.blossomparent[b] = NONE;
@@ -398,10 +401,13 @@ impl Matcher {
             debug_assert_ne!(self.labelend[b], NONE);
             let entrychild = self.inblossom[self.endpoint[self.labelend[b] ^ 1]];
             let childs_len = self.blossomchilds[b].len() as isize;
+            #[expect(
+                clippy::expect_used,
+                reason = "labelend points at an edge into this blossom, so its endpoint's sub-blossom is one of the childs by construction"
+            )]
             let mut j = self.blossomchilds[b]
                 .iter()
                 .position(|&c| c == entrychild)
-                // analyzer:allow(panic-site): labelend points at an edge into this blossom, so its endpoint's sub-blossom is one of the childs by construction
                 .expect("entry child not found") as isize;
             let (jstep, endptrick): (isize, usize) = if j & 1 != 0 {
                 j -= childs_len;
@@ -488,10 +494,13 @@ impl Matcher {
             self.augment_blossom(t, v);
         }
         let childs_len = self.blossomchilds[b].len() as isize;
+        #[expect(
+            clippy::expect_used,
+            reason = "t is the sub-blossom of b containing v, found by walking blossomparent, so it is one of b's childs"
+        )]
         let i = self.blossomchilds[b]
             .iter()
             .position(|&c| c == t)
-            // analyzer:allow(panic-site): t is the sub-blossom of b containing v, found by walking blossomparent, so it is one of b's childs
             .expect("child not found") as isize;
         let mut j = i;
         let (jstep, endptrick): (isize, usize) = if i & 1 != 0 {

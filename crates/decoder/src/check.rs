@@ -11,53 +11,16 @@
 //! block folds away entirely; in debug builds it reads the `SURFNET_CHECK`
 //! environment variable once. The checker functions themselves are plain
 //! `Result`-returning functions so corruption-injection tests can call them
-//! directly.
+//! directly. The harness ([`enabled`], [`assert_ok`],
+//! [`InvariantViolation`]) is [`surfnet_telemetry::check`]'s, shared with
+//! `surfnet_lp::check` and the netsim route checker.
 
 use crate::graph::DecodingGraph;
 use crate::union_find::UnionFind;
-use std::fmt;
-
-/// A broken invariant, described precisely enough to debug from the
-/// panic message alone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvariantViolation {
-    /// What held wrong, where.
-    pub message: String,
-}
-
-impl fmt::Display for InvariantViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invariant violation: {}", self.message)
-    }
-}
+pub use surfnet_telemetry::check::{assert_ok, enabled, InvariantViolation};
 
 fn violation(message: String) -> Result<(), InvariantViolation> {
     Err(InvariantViolation { message })
-}
-
-/// Whether runtime invariant checking is on (`SURFNET_CHECK` set to `1`
-/// or `on`, debug builds only; see
-/// [`surfnet_telemetry::envreg::check_enabled`]).
-#[cfg(debug_assertions)]
-pub fn enabled() -> bool {
-    surfnet_telemetry::envreg::check_enabled()
-}
-
-/// Release builds: checking compiles to `false`, and the guarded blocks
-/// fold away.
-#[cfg(not(debug_assertions))]
-#[inline(always)]
-pub const fn enabled() -> bool {
-    false
-}
-
-/// Panics with the violation if `result` is an error. Call sites guard with
-/// [`enabled`], so this never runs in release builds.
-pub fn assert_ok(result: Result<(), InvariantViolation>, stage: &str) {
-    if let Err(v) = result {
-        // analyzer:allow(panic-site): the entire point of SURFNET_CHECK is to abort loudly on corruption
-        panic!("SURFNET_CHECK [{stage}]: {v}");
-    }
 }
 
 /// Union-find parent array is a forest: every parent index in range, no
@@ -97,7 +60,10 @@ pub fn check_forest(parent: &[usize]) -> Result<(), InvariantViolation> {
 /// - `parity[root]` equals the defect count of the cluster mod 2;
 /// - `touches_boundary[root]` is true exactly for the boundary's cluster;
 /// - every grown edge has both endpoints in the same cluster.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per piece of growth state the invariants relate"
+)]
 pub fn check_cluster_invariants(
     uf: &mut UnionFind,
     parity: &[usize],

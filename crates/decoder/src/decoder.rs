@@ -94,9 +94,9 @@ pub trait Decoder: std::fmt::Debug {
     /// are well-formed by construction.
     fn decode_sample(&self, code: &SurfaceCode, sample: &ErrorSample) -> DecodeOutcome {
         let syndrome = code.extract_syndrome(&sample.pauli);
+        #[expect(clippy::expect_used, reason = "the # Panics contract documented above")]
         let correction = self
             .decode(code, &syndrome, &sample.erased)
-            // analyzer:allow(panic-site): documented API contract — the trait method's # Panics section makes this the simulation-loop convenience path
             .expect("decoding a well-formed surface code sample cannot fail");
         code.score_correction(&sample.pauli, &correction)
     }
@@ -119,9 +119,9 @@ pub trait Decoder: std::fmt::Debug {
         let outcome = if let Some(fast) = trivial_fast_path(code, sample, &syndrome) {
             fast
         } else {
+            #[expect(clippy::expect_used, reason = "the # Panics contract documented above")]
             let correction = self
                 .correction_for_with(&syndrome, &sample.erased, ws)
-                // analyzer:allow(panic-site): documented API contract — same simulation-loop convenience as Decoder::decode_sample
                 .expect("decoding a well-formed surface code sample cannot fail");
             code.score_correction(&sample.pauli, correction)
         };

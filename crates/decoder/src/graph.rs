@@ -39,13 +39,16 @@ impl GraphEdge {
     /// # Panics
     ///
     /// Panics if `v` is not an endpoint of this edge.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract — callers iterate incident edges, so v is always an endpoint"
+    )]
     pub fn other(&self, v: usize) -> usize {
         if v == self.a {
             self.b
         } else if v == self.b {
             self.a
         } else {
-            // analyzer:allow(panic-site): documented contract — callers iterate incident edges, so v is always an endpoint
             panic!("vertex {v} is not an endpoint of edge {self:?}")
         }
     }

@@ -265,11 +265,6 @@ impl SurfaceCode {
         self.measure_z_coords[i]
     }
 
-    /// Board coordinate of measure-X qubit `i`.
-    pub fn measure_x_coord(&self, i: usize) -> Coord {
-        self.measure_x_coords[i]
-    }
-
     /// Data-qubit support of Z stabilizer `i` (2 to 4 qubits).
     pub fn z_stabilizer(&self, i: usize) -> &[usize] {
         &self.z_stabilizers[i]

@@ -11,48 +11,11 @@
 //! See `surfnet_lp::check` for the solver-side counterpart.
 //!
 //! Debug-only and opt-in: in release builds [`enabled`] is a `const fn`
-//! returning `false`, so the guarded calls fold away.
+//! returning `false`, so the guarded calls fold away. The harness is
+//! [`surfnet_telemetry::check`]'s, re-exported here.
 
 use crate::topology::{FiberId, Network, NodeId};
-use std::fmt;
-
-/// A broken planner invariant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InvariantViolation {
-    /// What held wrong, where.
-    pub message: String,
-}
-
-impl fmt::Display for InvariantViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invariant violation: {}", self.message)
-    }
-}
-
-/// Whether runtime invariant checking is on (`SURFNET_CHECK` set to `1`
-/// or `on`, debug builds only; see
-/// [`surfnet_telemetry::envreg::check_enabled`]).
-#[cfg(debug_assertions)]
-pub fn enabled() -> bool {
-    surfnet_telemetry::envreg::check_enabled()
-}
-
-/// Release builds: checking compiles to `false`, and the guarded blocks
-/// fold away.
-#[cfg(not(debug_assertions))]
-#[inline(always)]
-pub const fn enabled() -> bool {
-    false
-}
-
-/// Panics with the violation if `result` is an error. Call sites guard with
-/// [`enabled`], so this never runs in release builds.
-pub fn assert_ok(result: Result<(), InvariantViolation>, stage: &str) {
-    if let Err(v) = result {
-        // analyzer:allow(panic-site): the entire point of SURFNET_CHECK is to abort loudly on corruption
-        panic!("SURFNET_CHECK [{stage}]: {v}");
-    }
-}
+pub use surfnet_telemetry::check::{assert_ok, enabled, InvariantViolation};
 
 /// Relative slack on the noise comparison: summing the same fibers in
 /// another order may round differently.

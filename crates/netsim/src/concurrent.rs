@@ -15,7 +15,7 @@
 
 use crate::execution::{
     link_key, recover_plan, sample_failures, EffectivePlan, ExecutionConfig, ExecutionOutcome,
-    SegmentOutcome, TransferPlan,
+    SegmentOutcome, TransferPlan, MIN_ADVANCE,
 };
 use crate::topology::Network;
 use rand::Rng;
@@ -49,8 +49,8 @@ struct TransferState {
 /// Fiber pair pools start empty, are refilled by per-tick Bernoulli
 /// generation (probability [`ExecutionConfig::entanglement_rate`]) up to
 /// the fiber's `entanglement_capacity`, and are drained by Core parts
-/// performing opportunistic hops of at least
-/// [`ExecutionConfig::min_advance`] fibers.
+/// performing opportunistic hops of at least two fibers (the paper's
+/// threshold), or every fiber left if fewer remain.
 ///
 /// [`ExecutionConfig::max_ticks`] is a **per-segment** transport budget,
 /// as in [`crate::execution::execute_plan`]: a transfer whose in-flight
@@ -201,7 +201,7 @@ fn step_transfer(
                     pools[ahead[run]] -= 1;
                     run += 1;
                 }
-                if run >= config.min_advance.min(ahead.len()) {
+                if run >= MIN_ADVANCE.min(ahead.len()) {
                     state.core_pos += run;
                 } else {
                     // Too short to jump: hand the pairs back.

@@ -38,7 +38,7 @@
 
 use crate::execution::{
     link_key, recover_plan, sample_failures, walk_segments, ExecutionConfig, ExecutionOutcome,
-    PlannedSegment, TransferPlan,
+    PlannedSegment, TransferPlan, MIN_ADVANCE,
 };
 use crate::request::Request;
 use crate::topology::{FiberId, Network, NodeId, NodeKind, RouteSearch};
@@ -292,11 +292,11 @@ fn geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
 ///
 /// Reproduces [`crate::execution`]'s tick dynamics exactly: the Core part
 /// advances over the longest ready run of at least
-/// `min(min_advance, remaining)` fibers, one advancement per tick. After
+/// `min(MIN_ADVANCE, remaining)` fibers, one advancement per tick. After
 /// a maximal jump the next fiber is by construction not yet ready, so
 /// advancement times are exactly a subset of the ready times — the walk
 /// is a deterministic function of them and needs no per-tick sampling.
-fn core_completion(ready: &[u64], min_advance: usize, max_ticks: u64) -> Option<u64> {
+fn core_completion(ready: &[u64], max_ticks: u64) -> Option<u64> {
     let len = ready.len();
     if len == 0 {
         return Some(0);
@@ -304,7 +304,7 @@ fn core_completion(ready: &[u64], min_advance: usize, max_ticks: u64) -> Option<
     let mut pos = 0usize;
     let mut t = 0u64;
     while pos < len {
-        let needed = min_advance.max(1).min(len - pos);
+        let needed = MIN_ADVANCE.min(len - pos);
         // The run from `pos` first reaches `needed` fibers when the
         // slowest of them is ready; the jump then consumes every fiber
         // ready by that tick.
@@ -356,7 +356,7 @@ pub fn execute_plan_event<R: Rng + ?Sized>(
             .map(|_| geometric(rng, config.entanglement_rate))
             .collect();
         attempts_proxy += ready.iter().map(|&g| g.min(config.max_ticks)).sum::<u64>();
-        core_completion(&ready, config.min_advance, config.max_ticks)
+        core_completion(&ready, config.max_ticks)
     });
     // Each geometric draw stands in for that many per-tick attempts on
     // one fiber, capped at the budget — the same quantity the tick
@@ -656,7 +656,10 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
 
 /// Handles one admission offer of a planned request: check capacity,
 /// defer/drop/admit.
-#[allow(clippy::too_many_arguments)] // internal event-dispatch plumbing
+#[allow(
+    clippy::too_many_arguments,
+    reason = "internal event-dispatch plumbing"
+)]
 fn offer<R: Rng + ?Sized>(
     net: &Network,
     config: &StreamConfig,
@@ -780,18 +783,18 @@ mod tests {
 
     #[test]
     fn core_completion_matches_tick_walk() {
-        // min_advance 2: fibers ready at [1, 1] jump at tick 1.
-        assert_eq!(core_completion(&[1, 1], 2, 100), Some(1));
+        // MIN_ADVANCE 2: fibers ready at [1, 1] jump at tick 1.
+        assert_eq!(core_completion(&[1, 1], 100), Some(1));
         // [1, 1, 5, 5]: jump 2 at tick 1, jump 2 at tick 5.
-        assert_eq!(core_completion(&[1, 1, 5, 5], 2, 100), Some(5));
+        assert_eq!(core_completion(&[1, 1, 5, 5], 100), Some(5));
         // [4, 2, 3]: first jump needs max(4, 2) = 4, run extends to all.
-        assert_eq!(core_completion(&[4, 2, 3], 2, 100), Some(4));
-        // Last fiber alone needs only itself (remaining < min_advance).
-        assert_eq!(core_completion(&[1, 1, 7], 2, 100), Some(7));
+        assert_eq!(core_completion(&[4, 2, 3], 100), Some(4));
+        // Last fiber alone needs only itself (remaining < MIN_ADVANCE).
+        assert_eq!(core_completion(&[1, 1, 7], 100), Some(7));
         // Timeout.
-        assert_eq!(core_completion(&[1, 101], 2, 100), None);
+        assert_eq!(core_completion(&[1, 101], 100), None);
         // Empty route: free.
-        assert_eq!(core_completion(&[], 2, 100), Some(0));
+        assert_eq!(core_completion(&[], 100), Some(0));
     }
 
     fn line_net() -> Network {

@@ -76,15 +76,17 @@ pub struct TransferPlan {
     pub segments: Vec<PlannedSegment>,
 }
 
+/// Opportunistic-forwarding threshold (Sec. V-B; the paper fixes 2): the
+/// Core part moves as soon as this many consecutive fibers hold ready
+/// pairs, or every fiber left if fewer remain.
+pub(crate) const MIN_ADVANCE: usize = 2;
+
 /// Tunables of the online execution engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionConfig {
     /// Per-tick success probability of one entanglement-generation attempt
     /// across one fiber (the scenario's entanglement generation rate).
     pub entanglement_rate: f64,
-    /// Opportunistic-forwarding threshold: the Core part moves as soon as
-    /// this many consecutive fibers hold ready pairs (the paper fixes 2).
-    pub min_advance: usize,
     /// Give-up horizon, in ticks. **Per-segment transport budget** in
     /// every execution engine ([`execute_plan`],
     /// [`crate::concurrent::execute_concurrently`], and the event engine):
@@ -113,7 +115,6 @@ impl Default for ExecutionConfig {
     fn default() -> ExecutionConfig {
         ExecutionConfig {
             entanglement_rate: 0.4,
-            min_advance: 2,
             max_ticks: 10_000,
             fiber_failure_prob: 0.0,
             memory_decoherence_rate: 0.015,
@@ -321,7 +322,7 @@ pub(crate) fn walk_segments(
 /// Simulates the Core part moving along `route` with opportunistic
 /// forwarding (Sec. V-B): each tick every unconsumed fiber ahead attempts
 /// pair generation; the part advances over the longest ready prefix of at
-/// least `min_advance` fibers (or whatever remains). Returns ticks used,
+/// least [`MIN_ADVANCE`] fibers (or whatever remains). Returns ticks used,
 /// or `None` on timeout.
 fn advance_core<R: Rng + ?Sized>(
     net: &Network,
@@ -356,7 +357,7 @@ fn advance_core<R: Rng + ?Sized>(
         while pos + run < len && ready[pos + run] {
             run += 1;
         }
-        let needed = config.min_advance.min(len - pos);
+        let needed = MIN_ADVANCE.min(len - pos);
         if run >= needed {
             // Consume the pairs (teleportation + swapping) and advance.
             pos += run;

@@ -66,13 +66,13 @@ impl Fiber {
     /// # Panics
     ///
     /// Panics if `v` is not an endpoint.
+    #[expect(clippy::panic, reason = "routes only hand it fibers incident to v")]
     pub fn other(&self, v: NodeId) -> NodeId {
         if v == self.a {
             self.b
         } else if v == self.b {
             self.a
         } else {
-            // analyzer:allow(panic-site): documented contract — routes hand this method fibers already incident to v
             panic!("node {v} is not an endpoint of this fiber")
         }
     }

@@ -44,8 +44,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "telemetry owns the workspace's wall-clock reads: span timers, stage self-times and journal timestamps, none of which feeds a result"
+)]
 
 pub mod catalog;
+pub mod check;
 pub mod dim;
 pub mod envreg;
 pub mod hist;
@@ -386,13 +391,6 @@ impl Timer {
                 h[hist::bucket_index(ns)] += 1;
             });
         }
-    }
-
-    /// Times one closure invocation.
-    #[inline]
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _span = self.start();
-        f()
     }
 }
 

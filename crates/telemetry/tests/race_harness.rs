@@ -34,6 +34,10 @@
 //! values fail the harness loudly rather than silently shrinking
 //! coverage). Telemetry state is process-global, so every test here runs
 //! under one lock.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "deadlines bound how long a parked worker waits; no total depends on the clock"
+)]
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};

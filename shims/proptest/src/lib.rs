@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod strategy;
 
@@ -293,7 +294,10 @@ macro_rules! proptest {
                     let outcome: ::std::result::Result<(), $crate::test_runner::Reject> =
                         (|| {
                             $body
-                            #[allow(unreachable_code)]
+                            #[allow(
+                                unreachable_code,
+                                reason = "a property body that always returns early leaves this `Ok(())` unreachable"
+                            )]
                             Ok(())
                         })();
                     match outcome {

@@ -150,7 +150,10 @@ macro_rules! impl_tuple_strategy {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
             fn gen_value(&self, rng: &mut TestRng) -> Self::Value {
-                #[allow(non_snake_case)]
+                #[allow(
+                    non_snake_case,
+                    reason = "the bindings reuse the macro's uppercase type-parameter names"
+                )]
                 let ($($name,)+) = self;
                 ($($name.gen_value(rng),)+)
             }

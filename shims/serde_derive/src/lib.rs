@@ -6,6 +6,8 @@
 //! nothing. If real serialization is ever needed the shim must be replaced
 //! by the real crate (or the derives taught to emit impls).
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use proc_macro::TokenStream;
 
 /// No-op `Serialize` derive.

@@ -51,6 +51,8 @@
 //! See `examples/` for end-to-end network scenarios and `crates/bench` for
 //! the binaries that regenerate the paper's tables and figures.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub use surfnet_core as core;
 pub use surfnet_decoder as decoder;
 pub use surfnet_lattice as lattice;
