@@ -6,21 +6,18 @@
 //! the time went. Clippy enforces the generic rules (no wall-clock read or
 //! hash-ordered collection in result-bearing code, no `unwrap`/`expect`/
 //! `panic!` in decoder, LP and netsim library code, no print in library
-//! code; see the root `clippy.toml`). The project's own rules regress just
-//! as silently and no clippy lint expresses them: a typo'd telemetry metric
-//! name recording into a series nobody reads, a scoped worker thread whose
-//! telemetry shard dies with it, an unjustified `Ordering::Relaxed`, an
-//! unregistered `SURFNET_*` knob. This crate is a from-scratch lint pass —
-//! a hand-rolled token scanner (the build is offline; no proc-macro or
-//! rustc plumbing) feeding a pluggable lint registry — that turns each of
-//! those regressions into a file/line diagnostic.
-//!
-//! Analysis is two-pass: every file is scanned first, then a workspace
-//! symbol index ([`index::WorkspaceIndex`]) is built over the full set —
-//! `fn` definitions, call names, `use` edges, and a transitive
-//! records-telemetry fixpoint — so lints like `scoped-flush` can reason
-//! across files (a spawn closure calling a helper two crates away that
-//! records telemetry).
+//! code; see the root `clippy.toml`). The compiler enforces two telemetry
+//! rules: a metric name must be a catalog name of the macro's kind (it
+//! resolves to a catalog slot in a `const` item), and a scoped worker must
+//! spawn through `surfnet_telemetry::spawn_scoped`, which flushes its
+//! shard (clippy disallows every other `Scope::spawn`). The project's
+//! remaining rules regress just as silently and no compiler check
+//! expresses them: an unjustified `Ordering::Relaxed`, an unregistered
+//! `SURFNET_*` knob, a registry entry nothing uses. This crate is a
+//! from-scratch lint pass — a hand-rolled token scanner (the build is
+//! offline; no proc-macro or rustc plumbing) feeding a pluggable lint
+//! registry — that turns each of those regressions into a file/line
+//! diagnostic, in one pass over the scanned files.
 //!
 //! Findings are suppressed in place with
 //! `// analyzer:allow(<lint>): <reason>` comments; a directive without a
@@ -32,20 +29,18 @@
 //! `SURFNET_CHECK=1` invariant checkers in `surfnet-decoder`, `surfnet-lp`
 //! and `surfnet-netsim` (`decoder::check`, `lp::check` and the netsim route
 //! checker), and the deterministic interleaving race harness in
-//! `surfnet-telemetry` (`tests/race_harness.rs`), which exercises at
-//! runtime the same scoped-thread shard-loss defect `scoped-flush` denies
-//! statically.
+//! `surfnet-telemetry` (`tests/race_harness.rs`), which reproduces at
+//! runtime the scoped-thread shard-loss defect that `spawn_scoped`
+//! closes.
 
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod diagnostics;
-pub mod index;
 pub mod lexer;
 pub mod lints;
 pub mod source;
 
 pub use diagnostics::{Diagnostic, Report, Severity};
-pub use index::WorkspaceIndex;
 pub use lints::{analyze_files, default_lints, Lint};
 pub use source::SourceFile;
 
@@ -54,15 +49,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Analyzes one source string under an explicit path label. The path drives
-/// crate and test-file scoping exactly as it would on disk. The workspace
-/// index covers just this file, so cross-file lints see a one-file workspace.
+/// crate and test-file scoping exactly as it would on disk. Workspace lints
+/// see a one-file workspace.
 pub fn analyze_source(path_label: &str, source: &str) -> Report {
     analyze_sources(&[(path_label, source)])
 }
 
-/// Analyzes several labeled sources as one workspace — the symbol index
-/// spans all of them, so cross-file lint behavior (call graphs, registry
-/// references) is exercisable from fixtures.
+/// Analyzes several labeled sources as one workspace, so cross-file lint
+/// behavior (registry references) is exercisable from fixtures.
 pub fn analyze_sources(sources: &[(&str, &str)]) -> Report {
     let files: Vec<SourceFile> = sources
         .iter()

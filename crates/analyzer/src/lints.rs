@@ -5,28 +5,27 @@
 //!
 //! | lint | family | severity | scope |
 //! |------|--------|----------|-------|
-//! | `telemetry-name` | telemetry discipline | error | everything except `telemetry` |
-//! | `scoped-flush` | concurrency | warning | everywhere, **including test code** |
 //! | `atomic-ordering` | concurrency | warning | everything except test code |
 //! | `env-var-registry` | configuration discipline | error | everywhere, including test code |
 //! | `catalog-unused` | telemetry discipline | warning | the catalog/env registries themselves |
 //!
+//! Two former rules hold by construction instead: metric names resolve to
+//! catalog slots at compile time (`surfnet_telemetry::catalog::slot`), and
+//! scoped workers spawn through `surfnet_telemetry::spawn_scoped`, the
+//! one scoped spawn the root `clippy.toml` allows.
+//!
 //! Test code (`tests/` files and `#[cfg(test)]`/`#[test]` regions) is
-//! exempt from `telemetry-name` and `atomic-ordering`, but **not** from
-//! `scoped-flush` (both historical scoped-thread shard losses lived in test
-//! code) or `env-var-registry` (a typo'd knob in a test silently tests
-//! nothing). Any finding can be suppressed with a
-//! `// analyzer:allow(<lint>): <reason>` comment on the same line or the
-//! line above; a directive without a reason is itself reported
-//! (`bad-allow`), and a directive that suppresses nothing is reported too
-//! (`unused-allow`), so the suppression trail can neither rot nor
-//! accumulate.
+//! exempt from `atomic-ordering`, but **not** from `env-var-registry` (a
+//! typo'd knob in a test silently tests nothing). Any finding can be
+//! suppressed with a `// analyzer:allow(<lint>): <reason>` comment on the
+//! same line or the line above; a directive without a reason is itself
+//! reported (`bad-allow`), and a directive that suppresses nothing is
+//! reported too (`unused-allow`), so the suppression trail can neither
+//! rot nor accumulate.
 
 use crate::diagnostics::{Diagnostic, Report, Severity};
-use crate::index::{match_paren, slice_calls_flush, WorkspaceIndex};
 use crate::source::SourceFile;
 use std::collections::BTreeSet;
-use surfnet_telemetry::catalog::{self, MetricKind};
 use surfnet_telemetry::envreg;
 
 use crate::lexer::{Token, TokenKind};
@@ -42,26 +41,17 @@ pub trait Lint {
         Severity::Warning
     }
     /// Scans one `file` and appends raw (pre-suppression) findings to
-    /// `out`. The workspace `index` carries cross-file facts (call graph,
-    /// use edges).
-    fn check(&self, file: &SourceFile, index: &WorkspaceIndex, out: &mut Vec<Diagnostic>);
+    /// `out`.
+    fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>);
     /// One pass over the whole file set, for lints whose subject is the
     /// workspace rather than a file (e.g. dead registry entries). Runs
     /// after every per-file pass.
-    fn check_workspace(
-        &self,
-        _files: &[SourceFile],
-        _index: &WorkspaceIndex,
-        _out: &mut Vec<Diagnostic>,
-    ) {
-    }
+    fn check_workspace(&self, _files: &[SourceFile], _out: &mut Vec<Diagnostic>) {}
 }
 
 /// The built-in lint set, in reporting order.
 pub fn default_lints() -> Vec<Box<dyn Lint>> {
     vec![
-        Box::new(TelemetryName),
-        Box::new(ScopedFlush),
         Box::new(AtomicOrdering),
         Box::new(EnvVarRegistry),
         Box::new(CatalogUnused),
@@ -74,23 +64,22 @@ pub const BAD_ALLOW: &str = "bad-allow";
 /// Name of the meta-lint reporting allow directives that suppress nothing.
 pub const UNUSED_ALLOW: &str = "unused-allow";
 
-/// Runs every lint over `files` as one workspace: builds the symbol index,
-/// runs per-file and workspace passes, applies `analyzer:allow`
+/// Runs every lint over `files` as one workspace: runs the per-file and
+/// workspace passes, applies `analyzer:allow`
 /// suppression (tracking which directives earned their keep), validates
 /// the directives themselves (`bad-allow`), and flags stale ones
 /// (`unused-allow`). Results fold into `report`.
 pub fn analyze_files(files: &[SourceFile], lints: &[Box<dyn Lint>], report: &mut Report) {
     report.files += files.len();
-    let index = WorkspaceIndex::build(files);
 
     let mut raw = Vec::new();
     for file in files {
         for lint in lints {
-            lint.check(file, &index, &mut raw);
+            lint.check(file, &mut raw);
         }
     }
     for lint in lints {
-        lint.check_workspace(files, &index, &mut raw);
+        lint.check_workspace(files, &mut raw);
     }
 
     // Suppression. Workspace-pass findings may land in any file, so route
@@ -230,165 +219,6 @@ fn diag(
     }
 }
 
-/// Every metric name literal passed to `span!`/`count!`/`event!`/`timer()`/
-/// `counter()`/`counter_family()` must be registered in
-/// `surfnet_telemetry::catalog` with the matching kind. `event!` is
-/// matched in both its forms — `event!("name")` and `event!("name", arg)`;
-/// the family constructor requires the `Family` kind. Reports at error
-/// severity: a typo'd name records into a series nobody reads.
-struct TelemetryName;
-
-impl Lint for TelemetryName {
-    fn name(&self) -> &'static str {
-        "telemetry-name"
-    }
-    fn description(&self) -> &'static str {
-        "span/count/event/timer/counter name literal absent from the telemetry catalog (or wrong kind)"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn check(&self, file: &SourceFile, _index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
-        if file.crate_name == "telemetry" {
-            return;
-        }
-        let ts = &file.tokens;
-        for (i, t) in ts.iter().enumerate() {
-            if in_test(file, t) {
-                continue;
-            }
-            // span!("name") / count!("name") / event!("name")
-            let macro_name =
-                if (is_ident(t, "span") || is_ident(t, "count") || is_ident(t, "event"))
-                    && ts.get(i + 1).is_some_and(|a| is_punct(a, "!"))
-                    && ts.get(i + 2).is_some_and(|a| is_punct(a, "("))
-                    && ts.get(i + 3).is_some_and(|a| a.kind == TokenKind::Str)
-                {
-                    Some((t.text.as_str(), 3))
-                // timer("name") / counter("name") / counter_family("name")
-                } else if (is_ident(t, "timer")
-                    || is_ident(t, "counter")
-                    || is_ident(t, "counter_family"))
-                    && ts.get(i + 1).is_some_and(|a| is_punct(a, "("))
-                    && ts.get(i + 2).is_some_and(|a| a.kind == TokenKind::Str)
-                {
-                    Some((t.text.as_str(), 2))
-                } else {
-                    None
-                };
-            let Some((call, name_off)) = macro_name else {
-                continue;
-            };
-            let want = match call {
-                "span" | "timer" => MetricKind::Timer,
-                "event" => MetricKind::Event,
-                "counter_family" => MetricKind::Family,
-                _ => MetricKind::Counter,
-            };
-            let metric = &ts[i + name_off].text;
-            match catalog::lookup(metric) {
-                None => out.push(diag(
-                    self.name(),
-                    self.severity(),
-                    file,
-                    t.line,
-                    format!(
-                        "metric name \"{metric}\" is not registered in surfnet_telemetry::catalog"
-                    ),
-                )),
-                Some(kind) if kind != want => out.push(diag(
-                    self.name(),
-                    self.severity(),
-                    file,
-                    t.line,
-                    format!(
-                        "metric \"{metric}\" is registered as a {kind:?} but used via `{call}`"
-                    ),
-                )),
-                Some(_) => {}
-            }
-        }
-    }
-}
-
-/// The PR 4/PR 6 bug class, denied mechanically: a `thread::scope` worker
-/// closure that (transitively, via the workspace call graph) records
-/// telemetry must flush its thread-local shard before returning, because
-/// `std::thread::scope` unblocks when the closure returns — *before* TLS
-/// destructors run — so the scope's caller can snapshot while a shard's
-/// counts are still buffered in a dying thread.
-///
-/// Test code is **not** exempt: both historical losses were in tests.
-struct ScopedFlush;
-
-impl Lint for ScopedFlush {
-    fn name(&self) -> &'static str {
-        "scoped-flush"
-    }
-    fn description(&self) -> &'static str {
-        "thread::scope closure records telemetry (transitively) without flush()/flush_thread()"
-    }
-    fn check(&self, file: &SourceFile, index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
-        let ts = &file.tokens;
-        for i in 0..ts.len() {
-            // thread :: scope ( [move] |var|
-            if !(is_ident(&ts[i], "thread")
-                && ts.get(i + 1).is_some_and(|a| is_punct(a, ":"))
-                && ts.get(i + 2).is_some_and(|a| is_punct(a, ":"))
-                && ts.get(i + 3).is_some_and(|a| is_ident(a, "scope"))
-                && ts.get(i + 4).is_some_and(|a| is_punct(a, "(")))
-            {
-                continue;
-            }
-            let mut j = i + 5;
-            if ts.get(j).is_some_and(|a| is_ident(a, "move")) {
-                j += 1;
-            }
-            if !ts.get(j).is_some_and(|a| is_punct(a, "|")) {
-                continue;
-            }
-            let Some(var) = ts.get(j + 1).filter(|a| a.kind == TokenKind::Ident) else {
-                continue;
-            };
-            if !ts.get(j + 2).is_some_and(|a| is_punct(a, "|")) {
-                continue;
-            }
-            let scope_end = match_paren(ts, i + 4).min(ts.len());
-            let mut k = j + 3;
-            while k + 3 < scope_end {
-                let spawn = ts[k].kind == TokenKind::Ident
-                    && ts[k].text == var.text
-                    && is_punct(&ts[k + 1], ".")
-                    && is_ident(&ts[k + 2], "spawn")
-                    && is_punct(&ts[k + 3], "(");
-                if !spawn {
-                    k += 1;
-                    continue;
-                }
-                let spawn_close = match_paren(ts, k + 3).min(ts.len());
-                // The whole spawn argument: closure params + body. Params
-                // are bare idents and cannot fake a call or a flush.
-                let body = &ts[k + 4..spawn_close];
-                if index.slice_records_telemetry(body) && !slice_calls_flush(body) {
-                    out.push(diag(
-                        self.name(),
-                        self.severity(),
-                        file,
-                        ts[k].line,
-                        format!(
-                            "`{}.spawn` closure records telemetry but never calls \
-                             surfnet_telemetry::flush()/journal::flush_thread(); its shard can \
-                             be lost when the scope joins before TLS destructors run",
-                            var.text
-                        ),
-                    ));
-                }
-                k = spawn_close;
-            }
-        }
-    }
-}
-
 /// Every `Ordering::Relaxed` is a claim that no other memory access is
 /// published by the operation — a claim the compiler cannot check. Each
 /// site must either carry an `// analyzer:allow(atomic-ordering): <reason>`
@@ -402,7 +232,7 @@ impl Lint for AtomicOrdering {
     fn description(&self) -> &'static str {
         "Ordering::Relaxed without a justifying allow; prove independence or use Acquire/Release"
     }
-    fn check(&self, file: &SourceFile, _index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
+    fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
         if file.crate_name.starts_with("shims/") {
             return;
         }
@@ -431,8 +261,8 @@ impl Lint for AtomicOrdering {
 }
 
 /// Every `SURFNET_*` string literal must be a knob registered in
-/// `surfnet_telemetry::envreg`, mirroring what `telemetry-name` does for
-/// metric names: the env surface can't typo-fork. Error severity — a
+/// `surfnet_telemetry::envreg`, as every metric name must be a catalog
+/// name: the env surface can't typo-fork. Error severity — a
 /// misspelled knob reads as "unset" and silently disables the feature.
 /// Test code is **not** exempt (a typo'd knob in a test tests nothing).
 struct EnvVarRegistry;
@@ -447,7 +277,7 @@ impl Lint for EnvVarRegistry {
     fn severity(&self) -> Severity {
         Severity::Error
     }
-    fn check(&self, file: &SourceFile, _index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
+    fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
         // The registry's own definition file is the one place the names
         // may appear without being "uses".
         if file.path.ends_with("telemetry/src/envreg.rs") {
@@ -509,8 +339,11 @@ fn extract_env_names(body: &str) -> Vec<&str> {
 /// Dead registry entries: a name defined in the telemetry catalog or the
 /// env-var registry that no other file in the analyzed set references (as
 /// a substring of any string literal) is dead weight and flagged at its
-/// definition line. Only runs when the defining file itself is part of the
-/// analyzed set, so single-file fixture runs don't mass-fire.
+/// definition line. An env-var entry is a literal that is a whole knob
+/// name (`SURFNET_` then `A`–`Z`, `0`–`9` or `_`), so a message that
+/// starts with a knob is not one. Only runs when the defining file itself
+/// is part of the analyzed set, so single-file fixture runs don't
+/// mass-fire.
 struct CatalogUnused;
 
 impl Lint for CatalogUnused {
@@ -520,13 +353,8 @@ impl Lint for CatalogUnused {
     fn description(&self) -> &'static str {
         "telemetry catalog / env registry entry never referenced anywhere in the workspace"
     }
-    fn check(&self, _file: &SourceFile, _index: &WorkspaceIndex, _out: &mut Vec<Diagnostic>) {}
-    fn check_workspace(
-        &self,
-        files: &[SourceFile],
-        _index: &WorkspaceIndex,
-        out: &mut Vec<Diagnostic>,
-    ) {
+    fn check(&self, _file: &SourceFile, _out: &mut Vec<Diagnostic>) {}
+    fn check_workspace(&self, files: &[SourceFile], out: &mut Vec<Diagnostic>) {
         // One joined string-literal body per file; newline separators stop
         // accidental cross-literal matches.
         let bodies: Vec<String> = files
@@ -562,7 +390,12 @@ impl Lint for CatalogUnused {
                             c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_'
                         })
                 } else {
-                    entry.starts_with("SURFNET_")
+                    entry.strip_prefix("SURFNET_").is_some_and(|knob| {
+                        !knob.is_empty()
+                            && knob
+                                .bytes()
+                                .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
+                    })
                 };
                 if !is_entry {
                     continue;
@@ -601,59 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_name_checks_catalog_and_kind() {
-        let bad = run(
-            "crates/decoder/src/x.rs",
-            r#"fn f() { surfnet_telemetry::count!("decoder.typo_name"); }"#,
-        );
-        assert!(bad.diagnostics.iter().any(|d| d.lint == "telemetry-name"));
-        let wrong_kind = run(
-            "crates/decoder/src/x.rs",
-            r#"fn f() { surfnet_telemetry::span!("decoder.growth_rounds"); }"#,
-        );
-        assert!(wrong_kind
-            .diagnostics
-            .iter()
-            .any(|d| d.lint == "telemetry-name" && d.severity == Severity::Error));
-        let good = run(
-            "crates/decoder/src/x.rs",
-            r#"fn f() { surfnet_telemetry::count!("decoder.growth_rounds"); }"#,
-        );
-        assert!(good.diagnostics.is_empty());
-    }
-
-    #[test]
-    fn telemetry_name_checks_event_macro_forms() {
-        // Unregistered name, plain form.
-        let bad = run(
-            "crates/core/src/x.rs",
-            r#"fn f() { surfnet_telemetry::event!("core.no_such_event"); }"#,
-        );
-        assert!(bad
-            .diagnostics
-            .iter()
-            .any(|d| d.lint == "telemetry-name" && d.message.contains("not registered")));
-        // Registered but as a Counter, not an Event.
-        let wrong_kind = run(
-            "crates/core/src/x.rs",
-            r#"fn f() { surfnet_telemetry::event!("decoder.growth_rounds"); }"#,
-        );
-        assert!(wrong_kind
-            .diagnostics
-            .iter()
-            .any(|d| d.lint == "telemetry-name" && d.message.contains("used via `event`")));
-        // All registered Event uses, both macro forms: clean.
-        let good = run(
-            "crates/core/src/x.rs",
-            r#"fn f() {
-                surfnet_telemetry::event!("evaluate.shot_failed");
-                surfnet_telemetry::event!("evaluate.shot_failed", 3);
-            }"#,
-        );
-        assert!(good.diagnostics.is_empty(), "{:#?}", good.diagnostics);
-    }
-
-    #[test]
     fn allow_without_reason_is_reported() {
         let r = run(
             "crates/decoder/src/x.rs",
@@ -667,9 +447,15 @@ mod tests {
 
     #[test]
     fn unknown_allow_lint_is_reported() {
-        // A rule that moved to clippy is unknown too, so a stale directive
-        // for it cannot linger silently.
-        for lint in ["no-such-lint", "panic-site"] {
+        // A rule that moved to clippy, or that the compiler now enforces,
+        // is unknown too, so a stale directive for it cannot linger
+        // silently.
+        for lint in [
+            "no-such-lint",
+            "panic-site",
+            "telemetry-name",
+            "scoped-flush",
+        ] {
             let r = run(
                 "crates/decoder/src/x.rs",
                 &format!("fn f() {{}} // analyzer:allow({lint}): whatever"),
@@ -697,49 +483,6 @@ mod tests {\n\
         let lines: Vec<u32> = r.diagnostics.iter().map(|d| d.line).collect();
         assert_eq!(lines, vec![1], "{:?}", r.diagnostics);
         assert!(r.diagnostics.iter().all(|d| d.lint == "atomic-ordering"));
-    }
-
-    #[test]
-    fn scoped_flush_fires_even_in_test_regions() {
-        let src = r#"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                surfnet_telemetry::count!("decoder.growth_rounds");
-            });
-        });
-    }
-}
-"#;
-        let r = run("crates/decoder/src/x.rs", src);
-        assert!(
-            r.diagnostics.iter().any(|d| d.lint == "scoped-flush"),
-            "{:#?}",
-            r.diagnostics
-        );
-    }
-
-    #[test]
-    fn scoped_flush_satisfied_by_flush_call() {
-        let src = r#"
-fn par() {
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            surfnet_telemetry::count!("decoder.growth_rounds");
-            surfnet_telemetry::flush();
-        });
-    });
-}
-"#;
-        let r = run("crates/decoder/src/x.rs", src);
-        assert!(
-            r.diagnostics.iter().all(|d| d.lint != "scoped-flush"),
-            "{:#?}",
-            r.diagnostics
-        );
     }
 
     #[test]
@@ -780,6 +523,30 @@ fn par() {
         // Prose wildcard and embedded identifiers are not names.
         assert!(extract_env_names("all SURFNET_* knobs").is_empty());
         assert!(extract_env_names("__SURFNET_COUNTER").is_empty());
+    }
+
+    #[test]
+    fn catalog_unused_counts_only_whole_knob_names() {
+        // The registry holds the knob and a message that starts with it;
+        // only the knob is an entry, and the second file uses it.
+        // analyzer:allow(env-var-registry): a fake registry's fixture knob
+        let envreg = r#"pub const ENV_VARS: &[&str] = &["SURFNET_X"]; pub fn msg(v: u8) -> String { format!("SURFNET_X [{stage}]: {v}") }"#;
+        // analyzer:allow(env-var-registry): the fixture's one use of that knob
+        let user = r#"pub fn read() -> bool { std::env::var("SURFNET_X").is_ok() }"#;
+        let files = vec![
+            SourceFile::parse("crates/telemetry/src/envreg.rs", envreg),
+            SourceFile::parse("crates/core/src/x.rs", user),
+        ];
+        let mut report = Report::default();
+        analyze_files(&files, &default_lints(), &mut report);
+        assert!(
+            report
+                .diagnostics
+                .iter()
+                .all(|d| d.lint != "catalog-unused"),
+            "{:#?}",
+            report.diagnostics
+        );
     }
 
     #[test]

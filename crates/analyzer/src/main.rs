@@ -52,13 +52,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // The telemetry-name and env-var-registry lints are only as good as
-    // the registries they check against; refuse to run against corrupt
-    // ones.
-    if let Err((a, b)) = surfnet_telemetry::catalog::validate() {
-        eprintln!("error: telemetry catalog is not sorted/unique near `{a}` / `{b}`");
-        return ExitCode::from(2);
-    }
+    // The env-var-registry lint is only as good as the registry it checks
+    // against; refuse to run against a corrupt one.
     if let Err((a, b)) = surfnet_telemetry::envreg::validate() {
         eprintln!("error: env-var registry is not sorted/unique near `{a}` / `{b}`");
         return ExitCode::from(2);

@@ -6,6 +6,5 @@ pub fn touch() -> &'static str {
 }
 
 pub fn touch_family() {
-    // analyzer:allow(telemetry-name): fixture name is not in the real catalog
-    let _f = surfnet_telemetry::dim::counter_family("demo.family.used");
+    let _f = surfnet_telemetry::family!("demo.family.used");
 }

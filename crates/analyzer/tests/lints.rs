@@ -6,10 +6,6 @@
 
 use surfnet_analyzer::{analyze_source, analyze_sources, Report, Severity};
 
-const TELEMETRY_NAME: &str = include_str!("fixtures/telemetry_name.rs");
-const SCOPED_FLUSH: &str = include_str!("fixtures/scoped_flush.rs");
-const SCOPED_FLUSH_RECORDER: &str = include_str!("fixtures/scoped_flush_recorder.rs");
-const SCOPED_FLUSH_CALLER: &str = include_str!("fixtures/scoped_flush_caller.rs");
 const ATOMIC_ORDERING: &str = include_str!("fixtures/atomic_ordering.rs");
 const ENV_VAR_REGISTRY: &str = include_str!("fixtures/env_var_registry.rs");
 const CATALOG_DEFS: &str = include_str!("fixtures/catalog_defs.rs");
@@ -17,68 +13,6 @@ const CATALOG_USER: &str = include_str!("fixtures/catalog_user.rs");
 
 fn count(report: &Report, lint: &str) -> usize {
     report.diagnostics.iter().filter(|d| d.lint == lint).count()
-}
-
-#[test]
-fn telemetry_name_fires_at_error_severity_and_respects_allow() {
-    let r = analyze_source("crates/routing/src/fixture.rs", TELEMETRY_NAME);
-    let findings: Vec<_> = r
-        .diagnostics
-        .iter()
-        .filter(|d| d.lint == "telemetry-name")
-        .collect();
-    assert_eq!(findings.len(), 9, "{:#?}", r.diagnostics);
-    assert!(findings.iter().all(|d| d.severity == Severity::Error));
-    assert!(findings
-        .iter()
-        .any(|d| d.message.contains("not registered")));
-    // A typo'd decoder counter is flagged while the four registered
-    // `decoder.*` uses stay clean.
-    assert!(findings
-        .iter()
-        .any(|d| d.message.contains("decoder.cahce_hits")));
-    assert!(!findings
-        .iter()
-        .any(|d| d.message.contains("decoder.cache_hits")));
-    assert!(findings
-        .iter()
-        .any(|d| d.message.contains("used via `span`")));
-    // The journal macro is checked too, with and without an argument;
-    // registered Event names stay clean.
-    assert!(findings
-        .iter()
-        .any(|d| d.message.contains("journal.no_such_event")));
-    assert!(findings
-        .iter()
-        .any(|d| d.message.contains("used via `event`")));
-    // The per-trial stage histograms are registered: the typo'd name is
-    // flagged, the seven real ones and `journal.dropped` stay clean.
-    assert!(findings
-        .iter()
-        .any(|d| d.message.contains("\"trial.stage.decod\"")));
-    assert!(!findings
-        .iter()
-        .any(|d| d.message.contains("trial.stage.decode")));
-    assert!(!findings.iter().any(|d| d.message.contains("trial.run")));
-    // Metric families: the typo'd family name fires, a Family name pushed
-    // through the flat `count!` macro fires as a kind mismatch (and so
-    // does the converse), while registered constructor uses stay clean.
-    assert!(findings
-        .iter()
-        .any(|d| d.message.contains("\"netsim.link.attempt\"")));
-    assert!(!findings
-        .iter()
-        .any(|d| d.message.contains("\"netsim.link.attempts\"")));
-    assert!(findings
-        .iter()
-        .any(|d| d.message.contains("registered as a Family") && d.message.contains("`count`")));
-    assert!(findings
-        .iter()
-        .any(|d| d.message.contains("used via `counter_family`")));
-    assert!(!findings
-        .iter()
-        .any(|d| d.message.contains("decoder.distance.decodes")));
-    assert_eq!(r.suppressed, 2);
 }
 
 #[test]
@@ -96,46 +30,6 @@ pub fn g() {}\n";
     assert_eq!(bad.len(), 2, "{:#?}", r.diagnostics);
     assert!(bad.iter().any(|d| d.message.contains("missing")));
     assert!(bad.iter().any(|d| d.message.contains("made-up-lint")));
-}
-
-#[test]
-fn scoped_flush_fires_and_respects_allow() {
-    let r = analyze_source("crates/core/src/fixture.rs", SCOPED_FLUSH);
-    let findings: Vec<_> = r
-        .diagnostics
-        .iter()
-        .filter(|d| d.lint == "scoped-flush")
-        .collect();
-    // Only `loses_counts` fires: the flush()/flush_thread() variants are
-    // guarded, the non-recording spawn is out of scope, and the last one
-    // is suppressed.
-    assert_eq!(findings.len(), 1, "{:#?}", r.diagnostics);
-    assert!(findings[0].message.contains("records telemetry"));
-    assert_eq!(r.suppressed, 1);
-}
-
-#[test]
-fn scoped_flush_sees_transitive_recorders_across_files() {
-    // The caller's spawn closure records only through a helper defined in
-    // another crate; the workspace call graph connects them.
-    let r = analyze_sources(&[
-        (
-            "crates/lattice/src/metrics_fixture.rs",
-            SCOPED_FLUSH_RECORDER,
-        ),
-        ("crates/netsim/src/scope_fixture.rs", SCOPED_FLUSH_CALLER),
-    ]);
-    let findings: Vec<_> = r
-        .diagnostics
-        .iter()
-        .filter(|d| d.lint == "scoped-flush")
-        .collect();
-    assert_eq!(findings.len(), 1, "{:#?}", r.diagnostics);
-    assert!(findings[0].path.contains("scope_fixture"));
-    // Without the recorder file in the analyzed set, the index cannot know
-    // `bump_attempts` records — the caller alone stays silent.
-    let r = analyze_source("crates/netsim/src/scope_fixture.rs", SCOPED_FLUSH_CALLER);
-    assert_eq!(count(&r, "scoped-flush"), 0, "{:#?}", r.diagnostics);
 }
 
 #[test]
@@ -179,8 +73,7 @@ fn catalog_unused_flags_dead_entries_across_files() {
         .filter(|d| d.lint == "catalog-unused")
         .collect();
     // Both the dead flat entry and the dead family entry fire; the
-    // referenced ones (plain literal and `counter_family` constructor)
-    // stay clean.
+    // referenced ones (plain literal and `family!` handle) stay clean.
     assert_eq!(findings.len(), 2, "{:#?}", r.diagnostics);
     assert!(findings
         .iter()

@@ -3,10 +3,6 @@
 //! with the default 2/3 generally achieving a good balance").
 //!
 //! Usage: `cargo run -p surfnet-bench --release --bin ablation_step -- [--trials N]`
-#![expect(
-    clippy::disallowed_methods,
-    reason = "prints each step size's decode time next to its rates; the time never enters the report"
-)]
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -36,6 +32,10 @@ fn main() {
     for r in [0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 1.5] {
         let decoder = SurfNetDecoder::with_step(&code, &model, r);
         let rng = SmallRng::seed_from_u64(23);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "prints each step size's decode time next to its rates; the time never enters the report"
+        )]
         let start = Instant::now();
         let failures = count_failed_shots(&decoder, &code, &model, rng, trials, threads);
         let elapsed = start.elapsed().as_secs_f64();

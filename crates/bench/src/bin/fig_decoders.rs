@@ -6,10 +6,6 @@
 //!
 //! Usage: `cargo run -p surfnet-bench --release --bin fig_decoders -- \
 //!     [--trials N] [--seed S]`
-#![expect(
-    clippy::disallowed_methods,
-    reason = "prints each decoder's µs per shot; the time never enters the report"
-)]
 
 use std::time::Instant;
 use surfnet_bench::{
@@ -48,6 +44,10 @@ fn main() {
         // One call per distance, so each distance gets its own time. Every
         // decoder sees the same shots: a point's seed ignores the decoder.
         for d in DISTANCES {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "prints each decoder's µs per shot; the time never enters the report"
+            )]
             let start = Instant::now();
             let curves =
                 fig8::run_with(name, build, &[d], &rates, fig8::ERASURE_RATE, trials, seed);

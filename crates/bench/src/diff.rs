@@ -267,7 +267,7 @@ mod tests {
     fn direction_inference() {
         assert!(lower_is_better("a/b/latency_p99"));
         assert!(lower_is_better("surfnet/d9/p0.0500/logical_error_rate"));
-        assert!(lower_is_better("telemetry.dropped"));
+        assert!(lower_is_better("journal.dropped"));
         assert!(lower_is_better("a/b/failed_trials"));
         assert!(!lower_is_better("a/b/fidelity"));
         assert!(!lower_is_better("a/b/throughput"));

@@ -184,7 +184,7 @@ pub fn trace_finish() {
 /// Prints the accumulated per-stage breakdown (if telemetry is enabled)
 /// and clears it so successive figures in one process report separately.
 pub fn telemetry_dump(figure: &str) {
-    if let Some(report) = surfnet_core::report::telemetry_report() {
+    if let Some(report) = surfnet_telemetry::env_report() {
         println!("\ntelemetry [{figure}]\n{report}");
     }
     surfnet_telemetry::reset();

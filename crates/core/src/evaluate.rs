@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use surfnet_decoder::{DecodeWorkspace, Decoder, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{ErrorModel, LatticeError, Partition, SurfaceCode};
 use surfnet_netsim::execution::{ExecutionOutcome, SegmentOutcome};
-use surfnet_telemetry::dim::{self, LabelKey};
+use surfnet_telemetry::dim::LabelKey;
 
 /// Which decoder the servers run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -201,8 +201,8 @@ impl DecoderCache {
         if !outcome.completed {
             return Ok(false);
         }
-        let decodes_fam = dim::counter_family("decoder.distance.decodes");
-        let errors_fam = dim::counter_family("evaluate.segment.logical_errors");
+        let decodes_fam = surfnet_telemetry::family!("decoder.distance.decodes");
+        let errors_fam = surfnet_telemetry::family!("evaluate.segment.logical_errors");
         let dist_key = LabelKey::Distance(code.distance() as u16);
         let mut ok = true;
         for (idx, segment) in outcome.segments.iter().enumerate() {

@@ -11,8 +11,9 @@
 //!   its own workspace. The failure count is the sum of the threads'
 //!   counts, so it does not depend on which thread decoded which shot.
 //!
-//! Every scoped thread that does work flushes its telemetry shard and
-//! journal ring as its last act (DESIGN §8.1).
+//! Both spawn their scoped threads through
+//! [`surfnet_telemetry::spawn_scoped`], which flushes each worker's
+//! telemetry shard and journal ring as its last act (DESIGN §8.1).
 
 use crate::metrics::{MetricsSummary, TrialMetrics};
 use crate::pipeline::{run_trial, Design};
@@ -20,7 +21,6 @@ use crate::scenario::TrialConfig;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use surfnet_decoder::{DecodeWorkspace, Decoder};
 use surfnet_lattice::{ErrorModel, ErrorSample, SurfaceCode};
 
@@ -69,43 +69,44 @@ pub fn parallel_trials(
         tx.send(base_seed + i as u64).expect("channel open");
     }
     drop(tx);
-    let results: Mutex<Vec<(u64, TrialMetrics)>> = Mutex::new(Vec::with_capacity(trials));
-    let failures = AtomicUsize::new(0);
+    let mut collected = Vec::with_capacity(trials);
+    let mut failures = 0;
     std::thread::scope(|scope| {
-        for _ in 0..default_workers() {
-            let rx = rx.clone();
-            let results = &results;
-            let failures = &failures;
-            scope.spawn(move || {
-                while let Ok(seed) = rx.recv() {
-                    // A failed trial (e.g. an unluckily degenerate LP) is
-                    // counted rather than aborting the whole sweep — and
-                    // rather than polluting the averages with zeros.
-                    match run_trial(design, cfg, seed) {
-                        Ok(metrics) => results.lock().push((seed, metrics)),
-                        Err(_) => {
-                            surfnet_telemetry::count!("runner.trial_failures");
-                            // analyzer:allow(atomic-ordering): pure tally —
-                            // read only after the scope joins every worker
-                            failures.fetch_add(1, Ordering::Relaxed);
+        let handles: Vec<_> = (0..default_workers())
+            .map(|_| {
+                let rx = rx.clone();
+                // Each worker hands back its `(seed, metrics)` list and
+                // failure count through its join handle.
+                surfnet_telemetry::spawn_scoped(scope, move || {
+                    let mut done = Vec::new();
+                    let mut failed = 0;
+                    while let Ok(seed) = rx.recv() {
+                        // A failed trial (e.g. an unluckily degenerate LP)
+                        // is counted rather than aborting the whole sweep
+                        // — and rather than polluting the averages with
+                        // zeros.
+                        match run_trial(design, cfg, seed) {
+                            Ok(metrics) => done.push((seed, metrics)),
+                            Err(_) => {
+                                surfnet_telemetry::count!("runner.trial_failures");
+                                failed += 1;
+                            }
                         }
                     }
-                }
-                // Scope join does not wait for TLS destructors, so merge
-                // the counter shard and drain the journal ring explicitly
-                // before the closure returns — otherwise a snapshot or
-                // trace taken right after this scope races the destructors
-                // and can miss this worker's counts and events.
-                surfnet_telemetry::flush();
-                surfnet_telemetry::journal::flush_thread();
-            });
+                    (done, failed)
+                })
+            })
+            .collect();
+        for handle in handles {
+            let (done, failed) = handle.join().expect("a trial worker thread panicked");
+            collected.extend(done);
+            failures += failed;
         }
     });
-    let mut collected = results.into_inner();
     collected.sort_by_key(|&(seed, _)| seed);
     TrialBatch {
         metrics: collected.into_iter().map(|(_, m)| m).collect(),
-        failures: failures.into_inner(),
+        failures,
     }
 }
 
@@ -173,22 +174,7 @@ pub fn count_failed_shots(
         let work = &work;
         let handles: Vec<_> = helpers
             .iter_mut()
-            .map(|state| {
-                scope.spawn(move || {
-                    let failures = work(state);
-                    // See parallel_trials: flush before the scope observes
-                    // exit. A layer that is off recorded nothing, and not
-                    // flushing it spares this short-lived thread the
-                    // buffers a flush would allocate.
-                    if surfnet_telemetry::enabled() {
-                        surfnet_telemetry::flush();
-                    }
-                    if surfnet_telemetry::journal::enabled() {
-                        surfnet_telemetry::journal::flush_thread();
-                    }
-                    failures
-                })
-            })
+            .map(|state| surfnet_telemetry::spawn_scoped(scope, move || work(state)))
             .collect();
         let own = work(caller);
         own + handles

@@ -169,7 +169,7 @@ pub fn run_trial_on<R: Rng + ?Sized>(
             };
             // Attribute the scheduled codes to the trial's code distance —
             // the per-distance axis the grouped bench exports break down by.
-            surfnet_telemetry::dim::counter_family("routing.request.code_distance").add(
+            surfnet_telemetry::family!("routing.request.code_distance").add(
                 surfnet_telemetry::dim::LabelKey::Distance(cfg.code_distance as u16),
                 schedule.codes.len() as u64,
             );

@@ -63,16 +63,6 @@ pub fn series(name: &str, points: &[(f64, f64)]) -> String {
     out
 }
 
-/// Renders the accumulated telemetry in the format requested via the
-/// `SURFNET_TELEMETRY` environment variable (`json` or `table`), or `None`
-/// when telemetry is disabled.
-///
-/// Experiment binaries call this once per figure and print the result
-/// verbatim after the figure's own table.
-pub fn telemetry_report() -> Option<String> {
-    surfnet_telemetry::env_report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

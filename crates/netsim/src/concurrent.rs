@@ -19,7 +19,6 @@ use crate::execution::{
 };
 use crate::topology::Network;
 use rand::Rng;
-use surfnet_telemetry::dim;
 
 /// Per-transfer progress through its plan.
 #[derive(Debug)]
@@ -150,8 +149,8 @@ pub fn execute_concurrently<R: Rng + ?Sized>(
     }
 
     if tally_len > 0 {
-        let attempts_fam = dim::counter_family("netsim.link.attempts");
-        let successes_fam = dim::counter_family("netsim.link.successes");
+        let attempts_fam = surfnet_telemetry::family!("netsim.link.attempts");
+        let successes_fam = surfnet_telemetry::family!("netsim.link.successes");
         for f in 0..tally_len {
             if fiber_attempts[f] == 0 {
                 continue;

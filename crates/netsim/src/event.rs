@@ -46,7 +46,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use surfnet_telemetry::dim;
 
 /// A binary min-heap of timed events with deterministic tie-breaking:
 /// events at equal times pop in schedule (`seq`) order.
@@ -644,7 +643,7 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
     surfnet_telemetry::count!("netsim.stream.dropped.pool", stats.dropped_pool);
     surfnet_telemetry::count!("netsim.stream.plan.settled", search.settled());
     if !link_drops.is_empty() {
-        let fam = dim::counter_family("netsim.stream.link.dropped");
+        let fam = surfnet_telemetry::family!("netsim.stream.link.dropped");
         for (f, &n) in link_drops.iter().enumerate() {
             if n > 0 {
                 fam.add(link_key(net, f), n);

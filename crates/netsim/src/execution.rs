@@ -41,8 +41,8 @@ fn record_link_attempts(
     if per_fiber_attempts.is_empty() {
         return;
     }
-    let attempts = dim::counter_family("netsim.link.attempts");
-    let successes = dim::counter_family("netsim.link.successes");
+    let attempts = surfnet_telemetry::family!("netsim.link.attempts");
+    let successes = surfnet_telemetry::family!("netsim.link.successes");
     for (i, (&f, &a)) in route.iter().zip(per_fiber_attempts).enumerate() {
         let key = link_key(net, f);
         attempts.add(key, a);
@@ -501,9 +501,9 @@ pub fn execute_teleportation<R: Rng + ?Sized>(
         surfnet_telemetry::count!("netsim.purification_rounds", rounds_done);
         if surfnet_telemetry::enabled() {
             let key = link_key(net, f);
-            dim::counter_family("netsim.link.attempts").add(key, ticks);
-            dim::counter_family("netsim.link.successes").add(key, pairs);
-            dim::counter_family("netsim.link.purification_rounds").add(key, rounds_done);
+            surfnet_telemetry::family!("netsim.link.attempts").add(key, ticks);
+            surfnet_telemetry::family!("netsim.link.successes").add(key, pairs);
+            surfnet_telemetry::family!("netsim.link.purification_rounds").add(key, rounds_done);
         }
         let Some(rho) = rho else {
             return TeleportOutcome {

@@ -1,27 +1,28 @@
-//! The registered metric-name catalog.
+//! The metric registry: every metric name and its kind.
 //!
-//! Every `span!`/`timer()`, `count!`/`counter()`, and `event!` name used
-//! outside the telemetry crate itself must appear here with the right
-//! kind. The `surfnet-analyzer` `telemetry-name` lint enforces this
-//! statically, which turns a typo'd metric name (silently recording into a
-//! fresh, never-read series) into a CI failure.
+//! A name's index in [`CATALOG`] is its *slot*, and every metric table in
+//! the crate (the global counts, sums, histograms and families, and each
+//! thread's shard) holds exactly one entry per slot. The recording macros
+//! (`count!`, `span!`, `event!`, `family!`) resolve their name with
+//! [`slot`] in a `const` item, so a typo'd or unregistered name, or one
+//! registered under another kind, fails to compile (error E0080) instead
+//! of recording into a series nobody reads.
 //!
-//! Keep [`CATALOG`] sorted by name: [`lookup`] binary-searches it, and
-//! [`validate`] rejects out-of-order or duplicate entries.
+//! Keep [`CATALOG`] sorted by name: [`validate`] rejects out-of-order or
+//! duplicate entries.
 
 /// Whether a metric name denotes a counter, a span/timer, a journal event,
 /// or a labeled metric family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Monotonic event count (`count!` / `counter()`).
+    /// Monotonic event count (`count!`).
     Counter,
-    /// Wall-clock span accumulation (`span!` / `timer()`).
+    /// Wall-clock span accumulation (`span!`).
     Timer,
     /// Journal record (an `event!` instant, or the `pipeline.trial` span the
     /// trial scope writes), exported via `SURFNET_TRACE`.
     Event,
-    /// Labeled counter family (`dim::counter_family()`), keyed by a
-    /// `dim::LabelKey`.
+    /// Labeled counter family (`family!`), keyed by a `dim::LabelKey`.
     Family,
 }
 
@@ -78,7 +79,6 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("routing.schedule", MetricKind::Timer),
     ("runner.trial_failures", MetricKind::Counter),
     ("telemetry.dim.dropped_labels", MetricKind::Counter),
-    ("telemetry.dropped", MetricKind::Counter),
     ("trial.run", MetricKind::Timer),
     ("trial.stage.decode", MetricKind::Timer),
     ("trial.stage.entangle", MetricKind::Timer),
@@ -88,12 +88,41 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("trial.stage.route", MetricKind::Timer),
 ];
 
-/// Looks up a metric name, returning its registered kind.
-pub fn lookup(name: &str) -> Option<MetricKind> {
-    CATALOG
-        .binary_search_by(|(n, _)| n.cmp(&name))
-        .ok()
-        .map(|i| CATALOG[i].1)
+/// The slot of `name`: its index in [`CATALOG`]. The recording macros
+/// call this in a `const` item, so it runs at compile time.
+///
+/// # Panics
+///
+/// Panics if `name` is not in the catalog or is registered under a kind
+/// other than `kind`. In a `const` item that panic is compile error E0080.
+pub const fn slot(name: &str, kind: MetricKind) -> usize {
+    let mut i = 0;
+    while i < CATALOG.len() {
+        let (entry, entry_kind) = CATALOG[i];
+        if bytes_eq(entry.as_bytes(), name.as_bytes()) {
+            assert!(
+                entry_kind as u8 == kind as u8,
+                "metric name is registered in surfnet_telemetry::catalog under another kind"
+            );
+            return i;
+        }
+        i += 1;
+    }
+    panic!("metric name is not registered in surfnet_telemetry::catalog")
+}
+
+const fn bytes_eq(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 /// Verifies the catalog is strictly sorted (which also implies names are
@@ -118,15 +147,21 @@ mod tests {
 
     #[test]
     fn lookup_finds_registered_names_with_kind() {
-        assert_eq!(lookup("lp.solve"), Some(MetricKind::Timer));
-        assert_eq!(lookup("lp.solves"), Some(MetricKind::Counter));
-        assert_eq!(lookup("evaluate.shot_failed"), Some(MetricKind::Event));
-        assert_eq!(lookup("telemetry.dropped"), Some(MetricKind::Counter));
-        assert_eq!(lookup("journal.dropped"), Some(MetricKind::Counter));
-        assert_eq!(lookup("trial.run"), Some(MetricKind::Timer));
-        assert_eq!(lookup("trial.stage.decode"), Some(MetricKind::Timer));
-        assert_eq!(lookup("netsim.link.attempts"), Some(MetricKind::Family));
-        assert_eq!(lookup("decoder.distance.decodes"), Some(MetricKind::Family));
-        assert_eq!(lookup("no.such.metric"), None);
+        for (name, kind) in [
+            ("lp.solve", MetricKind::Timer),
+            ("lp.solves", MetricKind::Counter),
+            ("evaluate.shot_failed", MetricKind::Event),
+            ("journal.dropped", MetricKind::Counter),
+            ("trial.run", MetricKind::Timer),
+            ("trial.stage.decode", MetricKind::Timer),
+            ("netsim.link.attempts", MetricKind::Family),
+            ("decoder.distance.decodes", MetricKind::Family),
+        ] {
+            assert_eq!(CATALOG[slot(name, kind)], (name, kind));
+        }
+        // An unknown name and a wrong kind panic (a compile error in the
+        // macros' `const` items).
+        assert!(std::panic::catch_unwind(|| slot("no.such.metric", MetricKind::Counter)).is_err());
+        assert!(std::panic::catch_unwind(|| slot("lp.solve", MetricKind::Counter)).is_err());
     }
 }

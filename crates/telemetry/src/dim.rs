@@ -1,18 +1,20 @@
 //! Labeled counter **families**: one catalog name, many small-integer labels.
 //!
-//! A family is registered once under a static catalog name (e.g.
-//! `netsim.link.attempts`) and keyed at record time by a [`LabelKey`] — a
-//! link endpoint pair, a node id, a segment index, or a code distance.
+//! A family is a [`crate::catalog`] name of kind `Family` (e.g.
+//! `netsim.link.attempts`), recorded through the handle
+//! `family!("netsim.link.attempts")` returns and keyed at record time by a
+//! [`LabelKey`] — a link endpoint pair, a node id, a segment index, or a
+//! code distance.
 //! Every series is a monotonic `u64` event count. This is the "one bounded
 //! family per name" shape per-entity consumers (a link-quality control
 //! plane, per-distance decode counts) need, without giving up the flat
 //! layer's discipline:
 //!
-//! * **Hot path is lock-free.** Recording appends to a thread-local label
-//!   map inside the same shard the flat counters use; the global state is
-//!   only touched when a shard merges — on [`crate::flush`] or thread exit,
-//!   the exact discipline the race harness and the `scoped-flush` lint
-//!   enforce.
+//! * **Hot path is lock-free.** The handle is built at compile time, and
+//!   recording appends to a thread-local label map inside the same shard
+//!   the flat counters use; the global state is only touched when a shard
+//!   merges — on [`crate::flush`] or thread exit, the discipline
+//!   [`crate::spawn_scoped`] keeps and the race harness checks.
 //! * **Cardinality is bounded.** Each family admits at most
 //!   [`DEFAULT_CARDINALITY`] distinct labels; labels past the cap route to
 //!   a per-family `__overflow` bucket and each newly rejected label bumps
@@ -24,9 +26,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
-use crate::enabled;
+use crate::catalog::{MetricKind, CATALOG};
+use crate::{enabled, SLOTS};
 
 /// Per-family label cap. The largest family in any CI baseline holds 294
 /// labels (`netsim.stream.link.dropped`), so the cap bounds memory without
@@ -98,19 +101,23 @@ enum LabelSlot {
     Dropped,
 }
 
-/// One registered family in the global store; its index is its id.
-#[derive(Default)]
+/// One family's labels in the global store.
 struct Family {
-    name: &'static str,
     labels: BTreeMap<u64, LabelSlot>,
     admitted: usize,
     overflow: u64,
 }
 
-fn families() -> &'static Mutex<Vec<Family>> {
-    static FAMILIES: OnceLock<Mutex<Vec<Family>>> = OnceLock::new();
-    FAMILIES.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// The global store, indexed by catalog slot (only `Family` slots fill).
+static FAMILIES: Mutex<[Family; SLOTS]> = Mutex::new(
+    [const {
+        Family {
+            labels: BTreeMap::new(),
+            admitted: 0,
+            overflow: 0,
+        }
+    }; SLOTS],
+);
 
 static DROPPED_LABELS: AtomicU64 = AtomicU64::new(0);
 
@@ -143,38 +150,26 @@ pub fn set_cardinality_override(cap: usize) {
     CARDINALITY.store(cap, Ordering::Relaxed);
 }
 
-fn register_family(name: &'static str) -> u32 {
-    let mut fams = families().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(id) = fams.iter().position(|f| f.name == name) {
-        return id as u32;
-    }
-    fams.push(Family {
-        name,
-        ..Family::default()
-    });
-    (fams.len() - 1) as u32
-}
-
-/// Handle to a labeled counter family. Cheap to copy; resolve once with
-/// [`counter_family`] and cache at the call site for hot loops.
+/// Handle to a labeled counter family, built by [`crate::family!`]:
+/// `family!("netsim.link.attempts")`. Cheap to copy.
 #[derive(Debug, Clone, Copy)]
 pub struct CounterFamily {
-    id: u32,
-}
-
-/// Registers (or finds) the counter family `name`.
-pub fn counter_family(name: &'static str) -> CounterFamily {
-    CounterFamily {
-        id: register_family(name),
-    }
+    slot: usize,
 }
 
 impl CounterFamily {
+    /// The family in catalog slot `slot`; [`crate::family!`] calls this
+    /// with a slot it resolved at compile time.
+    #[doc(hidden)]
+    pub const fn at(slot: usize) -> CounterFamily {
+        CounterFamily { slot }
+    }
+
     /// Adds `n` to the series keyed by `key`, if telemetry is enabled.
     #[inline]
     pub fn add(&self, key: LabelKey, n: u64) {
         if enabled() && n != 0 {
-            record_local(self.id, key.encode(), n);
+            record_local(self.slot, key.encode(), n);
         }
     }
 
@@ -191,19 +186,24 @@ impl CounterFamily {
 /// One family's thread-local label map: a tiny linear-scanned vec — the
 /// per-thread active label set is small (bounded by the cardinality cap in
 /// any sane workload) and a vec scan beats a map for a handful of entries.
-#[derive(Default)]
 pub(crate) struct FamilyShard {
     labels: Vec<(u64, u64)>,
 }
 
+impl FamilyShard {
+    pub(crate) const fn new() -> FamilyShard {
+        FamilyShard { labels: Vec::new() }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.labels.clear();
+    }
+}
+
 #[inline]
-fn record_local(id: u32, code: u64, value: u64) {
+fn record_local(slot: usize, code: u64, value: u64) {
     crate::with_dim_shard(|dim| {
-        let id = id as usize;
-        if dim.len() <= id {
-            dim.resize_with(id + 1, FamilyShard::default);
-        }
-        let shard = &mut dim[id];
+        let shard = &mut dim[slot];
         if let Some((_, total)) = shard.labels.iter_mut().find(|(c, _)| *c == code) {
             *total += value;
         } else {
@@ -215,20 +215,14 @@ fn record_local(id: u32, code: u64, value: u64) {
 /// Merges one thread's label shards into the global store, applying the
 /// cardinality cap. Called from `LocalShard::merge_into_global`, i.e. on
 /// every [`crate::flush`] and on thread exit — label data obeys the same
-/// scoped-flush discipline as the flat metrics.
-pub(crate) fn merge_local(dim: &mut [FamilyShard]) {
+/// flush discipline as the flat metrics.
+pub(crate) fn merge_local(dim: &mut [FamilyShard; SLOTS]) {
     if dim.iter().all(|s| s.labels.is_empty()) {
         return;
     }
     let cap = cardinality();
-    let mut fams = families().lock().unwrap_or_else(PoisonError::into_inner);
-    for (id, shard) in dim.iter_mut().enumerate() {
-        if shard.labels.is_empty() {
-            continue;
-        }
-        let Some(fam) = fams.get_mut(id) else {
-            continue;
-        };
+    let mut fams = FAMILIES.lock().unwrap_or_else(PoisonError::into_inner);
+    for (fam, shard) in fams.iter_mut().zip(dim.iter_mut()) {
         for (code, value) in shard.labels.drain(..) {
             match fam.labels.get_mut(&code) {
                 Some(LabelSlot::Admitted(existing)) => *existing += value,
@@ -290,15 +284,17 @@ impl FamilySnapshot {
     }
 }
 
-/// Snapshots every registered family in deterministic order (families
-/// sorted by name, labels by encoded key). The caller is expected to have
-/// flushed contributing threads first — [`crate::snapshot`] does.
+/// Snapshots every catalog family in deterministic order (families in
+/// catalog order, i.e. sorted by name, labels by encoded key). The caller
+/// is expected to have flushed contributing threads first —
+/// [`crate::snapshot`] does.
 pub fn snapshot_families() -> Vec<FamilySnapshot> {
-    let mut snaps: Vec<FamilySnapshot> = families()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+    let fams = FAMILIES.lock().unwrap_or_else(PoisonError::into_inner);
+    CATALOG
         .iter()
-        .map(|fam| {
+        .zip(fams.iter())
+        .filter(|((_, kind), _)| *kind == MetricKind::Family)
+        .map(|((name, _), fam)| {
             let mut labels: Vec<LabelValue> = fam
                 .labels
                 .iter()
@@ -317,22 +313,19 @@ pub fn snapshot_families() -> Vec<FamilySnapshot> {
                 });
             }
             FamilySnapshot {
-                name: fam.name.to_string(),
+                name: name.to_string(),
                 labels,
             }
         })
-        .collect();
-    snaps.sort_by(|a, b| a.name.cmp(&b.name));
-    snaps
+        .collect()
 }
 
-/// Zeroes every family's label data and the dropped-label count. Family
-/// registrations and call-site handles stay valid. Called by
-/// [`crate::reset`].
+/// Zeroes every family's label data and the dropped-label count. Called
+/// by [`crate::reset`].
 pub(crate) fn reset() {
     // analyzer:allow(atomic-ordering): quiescent-state zeroing
     DROPPED_LABELS.store(0, Ordering::Relaxed);
-    let mut fams = families().lock().unwrap_or_else(PoisonError::into_inner);
+    let mut fams = FAMILIES.lock().unwrap_or_else(PoisonError::into_inner);
     for fam in fams.iter_mut() {
         fam.labels.clear();
         fam.admitted = 0;
@@ -367,12 +360,12 @@ mod tests {
     #[test]
     fn counter_family_accumulates_per_label() {
         with_isolated(|| {
-            let fam = counter_family("test.dim.links");
+            let fam = crate::family!("netsim.link.attempts");
             fam.add(LabelKey::Link(3, 1), 5);
             fam.add(LabelKey::Link(1, 3), 2); // normalizes to the same pair
             fam.incr(LabelKey::Link(2, 4));
             let snap = crate::snapshot();
-            let links = family(&snap.groups, "test.dim.links");
+            let links = family(&snap.groups, "netsim.link.attempts");
             assert_eq!(links.label("1-3"), Some(7));
             assert_eq!(links.label("2-4"), Some(1));
             assert_eq!(links.total(), 8);
@@ -383,11 +376,11 @@ mod tests {
     fn disabled_records_nothing() {
         with_isolated(|| {
             let _t = Telemetry::disabled();
-            let fam = counter_family("test.dim.disabled");
+            let fam = crate::family!("netsim.link.successes");
             fam.add(LabelKey::Node(1), 9);
             let _t = Telemetry::enabled();
             let snap = crate::snapshot();
-            assert_eq!(family(&snap.groups, "test.dim.disabled").total(), 0);
+            assert_eq!(family(&snap.groups, "netsim.link.successes").total(), 0);
         });
     }
 
@@ -395,7 +388,7 @@ mod tests {
     fn overflow_is_deterministic_and_counts_each_dropped_label_once() {
         with_isolated(|| {
             set_cardinality_override(2);
-            let fam = counter_family("test.dim.overflow");
+            let fam = crate::family!("netsim.stream.link.dropped");
             // Two admitted labels, then two rejected ones — one recorded
             // twice across separate flushes so re-merges of a known-dropped
             // label do not recount.
@@ -407,7 +400,7 @@ mod tests {
             crate::flush();
             fam.add(LabelKey::Node(2), 5);
             let snap = crate::snapshot();
-            let of = family(&snap.groups, "test.dim.overflow");
+            let of = family(&snap.groups, "netsim.stream.link.dropped");
             assert_eq!(
                 of.labels
                     .iter()
@@ -427,8 +420,8 @@ mod tests {
         with_isolated(|| {
             let render = |scrambled: bool| {
                 crate::reset();
-                let fam = counter_family("test.dim.order");
-                let dist = counter_family("test.dim.order_dist");
+                let fam = crate::family!("netsim.link.attempts");
+                let dist = crate::family!("routing.request.code_distance");
                 let mut keys = [
                     LabelKey::Link(7, 2),
                     LabelKey::Link(0, 1),
@@ -446,7 +439,10 @@ mod tests {
                 let snap = crate::snapshot();
                 snap.groups
                     .iter()
-                    .filter(|f| f.name.starts_with("test.dim.order"))
+                    .filter(|f| {
+                        f.name == "netsim.link.attempts"
+                            || f.name == "routing.request.code_distance"
+                    })
                     .map(|f| {
                         (
                             f.name.clone(),
@@ -478,21 +474,19 @@ mod tests {
     #[test]
     fn cross_thread_merge_conserves_labeled_totals() {
         with_isolated(|| {
-            let fam = counter_family("test.dim.threads");
+            let fam = crate::family!("evaluate.segment.logical_errors");
             std::thread::scope(|s| {
                 for w in 0..4u32 {
-                    s.spawn(move || {
-                        let fam = counter_family("test.dim.threads");
+                    crate::spawn_scoped(s, move || {
                         for _ in 0..100 {
                             fam.add(LabelKey::Node(w), 2);
                         }
-                        crate::flush();
                     });
                 }
             });
             fam.add(LabelKey::Node(0), 1);
             let snap = crate::snapshot();
-            let f = family(&snap.groups, "test.dim.threads");
+            let f = family(&snap.groups, "evaluate.segment.logical_errors");
             assert_eq!(f.label("n0"), Some(201));
             for w in 1..4 {
                 assert_eq!(f.label(&format!("n{w}")), Some(200));
@@ -504,18 +498,18 @@ mod tests {
     #[test]
     fn reset_zeroes_but_keeps_registrations() {
         with_isolated(|| {
-            let fam = counter_family("test.dim.reset");
+            let fam = crate::family!("netsim.link.purification_rounds");
             fam.add(LabelKey::Segment(0), 5);
             assert_eq!(
-                family(&crate::snapshot().groups, "test.dim.reset").total(),
+                family(&crate::snapshot().groups, "netsim.link.purification_rounds").total(),
                 5
             );
             crate::reset();
-            let f = family(&crate::snapshot().groups, "test.dim.reset");
+            let f = family(&crate::snapshot().groups, "netsim.link.purification_rounds");
             assert!(f.labels.is_empty(), "{f:?}");
             fam.add(LabelKey::Segment(1), 2);
             assert_eq!(
-                family(&crate::snapshot().groups, "test.dim.reset").label("s1"),
+                family(&crate::snapshot().groups, "netsim.link.purification_rounds").label("s1"),
                 Some(2)
             );
         });

@@ -136,7 +136,7 @@ impl Event {
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
+    *EPOCH.get_or_init(crate::clock)
 }
 
 fn global() -> &'static Mutex<Vec<Event>> {
@@ -237,9 +237,9 @@ pub fn record(name: &'static str, phase: Phase, arg: Option<u64>) {
 /// Scoped-thread caveat: `std::thread::scope` unblocks when a worker's
 /// *closure* returns, which can be before the OS thread runs its TLS
 /// destructors — so a collecting thread racing right behind a scope can
-/// miss the automatic drain. Workers whose events must be visible
-/// immediately after the scope call `flush_thread()` as their last act
-/// (the pipeline's trial workers do).
+/// miss the automatic drain. Scoped workers therefore spawn through
+/// [`crate::spawn_scoped`], which calls `flush_thread()` after the
+/// worker's closure returns.
 pub fn flush_thread() {
     RING.with(|r| r.borrow_mut().drain_into_global());
 }
@@ -478,12 +478,9 @@ mod tests {
             record("test.main", Phase::Instant, None);
             std::thread::scope(|s| {
                 for _ in 0..2 {
-                    s.spawn(|| {
-                        record("test.worker", Phase::Instant, None);
-                        // Scope join does not wait for TLS destructors;
-                        // drain explicitly so collect() below sees us.
-                        flush_thread();
-                    });
+                    // Scope join does not wait for TLS destructors; the
+                    // helper drains the ring so collect() below sees us.
+                    crate::spawn_scoped(s, || record("test.worker", Phase::Instant, None));
                 }
             });
             let events = collect();

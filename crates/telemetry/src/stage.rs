@@ -22,9 +22,9 @@
 //! Everything is inert — two relaxed loads — unless telemetry or the
 //! journal is recording.
 
+use crate::catalog::{self, MetricKind};
 use crate::journal;
 use std::cell::RefCell;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The coarse pipeline stages that time is attributed to.
@@ -58,7 +58,7 @@ pub const ALL_STAGES: [Stage; 6] = [
 impl Stage {
     /// The catalog name of this stage's per-trial self-time histogram
     /// (also the journal event name of its transitions).
-    pub fn metric_name(self) -> &'static str {
+    pub const fn metric_name(self) -> &'static str {
         match self {
             Stage::Gen => "trial.stage.gen",
             Stage::Route => "trial.stage.route",
@@ -82,6 +82,19 @@ pub const TRIAL_RUN: &str = "trial.run";
 /// `Begin` record's argument is the trial seed, which names the trial.
 pub const TRIAL_SPAN: &str = "pipeline.trial";
 
+/// Catalog slots of the [`TRIAL_RUN`] timer and of each stage's
+/// histogram, in [`ALL_STAGES`] order.
+const RUN_SLOT: usize = catalog::slot(TRIAL_RUN, MetricKind::Timer);
+const STAGE_SLOTS: [usize; ALL_STAGES.len()] = {
+    let mut slots = [0; ALL_STAGES.len()];
+    let mut i = 0;
+    while i < slots.len() {
+        slots[i] = catalog::slot(ALL_STAGES[i].metric_name(), MetricKind::Timer);
+        i += 1;
+    }
+    slots
+};
+
 struct Attribution {
     /// `Some(start)` while a trial scope is open on this thread.
     trial_start: Option<Instant>,
@@ -97,7 +110,7 @@ impl Attribution {
     /// Charges the time since the last transition to the innermost active
     /// stage (when a trial is open) and restarts the clock.
     fn transition(&mut self) {
-        let now = Instant::now();
+        let now = crate::clock();
         if self.trial_start.is_some() {
             if let Some(&top) = self.stack.last() {
                 let ns = now
@@ -116,18 +129,8 @@ thread_local! {
         trial_start: None,
         totals: [0; ALL_STAGES.len()],
         stack: Vec::new(),
-        last: Instant::now(),
+        last: crate::clock(),
     });
-}
-
-fn timers() -> &'static (crate::Timer, [crate::Timer; ALL_STAGES.len()]) {
-    static TIMERS: OnceLock<(crate::Timer, [crate::Timer; ALL_STAGES.len()])> = OnceLock::new();
-    TIMERS.get_or_init(|| {
-        (
-            crate::timer(TRIAL_RUN),
-            ALL_STAGES.map(|s| crate::timer(s.metric_name())),
-        )
-    })
 }
 
 /// RAII guard for one trial: its stage accounting and its [`TRIAL_SPAN`]
@@ -149,7 +152,7 @@ pub fn trial_scope(seed: u64) -> TrialScope {
     if scope.active {
         ATTR.with(|a| {
             let mut attr = a.borrow_mut();
-            let now = Instant::now();
+            let now = crate::clock();
             attr.trial_start = Some(now);
             attr.totals = [0; ALL_STAGES.len()];
             attr.last = now;
@@ -172,11 +175,14 @@ impl Drop for TrialScope {
                 return;
             };
             let total = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            let (run, stages) = timers();
-            run.record_ns(total);
-            for (timer, &ns) in stages.iter().zip(&attr.totals) {
+            // A recording trial lists all seven timers, even a stage it
+            // never entered.
+            crate::mark_seen(RUN_SLOT);
+            STAGE_SLOTS.iter().for_each(|&slot| crate::mark_seen(slot));
+            crate::record_ns(RUN_SLOT, total);
+            for (&slot, &ns) in STAGE_SLOTS.iter().zip(&attr.totals) {
                 if ns > 0 {
-                    timer.record_ns(ns);
+                    crate::record_ns(slot, ns);
                 }
             }
         });
@@ -226,10 +232,10 @@ mod tests {
         {
             let _trial = trial_scope(1);
             {
-                let _route = crate::span!("test.stage.route", Route);
+                let _route = crate::span!("routing.schedule", Route);
                 std::thread::sleep(Duration::from_millis(4));
                 {
-                    let _lp = crate::span!("test.stage.lp", Lp);
+                    let _lp = crate::span!("lp.solve", Lp);
                     std::thread::sleep(Duration::from_millis(4));
                 }
             }
@@ -238,7 +244,7 @@ mod tests {
         let run = snap.timer(TRIAL_RUN).expect("trial.run recorded").clone();
         let route = snap.timer(Stage::Route.metric_name()).unwrap().clone();
         let lp = snap.timer(Stage::Lp.metric_name()).unwrap().clone();
-        let lp_span = snap.timer("test.stage.lp").unwrap().clone();
+        let lp_span = snap.timer("lp.solve").unwrap().clone();
         let _t = crate::Telemetry::disabled();
         crate::reset();
         assert_eq!(run.count, 1);
@@ -262,7 +268,7 @@ mod tests {
         crate::reset();
         let _t = crate::Telemetry::enabled();
         {
-            let _s = crate::span!("test.stage.decode", Decode);
+            let _s = crate::span!("pipeline.evaluate", Decode);
         }
         let snap = crate::snapshot();
         let _t = crate::Telemetry::disabled();
@@ -278,7 +284,7 @@ mod tests {
         let _g = crate::telemetry_test_guard();
         let _t = crate::Telemetry::disabled();
         let trial = trial_scope(1);
-        let span = crate::span!("test.stage.gen", Gen);
+        let span = crate::span!("pipeline.network_gen", Gen);
         assert!(!trial.active);
         assert!(span.stage.is_none());
     }
@@ -291,7 +297,7 @@ mod tests {
         journal::set_enabled(true);
         {
             let _trial = trial_scope(7);
-            let _s = crate::span!("test.stage.entangle", Entangle);
+            let _s = crate::span!("netsim.execute_plan", Entangle);
         }
         journal::set_enabled(false);
         let events = journal::collect();
@@ -304,10 +310,10 @@ mod tests {
             kinds,
             [
                 (TRIAL_SPAN, journal::Phase::Begin),
-                ("test.stage.entangle", journal::Phase::Begin),
+                ("netsim.execute_plan", journal::Phase::Begin),
                 ("trial.stage.entangle", journal::Phase::Begin),
                 ("trial.stage.entangle", journal::Phase::End),
-                ("test.stage.entangle", journal::Phase::End),
+                ("netsim.execute_plan", journal::Phase::End),
                 (TRIAL_SPAN, journal::Phase::End),
             ]
         );

@@ -25,26 +25,29 @@
 //!   destructors merge the shards. The harness parks every destructor
 //!   merge on a gate (via `set_shard_drop_hook`), so the snapshot taken
 //!   "after the scope joined" deterministically misses exactly the
-//!   contributions of workers whose flush guard was removed — and finds
-//!   them again (conservation) once the gate releases. If a future
-//!   refactor re-introduces the bug, the guarded twin
+//!   contributions of workers spawned raw instead of through
+//!   `surfnet_telemetry::spawn_scoped` — and finds them again
+//!   (conservation) once the gate releases. If a future refactor
+//!   re-introduces the bug in the helper, the guarded twin
 //!   [`scoped_flush_guard_restores_exact_totals`] fails.
 //!
-//! The seed count comes from `SURFNET_RACE_SEEDS` (default 8; garbled
-//! values fail the harness loudly rather than silently shrinking
-//! coverage). Telemetry state is process-global, so every test here runs
-//! under one lock.
-#![expect(
-    clippy::disallowed_methods,
-    reason = "deadlines bound how long a parked worker waits; no total depends on the clock"
-)]
+//! Every guarded worker spawns through `spawn_scoped`, the production
+//! helper, so the harness tests the flush it performs. The seed count
+//! comes from `SURFNET_RACE_SEEDS` (default 8; garbled values fail the
+//! harness loudly rather than silently shrinking coverage). Telemetry
+//! state is process-global, so every test here runs under one lock.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use surfnet_telemetry::dim::{self, LabelKey};
+use surfnet_telemetry::dim::LabelKey;
 use surfnet_telemetry::{self as telemetry, Telemetry};
+
+/// The catalog counter every flat-counter run records into.
+const COUNTER: &str = "lp.pivots";
+/// The catalog family the labeled runs record into.
+const FAMILY: &str = "netsim.link.attempts";
 
 /// Worker threads per schedule.
 const WORKERS: usize = 4;
@@ -183,6 +186,10 @@ impl Turnstile {
 
     /// Blocks until the schedule points at `worker`, returning the step
     /// index to execute — or `None` once the schedule is exhausted.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline bounds the wait; no total depends on the clock"
+    )]
     fn claim(&self, worker: usize) -> Option<usize> {
         let deadline = Instant::now() + DEADLINE;
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
@@ -223,8 +230,8 @@ impl Turnstile {
 }
 
 /// Runs one seeded schedule to completion and returns
-/// `(observed_total, executed_worker_order)`. Every worker ends with the
-/// scoped-flush guard, so the total must be exact for *every* seed.
+/// `(observed_total, executed_worker_order)`. Every worker spawns through
+/// the flushing helper, so the total must be exact for *every* seed.
 fn run_schedule(seed: u64) -> (u64, Vec<usize>) {
     telemetry::reset();
     let _t = Telemetry::enabled();
@@ -232,25 +239,19 @@ fn run_schedule(seed: u64) -> (u64, Vec<usize>) {
     std::thread::scope(|s| {
         for worker in 0..WORKERS {
             let turnstile = Arc::clone(&turnstile);
-            s.spawn(move || {
-                let c = telemetry::counter("race.interleave");
+            telemetry::spawn_scoped(s, move || {
                 while let Some(i) = turnstile.claim(worker) {
                     let step = &turnstile.steps[i];
-                    c.add(step.amount);
+                    telemetry::count!(COUNTER, step.amount);
                     if step.flush {
                         telemetry::flush();
                     }
                     turnstile.advance(worker);
                 }
-                // The scoped-flush guard: scope join does not wait for TLS
-                // destructors, so merge before the closure returns.
-                telemetry::flush();
             });
         }
     });
-    let total = telemetry::snapshot()
-        .counter("race.interleave")
-        .unwrap_or(0);
+    let total = telemetry::snapshot().counter(COUNTER).unwrap_or(0);
     let _t = Telemetry::disabled();
     (total, turnstile.executed())
 }
@@ -266,8 +267,8 @@ fn run_labeled_schedule(seed: u64) -> (Vec<(String, u64)>, Vec<usize>) {
     std::thread::scope(|s| {
         for worker in 0..WORKERS {
             let turnstile = Arc::clone(&turnstile);
-            s.spawn(move || {
-                let fam = dim::counter_family("race.dim.interleave");
+            telemetry::spawn_scoped(s, move || {
+                let fam = telemetry::family!(FAMILY);
                 while let Some(i) = turnstile.claim(worker) {
                     let step = &turnstile.steps[i];
                     fam.add(LabelKey::Node(worker as u32), step.amount);
@@ -276,14 +277,12 @@ fn run_labeled_schedule(seed: u64) -> (Vec<(String, u64)>, Vec<usize>) {
                     }
                     turnstile.advance(worker);
                 }
-                // Scoped-flush guard, exactly as in the flat-counter twin.
-                telemetry::flush();
             });
         }
     });
     let snap = telemetry::snapshot();
     let labels = snap
-        .group("race.dim.interleave")
+        .group(FAMILY)
         .map(|f| {
             f.labels
                 .iter()
@@ -329,6 +328,10 @@ impl Gate {
     }
 
     /// Blocks until `n` threads are parked on the gate.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline bounds the wait; no total depends on the clock"
+    )]
     fn await_parked(&self, n: usize) {
         let deadline = Instant::now() + DEADLINE;
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
@@ -354,9 +357,9 @@ impl Gate {
     }
 }
 
-/// The seeded set of workers that keep their scoped-flush guard. Always a
-/// strict, non-empty subset in loss mode, so both the observed-at-join
-/// value and the loss are nonzero and seed-dependent.
+/// The seeded set of workers that spawn through the flushing helper.
+/// Always a strict, non-empty subset in loss mode, so both the
+/// observed-at-join value and the loss are nonzero and seed-dependent.
 fn flushers_for(seed: u64) -> BTreeSet<usize> {
     let mut flushers: BTreeSet<usize> = (0..WORKERS)
         .filter(|&w| mix(seed ^ (w as u64) << 32) % 2 == 1)
@@ -389,9 +392,10 @@ struct LossReport {
 }
 
 /// Runs the scoped-thread loss window: workers record under
-/// `thread::scope`, only `flushers` keep the scoped-flush guard, and every
-/// TLS-destructor merge is parked on a gate so the post-join snapshot is
-/// taken at a deterministic point inside the historical race window.
+/// `thread::scope`, only `flushers` spawn through the flushing helper, and
+/// every TLS-destructor merge is parked on a gate so the post-join
+/// snapshot is taken at a deterministic point inside the historical race
+/// window.
 fn run_loss_window(seed: u64, flushers: &BTreeSet<usize>) -> LossReport {
     telemetry::reset();
     let _t = Telemetry::enabled();
@@ -402,33 +406,37 @@ fn run_loss_window(seed: u64, flushers: &BTreeSet<usize>) -> LossReport {
     let expected: u64 = (0..WORKERS).map(|w| contribution(seed, w)).sum();
     std::thread::scope(|s| {
         for worker in 0..WORKERS {
-            let flush_guard = flushers.contains(&worker);
-            // Deliberately unguarded when `flush_guard` is false: this
-            // spawn reproduces the historical shard-loss window and the
-            // test asserts the loss. (The scoped-flush lint accepts the
-            // conditional `flush()` below — it cannot see the condition.)
-            s.spawn(move || {
-                let c = telemetry::counter("race.loss");
-                c.add(contribution(seed, worker));
-                if flush_guard {
-                    telemetry::flush();
-                }
-            });
+            let record = move || telemetry::count!(COUNTER, contribution(seed, worker));
+            if flushers.contains(&worker) {
+                telemetry::spawn_scoped(s, record);
+            } else {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "deliberately unflushed: reproduces the shard-loss window the test asserts"
+                )]
+                s.spawn(record);
+            }
         }
     });
     // The scope has joined, yet all four destructor merges are parked:
-    // this is exactly the window the scoped-flush guard exists to close.
+    // this is exactly the window the flushing helper exists to close.
     gate.await_parked(WORKERS);
-    let observed_at_join = telemetry::snapshot().counter("race.loss").unwrap_or(0);
+    let observed_at_join = telemetry::snapshot().counter(COUNTER).unwrap_or(0);
 
     gate.release();
-    let deadline = Instant::now() + DEADLINE;
-    let after_release = loop {
-        let total = telemetry::snapshot().counter("race.loss").unwrap_or(0);
-        if total == expected || Instant::now() > deadline {
-            break total;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline bounds the wait for released merges; no total depends on the clock"
+    )]
+    let after_release = {
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            let total = telemetry::snapshot().counter(COUNTER).unwrap_or(0);
+            if total == expected || Instant::now() > deadline {
+                break total;
+            }
+            std::thread::yield_now();
         }
-        std::thread::yield_now();
     };
     telemetry::set_shard_drop_hook(None);
     let _t = Telemetry::disabled();
@@ -547,10 +555,9 @@ fn missing_scoped_flush_loses_shards_deterministically() {
 fn scoped_flush_guard_restores_exact_totals() {
     let _guard = guard();
     for seed in seeds() {
-        // Same machinery, guard present on every worker: the join-point
-        // snapshot is already exact. This is the regression guard for the
-        // scoped-flush discipline (and for the `scoped-flush` lint's
-        // runtime premise).
+        // Same machinery, every worker spawned through the flushing
+        // helper: the join-point snapshot is already exact. This is the
+        // regression guard for the flush `spawn_scoped` performs.
         let all: BTreeSet<usize> = (0..WORKERS).collect();
         let report = run_loss_window(seed, &all);
         assert_eq!(

@@ -191,6 +191,10 @@ pub mod channel {
                 for _ in 0..4 {
                     let rx = rx.clone();
                     let total = &total;
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "a channel test; the workers record no telemetry"
+                    )]
                     s.spawn(move || {
                         while let Ok(v) = rx.recv() {
                             total.fetch_add(v, Ordering::Relaxed);

@@ -100,6 +100,10 @@ mod tests {
         let m = Mutex::new(0u64);
         std::thread::scope(|s| {
             for _ in 0..8 {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "a lock test; the workers record no telemetry"
+                )]
                 s.spawn(|| {
                     for _ in 0..1000 {
                         *m.lock() += 1;
