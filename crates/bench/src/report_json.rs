@@ -27,7 +27,7 @@
 //! never compares timers.
 
 use std::path::PathBuf;
-use surfnet_telemetry::envreg;
+use surfnet_telemetry::envreg::{self, Knob};
 use surfnet_telemetry::json::{self, Value};
 
 /// Schema tag checked by `bench-diff`.
@@ -41,9 +41,7 @@ pub const SCHEMA: &str = "surfnet-bench/v1";
 /// caller expected reports somewhere specific and would otherwise silently
 /// not get them there.
 pub fn bench_dir() -> Option<PathBuf> {
-    envreg::or_exit(parse_bench_dir(
-        std::env::var("SURFNET_BENCH_DIR").ok().as_deref(),
-    ))
+    envreg::or_exit(parse_bench_dir(Knob::BenchDir.raw().as_deref()))
 }
 
 /// Parses a `SURFNET_BENCH_DIR` value: unset means the current directory,
@@ -57,7 +55,7 @@ pub fn bench_dir() -> Option<PathBuf> {
 pub fn parse_bench_dir(raw: Option<&str>) -> Result<Option<PathBuf>, String> {
     match raw {
         None => Ok(Some(PathBuf::from("."))),
-        Some(raw) => envreg::parse_path("SURFNET_BENCH_DIR", "report directory", raw),
+        Some(raw) => envreg::parse_path(Knob::BenchDir, "report directory", raw),
     }
 }
 

@@ -12,10 +12,15 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use surfnet_decoder::{Decoder, MwpmDecoder, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
+use surfnet_telemetry::envreg::Knob;
 
 fn force_check_on() {
     // Latch the flag before any decoder call reads it.
-    std::env::set_var("SURFNET_CHECK", "1");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test binary arms its own checkers; the flag latches once per process"
+    )]
+    std::env::set_var(Knob::Check.name(), "1");
     assert!(
         surfnet_decoder::check::enabled() || !cfg!(debug_assertions),
         "SURFNET_CHECK=1 must enable checking in debug builds"

@@ -12,7 +12,7 @@ const EMPTY_SLOT: u32 = u32::MAX;
 ///
 /// A flat array instead of a `HashMap<Coord, usize>`: O(1) lookups with no
 /// hashing, a deterministic memory layout, and no iteration-order hazard
-/// (the analyzer's `hash-collections` lint bans hash maps in this crate).
+/// (the root `clippy.toml` bans hash maps in every crate).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CoordIndex {
     side: usize,

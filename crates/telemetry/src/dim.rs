@@ -124,17 +124,22 @@ static DROPPED_LABELS: AtomicU64 = AtomicU64::new(0);
 /// How many distinct labels have been rejected by the cardinality cap
 /// across all families. Also exported by [`crate::snapshot`] as the
 /// `telemetry.dim.dropped_labels` counter.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "monotonic tally read for reporting"
+)]
 pub fn dropped_labels() -> u64 {
-    // analyzer:allow(atomic-ordering): monotonic tally read for reporting
     DROPPED_LABELS.load(Ordering::Relaxed)
 }
 
 // 0 means "no override": the cap is DEFAULT_CARDINALITY.
 static CARDINALITY: AtomicUsize = AtomicUsize::new(0);
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test-support override read standalone; no other memory access depends on it"
+)]
 fn cardinality() -> usize {
-    // analyzer:allow(atomic-ordering): test-support override read
-    // standalone; no other memory access depends on it
     match CARDINALITY.load(Ordering::Relaxed) {
         0 => DEFAULT_CARDINALITY,
         cap => cap,
@@ -146,7 +151,7 @@ fn cardinality() -> usize {
 /// [`DEFAULT_CARDINALITY`].
 #[doc(hidden)]
 pub fn set_cardinality_override(cap: usize) {
-    // analyzer:allow(atomic-ordering): test-support knob
+    #[expect(clippy::disallowed_methods, reason = "test-support knob")]
     CARDINALITY.store(cap, Ordering::Relaxed);
 }
 
@@ -236,7 +241,7 @@ pub(crate) fn merge_local(dim: &mut [FamilyShard; SLOTS]) {
                         // rejection (so the drop counts once), fold the
                         // value into the overflow bucket.
                         fam.labels.insert(code, LabelSlot::Dropped);
-                        // analyzer:allow(atomic-ordering): commutative tally
+                        #[expect(clippy::disallowed_methods, reason = "commutative tally")]
                         DROPPED_LABELS.fetch_add(1, Ordering::Relaxed);
                         fam.overflow += value;
                     }
@@ -323,7 +328,7 @@ pub fn snapshot_families() -> Vec<FamilySnapshot> {
 /// Zeroes every family's label data and the dropped-label count. Called
 /// by [`crate::reset`].
 pub(crate) fn reset() {
-    // analyzer:allow(atomic-ordering): quiescent-state zeroing
+    #[expect(clippy::disallowed_methods, reason = "quiescent-state zeroing")]
     DROPPED_LABELS.store(0, Ordering::Relaxed);
     let mut fams = FAMILIES.lock().unwrap_or_else(PoisonError::into_inner);
     for fam in fams.iter_mut() {

@@ -1,14 +1,11 @@
-//! The registered `SURFNET_*` environment-knob registry.
+//! The `SURFNET_*` environment knobs.
 //!
-//! Every `SURFNET_*` name that appears in a string literal anywhere in the
-//! workspace must be listed here. The `surfnet-analyzer` `env-var-registry`
-//! lint enforces this statically, which turns a typo'd knob (silently
-//! reading as "unset" and disabling the feature it was meant to drive)
-//! into a CI failure — the same discipline [`crate::catalog`] applies to
-//! metric names.
-//!
-//! Keep [`ENV_VARS`] sorted: [`is_registered`] binary-searches it, and
-//! [`validate`] rejects out-of-order or duplicate entries.
+//! Every knob is a [`Knob`] variant, and [`Knob::raw`] is the workspace's
+//! one environment read: the root `clippy.toml` disallows `std::env::var`,
+//! `var_os`, `set_var` and `remove_var` everywhere else. A typo'd knob
+//! (which would read as "unset" and silently disable the feature it was
+//! meant to drive) is therefore a compile error, the discipline
+//! [`crate::catalog`] applies to metric names.
 //!
 //! The knobs share one off vocabulary ([`is_off`]), and parsing is strict:
 //! a garbled value exits 2 with the accepted forms ([`or_exit`]) rather
@@ -17,19 +14,46 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-/// All registered environment knobs, sorted by name.
-pub const ENV_VARS: &[&str] = &[
-    // Bench report output directory: `<dir>`; unset is `.`, off disables.
-    "SURFNET_BENCH_DIR",
-    // Debug-build invariant checkers in decoder/lp/netsim: "1"/"on" enable.
-    "SURFNET_CHECK",
-    // Race-harness seed count: a positive integer (tests only).
-    "SURFNET_RACE_SEEDS",
-    // Telemetry exporter mode: "table" or "json"; unset or off disables.
-    "SURFNET_TELEMETRY",
-    // Journal trace output: `<path>`; unset or off disables.
-    "SURFNET_TRACE",
-];
+/// A `SURFNET_*` environment knob.
+#[derive(Debug, Clone, Copy)]
+pub enum Knob {
+    /// `SURFNET_BENCH_DIR`, the bench report directory: a path; unset is
+    /// `.`, an off form disables.
+    BenchDir,
+    /// `SURFNET_CHECK`, the debug-build invariant checkers of the decoder,
+    /// LP and netsim crates: `1` or `on` enables.
+    Check,
+    /// `SURFNET_TELEMETRY`, the exporter mode: `table` or `json`; unset or
+    /// an off form disables.
+    Telemetry,
+    /// `SURFNET_TRACE`, the journal trace file: a path; unset or an off
+    /// form disables.
+    Trace,
+}
+
+impl Knob {
+    /// Every knob, sorted by name.
+    pub const ALL: [Knob; 4] = [Knob::BenchDir, Knob::Check, Knob::Telemetry, Knob::Trace];
+
+    /// The environment variable the knob reads.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Knob::BenchDir => "SURFNET_BENCH_DIR",
+            Knob::Check => "SURFNET_CHECK",
+            Knob::Telemetry => "SURFNET_TELEMETRY",
+            Knob::Trace => "SURFNET_TRACE",
+        }
+    }
+
+    /// The knob's value, `None` when unset or not valid UTF-8.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's one environment read"
+    )]
+    pub fn raw(self) -> Option<String> {
+        std::env::var(self.name()).ok()
+    }
+}
 
 /// The off forms a set knob takes, as error messages print them.
 pub(crate) const OFF_FORMS: &str = "\"\", \"0\" or \"off\"";
@@ -63,28 +87,30 @@ fn parse_check(raw: &str) -> Result<bool, String> {
         Ok(true)
     } else {
         Err(format!(
-            "unrecognized SURFNET_CHECK value {value:?}; expected \"1\" or \"on\" to \
-             enable, or unset, {OFF_FORMS} to disable"
+            "unrecognized {} value {value:?}; expected \"1\" or \"on\" to \
+             enable, or unset, {OFF_FORMS} to disable",
+            Knob::Check.name()
         ))
     }
 }
 
-/// Parses a path knob `name`: an off form is `None`, anything else the
-/// trimmed path. `what` names the path in the error message.
+/// Parses a value of the path knob `knob`: an off form is `None`, anything
+/// else the trimmed path. `what` names the path in the error message.
 ///
 /// # Errors
 ///
 /// An on/off switch value (`1`, `true`, ...) is rejected as a
 /// misunderstanding of the knob, with a message naming the accepted forms.
-pub fn parse_path(name: &str, what: &str, raw: &str) -> Result<Option<PathBuf>, String> {
+pub fn parse_path(knob: Knob, what: &str, raw: &str) -> Result<Option<PathBuf>, String> {
     let value = raw.trim();
     if is_off(value) {
         return Ok(None);
     }
     if SWITCH_LIKE.contains(&value.to_ascii_lowercase().as_str()) {
         return Err(format!(
-            "ambiguous {name} value {value:?} — the knob takes a {what}, not an on/off \
-             switch; accepted forms: a {what}, or {OFF_FORMS} to disable"
+            "ambiguous {} value {value:?} — the knob takes a {what}, not an on/off \
+             switch; accepted forms: a {what}, or {OFF_FORMS} to disable",
+            knob.name()
         ));
     }
     Ok(Some(PathBuf::from(value)))
@@ -104,27 +130,7 @@ pub fn or_exit<T>(parsed: Result<T, String>) -> T {
 /// the decoder, LP and netsim crates. Read once per process.
 pub fn check_enabled() -> bool {
     static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        or_exit(parse_check(
-            &std::env::var("SURFNET_CHECK").unwrap_or_default(),
-        ))
-    })
-}
-
-/// Whether `name` is a registered environment knob.
-pub fn is_registered(name: &str) -> bool {
-    ENV_VARS.binary_search(&name).is_ok()
-}
-
-/// Verifies the registry is strictly sorted (which also implies names are
-/// unique). Returns the first offending adjacent pair.
-pub fn validate() -> Result<(), (&'static str, &'static str)> {
-    for pair in ENV_VARS.windows(2) {
-        if pair[0] >= pair[1] {
-            return Err((pair[0], pair[1]));
-        }
-    }
-    Ok(())
+    *FLAG.get_or_init(|| or_exit(parse_check(&Knob::Check.raw().unwrap_or_default())))
 }
 
 #[cfg(test)]
@@ -133,7 +139,11 @@ mod tests {
 
     #[test]
     fn registry_is_sorted_and_unique() {
-        assert_eq!(validate(), Ok(()));
+        assert!(
+            Knob::ALL.windows(2).all(|w| w[0].name() < w[1].name()),
+            "{:?}",
+            Knob::ALL.map(Knob::name)
+        );
     }
 
     #[test]
@@ -158,7 +168,7 @@ mod tests {
         for &(raw, switch, path) in cases {
             assert_eq!(parse_check(raw).ok(), switch, "{raw:?}");
             assert_eq!(
-                parse_path("SURFNET_TRACE", "trace file", raw).ok(),
+                parse_path(Knob::Trace, "trace file", raw).ok(),
                 path.map(|p| p.map(PathBuf::from)),
                 "{raw:?}"
             );
@@ -170,7 +180,7 @@ mod tests {
             err.contains("SURFNET_CHECK") && err.contains("\"false\""),
             "{err}"
         );
-        let err = parse_path("SURFNET_TRACE", "trace file", "1").unwrap_err();
+        let err = parse_path(Knob::Trace, "trace file", "1").unwrap_err();
         assert!(
             err.contains("SURFNET_TRACE") && err.contains("\"1\""),
             "{err}"
@@ -180,9 +190,16 @@ mod tests {
 
     #[test]
     fn lookup_finds_registered_knobs() {
-        assert!(is_registered("SURFNET_TELEMETRY"));
-        assert!(is_registered("SURFNET_TRACE"));
-        assert!(!is_registered("SURFNET_NOPE"));
-        assert!(!is_registered("surfnet_telemetry"));
+        for knob in Knob::ALL {
+            let suffix = knob.name().strip_prefix("SURFNET_").unwrap_or("");
+            assert!(
+                !suffix.is_empty()
+                    && suffix
+                        .bytes()
+                        .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_'),
+                "{knob:?} reads {:?}",
+                knob.name()
+            );
+        }
     }
 }

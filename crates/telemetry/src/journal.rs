@@ -21,7 +21,8 @@
 //! anything else Chrome trace). When disabled, every journal call is one
 //! relaxed atomic load.
 
-use crate::envreg;
+use crate::catalog::CATALOG;
+use crate::envreg::{self, Knob};
 use crate::json::{obj, JsonError, Value};
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -43,24 +44,30 @@ static DROPPED_EVENTS: AtomicU64 = AtomicU64::new(0);
 /// full thread ring, or drained past [`GLOBAL_CAPACITY`]. Exported by
 /// [`crate::snapshot`] as the `journal.dropped` counter so a truncated
 /// trace is visible instead of silently reading as "captured everything".
+#[expect(
+    clippy::disallowed_methods,
+    reason = "monotonic tally read for reporting; no other memory is inferred from the value"
+)]
 pub fn dropped_events() -> u64 {
-    // analyzer:allow(atomic-ordering): monotonic tally read for reporting;
-    // no other memory is inferred from the value
     DROPPED_EVENTS.load(Ordering::Relaxed)
 }
 
 /// Returns whether journal recording is enabled (one relaxed load).
 #[inline(always)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "on/off gate; events live in thread-local rings, nothing is published through this flag"
+)]
 pub fn enabled() -> bool {
-    // analyzer:allow(atomic-ordering): on/off gate; events live in
-    // thread-local rings, nothing is published through this flag
     JOURNAL.load(Ordering::Relaxed)
 }
 
 /// Turns journal recording on or off (process-global).
 pub fn set_enabled(on: bool) {
-    // analyzer:allow(atomic-ordering): gate flip; drains synchronize on
-    // the global buffer mutex, not on this flag
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "gate flip; drains synchronize on the global buffer mutex, not on this flag"
+    )]
     JOURNAL.store(on, Ordering::Relaxed);
 }
 
@@ -153,10 +160,12 @@ struct ThreadRing {
 }
 
 impl ThreadRing {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unique-id allocation needs only the fetch_add's atomicity"
+    )]
     fn new() -> ThreadRing {
         ThreadRing {
-            // analyzer:allow(atomic-ordering): unique-id allocation needs
-            // only the fetch_add's atomicity
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
             buf: Vec::new(),
             head: 0,
@@ -167,8 +176,10 @@ impl ThreadRing {
         if self.buf.len() < THREAD_RING_CAPACITY {
             self.buf.push(e);
         } else {
-            // analyzer:allow(atomic-ordering): commutative tally; exactness
-            // needs atomicity only
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "commutative tally; exactness needs atomicity only"
+            )]
             DROPPED_EVENTS.fetch_add(1, Ordering::Relaxed);
             self.buf[self.head] = e;
             self.head = (self.head + 1) % THREAD_RING_CAPACITY;
@@ -188,8 +199,10 @@ impl ThreadRing {
         global.extend(self.in_order().copied());
         let excess = global.len().saturating_sub(GLOBAL_CAPACITY);
         if excess > 0 {
-            // analyzer:allow(atomic-ordering): commutative tally, and the
-            // global buffer mutex is already held here
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "commutative tally, and the global buffer mutex is already held here"
+            )]
             DROPPED_EVENTS.fetch_add(excess as u64, Ordering::Relaxed);
             global.drain(..excess);
         }
@@ -208,14 +221,18 @@ thread_local! {
     static RING: RefCell<ThreadRing> = RefCell::new(ThreadRing::new());
 }
 
-/// Appends one record to the calling thread's ring (no-op when the journal
-/// is disabled). The [`crate::event!`] macro, span guards and the trial
-/// scope ([`crate::stage::trial_scope`]) call this.
+/// Appends one record of the catalog name in `slot` to the calling
+/// thread's ring (no-op when the journal is disabled). Span guards, stage
+/// transitions, the trial scope ([`crate::stage::trial_scope`]) and the
+/// [`crate::event!`] macro (through [`crate::record_event`]) call this, each
+/// with a slot resolved at compile time, so every record carries a catalog
+/// name.
 #[inline]
-pub fn record(name: &'static str, phase: Phase, arg: Option<u64>) {
+pub(crate) fn record(slot: usize, phase: Phase, arg: Option<u64>) {
     if !enabled() {
         return;
     }
+    let name = CATALOG[slot].0;
     let ts_ns = epoch().elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     RING.with(|r| {
         let mut ring = r.borrow_mut();
@@ -267,8 +284,10 @@ pub fn reset() {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clear();
-    // analyzer:allow(atomic-ordering): test-support tally reset; callers
-    // serialize tests touching the journal
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-support tally reset; callers serialize tests touching the journal"
+    )]
     DROPPED_EVENTS.store(0, Ordering::Relaxed);
 }
 
@@ -285,8 +304,8 @@ fn trace_path() -> &'static Mutex<Option<PathBuf>> {
 /// ([`envreg::is_off`]) disables. Returns the configured path, if any. An
 /// on/off switch value (`1`, `on`, ...) exits 2 ([`envreg::parse_path`]).
 pub fn init_from_env() -> Option<PathBuf> {
-    let raw = std::env::var("SURFNET_TRACE").unwrap_or_default();
-    let path = envreg::or_exit(envreg::parse_path("SURFNET_TRACE", "trace file", &raw));
+    let raw = Knob::Trace.raw().unwrap_or_default();
+    let path = envreg::or_exit(envreg::parse_path(Knob::Trace, "trace file", &raw));
     *trace_path().lock().unwrap_or_else(PoisonError::into_inner) = path.clone();
     set_enabled(path.is_some());
     if path.is_some() {
@@ -418,6 +437,12 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEvent>, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{slot, MetricKind};
+
+    /// A span timer's slot, for `Begin`/`End` records.
+    const SPAN: usize = slot("lp.solve", MetricKind::Timer);
+    /// A journal event's slot, for instants.
+    const MARK: usize = slot("evaluate.shot_failed", MetricKind::Event);
 
     // Journal state is process-global; serialize the tests that touch it.
     // They take the crate's one test guard, not a journal mutex of their
@@ -437,12 +462,12 @@ mod tests {
     #[test]
     fn records_and_collects_in_time_order() {
         with_journal(|| {
-            record("test.a", Phase::Begin, None);
-            record("test.b", Phase::Instant, Some(7));
-            record("test.a", Phase::End, None);
+            record(SPAN, Phase::Begin, None);
+            record(MARK, Phase::Instant, Some(7));
+            record(SPAN, Phase::End, None);
             let events = collect();
             let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-            assert_eq!(names, ["test.a", "test.b", "test.a"]);
+            assert_eq!(names, ["lp.solve", "evaluate.shot_failed", "lp.solve"]);
             assert_eq!(events[1].arg, Some(7));
             assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         });
@@ -452,7 +477,7 @@ mod tests {
     fn disabled_records_nothing() {
         with_journal(|| {
             set_enabled(false);
-            record("test.silent", Phase::Instant, None);
+            record(MARK, Phase::Instant, None);
             assert!(collect().is_empty());
         });
     }
@@ -461,7 +486,7 @@ mod tests {
     fn ring_overwrites_oldest_beyond_capacity() {
         with_journal(|| {
             for i in 0..THREAD_RING_CAPACITY as u64 + 10 {
-                record("test.flood", Phase::Instant, Some(i));
+                record(MARK, Phase::Instant, Some(i));
             }
             // The 10 oldest were overwritten; the rest come back oldest
             // first across the wrap.
@@ -475,12 +500,12 @@ mod tests {
     #[test]
     fn worker_threads_drain_on_exit_with_distinct_tids() {
         with_journal(|| {
-            record("test.main", Phase::Instant, None);
+            record(MARK, Phase::Instant, None);
             std::thread::scope(|s| {
                 for _ in 0..2 {
                     // Scope join does not wait for TLS destructors; the
                     // helper drains the ring so collect() below sees us.
-                    crate::spawn_scoped(s, || record("test.worker", Phase::Instant, None));
+                    crate::spawn_scoped(s, || record(MARK, Phase::Instant, None));
                 }
             });
             let events = collect();
@@ -494,9 +519,9 @@ mod tests {
     #[test]
     fn chrome_export_is_valid_json_with_monotone_tracks() {
         with_journal(|| {
-            record("test.span", Phase::Begin, None);
-            record("test.mark", Phase::Instant, Some(3));
-            record("test.span", Phase::End, None);
+            record(SPAN, Phase::Begin, None);
+            record(MARK, Phase::Instant, Some(3));
+            record(SPAN, Phase::End, None);
             let text = export_chrome(&collect());
             let v = Value::parse(&text).expect("chrome trace must be valid JSON");
             let events = v.get("traceEvents").unwrap().as_array().unwrap();
@@ -526,9 +551,9 @@ mod tests {
     #[test]
     fn jsonl_round_trips_through_loader() {
         with_journal(|| {
-            record("test.rt", Phase::Begin, None);
-            record("test.rt", Phase::End, Some(42));
-            record("test.other", Phase::Instant, None);
+            record(SPAN, Phase::Begin, None);
+            record(SPAN, Phase::End, Some(42));
+            record(MARK, Phase::Instant, None);
             let events = collect();
             let text = export_jsonl(&events);
             let parsed = parse_jsonl(&text).unwrap();
@@ -548,7 +573,7 @@ mod tests {
         with_journal(|| {
             assert_eq!(dropped_events(), 0);
             for _ in 0..THREAD_RING_CAPACITY + 10 {
-                record("test.flood", Phase::Instant, None);
+                record(MARK, Phase::Instant, None);
             }
             assert_eq!(dropped_events(), 10);
             reset();

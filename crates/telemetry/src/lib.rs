@@ -16,7 +16,8 @@
 //! its slot in fixed, catalog-sized tables. The recording macros
 //! ([`count!`], [`span!`], [`event!`], [`family!`]) resolve their name to
 //! a slot at compile time, so an unregistered or wrong-kind name does not
-//! compile.
+//! compile. The [`journal`] records by slot as well, so every trace
+//! record carries a catalog name.
 //!
 //! Recording is **thread-local**: each thread owns a plain-`u64` shard,
 //! so instrumented hot loops in `parallel_trials` workers and Fig. 8's
@@ -25,7 +26,11 @@
 //! global shard with relaxed atomic adds — a lock-free merge that keeps
 //! the aggregate exact regardless of scheduling order, so parallel runs
 //! stay deterministic. Scoped workers spawn through [`spawn_scoped`],
-//! which flushes before the worker returns.
+//! which flushes before the worker returns. Every atomic access states
+//! why its ordering publishes enough, in the reason of an
+//! `#[expect(clippy::disallowed_methods, ..)]` (the root `clippy.toml`
+//! lists the atomic methods), and the `SURFNET_*` knobs are read only
+//! through [`envreg::Knob`].
 //!
 //! When telemetry is disabled (the default, [`Telemetry::disabled`]) every
 //! recording macro reduces to one relaxed atomic load and a branch, so a
@@ -89,9 +94,11 @@ pub enum Mode {
 ///
 /// This is the only check on disabled hot paths: one relaxed atomic load.
 #[inline(always)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "on/off gate; recording goes to thread-local shards, nothing is published through this flag"
+)]
 pub fn enabled() -> bool {
-    // analyzer:allow(atomic-ordering): on/off gate; recording goes to
-    // thread-local shards, nothing is published through this flag
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -114,15 +121,17 @@ pub struct Telemetry;
 impl Telemetry {
     /// Disables recording. Hot paths reduce to a load + branch.
     pub fn disabled() -> Telemetry {
-        // analyzer:allow(atomic-ordering): gate flip; a racing recorder
-        // at worst records one extra shard-local event
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "gate flip; a racing recorder at worst records one extra shard-local event"
+        )]
         ENABLED.store(false, Ordering::Relaxed);
         Telemetry
     }
 
     /// Enables recording.
     pub fn enabled() -> Telemetry {
-        // analyzer:allow(atomic-ordering): gate flip; see disabled()
+        #[expect(clippy::disallowed_methods, reason = "gate flip; see disabled()")]
         ENABLED.store(true, Ordering::Relaxed);
         Telemetry
     }
@@ -133,26 +142,29 @@ impl Telemetry {
     /// An unrecognized value prints the accepted forms to stderr and
     /// **exits with status 2**, like every other `SURFNET_*` knob: a
     /// typo'd mode would otherwise silently record nothing.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "init runs before workers spawn; both flags are independent gates, neither publishes data"
+    )]
     pub fn init_from_env() -> Mode {
-        let raw = std::env::var("SURFNET_TELEMETRY").unwrap_or_default();
+        let raw = envreg::Knob::Telemetry.raw().unwrap_or_default();
         let mode = envreg::or_exit(parse_mode(&raw));
         let tag = match mode {
             Mode::Off => 0,
             Mode::Json => 1,
             Mode::Table => 2,
         };
-        // analyzer:allow(atomic-ordering): init runs before workers spawn;
-        // both flags are independent gates, neither publishes data
         MODE.store(tag, Ordering::Relaxed);
-        // analyzer:allow(atomic-ordering): same single-threaded init gate
         ENABLED.store(mode != Mode::Off, Ordering::Relaxed);
         mode
     }
 
     /// The mode selected by the last [`Telemetry::init_from_env`] call.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "mode selector read standalone; no other memory access depends on it"
+    )]
     pub fn mode() -> Mode {
-        // analyzer:allow(atomic-ordering): mode selector read standalone;
-        // no other memory access depends on it
         match MODE.load(Ordering::Relaxed) {
             1 => Mode::Json,
             2 => Mode::Table,
@@ -178,8 +190,9 @@ pub fn parse_mode(raw: &str) -> Result<Mode, String> {
         "json" => Ok(Mode::Json),
         "table" => Ok(Mode::Table),
         other => Err(format!(
-            "unrecognized SURFNET_TELEMETRY value {other:?}; expected \"json\" or \
-             \"table\", or unset, {} to disable",
+            "unrecognized {} value {other:?}; expected \"json\" or \"table\", or \
+             unset, {} to disable",
+            envreg::Knob::Telemetry.name(),
             envreg::OFF_FORMS
         )),
     }
@@ -208,12 +221,13 @@ static SEEN: [AtomicBool; SLOTS] = [const { AtomicBool::new(false) }; SLOTS];
 
 /// Lists `slot` in every later [`snapshot`].
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "set-once listing flag; it publishes no data, and the load keeps the hot path free of shared writes"
+)]
 pub(crate) fn mark_seen(slot: usize) {
     let seen = &SEEN[slot];
-    // analyzer:allow(atomic-ordering): set-once listing flag; it publishes
-    // no data, and the load keeps the hot path free of shared writes
     if !seen.load(Ordering::Relaxed) {
-        // analyzer:allow(atomic-ordering): same set-once flag
         seen.store(true, Ordering::Relaxed);
     }
 }
@@ -242,7 +256,7 @@ pub fn start_span(slot: usize, stage: Option<stage::Stage>) -> Span {
     mark_seen(slot);
     let in_journal = journal::enabled();
     if in_journal {
-        journal::record(CATALOG[slot].0, journal::Phase::Begin, None);
+        journal::record(slot, journal::Phase::Begin, None);
     }
     if let Some(stage) = stage {
         stage::enter(stage);
@@ -253,6 +267,15 @@ pub fn start_span(slot: usize, stage: Option<stage::Stage>) -> Span {
         in_journal,
         stage,
     }
+}
+
+/// Records a journal instant of the event in catalog slot `slot`.
+/// [`event!`] calls this once the journal is [`journal::enabled`], with a
+/// slot resolved at compile time.
+#[doc(hidden)]
+#[inline]
+pub fn record_event(slot: usize, arg: Option<u64>) {
+    journal::record(slot, journal::Phase::Instant, arg);
 }
 
 /// The crate's one wall-clock read: span starts, stage transitions and
@@ -311,7 +334,7 @@ impl Drop for Span {
             stage::exit(stage);
         }
         if self.in_journal {
-            journal::record(CATALOG[self.slot].0, journal::Phase::End, None);
+            journal::record(self.slot, journal::Phase::End, None);
         }
         if let Some(start) = self.start {
             let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
@@ -412,8 +435,9 @@ macro_rules! span {
 macro_rules! event {
     (@record $name:expr, $arg:expr) => {
         if $crate::journal::enabled() {
-            const _: usize = $crate::catalog::slot($name, $crate::catalog::MetricKind::Event);
-            $crate::journal::record($name, $crate::journal::Phase::Instant, $arg);
+            const __SURFNET_SLOT: usize =
+                $crate::catalog::slot($name, $crate::catalog::MetricKind::Event);
+            $crate::record_event(__SURFNET_SLOT, $arg);
         }
     };
     ($name:expr) => {
@@ -509,19 +533,19 @@ impl LocalShard {
 
     /// Merges this shard into the global atomics and zeroes it. Lock-free:
     /// nothing but relaxed `fetch_add`s on the global shard.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shard merges are commutative fetch_adds (counts, sums, histogram buckets); exactness needs atomicity only, and readers synchronize via thread join / scoped flush"
+    )]
     fn merge_into_global(&mut self) {
         for (global, c) in COUNTS.iter().zip(&mut self.counts) {
             if *c != 0 {
-                // analyzer:allow(atomic-ordering): shard merges are
-                // commutative fetch_adds — exactness needs atomicity only,
-                // and readers synchronize via thread join / scoped flush
                 global.fetch_add(*c, Ordering::Relaxed);
                 *c = 0;
             }
         }
         for (global, s) in SUMS.iter().zip(&mut self.sums) {
             if *s != 0 {
-                // analyzer:allow(atomic-ordering): same commutative merge
                 global.fetch_add(*s, Ordering::Relaxed);
                 *s = 0;
             }
@@ -536,8 +560,6 @@ impl LocalShard {
                 });
                 for (bucket, &v) in global.iter().zip(local.iter()) {
                     if v != 0 {
-                        // analyzer:allow(atomic-ordering): same commutative
-                        // merge, per histogram bucket
                         bucket.fetch_add(v, Ordering::Relaxed);
                     }
                 }
@@ -579,16 +601,20 @@ pub fn set_shard_drop_hook(hook: Option<ShardDropHook>) {
     let mut slot = drop_hook_slot()
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    // analyzer:allow(atomic-ordering): the slot mutex orders the flag with
-    // the hook contents; the flag alone gates a fast path.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the slot mutex orders the flag with the hook contents; the flag alone gates a fast path"
+    )]
     DROP_HOOK_ARMED.store(hook.is_some(), Ordering::Relaxed);
     *slot = hook;
 }
 
 impl Drop for LocalShard {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fast-path gate only; the slot mutex below is the synchronization point"
+    )]
     fn drop(&mut self) {
-        // analyzer:allow(atomic-ordering): fast-path gate only; the slot
-        // mutex below is the synchronization point.
         if DROP_HOOK_ARMED.load(Ordering::Relaxed) {
             let hook = drop_hook_slot()
                 .lock()
@@ -722,26 +748,23 @@ impl Snapshot {
 /// Takes a snapshot of the global aggregate (flushing the calling thread's
 /// shard first). Threads still running keep unmerged local data; in the
 /// pipeline all workers are joined before reporting.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the set-once listing flag is read standalone; count, sum and bucket reads are exact because contributing threads were joined (or flushed) first, and the loads themselves publish nothing"
+)]
 pub fn snapshot() -> Snapshot {
     flush();
     let mut snap = Snapshot::default();
     for (slot, &(name, kind)) in CATALOG.iter().enumerate() {
-        // analyzer:allow(atomic-ordering): set-once listing flag, read
-        // standalone
         if !SEEN[slot].load(Ordering::Relaxed) {
             continue;
         }
-        // analyzer:allow(atomic-ordering): snapshot reads are exact because
-        // contributing threads were joined (or flushed) first; the load
-        // itself publishes nothing
         let count = COUNTS[slot].load(Ordering::Relaxed);
         match kind {
             MetricKind::Counter => snap.counters.push((name.to_string(), count)),
             MetricKind::Timer => {
-                // analyzer:allow(atomic-ordering): same joined-first read
                 let total_ns = SUMS[slot].load(Ordering::Relaxed);
                 let buckets: Vec<u64> = match HISTS[slot].get() {
-                    // analyzer:allow(atomic-ordering): same joined-first read
                     Some(h) => h.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
                     None => vec![0; hist::BUCKETS],
                 };
@@ -777,6 +800,10 @@ pub fn snapshot() -> Snapshot {
 
 /// Zeroes every metric (global shard and the calling thread's shard).
 /// Every listed metric stays listed.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "quiescent-state zeroing (test support and between figures); callers serialize it against recorders"
+)]
 pub fn reset() {
     SHARD.with(|s| {
         let mut shard = s.borrow_mut();
@@ -787,14 +814,10 @@ pub fn reset() {
     });
     dim::reset();
     for c in COUNTS.iter().chain(&SUMS) {
-        // analyzer:allow(atomic-ordering): quiescent-state zeroing (test
-        // support and between figures); callers serialize it against
-        // recorders
         c.store(0, Ordering::Relaxed);
     }
     for h in HISTS.iter().filter_map(OnceLock::get) {
         for b in h.iter() {
-            // analyzer:allow(atomic-ordering): quiescent-state zeroing
             b.store(0, Ordering::Relaxed);
         }
     }
@@ -1027,7 +1050,11 @@ mod tests {
         // guard. Do not set the env var (tests run in parallel); exercise
         // the default path only.
         let _g = telemetry_test_guard();
-        std::env::remove_var("SURFNET_TELEMETRY");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test clears its knob to read the unset path; no test sets it"
+        )]
+        std::env::remove_var(envreg::Knob::Telemetry.name());
         assert_eq!(Telemetry::init_from_env(), Mode::Off);
         assert!(!enabled());
         assert!(env_report().is_none());

@@ -17,7 +17,7 @@
 //! stage) and the trial's total into `trial.run`. Stage transitions also
 //! emit journal `Begin`/`End` records (under the same `trial.stage.*`
 //! names), and the trial scope brackets them with [`TRIAL_SPAN`] records,
-//! so the `report` analyzer can rebuild the identical decomposition
+//! so the `report` binary can rebuild the identical decomposition
 //! offline from a trace. Time outside a trial is charged to no stage.
 //! Everything is inert — two relaxed loads — unless telemetry or the
 //! journal is recording.
@@ -82,8 +82,9 @@ pub const TRIAL_RUN: &str = "trial.run";
 /// `Begin` record's argument is the trial seed, which names the trial.
 pub const TRIAL_SPAN: &str = "pipeline.trial";
 
-/// Catalog slots of the [`TRIAL_RUN`] timer and of each stage's
-/// histogram, in [`ALL_STAGES`] order.
+/// Catalog slots of the [`TRIAL_SPAN`] event, the [`TRIAL_RUN`] timer and
+/// each stage's histogram, in [`ALL_STAGES`] order.
+const TRIAL_SLOT: usize = catalog::slot(TRIAL_SPAN, MetricKind::Event);
 const RUN_SLOT: usize = catalog::slot(TRIAL_RUN, MetricKind::Timer);
 const STAGE_SLOTS: [usize; ALL_STAGES.len()] = {
     let mut slots = [0; ALL_STAGES.len()];
@@ -157,7 +158,7 @@ pub fn trial_scope(seed: u64) -> TrialScope {
             attr.totals = [0; ALL_STAGES.len()];
             attr.last = now;
         });
-        journal::record(TRIAL_SPAN, journal::Phase::Begin, Some(seed));
+        journal::record(TRIAL_SLOT, journal::Phase::Begin, Some(seed));
     }
     scope
 }
@@ -167,7 +168,7 @@ impl Drop for TrialScope {
         if !self.active {
             return;
         }
-        journal::record(TRIAL_SPAN, journal::Phase::End, None);
+        journal::record(TRIAL_SLOT, journal::Phase::End, None);
         ATTR.with(|a| {
             let mut attr = a.borrow_mut();
             attr.transition();
@@ -198,7 +199,7 @@ pub(crate) fn enter(stage: Stage) {
         attr.transition();
         attr.stack.push(stage);
     });
-    journal::record(stage.metric_name(), journal::Phase::Begin, None);
+    journal::record(STAGE_SLOTS[stage as usize], journal::Phase::Begin, None);
 }
 
 /// Leaves `stage`, the innermost open one; the span's drop calls this.
@@ -208,7 +209,7 @@ pub(crate) fn exit(stage: Stage) {
         attr.transition();
         attr.stack.pop();
     });
-    journal::record(stage.metric_name(), journal::Phase::End, None);
+    journal::record(STAGE_SLOTS[stage as usize], journal::Phase::End, None);
 }
 
 #[cfg(test)]

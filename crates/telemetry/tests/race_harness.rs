@@ -32,10 +32,9 @@
 //!   [`scoped_flush_guard_restores_exact_totals`] fails.
 //!
 //! Every guarded worker spawns through `spawn_scoped`, the production
-//! helper, so the harness tests the flush it performs. The seed count
-//! comes from `SURFNET_RACE_SEEDS` (default 8; garbled values fail the
-//! harness loudly rather than silently shrinking coverage). Telemetry
-//! state is process-global, so every test here runs under one lock.
+//! helper, so the harness tests the flush it performs. Each schedule test
+//! drives [`SEEDS`] seeds. Telemetry state is process-global, so every
+//! test here runs under one lock.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -54,8 +53,9 @@ const WORKERS: usize = 4;
 /// Scheduled steps per worker per seed (so `WORKERS * ROUNDS` = 256
 /// interleaving points per seed).
 const ROUNDS: usize = 64;
-/// Default seed count when `SURFNET_RACE_SEEDS` is unset.
-const DEFAULT_SEEDS: usize = 8;
+/// Seeds each schedule test drives (about 0.1 s for the whole harness on
+/// 2 cores).
+const SEEDS: u64 = 12;
 /// Hard deadline on any wait inside the harness: a scheduling bug must
 /// fail the test, not hang CI.
 const DEADLINE: Duration = Duration::from_secs(30);
@@ -69,37 +69,10 @@ fn guard() -> MutexGuard<'static, ()> {
 // ---------------------------------------------------------------------------
 // Seeding.
 
-/// Parses a `SURFNET_RACE_SEEDS` value: unset or empty means
-/// [`DEFAULT_SEEDS`], anything else must be a positive integer.
-///
-/// # Errors
-///
-/// Returns a message naming the accepted forms; the harness panics on it
-/// (a garbled value must not silently shrink race coverage to zero).
-fn parse_race_seeds(raw: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = raw else {
-        return Ok(DEFAULT_SEEDS);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(DEFAULT_SEEDS);
-    }
-    match trimmed.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!(
-            "unrecognized SURFNET_RACE_SEEDS value {trimmed:?}; accepted forms: \
-             a positive integer seed count, or unset/empty for the default \
-             ({DEFAULT_SEEDS})"
-        )),
-    }
-}
-
-/// The seeds to drive, from `SURFNET_RACE_SEEDS`.
+/// The seeds every schedule test drives.
 fn seeds() -> Vec<u64> {
-    let raw = std::env::var("SURFNET_RACE_SEEDS").ok();
-    let count = parse_race_seeds(raw.as_deref()).unwrap_or_else(|msg| panic!("{msg}"));
-    // Spread the seeds out so off-by-one seed counts never reuse a state.
-    (0..count as u64).map(|i| 0x5EED_0001 + i * 7919).collect()
+    // Spread the seeds out by a prime stride.
+    (0..SEEDS).map(|i| 0x5EED_0001 + i * 7919).collect()
 }
 
 /// `xorshift64*`-style mixer: deterministic, dependency-free, and good
@@ -565,19 +538,5 @@ fn scoped_flush_guard_restores_exact_totals() {
             "seed {seed:#x}: guarded workers must be fully merged at scope join"
         );
         assert_eq!(report.after_release, report.expected);
-    }
-}
-
-#[test]
-fn race_seed_count_parses_strictly() {
-    assert_eq!(parse_race_seeds(None), Ok(DEFAULT_SEEDS));
-    assert_eq!(parse_race_seeds(Some("")), Ok(DEFAULT_SEEDS));
-    assert_eq!(parse_race_seeds(Some("  ")), Ok(DEFAULT_SEEDS));
-    assert_eq!(parse_race_seeds(Some("8")), Ok(8));
-    assert_eq!(parse_race_seeds(Some(" 12 ")), Ok(12));
-    for bad in ["0", "-1", "eight", "8x", "on"] {
-        let err = parse_race_seeds(Some(bad)).unwrap_err();
-        assert!(err.contains("SURFNET_RACE_SEEDS"), "{err}");
-        assert!(err.contains("positive integer"), "{err}");
     }
 }

@@ -12,6 +12,13 @@
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 /// MPMC channels (subset of `crossbeam-channel`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the handle counts publish disconnects: a handle drop is an AcqRel fetch_sub and the \
+              disconnect checks are Acquire loads, so a zero count is seen only after the last \
+              handle's accesses; a clone's Relaxed fetch_add needs only atomicity, since the \
+              cloned handle keeps the count above zero"
+)]
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
