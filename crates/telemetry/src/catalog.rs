@@ -9,7 +9,8 @@
 //! of recording into a series nobody reads.
 //!
 //! Keep [`CATALOG`] sorted by name: [`validate`] rejects out-of-order or
-//! duplicate entries.
+//! duplicate entries. Every entry must be used: the `workspace_is_clean`
+//! test (`tests/lints.rs`) fails on a name that no file but this one quotes.
 
 /// Whether a metric name denotes a counter, a span/timer, a journal event,
 /// or a labeled metric family.

@@ -5,7 +5,9 @@
 //! `var_os`, `set_var` and `remove_var` everywhere else. A typo'd knob
 //! (which would read as "unset" and silently disable the feature it was
 //! meant to drive) is therefore a compile error, the discipline
-//! [`crate::catalog`] applies to metric names.
+//! [`crate::catalog`] applies to metric names. Every knob must be read: the
+//! `workspace_is_clean` test (`tests/lints.rs`) fails on a variant that no
+//! file reads as `Knob::<Variant>.raw()`.
 //!
 //! The knobs share one off vocabulary ([`is_off`]), and parsing is strict:
 //! a garbled value exits 2 with the accepted forms ([`or_exit`]) rather

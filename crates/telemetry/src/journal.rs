@@ -418,8 +418,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEvent>, JsonError> {
                 .ok_or_else(|| bad(format!("line {}: ts_ns not a u64", i + 1)))?,
             tid: field("tid")?
                 .as_u64()
-                .ok_or_else(|| bad(format!("line {}: tid not a u64", i + 1)))?
-                as u32,
+                .and_then(|tid| u32::try_from(tid).ok())
+                .ok_or_else(|| bad(format!("line {}: tid not a u32", i + 1)))?,
             name: field("name")?
                 .as_str()
                 .ok_or_else(|| bad(format!("line {}: name not a string", i + 1)))?
@@ -566,6 +566,15 @@ mod tests {
         assert!(parse_jsonl("{\"ts_ns\":1}\n").is_err());
         assert!(parse_jsonl("not json\n").is_err());
         assert!(parse_jsonl("\n\n").unwrap().is_empty());
+        // A tid past u32 is rejected, not truncated onto another thread.
+        let line =
+            |tid: u64| format!("{{\"ts_ns\":1,\"tid\":{tid},\"name\":\"x\",\"phase\":\"i\"}}");
+        assert_eq!(
+            parse_jsonl(&line(u32::MAX.into())).unwrap()[0].tid,
+            u32::MAX
+        );
+        let err = parse_jsonl(&line(1 << 32)).unwrap_err();
+        assert!(err.message.contains("tid not a u32"), "{err}");
     }
 
     #[test]

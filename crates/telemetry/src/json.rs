@@ -3,10 +3,10 @@
 //! The workspace's serde is an offline marker-trait shim, so every
 //! machine-readable artifact (Chrome traces, JSONL journals, `report` output,
 //! `BENCH_*.json` reports) flows through this module instead. The subset is
-//! full JSON; the only deliberate restriction is that numbers are `f64`
-//! (integers round-trip exactly up to 2^53, which covers nanosecond spans
-//! and counters; seeds fit because the figure binaries reject a `--seed`
-//! whose run would use a seed of 2^53 or more, `surfnet_bench::seed_arg`).
+//! full JSON nested at most 128 levels deep, with numbers as `f64` (integers
+//! round-trip exactly up to 2^53, which covers nanosecond spans and counters;
+//! seeds fit because the figure binaries reject a `--seed` whose run would
+//! use a seed of 2^53 or more, `surfnet_bench::seed_arg`).
 //!
 //! Objects preserve insertion order (they are vectors of pairs, not maps),
 //! so written artifacts are deterministic and diff-friendly.
@@ -59,6 +59,12 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`Value::parse`] accepts (serde_json's
+/// default). The parser recurses once per level, so the cap turns a hostile
+/// document into an error instead of a stack overflow; every document the
+/// workspace writes nests only a few levels deep.
+const MAX_DEPTH: usize = 128;
+
 impl Value {
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
@@ -73,7 +79,7 @@ impl Value {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after document"));
@@ -336,10 +342,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    /// Parses the value at `pos`, which `depth` arrays and objects enclose.
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -350,7 +360,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -364,7 +374,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -378,7 +388,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -388,7 +398,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -539,6 +549,13 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"open", "{\"a\":}"] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        // Nesting stops at 128 levels, so 100,000 cannot overflow the stack.
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            let err = Value::parse(&nest(depth)).unwrap_err();
+            assert!(err.message.contains("128 levels"), "{err}");
         }
     }
 

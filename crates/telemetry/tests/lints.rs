@@ -1,0 +1,147 @@
+//! No dead registry entry: every telemetry catalog name and every
+//! `SURFNET_*` knob is used somewhere in the workspace. A dead entry is
+//! still valid code, so neither the compiler nor clippy sees it. The check
+//! reads the registries themselves ([`CATALOG`], [`Knob::ALL`]) and searches
+//! the workspace's Rust sources as plain text.
+
+use std::fs;
+use std::io;
+use std::path::Path;
+
+use surfnet_telemetry::catalog::CATALOG;
+use surfnet_telemetry::envreg::Knob;
+
+/// The file that defines the catalog: its own quotes of a name do not count.
+const CATALOG_FILE: &str = "crates/telemetry/src/catalog.rs";
+
+/// The catalog `names` and `knobs` (variant names) that no file of `files`
+/// (`(workspace-relative path, text)` pairs) uses, one message each.
+///
+/// Every line is cut at its first `//`, so a name that only a comment
+/// mentions is dead.
+///
+/// * A catalog name is live when a file other than [`CATALOG_FILE`] holds
+///   it with its quotes (`"lp.solve"`, which `"lp.solves"` does not hold).
+/// * A knob is live when a file, `envreg.rs` included, holds
+///   `Knob::<Variant>.raw()` with whitespace removed (rustfmt may split the
+///   chain). Naming the variant in `ALL`, in the `name()` match or for a
+///   `.name()` call reads nothing, so it does not count.
+fn dead_entries(names: &[&str], knobs: &[String], files: &[(String, String)]) -> Vec<String> {
+    let code: Vec<(&str, String)> = files
+        .iter()
+        .map(|(path, text)| {
+            let lines = text
+                .lines()
+                .map(|line| line.split_once("//").map_or(line, |(code, _)| code));
+            (path.as_str(), lines.collect::<Vec<_>>().join("\n"))
+        })
+        .collect();
+    let mut dead = Vec::new();
+    for name in names {
+        let quoted = format!("\"{name}\"");
+        if !code
+            .iter()
+            .any(|(path, code)| *path != CATALOG_FILE && code.contains(&quoted))
+        {
+            dead.push(format!("catalog entry {quoted} is never used"));
+        }
+    }
+    let squeezed: Vec<String> = code
+        .iter()
+        .map(|(_, code)| code.split_whitespace().collect())
+        .collect();
+    for knob in knobs {
+        let read = format!("Knob::{knob}.raw()");
+        if !squeezed.iter().any(|code| code.contains(&read)) {
+            dead.push(format!("knob `Knob::{knob}` is never read"));
+        }
+    }
+    dead
+}
+
+/// Every `.rs` file under the workspace's `crates`, `src`, `examples`,
+/// `tests` and `benches`, skipping `target` directories. `shims/` (vendored
+/// stand-ins) and `perfbench/` (its own package) are outside the scan.
+fn workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut dirs: Vec<_> = ["crates", "src", "examples", "tests", "benches"]
+        .map(|top| root.join(top))
+        .into_iter()
+        .filter(|dir| dir.is_dir())
+        .collect();
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                if !path.ends_with("target") {
+                    dirs.push(path);
+                }
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let rel = path.strip_prefix(root).unwrap_or(&path);
+                let rel = rel.to_string_lossy().replace('\\', "/");
+                files.push((rel, fs::read_to_string(&path)?));
+            }
+        }
+    }
+    Ok(files)
+}
+
+#[test]
+fn catalog_unused_flags_dead_entries_across_files() {
+    let files = [
+        (
+            CATALOG_FILE,
+            "pub const CATALOG: &[&str] = &[\"demo.self\"];",
+        ),
+        (
+            "crates/telemetry/src/envreg.rs",
+            "pub const ALL: [Knob; 3] = [Knob::Dead, Knob::Live, Knob::Split];\n\
+             Knob::Dead => \"SURFNET_DEAD\",\n\
+             fn live() -> Option<String> { Knob::Live.raw() }",
+        ),
+        (
+            "crates/core/src/user.rs",
+            "let _t = span!(\"demo.used\", Lp);\n\
+             count!(\"demo.spans\"); // \"demo.commented\"\n\
+             let split = envreg::Knob::Split\n    .raw();\n\
+             eprintln!(\"{}\", Knob::Dead.name());",
+        ),
+    ]
+    .map(|(path, text)| (path.to_string(), text.to_string()));
+    let names = [
+        "demo.commented",
+        "demo.self",
+        "demo.span",
+        "demo.spans",
+        "demo.used",
+    ];
+    let knobs = ["Dead", "Live", "Split"].map(String::from);
+    // Live: names quoted outside the catalog file, a knob read only in
+    // `envreg.rs` and one read across a line break. Dead: a name quoted only
+    // after `//`, only in the catalog file or only inside a longer name, and
+    // a knob named only in `ALL`, the `name()` match and a `.name()` call.
+    assert_eq!(
+        dead_entries(&names, &knobs, &files),
+        [
+            "catalog entry \"demo.commented\" is never used",
+            "catalog entry \"demo.self\" is never used",
+            "catalog entry \"demo.span\" is never used",
+            "knob `Knob::Dead` is never read",
+        ]
+    );
+}
+
+#[test]
+fn workspace_is_clean() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = workspace_files(&root).expect("workspace sources readable");
+    assert!(files.len() > 50, "walker found only {} files", files.len());
+    let names: Vec<&str> = CATALOG.iter().map(|&(name, _)| name).collect();
+    let knobs = Knob::ALL.map(|knob| format!("{knob:?}"));
+    let dead = dead_entries(&names, &knobs, &files);
+    assert!(
+        dead.is_empty(),
+        "dead registry entries:\n{}",
+        dead.join("\n")
+    );
+}
