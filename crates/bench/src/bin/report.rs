@@ -1,17 +1,17 @@
-//! Run-report analyzer CLI: per-stage critical-path breakdown, top-k
+//! Run-report analyzer CLI: per-stage critical-path breakdown, the
 //! slowest trials, and hot links from a figure run's observability
 //! outputs.
 //!
 //! Usage: `cargo run -p surfnet-bench --bin report -- \
-//!     --journal trace.jsonl [--bench BENCH_fig7.json] [--json] [--top K]`
+//!     --journal trace.jsonl [--bench BENCH_fig7.json] [--json]`
 //!
 //! `--journal` takes the JSONL event trace written by
-//! `SURFNET_TRACE=<path>.jsonl`; `--bench` the same run's
+//! `SURFNET_TRACE=<path>`; `--bench` the same run's
 //! `BENCH_<figure>.json` report, whose grouped `netsim.link.*` families
 //! rank the hot links. At least one input is required. Output is
-//! markdown by default, `--json` selects the `surfnet-report/v1` JSON
-//! form. The report is a pure function of its inputs — identical files
-//! produce identical output.
+//! markdown by default, `--json` selects the `surfnet-report/v2` JSON
+//! form; each ranking lists `report_analyze::TOP_K` rows. The report is a
+//! pure function of its inputs — identical files produce identical output.
 //!
 //! Exit codes: 0 = report printed, 2 = usage error or malformed input.
 
@@ -19,13 +19,12 @@ use surfnet_bench::{arg_or, args, diff, has_flag, report_analyze};
 use surfnet_telemetry::journal;
 
 fn run() -> Result<String, String> {
-    let args = args(&["--journal", "--bench", "--json", "--top"]);
+    let args = args(&["--journal", "--bench", "--json"]);
     let journal_path = arg_or(&args, "--journal", String::new());
     let bench_path = arg_or(&args, "--bench", String::new());
     if journal_path.is_empty() && bench_path.is_empty() {
         return Err(
-            "usage: report --journal <trace.jsonl> [--bench <BENCH_x.json>] [--json] [--top K]"
-                .to_string(),
+            "usage: report --journal <trace.jsonl> [--bench <BENCH_x.json>] [--json]".to_string(),
         );
     }
     let events = if journal_path.is_empty() {
@@ -41,14 +40,13 @@ fn run() -> Result<String, String> {
         Some(diff::load(&bench_path)?)
     };
     let report = report_analyze::analyze(&events, bench.as_ref());
-    let top_k = arg_or(&args, "--top", 5usize);
     if has_flag(&args, "--json") {
         let mut out = String::new();
-        report.to_json(top_k).write_pretty(&mut out);
+        report.to_json().write_pretty(&mut out);
         out.push('\n');
         Ok(out)
     } else {
-        Ok(report.render_markdown(top_k))
+        Ok(report.render_markdown())
     }
 }
 

@@ -15,10 +15,10 @@
 //!
 //! Beyond the terminal tables, every figure binary also emits a
 //! machine-readable `BENCH_<figure>.json` report ([`report_json`]); the
-//! `bench-diff` binary ([`diff`]) compares two reports and fails on
-//! regressions, and the `report` binary ([`report_analyze`]) breaks a
-//! `SURFNET_TRACE=<path>.jsonl` journal down by stage and trial. Any other
-//! `SURFNET_TRACE` path gets a Chrome/Perfetto trace of the run.
+//! `bench-diff` binary ([`diff`]) compares two reports value for value and
+//! fails on any change, and the `report` binary ([`report_analyze`])
+//! breaks the JSONL journal that `SURFNET_TRACE=<path>` writes down by
+//! stage and trial.
 
 use std::env;
 
@@ -146,8 +146,7 @@ pub fn check_flags(args: &[String], flags: &[&str]) -> Result<(), String> {
         .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
     {
         Some(unknown) => Err(format!(
-            "unknown flag {unknown:?}; accepted flags: {}",
-            flags.join(", ")
+            "unknown flag {unknown:?}; accepted flags: {flags:?}"
         )),
         None => Ok(()),
     }
@@ -170,9 +169,8 @@ pub fn telemetry_init() {
     report_json::bench_dir();
 }
 
-/// Writes the accumulated event journal to the `SURFNET_TRACE` path (a
-/// `.jsonl` extension selects JSONL, anything else the Chrome trace
-/// format). Every figure binary calls this last thing in `main`.
+/// Writes the accumulated event journal, as JSONL, to the `SURFNET_TRACE`
+/// path. Every figure binary calls this last thing in `main`.
 pub fn trace_finish() {
     match surfnet_telemetry::journal::write_trace() {
         Ok(Some(path)) => eprintln!("surfnet-trace: wrote {}", path.display()),
@@ -209,7 +207,7 @@ mod tests {
 
     #[test]
     fn parse_arg_rejects_malformed_values() {
-        let args: Vec<String> = ["--trials", "1e3", "--tol", "0.5", "--seed", "-3"]
+        let args: Vec<String> = ["--trials", "1e3", "--rate", "0.5", "--seed", "-3"]
             .map(String::from)
             .to_vec();
         let err = parse_arg(&args, "--trials", 400usize).unwrap_err();
@@ -219,8 +217,8 @@ mod tests {
         );
         let err = parse_arg(&args, "--seed", 0u64).unwrap_err();
         assert!(err.contains("\"-3\"") && err.contains("u64"), "{err}");
-        assert_eq!(parse_arg(&args, "--tol", 0.05f64), Ok(0.5));
-        assert_eq!(parse_arg(&args, "--top", 5usize), Ok(5));
+        assert_eq!(parse_arg(&args, "--rate", 0.05f64), Ok(0.5));
+        assert_eq!(parse_arg(&args, "--horizon", 5usize), Ok(5));
         // A value that parses but lies outside the flag's domain is an
         // error too, naming the flag, the value and the domain.
         let args: Vec<String> = ["--trials", "0", "--pauli", "NaN", "--distance", "4"]
@@ -270,5 +268,9 @@ mod tests {
         // A prefix of a known flag is no match.
         assert!(check_flags(&args(&["--trial", "1"]), &flags).is_err());
         assert!(check_flags(&args(&["--seed", "1", "--group"]), &flags).is_err());
+        // A binary without flags (bench-diff) rejects any.
+        assert_eq!(check_flags(&args(&["a.json", "b.json"]), &[]), Ok(()));
+        let err = check_flags(&args(&["a.json", "b.json", "--tol", "0"]), &[]).unwrap_err();
+        assert_eq!(err, "unknown flag \"--tol\"; accepted flags: []");
     }
 }

@@ -7,20 +7,28 @@
 //! BENCH files always produce the same report, byte for byte (the `report`
 //! binary relies on this — CI runs it twice and diffs the outputs).
 //!
-//! Stage self-times are reconstructed exactly the way the live
-//! [`surfnet_telemetry::stage`] accounting charges them: each
-//! `trial.stage.*` begin/end interval is charged to its stage *minus* any
-//! nested stage intervals, and every stage interval is attributed to the
-//! nearest enclosing `pipeline.trial` span (whose `Begin` record carries
-//! the trial seed). A stage interval that no trial encloses is charged to
-//! nothing, as live. Spans left open by journal truncation are dropped.
+//! Stage self-times are the live [`surfnet_telemetry::stage`]
+//! accounting's own: when a trial ends it journals one `trial.stage.*`
+//! instant per stage it charged, whose argument is that stage's self-time,
+//! and then its `pipeline.trial` `End` record, whose argument is the
+//! trial's wall time. The analyzer walks each thread's records: a trial
+//! `Begin` (whose argument is the trial seed) opens a trial, each stage
+//! instant adds to it, and an `End` with an argument closes it. So the
+//! stage table equals the run's `trial.stage.*` and `trial.run` timers. A
+//! trial whose `Begin` or `End` fell off the ring is dropped, as is one
+//! whose `Begin` or `End` has no argument (a trace written before the seed
+//! and the self-times rode there); a stage instant outside a trial is
+//! charged to nothing.
 
 use surfnet_telemetry::journal::{OwnedEvent, Phase};
 use surfnet_telemetry::json::{self, Value};
 use surfnet_telemetry::stage;
 
 /// Schema tag of the JSON report form.
-pub const SCHEMA: &str = "surfnet-report/v1";
+pub const SCHEMA: &str = "surfnet-report/v2";
+
+/// How many trials and hot links each ranking lists.
+pub const TOP_K: usize = 5;
 
 pub use stage::TRIAL_SPAN;
 
@@ -29,19 +37,19 @@ pub use stage::TRIAL_SPAN;
 pub struct StageBreakdown {
     /// Stage metric name (`trial.stage.decode`, ...).
     pub stage: String,
-    /// Total self-time (nested stage intervals excluded), nanoseconds.
+    /// Total self-time (nested stages excluded), nanoseconds.
     pub total_ns: u64,
-    /// Number of begin/end intervals that contributed.
-    pub spans: u64,
+    /// Number of trials that charged the stage (its timer's `count`).
+    pub trials: u64,
 }
 
 /// One trial's duration and per-stage self-times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialSummary {
     /// Trial id: the trial RNG seed its `pipeline.trial` `Begin` record
-    /// carries (`None` for traces written before the seed rode there).
-    pub trial: Option<u64>,
-    /// Wall time of the `pipeline.trial` span, nanoseconds.
+    /// carries.
+    pub trial: u64,
+    /// Wall time of the trial (its `End` record's argument), nanoseconds.
     pub run_ns: u64,
     /// Per-stage self-times inside this trial, largest first.
     pub stages: Vec<(String, u64)>,
@@ -72,7 +80,7 @@ impl HotLink {
 pub struct RunReport {
     /// Per-stage totals across the run, largest first.
     pub stages: Vec<StageBreakdown>,
-    /// Sum of all `pipeline.trial` span durations.
+    /// Sum of all trials' wall times.
     pub total_run_ns: u64,
     /// All trials seen in the journal, slowest first.
     pub trials: Vec<TrialSummary>,
@@ -85,103 +93,64 @@ pub struct RunReport {
     pub hot_links: Vec<HotLink>,
 }
 
-/// A begin/end frame being matched during replay.
-struct Frame {
-    name: String,
-    begin_ns: u64,
-    /// Time consumed by nested *tracked* spans (subtracted for self-time).
-    child_ns: u64,
-    /// The `Begin` record's argument (the seed, for trial frames).
-    trial: Option<u64>,
-    /// Per-stage self-times accumulated inside this frame (trial frames
-    /// only).
-    stage_totals: Vec<(String, u64)>,
-}
-
-fn is_tracked(name: &str) -> bool {
-    name == TRIAL_SPAN || stage::Stage::from_metric_name(name).is_some()
-}
-
-fn bump(totals: &mut Vec<(String, u64)>, name: &str, ns: u64) {
-    match totals.iter_mut().find(|(n, _)| n == name) {
-        Some((_, t)) => *t += ns,
-        None => totals.push((name.to_string(), ns)),
-    }
-}
-
-/// Reconstructs the per-stage / per-trial breakdown from journal events
-/// and reads the journal-drop count and hot links from the run's BENCH
+/// Reads the per-stage / per-trial breakdown off the journal's trial
+/// records, and the journal-drop count and hot links off the run's BENCH
 /// report, when one is given.
 pub fn analyze(events: &[OwnedEvent], bench: Option<&Value>) -> RunReport {
     let mut events: Vec<&OwnedEvent> = events.iter().collect();
     events.sort_by_key(|e| (e.tid, e.ts_ns));
 
     let mut report = RunReport::default();
-    let mut stage_totals: Vec<(String, u64)> = Vec::new();
-    let mut stage_spans: Vec<(String, u64)> = Vec::new();
-
     let mut tid: Option<u32> = None;
-    let mut stack: Vec<Frame> = Vec::new();
+    let mut open: Option<TrialSummary> = None;
     for e in events {
         if tid != Some(e.tid) {
-            // Open frames from the previous thread never close: truncated.
-            stack.clear();
+            // A trial left open on the previous thread never ended: truncated.
+            open = None;
             tid = Some(e.tid);
         }
-        if !is_tracked(&e.name) {
-            continue;
-        }
         match e.phase {
-            Phase::Begin => stack.push(Frame {
-                name: e.name.clone(),
-                begin_ns: e.ts_ns,
-                child_ns: 0,
-                trial: e.arg,
-                stage_totals: Vec::new(),
-            }),
-            Phase::End => {
-                let Some(pos) = stack.iter().rposition(|f| f.name == e.name) else {
-                    continue; // begin fell off the ring
-                };
-                let frame = stack.remove(pos);
-                let dur = e.ts_ns.saturating_sub(frame.begin_ns);
-                if let Some(parent) = stack.last_mut() {
-                    parent.child_ns += dur;
-                }
-                if frame.name == TRIAL_SPAN {
-                    let mut stages = frame.stage_totals;
-                    stages.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                    report.total_run_ns += dur;
-                    report.trials.push(TrialSummary {
-                        trial: frame.trial,
-                        run_ns: dur,
-                        stages,
-                    });
-                } else if let Some(trial) = stack.iter_mut().rev().find(|f| f.name == TRIAL_SPAN) {
-                    let self_ns = dur.saturating_sub(frame.child_ns);
-                    bump(&mut trial.stage_totals, &frame.name, self_ns);
-                    bump(&mut stage_totals, &frame.name, self_ns);
-                    bump(&mut stage_spans, &frame.name, 1);
+            Phase::Begin if e.name == TRIAL_SPAN => {
+                open = e.arg.map(|trial| TrialSummary {
+                    trial,
+                    run_ns: 0,
+                    stages: Vec::new(),
+                });
+            }
+            Phase::End if e.name == TRIAL_SPAN => {
+                if let (Some(mut trial), Some(run_ns)) = (open.take(), e.arg) {
+                    trial.run_ns = run_ns;
+                    trial
+                        .stages
+                        .sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+                    report.trials.push(trial);
                 }
             }
-            Phase::Instant => {}
+            Phase::Instant if stage::Stage::from_metric_name(&e.name).is_some() => {
+                if let (Some(trial), Some(ns)) = (open.as_mut(), e.arg) {
+                    trial.stages.push((e.name.clone(), ns));
+                }
+            }
+            _ => {}
         }
     }
 
-    report.stages = stage_totals
-        .into_iter()
-        .map(|(stage, total_ns)| {
-            let spans = stage_spans
-                .iter()
-                .find(|(n, _)| *n == stage)
-                .map_or(0, |&(_, c)| c);
-            StageBreakdown {
-                stage,
-                total_ns,
-                spans,
+    for t in &report.trials {
+        report.total_run_ns += t.run_ns;
+        for (name, ns) in &t.stages {
+            match report.stages.iter_mut().find(|s| s.stage == *name) {
+                Some(s) => {
+                    s.total_ns += ns;
+                    s.trials += 1;
+                }
+                None => report.stages.push(StageBreakdown {
+                    stage: name.clone(),
+                    total_ns: *ns,
+                    trials: 1,
+                }),
             }
-        })
-        .collect();
+        }
+    }
     report.stages.sort_by(|a, b| {
         b.total_ns
             .cmp(&a.total_ns)
@@ -250,9 +219,9 @@ fn ms(ns: u64) -> String {
 }
 
 impl RunReport {
-    /// Markdown rendering (the `report` binary's default output). `top_k`
-    /// bounds the slowest-trials table.
-    pub fn render_markdown(&self, top_k: usize) -> String {
+    /// Markdown rendering (the `report` binary's default output); each
+    /// ranking lists [`TOP_K`] rows.
+    pub fn render_markdown(&self) -> String {
         let mut out = String::from("# surfnet run report\n\n");
         out.push_str(&format!(
             "- trials: {} (total {})\n",
@@ -268,9 +237,9 @@ impl RunReport {
 
         out.push_str("\n## Per-stage critical path\n\n");
         if self.stages.is_empty() {
-            out.push_str("no stage spans in the journal (was `SURFNET_TRACE` set?)\n");
+            out.push_str("no stage self-times in the journal (was `SURFNET_TRACE` set?)\n");
         } else {
-            out.push_str("| stage | total | share | spans |\n|---|---|---|---|\n");
+            out.push_str("| stage | total | share | trials |\n|---|---|---|---|\n");
             let denom = self.total_run_ns.max(1) as f64;
             let mut attributed = 0u64;
             for s in &self.stages {
@@ -280,7 +249,7 @@ impl RunReport {
                     s.stage,
                     ms(s.total_ns),
                     s.total_ns as f64 * 100.0 / denom,
-                    s.spans
+                    s.trials
                 ));
             }
             let other = self.total_run_ns.saturating_sub(attributed);
@@ -293,16 +262,12 @@ impl RunReport {
             }
         }
 
-        out.push_str(&format!("\n## Top {top_k} slowest trials\n\n"));
+        out.push_str(&format!("\n## Top {TOP_K} slowest trials\n\n"));
         if self.trials.is_empty() {
             out.push_str("no `pipeline.trial` spans in the journal\n");
         } else {
             out.push_str("| trial | run | top stages |\n|---|---|---|\n");
-            for t in self.trials.iter().take(top_k) {
-                let label = t
-                    .trial
-                    .map(|id| id.to_string())
-                    .unwrap_or_else(|| "-".to_string());
+            for t in self.trials.iter().take(TOP_K) {
                 let stages: Vec<String> = t
                     .stages
                     .iter()
@@ -313,7 +278,8 @@ impl RunReport {
                     })
                     .collect();
                 out.push_str(&format!(
-                    "| {label} | {} | {} |\n",
+                    "| {} | {} | {} |\n",
+                    t.trial,
                     ms(t.run_ns),
                     stages.join(", ")
                 ));
@@ -336,9 +302,9 @@ impl RunReport {
                     l.failure_rate() * 100.0
                 )
             };
-            out.push_str(&format!("Top {top_k} by attempts:\n\n"));
+            out.push_str(&format!("Top {TOP_K} by attempts:\n\n"));
             out.push_str("| link | attempts | successes | failure rate |\n|---|---|---|---|\n");
-            for l in self.hot_links.iter().take(top_k) {
+            for l in self.hot_links.iter().take(TOP_K) {
                 out.push_str(&row(l));
             }
             // Same links re-ranked by failure rate (ties broken by
@@ -351,9 +317,9 @@ impl RunReport {
                     .then_with(|| b.attempts.cmp(&a.attempts))
                     .then_with(|| a.link.cmp(&b.link))
             });
-            out.push_str(&format!("\nTop {top_k} by failure rate:\n\n"));
+            out.push_str(&format!("\nTop {TOP_K} by failure rate:\n\n"));
             out.push_str("| link | attempts | successes | failure rate |\n|---|---|---|---|\n");
-            for l in by_rate.iter().take(top_k) {
+            for l in by_rate.iter().take(TOP_K) {
                 out.push_str(&row(l));
             }
         }
@@ -361,7 +327,7 @@ impl RunReport {
     }
 
     /// JSON rendering (`report --json`), schema [`SCHEMA`].
-    pub fn to_json(&self, top_k: usize) -> Value {
+    pub fn to_json(&self) -> Value {
         let stages: Value = self
             .stages
             .iter()
@@ -369,14 +335,14 @@ impl RunReport {
                 json::obj(vec![
                     ("stage", Value::from(s.stage.as_str())),
                     ("total_ns", Value::from(s.total_ns)),
-                    ("spans", Value::from(s.spans)),
+                    ("trials", Value::from(s.trials)),
                 ])
             })
             .collect();
         let trials: Value = self
             .trials
             .iter()
-            .take(top_k)
+            .take(TOP_K)
             .map(|t| {
                 let per_stage = Value::Obj(
                     t.stages
@@ -385,7 +351,7 @@ impl RunReport {
                         .collect(),
                 );
                 json::obj(vec![
-                    ("trial", t.trial.map(Value::from).unwrap_or(Value::Null)),
+                    ("trial", Value::from(t.trial)),
                     ("run_ns", Value::from(t.run_ns)),
                     ("stages", per_stage),
                 ])
@@ -394,7 +360,7 @@ impl RunReport {
         let hot_links: Value = self
             .hot_links
             .iter()
-            .take(top_k)
+            .take(TOP_K)
             .map(|l| {
                 json::obj(vec![
                     ("link", Value::from(l.link.as_str())),
@@ -430,79 +396,106 @@ mod tests {
         }
     }
 
-    /// Two trials on one thread; trial 2 nests Lp inside Route, so Route's
-    /// self-time must exclude the Lp interval. A trailing Entangle interval
-    /// lies outside every trial.
+    /// Three trials as `TrialScope` journals them: each trial's stage
+    /// instants precede its `End`, whose argument is the trial's wall time.
+    /// Span pairs and other instants carry no stage time, and a trailing
+    /// Entangle instant lies outside every trial.
     fn sample_events() -> Vec<OwnedEvent> {
-        use Phase::{Begin, End};
+        use Phase::{Begin, End, Instant};
         vec![
             ev(0, 1, TRIAL_SPAN, Begin, Some(10)),
-            ev(100, 1, "trial.stage.gen", Begin, None),
-            ev(400, 1, "trial.stage.gen", End, None),
-            ev(500, 1, "trial.stage.decode", Begin, None),
-            ev(1500, 1, "trial.stage.decode", End, None),
-            ev(2000, 1, TRIAL_SPAN, End, None),
+            ev(50, 1, "lp.solve", Begin, None),
+            ev(60, 1, "lp.solve", End, Some(10)),
+            ev(1990, 1, "trial.stage.gen", Instant, Some(300)),
+            ev(1991, 1, "trial.stage.decode", Instant, Some(1000)),
+            ev(2000, 1, TRIAL_SPAN, End, Some(2000)),
             ev(3000, 1, TRIAL_SPAN, Begin, Some(11)),
-            ev(3100, 1, "trial.stage.route", Begin, None),
-            ev(3200, 1, "trial.stage.lp", Begin, None),
-            ev(3700, 1, "trial.stage.lp", End, None),
-            ev(3900, 1, "trial.stage.route", End, None),
-            ev(8000, 1, TRIAL_SPAN, End, None),
-            ev(9000, 1, "trial.stage.entangle", Begin, None),
-            ev(9900, 1, "trial.stage.entangle", End, None),
+            ev(3500, 1, "evaluate.shot_failed", Instant, Some(9)),
+            ev(7990, 1, "trial.stage.route", Instant, Some(300)),
+            ev(7991, 1, "trial.stage.lp", Instant, Some(500)),
+            ev(8000, 1, TRIAL_SPAN, End, Some(5000)),
+            ev(9000, 1, "trial.stage.entangle", Instant, Some(900)),
+            ev(100, 2, TRIAL_SPAN, Begin, Some(12)),
+            ev(1090, 2, "trial.stage.gen", Instant, Some(100)),
+            ev(1091, 2, "trial.stage.decode", Instant, Some(400)),
+            ev(1100, 2, TRIAL_SPAN, End, Some(1000)),
         ]
     }
 
     #[test]
     fn breakdown_reconstructs_self_times_and_trials() {
         let report = analyze(&sample_events(), None);
-        assert_eq!(report.trials.len(), 2);
-        assert_eq!(report.total_run_ns, 2000 + 5000);
-        // Slowest first: trial 11 (5000ns) before trial 10 (2000ns).
-        assert_eq!(report.trials[0].trial, Some(11));
-        assert_eq!(report.trials[0].run_ns, 5000);
-        assert_eq!(report.trials[1].trial, Some(10));
-        // Route's self-time excludes the nested Lp interval: 800 - 500.
-        let stage = |name: &str| {
-            report
-                .stages
-                .iter()
-                .find(|s| s.stage == name)
-                .map(|s| s.total_ns)
+        // Slowest first, each with its stages largest first.
+        let trial = |seed, run_ns, stages: [(&str, u64); 2]| TrialSummary {
+            trial: seed,
+            run_ns,
+            stages: stages.map(|(n, ns)| (n.to_string(), ns)).to_vec(),
         };
-        assert_eq!(stage("trial.stage.route"), Some(300));
-        assert_eq!(stage("trial.stage.lp"), Some(500));
-        assert_eq!(stage("trial.stage.gen"), Some(300));
-        assert_eq!(stage("trial.stage.decode"), Some(1000));
-        // No trial encloses the Entangle interval, so no stage row holds it.
-        assert_eq!(stage("trial.stage.entangle"), None);
-        assert_eq!(report.stages.len(), 4);
-        // Largest first.
-        assert_eq!(report.stages[0].stage, "trial.stage.decode");
-        // Per-trial attribution.
-        let t11 = &report.trials[0];
-        assert!(t11
+        assert_eq!(
+            report.trials,
+            [
+                trial(
+                    11,
+                    5000,
+                    [("trial.stage.lp", 500), ("trial.stage.route", 300)]
+                ),
+                trial(
+                    10,
+                    2000,
+                    [("trial.stage.decode", 1000), ("trial.stage.gen", 300)]
+                ),
+                trial(
+                    12,
+                    1000,
+                    [("trial.stage.decode", 400), ("trial.stage.gen", 100)]
+                ),
+            ]
+        );
+        assert_eq!(report.total_run_ns, 5000 + 2000 + 1000);
+        // Each row sums its stage over the trials that charged it, largest
+        // first. No trial holds the Entangle instant, so no row does.
+        let rows: Vec<(&str, u64, u64)> = report
             .stages
             .iter()
-            .any(|(n, ns)| n == "trial.stage.lp" && *ns == 500));
-        assert!(t11
-            .stages
-            .iter()
-            .any(|(n, ns)| n == "trial.stage.route" && *ns == 300));
+            .map(|s| (s.stage.as_str(), s.total_ns, s.trials))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("trial.stage.decode", 1400, 2),
+                ("trial.stage.lp", 500, 1),
+                ("trial.stage.gen", 400, 2),
+                ("trial.stage.route", 300, 1),
+            ]
+        );
     }
 
     #[test]
     fn truncated_spans_are_dropped_not_misattributed() {
-        use Phase::{Begin, End};
-        // An End with no Begin (fell off the ring) and a Begin with no End.
+        use Phase::{Begin, End, Instant};
         let events = vec![
+            // A stage End from an older trace, and a trial End whose Begin
+            // fell off the ring.
             ev(100, 1, "trial.stage.decode", End, None),
+            ev(150, 1, "trial.stage.gen", Instant, Some(40)),
+            ev(160, 1, TRIAL_SPAN, End, Some(90)),
+            // A Begin with no End.
             ev(200, 1, TRIAL_SPAN, Begin, Some(2)),
-            ev(300, 1, "trial.stage.gen", Begin, None),
+            ev(300, 1, "trial.stage.gen", Instant, Some(60)),
+            // An End with no arg, and a Begin with none: traces from before
+            // the self-times, and the seed, rode on the trial records.
+            ev(100, 2, TRIAL_SPAN, Begin, Some(3)),
+            ev(200, 2, "trial.stage.gen", Begin, None),
+            ev(300, 2, "trial.stage.gen", End, None),
+            ev(400, 2, TRIAL_SPAN, End, None),
+            ev(500, 2, TRIAL_SPAN, Begin, None),
+            ev(600, 2, "trial.stage.gen", Instant, Some(70)),
+            ev(700, 2, TRIAL_SPAN, End, Some(200)),
         ];
         let report = analyze(&events, None);
         assert!(report.trials.is_empty());
         assert!(report.stages.is_empty());
+        assert_eq!(report.total_run_ns, 0);
     }
 
     /// A BENCH report carrying the given `counters` and `groups` objects.
@@ -518,13 +511,13 @@ mod tests {
     fn journal_drops_come_from_the_bench_counters() {
         let report = analyze(&[], Some(&bench(r#"{"journal.dropped":7}"#, "{}")));
         assert_eq!(report.journal_dropped, 7);
-        let markdown = report.render_markdown(5);
+        let markdown = report.render_markdown();
         assert!(markdown.contains("WARNING"), "{markdown}");
         assert!(markdown.contains("journal dropped 7 events"), "{markdown}");
         // No drops, or no BENCH report at all: no warning.
         let clean = analyze(&[], Some(&bench(r#"{"journal.dropped":0}"#, "{}")));
         assert_eq!(clean.journal_dropped, 0);
-        assert!(!clean.render_markdown(5).contains("WARNING"));
+        assert!(!clean.render_markdown().contains("WARNING"));
         assert_eq!(analyze(&[], None).journal_dropped, 0);
     }
 
@@ -550,7 +543,7 @@ mod tests {
             [("1-2", 400, 390), ("0-1", 100, 80)]
         );
         assert!((report.hot_links[1].failure_rate() - 0.2).abs() < 1e-12);
-        let md = report.render_markdown(5);
+        let md = report.render_markdown();
         assert!(md.contains("## Hot links"), "{md}");
         assert!(md.contains("| 0-1 | 100 | 80 | 20.0% |"), "{md}");
         // The failure-rate ranking puts the lossier 0-1 link first.
@@ -558,14 +551,14 @@ mod tests {
         let pos_01 = by_rate.find("| 0-1 |").unwrap();
         let pos_12 = by_rate.find("| 1-2 |").unwrap();
         assert!(pos_01 < pos_12, "{md}");
-        let v = report.to_json(5);
+        let v = report.to_json();
         let links = v.get("hot_links").and_then(Value::as_array).unwrap();
         assert_eq!(links.len(), 2);
         assert_eq!(links[0].get("link").and_then(Value::as_str), Some("1-2"));
         // Runs without per-link families render the placeholder instead.
         for empty in [analyze(&[], None), analyze(&[], Some(&bench("{}", "{}")))] {
             assert!(empty.hot_links.is_empty());
-            assert!(empty.render_markdown(5).contains("no per-link families"));
+            assert!(empty.render_markdown().contains("no per-link families"));
         }
     }
 
@@ -577,17 +570,22 @@ mod tests {
         );
         let a = analyze(&sample_events(), Some(&bench));
         let b = analyze(&sample_events(), Some(&bench));
-        assert_eq!(a.render_markdown(3), b.render_markdown(3));
-        assert_eq!(a.to_json(3).to_string(), b.to_json(3).to_string());
-        let v = a.to_json(3);
+        assert_eq!(a.render_markdown(), b.render_markdown());
+        assert_eq!(a.to_json().to_string(), b.to_json().to_string());
+        let v = a.to_json();
         assert_eq!(v.get("schema").and_then(Value::as_str), Some(SCHEMA));
         assert_eq!(
             Value::parse(&v.to_string()).unwrap().to_string(),
             v.to_string()
         );
-        // Markdown has the two trials and the stage table.
-        let md = a.render_markdown(3);
-        assert!(md.contains("| trial.stage.decode |"), "{md}");
+        // Markdown has the trials and the stage table, with its trial
+        // counts.
+        let md = a.render_markdown();
+        assert!(md.contains("| stage | total | share | trials |"), "{md}");
+        assert!(
+            md.contains("| trial.stage.decode | 0.001ms | 17.5% | 2 |"),
+            "{md}"
+        );
         assert!(md.contains("| 11 |"), "{md}");
         assert!(md.contains("| 4-7 | 50 | 45 | 10.0% |"), "{md}");
     }

@@ -8,22 +8,17 @@
 //! thread appends `Event`s into its own fixed-capacity ring (no locks, no
 //! shared cache lines on the hot path), oldest records are overwritten when
 //! the ring fills, and rings drain into a bounded global buffer when their
-//! thread exits or [`flush_thread`] runs. The result exports as:
-//!
-//! * **Chrome trace format** ([`export_chrome`]) — a `traceEvents` array
-//!   with one track per thread, loadable in [Perfetto](https://ui.perfetto.dev)
-//!   or `chrome://tracing`;
-//! * **JSONL** ([`export_jsonl`]) — one event object per line, the format
-//!   the `report` binary analyses and [`parse_jsonl`] reads back.
+//! thread exits or [`flush_thread`] runs. The result exports as JSONL
+//! ([`export_jsonl`]): one event object per line, the format the `report`
+//! binary analyses and [`parse_jsonl`] reads back.
 //!
 //! Recording is off by default; [`init_from_env`] enables it when
-//! `SURFNET_TRACE=<path>` is set (extension `.jsonl` selects JSONL,
-//! anything else Chrome trace). When disabled, every journal call is one
+//! `SURFNET_TRACE=<path>` is set. When disabled, every journal call is one
 //! relaxed atomic load.
 
 use crate::catalog::CATALOG;
 use crate::envreg::{self, Knob};
-use crate::json::{obj, JsonError, Value};
+use crate::json::{obj, Value};
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -74,16 +69,16 @@ pub fn set_enabled(on: bool) {
 /// The lifecycle phase of a journal `Event`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// A duration opens (Chrome `ph:"B"`).
+    /// A duration opens (JSONL `"phase":"B"`).
     Begin,
-    /// The matching duration closes (Chrome `ph:"E"`).
+    /// The matching duration closes (`"E"`).
     End,
-    /// A point-in-time marker (Chrome `ph:"i"`).
+    /// A point-in-time marker (`"i"`).
     Instant,
 }
 
 impl Phase {
-    /// The Chrome trace-event phase code for this record kind.
+    /// The JSONL `phase` code for this record kind.
     pub fn code(self) -> &'static str {
         match self {
             Phase::Begin => "B",
@@ -120,8 +115,8 @@ pub struct OwnedEvent {
     pub ts_ns: u64,
     /// Recording thread's journal id (dense, assigned in first-record order).
     pub tid: u32,
-    /// Event name (must appear in [`crate::catalog`] with kind `Event`,
-    /// or be a span timer name for `Begin`/`End` pairs emitted by spans).
+    /// Event name: a [`crate::catalog`] event, or a timer (a span's
+    /// `Begin`/`End` pair, or a trial's per-stage self-time instants).
     pub name: String,
     /// Begin / end / instant.
     pub phase: Phase,
@@ -222,9 +217,9 @@ thread_local! {
 }
 
 /// Appends one record of the catalog name in `slot` to the calling
-/// thread's ring (no-op when the journal is disabled). Span guards, stage
-/// transitions, the trial scope ([`crate::stage::trial_scope`]) and the
-/// [`crate::event!`] macro (through [`crate::record_event`]) call this, each
+/// thread's ring (no-op when the journal is disabled). Span guards, the
+/// trial scope ([`crate::stage::trial_scope`]) and the [`crate::event!`]
+/// macro (through [`crate::record_event`]) call this, each
 /// with a slot resolved at compile time, so every record carries a catalog
 /// name.
 #[inline]
@@ -314,10 +309,9 @@ pub fn init_from_env() -> Option<PathBuf> {
     path
 }
 
-/// Exports the journal to the `SURFNET_TRACE` path configured by
-/// [`init_from_env`]: `.jsonl` extension selects [`export_jsonl`], anything
-/// else [`export_chrome`]. Returns the written path, `None` when no path is
-/// configured.
+/// Exports the journal as [`export_jsonl`] to the `SURFNET_TRACE` path
+/// configured by [`init_from_env`], whatever its extension. Returns the
+/// written path, `None` when no path is configured.
 ///
 /// # Errors
 ///
@@ -328,49 +322,12 @@ pub fn write_trace() -> std::io::Result<Option<PathBuf>> {
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
     let Some(path) = path else { return Ok(None) };
-    let events = collect();
-    let text = if path.extension().is_some_and(|e| e == "jsonl") {
-        export_jsonl(&events)
-    } else {
-        export_chrome(&events)
-    };
-    std::fs::write(&path, text)?;
+    std::fs::write(&path, export_jsonl(&collect()))?;
     Ok(Some(path))
 }
 
 // ---------------------------------------------------------------------------
-// Exporters + loader.
-
-/// Renders events as Chrome trace format (JSON object with a
-/// `traceEvents` array; timestamps in microseconds, one `tid` track per
-/// recording thread, all under `pid` 1). Loadable in Perfetto and
-/// `chrome://tracing`. An event's payload shows as `args.arg`, so each
-/// [`crate::stage::TRIAL_SPAN`] slice shows its trial seed.
-pub fn export_chrome(events: &[OwnedEvent]) -> String {
-    let mut trace_events: Vec<Value> = Vec::with_capacity(events.len());
-    for e in events {
-        let mut pairs = vec![
-            ("name", Value::from(e.name.as_str())),
-            ("ph", Value::from(e.phase.code())),
-            // Integer-nanosecond precision: µs with fractional part.
-            ("ts", Value::Num(e.ts_ns as f64 / 1_000.0)),
-            ("pid", Value::from(1u64)),
-            ("tid", Value::from(e.tid)),
-        ];
-        if e.phase == Phase::Instant {
-            pairs.push(("s", Value::from("t")));
-        }
-        if let Some(arg) = e.arg {
-            pairs.push(("args", obj(vec![("arg", Value::from(arg))])));
-        }
-        trace_events.push(obj(pairs));
-    }
-    obj(vec![
-        ("traceEvents", Value::Arr(trace_events)),
-        ("displayTimeUnit", Value::from("ns")),
-    ])
-    .to_string()
-}
+// Exporter + loader.
 
 /// Renders events as JSONL: one `{"ts_ns","tid","name","phase","arg"?}`
 /// object per line. [`parse_jsonl`] inverts this exactly.
@@ -396,39 +353,38 @@ pub fn export_jsonl(events: &[OwnedEvent]) -> String {
 ///
 /// # Errors
 ///
-/// Reports the first malformed line (1-based) and what was wrong with it.
-pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEvent>, JsonError> {
+/// Names the first malformed line (1-based) and what was wrong with it:
+/// a line that is not JSON, a missing field, or a field of the wrong type
+/// (an `arg`, when present, must be a u64).
+pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEvent>, String> {
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let bad = |message: String| JsonError {
-            message,
-            offset: i + 1,
-        };
-        let v = Value::parse(line).map_err(|e| bad(format!("line {}: {}", i + 1, e)))?;
-        let field = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| bad(format!("line {}: missing {key:?}", i + 1)))
-        };
+        let bad = |what: &str| format!("line {}: {what}", i + 1);
+        let v = Value::parse(line).map_err(|e| bad(&e.to_string()))?;
+        let field = |key: &str| v.get(key).ok_or_else(|| bad(&format!("missing {key:?}")));
         events.push(OwnedEvent {
             ts_ns: field("ts_ns")?
                 .as_u64()
-                .ok_or_else(|| bad(format!("line {}: ts_ns not a u64", i + 1)))?,
+                .ok_or_else(|| bad("ts_ns not a u64"))?,
             tid: field("tid")?
                 .as_u64()
                 .and_then(|tid| u32::try_from(tid).ok())
-                .ok_or_else(|| bad(format!("line {}: tid not a u32", i + 1)))?,
+                .ok_or_else(|| bad("tid not a u32"))?,
             name: field("name")?
                 .as_str()
-                .ok_or_else(|| bad(format!("line {}: name not a string", i + 1)))?
+                .ok_or_else(|| bad("name not a string"))?
                 .to_string(),
             phase: field("phase")?
                 .as_str()
                 .and_then(Phase::from_code)
-                .ok_or_else(|| bad(format!("line {}: bad phase", i + 1)))?,
-            arg: v.get("arg").and_then(Value::as_u64),
+                .ok_or_else(|| bad("bad phase"))?,
+            arg: v
+                .get("arg")
+                .map(|arg| arg.as_u64().ok_or_else(|| bad("arg not a u64")))
+                .transpose()?,
         });
     }
     Ok(events)
@@ -517,38 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_is_valid_json_with_monotone_tracks() {
-        with_journal(|| {
-            record(SPAN, Phase::Begin, None);
-            record(MARK, Phase::Instant, Some(3));
-            record(SPAN, Phase::End, None);
-            let text = export_chrome(&collect());
-            let v = Value::parse(&text).expect("chrome trace must be valid JSON");
-            let events = v.get("traceEvents").unwrap().as_array().unwrap();
-            assert_eq!(events.len(), 3);
-            let mut last_ts_per_tid: Vec<(u64, f64)> = Vec::new();
-            for e in events {
-                let tid = e.get("tid").unwrap().as_u64().unwrap();
-                let ts = e.get("ts").unwrap().as_f64().unwrap();
-                match last_ts_per_tid.iter_mut().find(|(t, _)| *t == tid) {
-                    Some((_, last)) => {
-                        assert!(ts >= *last, "ts must be monotone per track");
-                        *last = ts;
-                    }
-                    None => last_ts_per_tid.push((tid, ts)),
-                }
-            }
-            let instant = &events[1];
-            assert_eq!(instant.get("ph").unwrap().as_str(), Some("i"));
-            assert_eq!(instant.get("s").unwrap().as_str(), Some("t"));
-            assert_eq!(
-                instant.get("args").unwrap().get("arg").unwrap().as_u64(),
-                Some(3)
-            );
-        });
-    }
-
-    #[test]
     fn jsonl_round_trips_through_loader() {
         with_journal(|| {
             record(SPAN, Phase::Begin, None);
@@ -573,8 +497,32 @@ mod tests {
             parse_jsonl(&line(u32::MAX.into())).unwrap()[0].tid,
             u32::MAX
         );
-        let err = parse_jsonl(&line(1 << 32)).unwrap_err();
-        assert!(err.message.contains("tid not a u32"), "{err}");
+        assert_eq!(
+            parse_jsonl(&line(1 << 32)).unwrap_err(),
+            "line 1: tid not a u32"
+        );
+        // The error names the line and claims no byte offset of its own.
+        let good = line(1);
+        let text = format!("{good}\n{good}\n{{\"ts_ns\":1,\"name\":\"x\",\"phase\":\"i\"}}\n");
+        assert_eq!(parse_jsonl(&text).unwrap_err(), "line 3: missing \"tid\"");
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        assert_eq!(
+            parse_jsonl(&deep).unwrap_err(),
+            "line 1: json error at byte 128: nesting deeper than 128 levels"
+        );
+        // A malformed arg fails like any other field; an absent one is None.
+        for arg in ["-1", "\"x\"", "1.5"] {
+            let text = format!(
+                "{good}\n{}\n",
+                good.replace('}', &format!(",\"arg\":{arg}}}"))
+            );
+            assert_eq!(
+                parse_jsonl(&text).unwrap_err(),
+                "line 2: arg not a u64",
+                "{arg}"
+            );
+        }
+        assert_eq!(parse_jsonl(&good).unwrap()[0].arg, None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON value with a parser and writer.
 //!
 //! The workspace's serde is an offline marker-trait shim, so every
-//! machine-readable artifact (Chrome traces, JSONL journals, `report` output,
+//! machine-readable artifact (JSONL journals, `report` output,
 //! `BENCH_*.json` reports) flows through this module instead. The subset is
 //! full JSON nested at most 128 levels deep, with numbers as `f64` (integers
 //! round-trip exactly up to 2^53, which covers nanosecond spans and counters;

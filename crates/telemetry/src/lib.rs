@@ -248,8 +248,7 @@ pub fn add_count(slot: usize, n: u64) {
 /// When the [`journal`] is enabled the guard also emits a `Begin`/`End`
 /// pair, so span timers appear as nested durations in exported traces.
 /// A `stage` is held open on this thread's self-time stack ([`stage`])
-/// until the guard drops: the journal sees the span's `Begin`, then the
-/// stage's, and the two `End`s in reverse.
+/// until the guard drops.
 #[doc(hidden)]
 #[inline]
 pub fn start_span(slot: usize, stage: Option<stage::Stage>) -> Span {
@@ -330,8 +329,8 @@ impl Span {
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        if let Some(stage) = self.stage {
-            stage::exit(stage);
+        if self.stage.is_some() {
+            stage::exit();
         }
         if self.in_journal {
             journal::record(self.slot, journal::Phase::End, None);

@@ -14,13 +14,13 @@
 //! (`span!("lp.solve", Lp)`), and that one guard pushes and pops the stage.
 //! When the trial scope drops, its accumulated per-stage self-times are
 //! recorded into the `trial.stage.*` histograms (one sample per trial per
-//! stage) and the trial's total into `trial.run`. Stage transitions also
-//! emit journal `Begin`/`End` records (under the same `trial.stage.*`
-//! names), and the trial scope brackets them with [`TRIAL_SPAN`] records,
-//! so the `report` binary can rebuild the identical decomposition
-//! offline from a trace. Time outside a trial is charged to no stage.
-//! Everything is inert — two relaxed loads — unless telemetry or the
-//! journal is recording.
+//! stage it charged) and the trial's total into `trial.run`. The same
+//! samples reach the journal: one `trial.stage.*` instant per charged
+//! stage, whose argument is the sample, then the [`TRIAL_SPAN`] `End`
+//! record, whose argument is the trial's total. The `report` binary reads
+//! them there, so a trace and the timers hold one decomposition. Time
+//! outside a trial is charged to no stage. Everything is inert — two
+//! relaxed loads — unless telemetry or the journal is recording.
 
 use crate::catalog::{self, MetricKind};
 use crate::journal;
@@ -57,7 +57,7 @@ pub const ALL_STAGES: [Stage; 6] = [
 
 impl Stage {
     /// The catalog name of this stage's per-trial self-time histogram
-    /// (also the journal event name of its transitions).
+    /// (also the journal name of its per-trial self-time instant).
     pub const fn metric_name(self) -> &'static str {
         match self {
             Stage::Gen => "trial.stage.gen",
@@ -79,7 +79,9 @@ impl Stage {
 pub const TRIAL_RUN: &str = "trial.run";
 
 /// The journal span [`trial_scope`] writes around each whole trial. Its
-/// `Begin` record's argument is the trial seed, which names the trial.
+/// `Begin` record's argument is the trial seed, which names the trial, and
+/// its `End` record's is the trial's wall time in ns (the [`TRIAL_RUN`]
+/// sample).
 pub const TRIAL_SPAN: &str = "pipeline.trial";
 
 /// Catalog slots of the [`TRIAL_SPAN`] event, the [`TRIAL_RUN`] timer and
@@ -135,7 +137,8 @@ thread_local! {
 }
 
 /// RAII guard for one trial: its stage accounting and its [`TRIAL_SPAN`]
-/// journal records. Records the per-stage histograms on drop.
+/// journal records. Records the per-stage histograms, and journals the
+/// same self-times, on drop.
 #[must_use = "a trial scope records on drop; binding it to _ drops it immediately"]
 #[derive(Debug)]
 pub struct TrialScope {
@@ -168,7 +171,6 @@ impl Drop for TrialScope {
         if !self.active {
             return;
         }
-        journal::record(TRIAL_SLOT, journal::Phase::End, None);
         ATTR.with(|a| {
             let mut attr = a.borrow_mut();
             attr.transition();
@@ -180,12 +182,14 @@ impl Drop for TrialScope {
             // never entered.
             crate::mark_seen(RUN_SLOT);
             STAGE_SLOTS.iter().for_each(|&slot| crate::mark_seen(slot));
-            crate::record_ns(RUN_SLOT, total);
             for (&slot, &ns) in STAGE_SLOTS.iter().zip(&attr.totals) {
                 if ns > 0 {
                     crate::record_ns(slot, ns);
+                    journal::record(slot, journal::Phase::Instant, Some(ns));
                 }
             }
+            crate::record_ns(RUN_SLOT, total);
+            journal::record(TRIAL_SLOT, journal::Phase::End, Some(total));
         });
     }
 }
@@ -199,17 +203,15 @@ pub(crate) fn enter(stage: Stage) {
         attr.transition();
         attr.stack.push(stage);
     });
-    journal::record(STAGE_SLOTS[stage as usize], journal::Phase::Begin, None);
 }
 
-/// Leaves `stage`, the innermost open one; the span's drop calls this.
-pub(crate) fn exit(stage: Stage) {
+/// Leaves the innermost open stage; the span's drop calls this.
+pub(crate) fn exit() {
     ATTR.with(|a| {
         let mut attr = a.borrow_mut();
         attr.transition();
         attr.stack.pop();
     });
-    journal::record(STAGE_SLOTS[stage as usize], journal::Phase::End, None);
 }
 
 #[cfg(test)]
@@ -291,34 +293,63 @@ mod tests {
     }
 
     #[test]
-    fn stage_transitions_emit_journal_events() {
+    fn trial_scope_journals_stage_self_times() {
         let _g = crate::telemetry_test_guard();
-        let _t = crate::Telemetry::disabled();
+        crate::reset();
         journal::reset();
+        let _t = crate::Telemetry::enabled();
         journal::set_enabled(true);
         {
             let _trial = trial_scope(7);
+            {
+                let _route = crate::span!("routing.schedule", Route);
+                std::thread::sleep(Duration::from_millis(1));
+                let _lp = crate::span!("lp.solve", Lp);
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let _s = crate::span!("netsim.execute_plan", Entangle);
+            std::thread::sleep(Duration::from_millis(1));
         }
         journal::set_enabled(false);
         let events = journal::collect();
+        let snap = crate::snapshot();
+        let _t = crate::Telemetry::disabled();
         journal::reset();
+        crate::reset();
+        use journal::Phase::{Begin, End, Instant};
         let kinds: Vec<(&str, journal::Phase)> =
             events.iter().map(|e| (e.name.as_str(), e.phase)).collect();
-        // The span's records enclose its stage's, and the trial's enclose
-        // both.
+        // Spans write their own pairs; the trial's stage self-times follow
+        // its last span, in stage order, and its `End` closes the trial.
         assert_eq!(
             kinds,
             [
-                (TRIAL_SPAN, journal::Phase::Begin),
-                ("netsim.execute_plan", journal::Phase::Begin),
-                ("trial.stage.entangle", journal::Phase::Begin),
-                ("trial.stage.entangle", journal::Phase::End),
-                ("netsim.execute_plan", journal::Phase::End),
-                (TRIAL_SPAN, journal::Phase::End),
+                (TRIAL_SPAN, Begin),
+                ("routing.schedule", Begin),
+                ("lp.solve", Begin),
+                ("lp.solve", End),
+                ("routing.schedule", End),
+                ("netsim.execute_plan", Begin),
+                ("netsim.execute_plan", End),
+                ("trial.stage.route", Instant),
+                ("trial.stage.lp", Instant),
+                ("trial.stage.entangle", Instant),
+                (TRIAL_SPAN, End),
             ]
         );
-        let args: Vec<Option<u64>> = events.iter().map(|e| e.arg).collect();
-        assert_eq!(args, [Some(7), None, None, None, None, None]);
+        assert_eq!(events[0].arg, Some(7));
+        assert!(events[1..7].iter().all(|e| e.arg.is_none()), "{events:?}");
+        // Each instant carries the sample its stage's timer took, and the
+        // `End` the trial's `trial.run` sample.
+        for e in &events[7..] {
+            let timer = if e.name == TRIAL_SPAN {
+                TRIAL_RUN
+            } else {
+                e.name.as_str()
+            };
+            let t = snap.timer(timer).unwrap();
+            assert_eq!(t.count, 1, "{timer}");
+            assert_eq!(e.arg, Some(t.total_ns), "{timer}");
+        }
     }
 }
