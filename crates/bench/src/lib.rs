@@ -171,11 +171,19 @@ pub fn telemetry_init() {
 
 /// Writes the accumulated event journal, as JSONL, to the `SURFNET_TRACE`
 /// path. Every figure binary calls this last thing in `main`.
+///
+/// A trace that was asked for and cannot be written prints the error to
+/// stderr and **exits with status 1**, after the figure's table and its
+/// report are out: a caller that set `SURFNET_TRACE` must not read exit 0
+/// while no trace exists.
 pub fn trace_finish() {
     match surfnet_telemetry::journal::write_trace() {
         Ok(Some(path)) => eprintln!("surfnet-trace: wrote {}", path.display()),
         Ok(None) => {}
-        Err(e) => eprintln!("surfnet-trace: write failed: {e}"),
+        Err(e) => {
+            eprintln!("surfnet-trace: write failed: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

@@ -57,6 +57,7 @@ pub fn check_forest(parent: &[usize]) -> Result<(), InvariantViolation> {
 ///   each root stays inside the root's set, closes within `n` steps, and
 ///   has as many members as the set (so every vertex lies on its root's
 ///   cycle);
+/// - `min_vertex[root]` is the lowest-index vertex on the root's cycle;
 /// - `parity[root]` equals the defect count of the cluster mod 2;
 /// - `touches_boundary[root]` is true exactly for the boundary's cluster;
 /// - every grown edge has both endpoints in the same cluster.
@@ -69,6 +70,7 @@ pub fn check_cluster_invariants(
     parity: &[usize],
     touches_boundary: &[bool],
     next: &[usize],
+    min_vertex: &[usize],
     is_defect: &[bool],
     boundary: usize,
     graph: &DecodingGraph,
@@ -89,7 +91,7 @@ pub fn check_cluster_invariants(
         }
         // Walk the root's cycle; a cycle that never returns to `v` is cut
         // off after n members instead of looping forever.
-        let (mut size, mut defects_inside) = (0usize, 0usize);
+        let (mut size, mut defects_inside, mut lowest) = (0usize, 0usize, v);
         let mut u = v;
         loop {
             if u >= n || uf.find(u) != v {
@@ -100,6 +102,7 @@ pub fn check_cluster_invariants(
             }
             size += 1;
             defects_inside += usize::from(is_defect[u]);
+            lowest = lowest.min(u);
             u = next[u];
             if u == v {
                 break;
@@ -114,6 +117,12 @@ pub fn check_cluster_invariants(
         if size != expected {
             return violation(format!(
                 "cluster {v} has {expected} vertices but its members cycle lists {size}"
+            ));
+        }
+        if min_vertex[v] != lowest {
+            return violation(format!(
+                "cluster {v}: min_vertex {} but its lowest member is {lowest}",
+                min_vertex[v]
             ));
         }
         if parity[v] % 2 != defects_inside % 2 {
@@ -241,6 +250,9 @@ mod tests {
         )
     }
 
+    /// `min_vertex` of clusters whose roots are their lowest members.
+    const LOWEST: [usize; 4] = [0, 1, 2, 3];
+
     #[test]
     fn healthy_forest_passes() {
         assert_eq!(check_forest(&[0, 0, 1, 3]), Ok(()));
@@ -272,7 +284,9 @@ mod tests {
         let is_defect = vec![true, true, false, false];
         let grown = vec![true, false, false];
         assert_eq!(
-            check_cluster_invariants(&mut uf, &parity, &touches, &next, &is_defect, 3, &g, &grown),
+            check_cluster_invariants(
+                &mut uf, &parity, &touches, &next, &LOWEST, &is_defect, 3, &g, &grown
+            ),
             Ok(())
         );
     }
@@ -294,6 +308,7 @@ mod tests {
             &parity,
             &touches,
             &next,
+            &LOWEST,
             &is_defect,
             3,
             &g,
@@ -301,6 +316,41 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("parity"), "{err}");
+    }
+
+    #[test]
+    fn corrupted_min_vertex_fires() {
+        let g = line(3);
+        let mut uf = UnionFind::new(g.num_vertices());
+        // Equal sizes: vertex 2 absorbs vertex 1, so the root is not the
+        // cluster's lowest member, and a fusion that never folded
+        // `min_vertex` still reads 2 there.
+        let root = uf.union(2, 1).unwrap();
+        assert_eq!(root, 2);
+        let mut next: Vec<usize> = (0..4).collect();
+        next.swap(1, 2);
+        let mut touches = vec![false; 4];
+        touches[3] = true;
+        let mut check = |min_vertex: &[usize]| {
+            check_cluster_invariants(
+                &mut uf,
+                &[0; 4],
+                &touches,
+                &next,
+                min_vertex,
+                &[false; 4],
+                3,
+                &g,
+                &[false, true, false],
+            )
+        };
+        let err = check(&LOWEST).unwrap_err();
+        assert!(
+            err.message
+                .contains("min_vertex 2 but its lowest member is 1"),
+            "{err}"
+        );
+        assert_eq!(check(&[0, 1, 1, 3]), Ok(()));
     }
 
     #[test]
@@ -317,6 +367,7 @@ mod tests {
             &[0; 4],
             &touches,
             &next,
+            &LOWEST,
             &[false; 4],
             3,
             &g,
@@ -343,6 +394,7 @@ mod tests {
                 &[0; 4],
                 &touches,
                 next,
+                &LOWEST,
                 &[false; 4],
                 3,
                 &g,
@@ -378,6 +430,7 @@ mod tests {
             &[0; 4],
             &touches,
             &next,
+            &LOWEST,
             &[false; 4],
             3,
             &g,
@@ -400,6 +453,7 @@ mod tests {
             &[0; 4],
             &touches,
             &next,
+            &LOWEST,
             &[false; 4],
             3,
             &g,

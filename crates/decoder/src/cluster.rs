@@ -66,11 +66,25 @@ pub struct ClusterScratch {
     /// Circular member lists: `next[v]` is the vertex after `v` in its
     /// cluster's cycle, so walking from a root visits its whole cluster.
     next: Vec<usize>,
+    /// `min_vertex[root]` is the lowest-index vertex of the root's cluster.
+    min_vertex: Vec<usize>,
     growth: Vec<f64>,
     grown: Vec<bool>,
+    /// `listed[e] == stamp` once edge `e` has had its growth in the
+    /// current cluster step. Never cleared per decode: a stamp only grows,
+    /// so an old entry never equals it, and the wrap to 0 resets the array.
+    listed: Vec<u32>,
+    stamp: u32,
+    /// One bit per vertex: the candidate roots of the next growth round,
+    /// then the roots of the clusters that hold a defect. Empty between
+    /// uses.
+    root_bits: Vec<u64>,
+    /// The current round's odd, boundary-free roots, in ascending order.
     roots: Vec<usize>,
-    frontier: Vec<usize>,
+    /// Edges that finished growing in the current cluster step.
     newly_grown: Vec<usize>,
+    /// Where peeling starts its trees ([`ClusterScratch::peel_starts`]).
+    peel_starts: Vec<usize>,
 }
 
 impl ClusterScratch {
@@ -79,6 +93,44 @@ impl ClusterScratch {
     pub fn grown(&self) -> &[bool] {
         &self.grown
     }
+
+    /// The BFS start vertices under which [`crate::peeling::peel_into`]
+    /// over [`ClusterScratch::grown`] gives the full scan's correction for
+    /// the last [`grow_clusters_into`] call's defects: the boundary if a
+    /// defect's cluster holds it, then the lowest-index vertex of every
+    /// other cluster that holds a defect. The clusters are the connected
+    /// components of the grown support, and a component without a defect
+    /// adds no correction edge.
+    pub fn peel_starts(&self) -> &[usize] {
+        &self.peel_starts
+    }
+}
+
+/// Sets bit `v`.
+fn set_bit(bits: &mut [u64], v: usize) {
+    bits[v / 64] |= 1 << (v % 64);
+}
+
+/// Empties `bits`, calling `f` on every set bit in ascending order.
+fn drain_bits(bits: &mut [u64], mut f: impl FnMut(usize)) {
+    for (w, word) in bits.iter_mut().enumerate() {
+        let mut rest = std::mem::take(word);
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// The stamp of the next cluster step. On the wrap to 0 every entry of
+/// `listed` is reset once, so no stale entry can equal a reused stamp.
+fn next_stamp(stamp: &mut u32, listed: &mut [u32]) -> u32 {
+    *stamp = stamp.wrapping_add(1);
+    if *stamp == 0 {
+        listed.fill(0);
+        *stamp = 1;
+    }
+    *stamp
 }
 
 /// Merges endpoints of a fully grown edge, folding bookkeeping.
@@ -87,6 +139,7 @@ fn fuse(
     parity: &mut [usize],
     touches_boundary: &mut [bool],
     next: &mut [usize],
+    min_vertex: &mut [usize],
     a: usize,
     b: usize,
 ) {
@@ -101,6 +154,7 @@ fn fuse(
     };
     parity[root] = (parity[ra] + parity[rb]) % 2;
     touches_boundary[root] = touches_boundary[ra] || touches_boundary[rb];
+    min_vertex[root] = min_vertex[ra].min(min_vertex[rb]);
     // Exchanging the successors of one vertex from each cycle splices the
     // two member cycles into one.
     next.swap(ra, rb);
@@ -140,7 +194,8 @@ pub fn grow_clusters(
 
 /// Allocation-free variant of [`grow_clusters`]: runs the identical growth
 /// algorithm inside `scratch`, leaving the grown edge set in
-/// [`ClusterScratch::grown`] and returning the round count.
+/// [`ClusterScratch::grown`], the peeling start vertices in
+/// [`ClusterScratch::peel_starts`], and returning the round count.
 ///
 /// # Errors
 ///
@@ -174,11 +229,15 @@ pub fn grow_clusters_into(
         parity,
         touches_boundary,
         next,
+        min_vertex,
         growth,
         grown,
+        listed,
+        stamp,
+        root_bits,
         roots,
-        frontier,
         newly_grown,
+        peel_starts,
     } = scratch;
 
     uf.reset(nv);
@@ -195,22 +254,35 @@ pub fn grow_clusters_into(
     touches_boundary.resize(nv, false);
     next.clear();
     next.extend(0..nv);
+    min_vertex.clear();
+    min_vertex.extend(0..nv);
     for &d in defects {
         parity[d] = 1;
     }
     touches_boundary[boundary] = true;
+    root_bits.clear();
+    root_bits.resize(nv.div_ceil(64), 0);
 
     growth.clear();
     growth.resize(ne, 0.0);
     grown.clear();
     grown.resize(ne, false);
+    listed.resize(ne, 0);
 
     for e in 0..ne {
         if pregrown[e] {
             grown[e] = true;
             growth[e] = 1.0;
             let edge = graph.edge(e);
-            fuse(uf, parity, touches_boundary, next, edge.a, edge.b);
+            fuse(
+                uf,
+                parity,
+                touches_boundary,
+                next,
+                min_vertex,
+                edge.a,
+                edge.b,
+            );
         }
     }
 
@@ -219,14 +291,20 @@ pub fn grow_clusters_into(
     // or boundary contact only by fusing, and every fusion joins the
     // cluster of a root this round grows, so each odd, boundary-free
     // cluster of the next round holds a root from this round's list.
-    // Mapping the list through `find` therefore covers the next round.
-    roots.clear();
-    roots.extend(defects.iter().map(|&d| uf.find(d)));
+    // Setting the bit of `find(root)` for each of them therefore covers
+    // the next round, and walking the bits in ascending order lists each
+    // candidate once, in the order a sort would.
+    for &d in defects {
+        set_bit(root_bits, uf.find(d));
+    }
     let mut rounds = 0usize;
     loop {
-        roots.sort_unstable();
-        roots.dedup();
-        roots.retain(|&r| parity[r] % 2 == 1 && !touches_boundary[r]);
+        roots.clear();
+        drain_bits(root_bits, |r| {
+            if parity[r] % 2 == 1 && !touches_boundary[r] {
+                roots.push(r);
+            }
+        });
         if roots.is_empty() {
             break;
         }
@@ -247,14 +325,21 @@ pub fn grow_clusters_into(
             if uf.find(root) != root || parity[root].is_multiple_of(2) || touches_boundary[root] {
                 continue;
             }
-            // The frontier is sorted and deduplicated before any growth is
-            // added, so the order of the member cycle does not matter.
-            frontier.clear();
+            // Each ungrown edge incident to the cluster gets this step's
+            // growth once: an edge interior to the cluster is met from both
+            // endpoints, and the stamp turns the second meeting away. Edges
+            // do not interact, so the order of the member cycle does not
+            // matter.
+            let step = next_stamp(stamp, listed);
             let mut v = root;
             loop {
                 for &e in graph.incident(v) {
-                    if !grown[e] {
-                        frontier.push(e);
+                    if !grown[e] && listed[e] != step {
+                        listed[e] = step;
+                        growth[e] += speeds[e].max(0.0);
+                        if growth[e] >= 1.0 {
+                            newly_grown.push(e);
+                        }
                     }
                 }
                 v = next[v];
@@ -262,24 +347,24 @@ pub fn grow_clusters_into(
                     break;
                 }
             }
-            frontier.sort_unstable();
-            frontier.dedup();
-            for &e in frontier.iter() {
-                // An edge interior to the cluster (both endpoints inside)
-                // would be enumerated twice via its two endpoints; dedup
-                // above makes the growth increment once per cluster.
-                growth[e] += speeds[e].max(0.0);
-                if growth[e] >= 1.0 && !grown[e] {
-                    grown[e] = true;
-                    newly_grown.push(e);
-                }
-            }
             // Fuse as soon as this cluster finished its round so that
             // "if Ci meets another cluster, fuse together" (Alg. 2 line 7)
-            // is honored before the next cluster grows.
-            for j in 0..newly_grown.len() {
-                let edge = graph.edge(newly_grown[j]);
-                fuse(uf, parity, touches_boundary, next, edge.a, edge.b);
+            // is honored before the next cluster grows. Finished edges fuse
+            // in ascending edge order: the order decides which root survives
+            // each union-by-size tie, and so the order clusters grow in.
+            newly_grown.sort_unstable();
+            for &e in newly_grown.iter() {
+                grown[e] = true;
+                let edge = graph.edge(e);
+                fuse(
+                    uf,
+                    parity,
+                    touches_boundary,
+                    next,
+                    min_vertex,
+                    edge.a,
+                    edge.b,
+                );
             }
             newly_grown.clear();
         }
@@ -293,6 +378,7 @@ pub fn grow_clusters_into(
                     parity,
                     touches_boundary,
                     next,
+                    min_vertex,
                     is_defect,
                     boundary,
                     graph,
@@ -302,10 +388,26 @@ pub fn grow_clusters_into(
             );
         }
 
-        for root in roots.iter_mut() {
-            *root = uf.find(*root);
+        for &root in roots.iter() {
+            set_bit(root_bits, uf.find(root));
         }
     }
+
+    // Peeling starts: the root bits are empty again, and now collect the
+    // clusters that hold a defect, the boundary's first.
+    peel_starts.clear();
+    for &d in defects {
+        set_bit(root_bits, uf.find(d));
+    }
+    let boundary_root = uf.find(boundary);
+    if root_bits[boundary_root / 64] & (1 << (boundary_root % 64)) != 0 {
+        peel_starts.push(boundary);
+    }
+    drain_bits(root_bits, |r| {
+        if r != boundary_root {
+            peel_starts.push(min_vertex[r]);
+        }
+    });
 
     Ok(rounds)
 }
@@ -313,7 +415,63 @@ pub fn grow_clusters_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DecodingGraph, GraphEdge};
+    use crate::graph::{DecodingGraph, GraphEdge, GraphKind};
+    use crate::peeling::{peel, peel_into, PeelScratch};
+    use crate::weights::{growth_speed, DEFAULT_STEP_SIZE};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
+
+    /// One decoding problem of a Fig. 8 shot: a graph, its defects, the
+    /// erased (pre-grown) edges and one decoder's speeds.
+    struct Problem {
+        graph: DecodingGraph,
+        defects: Vec<usize>,
+        erased: Vec<bool>,
+        speeds: Vec<f64>,
+    }
+
+    /// Both graphs of `shots` seeded shots at distance `d` under Fig. 8
+    /// noise (15% erasure, Pauli rate `p`), each with the Union-Find
+    /// decoder's uniform speeds and with the SurfNet Decoder's.
+    fn fig8_problems(d: usize, p: f64, shots: usize, seed: u64) -> Vec<Problem> {
+        let code = SurfaceCode::new(d).unwrap();
+        let part = code.core_partition(CoreTopology::Cross);
+        let model = ErrorModel::dual_channel(&code, &part, p, 0.15);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut problems = Vec::new();
+        for _ in 0..shots {
+            let sample = model.sample(&mut rng);
+            let syndrome = code.extract_syndrome(&sample.pauli);
+            for (kind, flips) in [
+                (GraphKind::Primal, &syndrome.z_flips),
+                (GraphKind::Dual, &syndrome.x_flips),
+            ] {
+                let graph = DecodingGraph::from_code(&code, &model, kind);
+                let defects: Vec<usize> = (0..flips.len()).filter(|&i| flips[i]).collect();
+                for surfnet in [false, true] {
+                    let speeds = graph
+                        .edges()
+                        .iter()
+                        .map(|e| {
+                            if surfnet {
+                                growth_speed(e.fidelity, DEFAULT_STEP_SIZE)
+                            } else {
+                                0.5
+                            }
+                        })
+                        .collect();
+                    problems.push(Problem {
+                        graph: graph.clone(),
+                        defects: defects.clone(),
+                        erased: sample.erased.clone(),
+                        speeds,
+                    });
+                }
+            }
+        }
+        problems
+    }
 
     /// Line graph: 0 -e0- 1 -e1- 2 -e2- boundary(3).
     fn line(fidelity: f64) -> DecodingGraph {
@@ -422,5 +580,87 @@ mod tests {
             grow_clusters(&g, &[0, 1], &cfg),
             Err(DecoderError::GrowthStalled)
         ));
+    }
+
+    #[test]
+    fn peeling_from_defect_roots_matches_the_full_scan() {
+        let (mut cluster, mut peel_scratch) = (ClusterScratch::default(), PeelScratch::default());
+        let (mut boundary_free, mut several, mut compared) = (0, 0, 0);
+        for (i, d) in [3, 5, 9, 15].into_iter().enumerate() {
+            for (j, p) in [0.05, 0.0675, 0.085].into_iter().enumerate() {
+                let seed = 380_000 + 10 * i as u64 + j as u64;
+                for problem in fig8_problems(d, p, 25, seed) {
+                    let Problem {
+                        graph,
+                        defects,
+                        erased,
+                        speeds,
+                    } = &problem;
+                    grow_clusters_into(graph, defects, speeds, erased, &mut cluster).unwrap();
+                    let full_scan = peel(graph, cluster.grown(), defects);
+                    let mut out = Vec::new();
+                    let from_roots = peel_into(
+                        graph,
+                        cluster.grown(),
+                        defects,
+                        cluster.peel_starts().iter().copied(),
+                        &mut peel_scratch,
+                        &mut out,
+                    )
+                    .map(|()| out);
+                    assert_eq!(from_roots, full_scan, "d={d} p={p} defects {defects:?}");
+                    let starts = cluster.peel_starts();
+                    if !defects.is_empty() && starts.first() != Some(&graph.boundary()) {
+                        boundary_free += 1;
+                    }
+                    several += usize::from(starts.len() >= 2);
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(compared, 4 * 3 * 25 * 4);
+        // Both shapes the starts take occur: no defect cluster holds the
+        // boundary, and several clusters hold defects.
+        assert!(
+            boundary_free > 0 && several > 0,
+            "{boundary_free} {several}"
+        );
+    }
+
+    #[test]
+    fn frontier_stamp_survives_the_wrap() {
+        for problem in fig8_problems(9, 0.085, 6, 390_000) {
+            let Problem {
+                graph,
+                defects,
+                erased,
+                speeds,
+            } = &problem;
+            // Preset the state 2^32 - 1 cluster steps after every edge was
+            // last listed under stamp 1: the first step wraps to stamp 1
+            // and must not read those entries as its own.
+            let mut scratch = ClusterScratch {
+                listed: vec![1; graph.num_edges()],
+                stamp: u32::MAX,
+                ..ClusterScratch::default()
+            };
+            let rounds = grow_clusters_into(graph, defects, speeds, erased, &mut scratch).unwrap();
+            let fresh = grow_clusters(
+                graph,
+                defects,
+                &GrowthConfig {
+                    speeds: speeds.clone(),
+                    pregrown: erased.clone(),
+                },
+            )
+            .unwrap();
+            assert_eq!(rounds, fresh.rounds);
+            assert_eq!(scratch.grown(), &fresh.grown[..]);
+            assert!(
+                scratch.stamp < 1_000,
+                "the stamp wrapped: {}",
+                scratch.stamp
+            );
+        }
     }
 }

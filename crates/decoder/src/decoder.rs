@@ -131,7 +131,10 @@ pub trait Decoder: std::fmt::Debug {
 }
 
 /// Cluster-growth + peeling decode of one graph, entirely inside caller
-/// buffers.
+/// buffers. Peeling walks only the clusters that hold a defect, each from
+/// the root the full scan of [`crate::peeling::peel`] gives it
+/// ([`ClusterScratch::peel_starts`]), so the correction is the full
+/// scan's.
 fn grow_and_peel(
     graph: &DecodingGraph,
     defects: &[usize],
@@ -143,7 +146,8 @@ fn grow_and_peel(
 ) -> Result<(), DecoderError> {
     let rounds = grow_clusters_into(graph, defects, speeds, erased, cluster)?;
     surfnet_telemetry::count!("decoder.growth_rounds", rounds as u64);
-    peel_into(graph, cluster.grown(), defects, peel, out)
+    let starts = cluster.peel_starts().iter().copied();
+    peel_into(graph, cluster.grown(), defects, starts, peel, out)
 }
 
 /// The state the Union-Find and SurfNet decoders share: both decoding

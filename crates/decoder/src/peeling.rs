@@ -6,6 +6,13 @@
 //! cluster touches it), then peel leaves inward — a leaf carrying a
 //! syndrome contributes its tree edge to the correction and flips the
 //! syndrome of its parent.
+//!
+//! [`peel`] roots the forest by a full scan: the boundary first, then
+//! every vertex in index order, so each other component is rooted at its
+//! lowest-index vertex. [`peel_into`] takes its tree roots from the caller:
+//! the growth decoders pass only the components that hold a defect
+//! ([`crate::cluster::ClusterScratch::peel_starts`]), since a component
+//! without one adds no correction edge.
 
 use crate::graph::DecodingGraph;
 use crate::DecoderError;
@@ -42,7 +49,15 @@ pub fn peel(
 ) -> Result<Vec<usize>, DecoderError> {
     let mut scratch = PeelScratch::default();
     let mut correction = Vec::new();
-    peel_into(graph, support, defects, &mut scratch, &mut correction)?;
+    let full_scan = std::iter::once(graph.boundary()).chain(0..graph.num_vertices());
+    peel_into(
+        graph,
+        support,
+        defects,
+        full_scan,
+        &mut scratch,
+        &mut correction,
+    )?;
     Ok(correction)
 }
 
@@ -50,19 +65,28 @@ pub fn peel(
 /// inside `scratch`, writing the correction edge indices into `out`
 /// (cleared first).
 ///
+/// Trees grow by BFS from each vertex of `starts` not yet visited, in
+/// order; components no start reaches are not walked. The result equals
+/// [`peel`]'s when `starts` reaches every component that holds a defect,
+/// and reaches each one first at the root the full scan gives it: the
+/// boundary for the boundary's component, its lowest-index vertex for any
+/// other. The same root and the same incident-edge order build the same
+/// tree, components are disjoint, and `out` is sorted at the end.
+///
 /// # Errors
 ///
-/// Returns [`DecoderError::UnpairableSyndromes`] if a connected component
+/// Returns [`DecoderError::UnpairableSyndromes`] if a walked component
 /// of the support holds an odd number of defects and no boundary vertex.
 ///
 /// # Panics
 ///
-/// Panics if `support` does not have one flag per edge or a defect index is
-/// out of range.
+/// Panics if `support` does not have one flag per edge, or a defect index
+/// or a start is out of range.
 pub fn peel_into(
     graph: &DecodingGraph,
     support: &[bool],
     defects: &[usize],
+    starts: impl IntoIterator<Item = usize>,
     scratch: &mut PeelScratch,
     out: &mut Vec<usize>,
 ) -> Result<(), DecoderError> {
@@ -91,11 +115,11 @@ pub fn peel_into(
     parent_edge.resize(nv, NONE);
     order.clear();
 
-    // BFS over support edges. Start from the boundary so trees containing
-    // it are rooted there (syndromes can then be flushed into the
-    // boundary); remaining components are rooted arbitrarily. `order`
-    // doubles as the FIFO queue: `head` is the next vertex to expand.
-    for start in std::iter::once(boundary).chain(0..nv) {
+    // BFS over support edges from each unvisited start. Both callers
+    // start the boundary first, so the tree containing it is rooted there
+    // (syndromes can then be flushed into the boundary). `order` doubles
+    // as the FIFO queue: `head` is the next vertex to expand.
+    for start in starts {
         if visited[start] {
             continue;
         }
