@@ -18,7 +18,6 @@
 
 use crate::pipeline::PipelineError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use surfnet_decoder::{DecodeWorkspace, Decoder, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{ErrorModel, LatticeError, Partition, SurfaceCode};
 use surfnet_netsim::execution::{ExecutionOutcome, SegmentOutcome};
@@ -50,7 +49,7 @@ impl DecoderKind {
 /// [`DecoderCache::evaluate_transfers`]; the `perfbench/` change that
 /// deletes that copy deletes it too, together with
 /// [`crate::TrialConfig::batch`] and the parameter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchConfig;
 
 /// Builds the per-qubit error model one segment induces on the code.

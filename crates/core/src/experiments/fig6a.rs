@@ -6,10 +6,9 @@ use crate::experiments::runner::parallel_trials;
 use crate::pipeline::Design;
 use crate::report;
 use crate::scenario::{ConnectionQuality, FacilityLevel, Scenario, TrialConfig};
-use serde::{Deserialize, Serialize};
 
 /// One table row of Fig. 6(a.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Scenario label (facility level).
     pub scenario: String,
@@ -29,7 +28,7 @@ pub struct Row {
 }
 
 /// Result bundle of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6a {
     /// One row per (scenario, design).
     pub rows: Vec<Row>,

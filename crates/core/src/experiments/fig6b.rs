@@ -6,10 +6,9 @@ use crate::experiments::runner::parallel_trials;
 use crate::pipeline::Design;
 use crate::report;
 use crate::scenario::TrialConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which network/routing parameter the sweep varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SweepParam {
     /// Fig. 6(b.1): scale relay capacities.
     Capacity,
@@ -53,7 +52,7 @@ impl SweepParam {
 }
 
 /// One sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// The varied parameter's value.
     pub x: f64,
@@ -64,7 +63,7 @@ pub struct SweepPoint {
 }
 
 /// Result bundle of one sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sweep {
     /// Which parameter was varied.
     pub param: SweepParam,

@@ -6,10 +6,9 @@ use crate::experiments::runner::parallel_trials;
 use crate::pipeline::Design;
 use crate::report;
 use crate::scenario::{ConnectionQuality, FacilityLevel, Scenario, TrialConfig};
-use serde::{Deserialize, Serialize};
 
 /// One (scenario, design) cell of Fig. 7.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Scenario label.
     pub scenario: String,
@@ -30,7 +29,7 @@ pub struct Cell {
 }
 
 /// Result bundle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7 {
     /// All cells, scenario-major in presentation order.
     pub cells: Vec<Cell>,

@@ -9,12 +9,11 @@ use crate::experiments::runner::{count_failed_shots, default_workers};
 use crate::report;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use surfnet_decoder::Decoder;
 use surfnet_lattice::{CoreTopology, ErrorModel, SurfaceCode};
 
 /// One measured point of the threshold plot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdPoint {
     /// Code distance.
     pub distance: usize,
@@ -27,7 +26,7 @@ pub struct ThresholdPoint {
 }
 
 /// The full result for one decoder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdCurves {
     /// Which decoder was measured.
     pub decoder: String,

@@ -1,9 +1,10 @@
 //! Parallel Monte-Carlo execution: the two fan-outs of the figure sweeps.
 //!
 //! * [`parallel_trials`] runs seeded network trials on
-//!   [`default_workers`] scoped threads that pull seeds from a crossbeam
-//!   channel, so stragglers (LP-heavy trials) don't serialize the sweep.
-//!   Results are sorted by seed, so they do not depend on scheduling.
+//!   [`default_workers`] scoped threads that claim seed indices from a
+//!   shared counter, so stragglers (LP-heavy trials) don't serialize the
+//!   sweep. Results are sorted by seed, so they do not depend on
+//!   scheduling.
 //! * [`count_failed_shots`] decodes one logical-error-rate estimate's
 //!   shots (a Fig. 8 grid point, an ablation case) on every core. Each
 //!   thread draws a chunk of shots from the estimate's one RNG under a
@@ -18,9 +19,10 @@
 use crate::metrics::{MetricsSummary, TrialMetrics};
 use crate::pipeline::{run_trial, Design};
 use crate::scenario::TrialConfig;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use surfnet_decoder::{DecodeWorkspace, Decoder};
 use surfnet_lattice::{ErrorModel, ErrorSample, SurfaceCode};
 
@@ -64,23 +66,25 @@ pub fn parallel_trials(
     trials: usize,
     base_seed: u64,
 ) -> TrialBatch {
-    let (tx, rx) = crossbeam::channel::unbounded::<u64>();
-    for i in 0..trials {
-        tx.send(base_seed + i as u64).expect("channel open");
-    }
-    drop(tx);
+    // The index of the next unclaimed trial.
+    let next = &AtomicUsize::new(0);
     let mut collected = Vec::with_capacity(trials);
     let mut failures = 0;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..default_workers())
             .map(|_| {
-                let rx = rx.clone();
                 // Each worker hands back its `(seed, metrics)` list and
                 // failure count through its join handle.
                 surfnet_telemetry::spawn_scoped(scope, move || {
                     let mut done = Vec::new();
                     let mut failed = 0;
-                    while let Ok(seed) = rx.recv() {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "fetch_add hands out each index exactly once; the seed is computed from the index, so no other data goes between threads, and results return through the join handles"
+                    )]
+                    let claims = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed));
+                    for i in claims.take_while(|&i| i < trials) {
+                        let seed = base_seed + i as u64;
                         // A failed trial (e.g. an unluckily degenerate LP)
                         // is counted rather than aborting the whole sweep
                         // — and rather than polluting the averages with
@@ -151,7 +155,8 @@ pub fn count_failed_shots(
         let mut failures = 0;
         loop {
             let drawn = {
-                let mut source = source.lock();
+                // A thread that panics here poisons the lock; its panic resurfaces at the join.
+                let mut source = source.lock().unwrap_or_else(PoisonError::into_inner);
                 let (rng, taken) = &mut *source;
                 let n = SHOT_CHUNK.min(shots - *taken);
                 for sample in &mut chunk[..n] {
@@ -191,18 +196,23 @@ mod tests {
     #[test]
     fn parallel_trials_deterministic_and_ordered() {
         let cfg = TrialConfig::default();
-        let a = parallel_trials(Design::Raw, &cfg, 4, 500);
-        let b = parallel_trials(Design::Raw, &cfg, 4, 500);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.metrics.len(), 4);
-        assert_eq!(a.failures, 0);
-        // Spot-check against the serial path.
-        let serial = crate::pipeline::run_trial(Design::Raw, &cfg, 502).unwrap();
-        assert_eq!(a.metrics[2], serial);
-        // And the batch summary carries the failure tally through.
-        let summary = a.summary();
-        assert_eq!(summary.trials, 4);
-        assert_eq!(summary.failed_trials, 0);
+        // No trials, fewer trials than workers, and several per worker.
+        for trials in [0, 1, 4] {
+            let a = parallel_trials(Design::Raw, &cfg, trials, 500);
+            let b = parallel_trials(Design::Raw, &cfg, trials, 500);
+            assert_eq!(a.metrics, b.metrics);
+            assert_eq!(a.failures, 0);
+            // Every seed ran exactly once, and the batch is in seed order:
+            // it equals the serial path trial for trial.
+            let serial: Vec<_> = (500..500 + trials as u64)
+                .map(|seed| crate::pipeline::run_trial(Design::Raw, &cfg, seed).unwrap())
+                .collect();
+            assert_eq!(a.metrics, serial);
+            // And the batch summary carries the failure tally through.
+            let summary = a.summary();
+            assert_eq!(summary.trials, trials);
+            assert_eq!(summary.failed_trials, 0);
+        }
     }
 
     #[test]

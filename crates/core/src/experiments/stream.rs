@@ -12,12 +12,11 @@
 use crate::report;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use surfnet_netsim::event::{simulate, ArrivalProcess, StreamConfig, StreamStats};
 use surfnet_netsim::generate::{barabasi_albert, NetworkConfig};
 
 /// Parameters of the streaming scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamParams {
     /// Topology to generate per trial.
     pub net: NetworkConfig,
@@ -58,7 +57,7 @@ impl Default for StreamParams {
 }
 
 /// Per-trial measurements (one generated network, one streaming run).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialRow {
     /// Trial index.
     pub trial: usize,
@@ -79,7 +78,7 @@ pub struct TrialRow {
 }
 
 /// Result bundle: per-trial rows plus pooled statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamResult {
     /// One row per trial.
     pub rows: Vec<TrialRow>,

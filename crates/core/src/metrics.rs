@@ -1,9 +1,7 @@
 //! Evaluation metrics (paper Sec. VI-C): fidelity, latency, throughput.
 
-use serde::{Deserialize, Serialize};
-
 /// Metrics of one trial (one network + one batch of requests).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrialMetrics {
     /// Success rate of executed communications (no logical error end to
     /// end), averaged over executed communications. `NaN`-free: zero when
@@ -20,7 +18,7 @@ pub struct TrialMetrics {
 }
 
 /// Aggregate over many trials.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricsSummary {
     /// Mean fidelity across trials.
     pub fidelity: f64,

@@ -7,7 +7,6 @@ use crate::metrics::TrialMetrics;
 use crate::scenario::TrialConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use surfnet_lattice::{CoreTopology, Partition, SurfaceCode};
 use surfnet_netsim::execution::{execute_plan, execute_teleportation};
 use surfnet_netsim::generate::barabasi_albert;
@@ -16,7 +15,7 @@ use surfnet_netsim::topology::Network;
 use surfnet_routing::{PurificationScheduler, RawScheduler, RoutingParams, SurfNetScheduler};
 
 /// A network design under evaluation (paper Sec. VI-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Design {
     /// SurfNet: dual-channel surface-code transfer with the LP scheduler.
     SurfNet,

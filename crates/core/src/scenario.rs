@@ -2,13 +2,12 @@
 //! quality, and the per-trial configuration bundle.
 
 use crate::evaluate::BatchConfig;
-use serde::{Deserialize, Serialize};
 use surfnet_netsim::execution::ExecutionConfig;
 use surfnet_netsim::generate::NetworkConfig;
 use surfnet_routing::RoutingParams;
 
 /// How well-equipped the network is with switches/servers and capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FacilityLevel {
     /// Abundant facilities: many relays, generous capacities.
     Abundant,
@@ -37,7 +36,7 @@ impl FacilityLevel {
 }
 
 /// Optical fiber quality (paper: fidelity U[0.75, 1] good, U[0.5, 1] poor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnectionQuality {
     /// Good-quality service: fiber fidelity in `[0.75, 1]`.
     Good,
@@ -64,7 +63,7 @@ impl ConnectionQuality {
 }
 
 /// A named evaluation scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Scenario {
     /// Facility richness.
     pub facility: FacilityLevel,
@@ -113,7 +112,7 @@ impl Scenario {
 }
 
 /// Everything one simulation trial needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialConfig {
     /// Scenario (decides the generated network).
     pub scenario: Scenario,

@@ -65,34 +65,6 @@ pub fn growth_speed(rho: f64, step: f64) -> f64 {
 /// The SurfNet Decoder's default step size `r = 2/3` (Algorithm 2).
 pub const DEFAULT_STEP_SIZE: f64 = 2.0 / 3.0;
 
-/// Entanglement purification update (paper Sec. IV-C, from \[11\]):
-/// combining two pairs of fidelity `ρ₁`, `ρ₂` yields
-/// `ρ' = ρ₁ρ₂ / (ρ₁ρ₂ + (1−ρ₁)(1−ρ₂))`.
-///
-/// # Examples
-///
-/// ```
-/// use surfnet_decoder::weights::purify;
-/// let out = purify(0.8, 0.8);
-/// assert!(out > 0.8); // purification improves fidelity above 0.5
-/// ```
-///
-/// # Panics
-///
-/// Panics if either fidelity is outside `[0, 1]`.
-pub fn purify(rho1: f64, rho2: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&rho1), "fidelity {rho1} outside [0,1]");
-    assert!((0.0..=1.0).contains(&rho2), "fidelity {rho2} outside [0,1]");
-    let num = rho1 * rho2;
-    let denom = num + (1.0 - rho1) * (1.0 - rho2);
-    if denom == 0.0 {
-        // Both pairs are perfectly anti-correlated garbage; the protocol
-        // yields a maximally uncertain pair.
-        return 0.5;
-    }
-    num / denom
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,32 +110,5 @@ mod tests {
         let s1 = growth_speed(0.9, 1.0);
         let s2 = growth_speed(0.9, 0.5);
         assert!((s1 - 2.0 * s2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn purification_improves_above_half() {
-        for rho in [0.6, 0.7, 0.8, 0.9, 0.99] {
-            assert!(purify(rho, rho) > rho, "purify({rho}) did not improve");
-        }
-    }
-
-    #[test]
-    fn purification_fixed_points() {
-        // 0.5 and 1.0 are fixed points of the recurrence.
-        assert!((purify(0.5, 0.5) - 0.5).abs() < 1e-12);
-        assert!((purify(1.0, 1.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn purification_matches_paper_formula() {
-        let (r1, r2) = (0.85, 0.7);
-        let want = (0.85 * 0.7) / (0.85 * 0.7 + 0.15 * 0.3);
-        assert!((purify(r1, r2) - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn purification_degenerate_case() {
-        // ρ1 = 1, ρ2 = 0 (one perfect, one anti-perfect): denominator is 0.
-        assert_eq!(purify(1.0, 0.0), 0.5);
     }
 }

@@ -4,9 +4,10 @@
 use surfnet_decoder::cluster::{grow_clusters, GrowthConfig};
 use surfnet_decoder::graph::{DecodingGraph, GraphEdge};
 use surfnet_decoder::peeling::peel;
-use surfnet_decoder::weights::{growth_speed, purify, DEFAULT_STEP_SIZE, ERASURE_FIDELITY};
+use surfnet_decoder::weights::{growth_speed, DEFAULT_STEP_SIZE, ERASURE_FIDELITY};
 use surfnet_decoder::{Decoder, MwpmDecoder, SurfNetDecoder, UnionFindDecoder};
 use surfnet_lattice::{Coord, CoreTopology, ErrorModel, ErrorSample, Pauli, SurfaceCode};
+use surfnet_netsim::entanglement::purify;
 
 /// Paper Fig. 3: a weight-5-equivalent decoding ambiguity. When an X chain
 /// is longer than half the distance, the minimum-weight decoder legally

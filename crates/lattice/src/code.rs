@@ -3,7 +3,6 @@
 
 use crate::geometry::{site_kind, Boundary, Coord, EdgeEnd, SiteKind};
 use crate::LatticeError;
-use serde::{Deserialize, Serialize};
 
 /// Marks an unoccupied board slot in [`CoordIndex`].
 const EMPTY_SLOT: u32 = u32::MAX;
@@ -13,7 +12,7 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// A flat array instead of a `HashMap<Coord, usize>`: O(1) lookups with no
 /// hashing, a deterministic memory layout, and no iteration-order hazard
 /// (the root `clippy.toml` bans hash maps in every crate).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CoordIndex {
     side: usize,
     slots: Vec<u32>,
@@ -64,7 +63,7 @@ impl CoordIndex {
 /// assert_eq!(code.num_measure_x(), 6);
 /// # Ok::<(), surfnet_lattice::LatticeError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SurfaceCode {
     distance: usize,
     side: usize,

@@ -19,10 +19,9 @@ use crate::partition::Partition;
 use crate::pauli::{Pauli, PauliString};
 use crate::LatticeError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-data-qubit error probabilities for one surface-code transmission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorModel {
     pauli_prob: Vec<f64>,
     erasure_prob: Vec<f64>,
@@ -193,7 +192,7 @@ impl ErrorModel {
 
 /// One sampled transmission: the hidden Pauli error pattern plus the
 /// decoder-visible erasure flags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorSample {
     /// The actual Pauli error on each data qubit. Hidden from decoders
     /// (measuring data qubits would destroy the logical state, Sec. III-C);

@@ -8,13 +8,10 @@
 //! the left and right edges are the smooth boundaries crossed by logical Z
 //! chains.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A site on the `(2d−1) × (2d−1)` board.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Row index, `0 ..= 2d-2`, increasing downward.
     pub row: usize,
@@ -52,7 +49,7 @@ impl fmt::Display for Coord {
 }
 
 /// The role a board site plays in the code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SiteKind {
     /// Holds a data qubit (even coordinate parity).
     Data,
@@ -87,7 +84,7 @@ pub fn site_kind(c: Coord) -> SiteKind {
 /// terminate on [`Boundary::North`]/[`Boundary::South`] in the measure-Z
 /// (primal) graph, and logical Z chains terminate on
 /// [`Boundary::West`]/[`Boundary::East`] in the measure-X (dual) graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Boundary {
     /// Top board edge (row 0).
     North,
@@ -102,7 +99,7 @@ pub enum Boundary {
 /// One endpoint of a decoding-graph edge: either a concrete measurement
 /// qubit (by index into the code's measure-Z or measure-X list) or a virtual
 /// boundary vertex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeEnd {
     /// A measurement qubit, indexed within its own kind.
     Check(usize),

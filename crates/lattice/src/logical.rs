@@ -9,10 +9,9 @@
 
 use crate::code::SurfaceCode;
 use crate::pauli::{Pauli, PauliString};
-use serde::{Deserialize, Serialize};
 
 /// Which logical operators a residual error flips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LogicalFailure {
     /// The residual implements a logical X (it anticommutes with the logical
     /// Z operator): an X-type chain crossed between North and South.
@@ -30,7 +29,7 @@ impl LogicalFailure {
 }
 
 /// The outcome of scoring one decoding attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeOutcome {
     /// Whether the correction cleared every syndrome (it must — a decoder
     /// that leaves syndromes is buggy, and tests assert on this).

@@ -14,10 +14,9 @@
 
 use crate::code::SurfaceCode;
 use crate::LatticeError;
-use serde::{Deserialize, Serialize};
 
 /// Strategy for selecting the Core data qubits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreTopology {
     /// Middle row ∪ middle column of data qubits (2d − 1 qubits for an
     /// unrotated distance-d code). Blocks every straight vertical axis (a
@@ -48,7 +47,7 @@ pub enum CoreTopology {
 /// assert_eq!(part.num_core() + part.num_support(), code.num_data_qubits());
 /// # Ok::<(), surfnet_lattice::LatticeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     core: Vec<usize>,
     is_core: Vec<bool>,

@@ -6,7 +6,6 @@
 //! phase-free product (`I·X = X`, `X·Y = Z`, …) and the symplectic
 //! commutation test, which is everything error correction requires.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Mul;
 
@@ -21,9 +20,7 @@ use std::ops::Mul;
 /// assert!(Pauli::X.anticommutes_with(Pauli::Z));
 /// assert!(!Pauli::X.anticommutes_with(Pauli::X));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Pauli {
     /// The identity.
     #[default]
@@ -143,7 +140,7 @@ impl fmt::Display for Pauli {
 /// fix.set(2, Pauli::X);
 /// assert!((&err * &fix).is_identity());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct PauliString {
     ops: Vec<Pauli>,
 }

@@ -8,10 +8,9 @@
 
 use crate::code::SurfaceCode;
 use crate::pauli::PauliString;
-use serde::{Deserialize, Serialize};
 
 /// The flipped measurement outcomes of one error-correction cycle.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Syndrome {
     /// `z_flips[i]` is true when measure-Z qubit `i` deviates from the
     /// quiescent state (an X-type error nearby).

@@ -38,12 +38,11 @@ pub mod simplex;
 
 pub use problem::{ConstraintOp, Direction, LinearProgram, Variable};
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// An optimal solution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Objective value at the optimum.
     pub objective: f64,
@@ -63,7 +62,7 @@ impl Solution {
 }
 
 /// Errors from LP solving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LpError {
     /// No point satisfies all constraints and bounds.

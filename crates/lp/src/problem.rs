@@ -5,10 +5,8 @@
 //! [`LinearProgram`] is the builder: bounded variables, a linear objective,
 //! and `≤ / ≥ / =` constraints. Solving happens in [`crate::simplex`].
 
-use serde::{Deserialize, Serialize};
-
 /// Handle to a variable of a [`LinearProgram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Variable(pub(crate) usize);
 
 impl Variable {
@@ -19,7 +17,7 @@ impl Variable {
 }
 
 /// Constraint comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConstraintOp {
     /// `terms ≤ rhs`
     Le,
@@ -30,7 +28,7 @@ pub enum ConstraintOp {
 }
 
 /// One linear constraint: `Σ coeff·var  op  rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     pub(crate) terms: Vec<(usize, f64)>,
     pub(crate) op: ConstraintOp,
@@ -38,7 +36,7 @@ pub struct Constraint {
 }
 
 /// The optimization direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Maximize the objective (the routing protocol maximizes throughput).
     Maximize,
@@ -62,7 +60,7 @@ pub enum Direction {
 /// assert!((sol.objective - 7.0).abs() < 1e-9); // x=1, y=3
 /// # Ok::<(), surfnet_lp::LpError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinearProgram {
     pub(crate) objective: Vec<f64>,
     pub(crate) lower: Vec<f64>,

@@ -5,6 +5,14 @@
 /// Entanglement purification update from \[11\] (paper Sec. IV-C):
 /// `ρ' = ρ₁ρ₂ / (ρ₁ρ₂ + (1−ρ₁)(1−ρ₂))`.
 ///
+/// # Examples
+///
+/// ```
+/// use surfnet_netsim::entanglement::purify;
+/// let out = purify(0.8, 0.8);
+/// assert!(out > 0.8); // purification improves fidelity above 0.5
+/// ```
+///
 /// # Panics
 ///
 /// Panics if a fidelity falls outside `[0, 1]`.
@@ -58,6 +66,33 @@ mod tests {
     fn purify_matches_closed_form() {
         let want = (0.8 * 0.7) / (0.8 * 0.7 + 0.2 * 0.3);
         assert!((purify(0.8, 0.7) - want).abs() < 1e-12);
+    }
+
+    #[test]
+    fn purification_matches_paper_formula() {
+        let (r1, r2) = (0.85, 0.7);
+        let want = (0.85 * 0.7) / (0.85 * 0.7 + 0.15 * 0.3);
+        assert!((purify(r1, r2) - want).abs() < 1e-12);
+    }
+
+    #[test]
+    fn purification_improves_above_half() {
+        for rho in [0.6, 0.7, 0.8, 0.9, 0.99] {
+            assert!(purify(rho, rho) > rho, "purify({rho}) did not improve");
+        }
+    }
+
+    #[test]
+    fn purification_fixed_points() {
+        // 0.5 and 1.0 are fixed points of the recurrence.
+        assert!((purify(0.5, 0.5) - 0.5).abs() < 1e-12);
+        assert!((purify(1.0, 1.0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn purification_degenerate_case() {
+        // ρ1 = 1, ρ2 = 0 (one perfect, one anti-perfect): denominator is 0.
+        assert_eq!(purify(1.0, 0.0), 0.5);
     }
 
     #[test]

@@ -43,7 +43,6 @@ use crate::execution::{
 use crate::request::Request;
 use crate::topology::{FiberId, Network, NodeId, NodeKind, RouteSearch};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -128,7 +127,7 @@ impl<T> EventQueue<T> {
 }
 
 /// How requests enter the open simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Open Poisson-like arrivals: inter-arrival gaps are geometric with
     /// per-tick success probability `rate` (which must lie in `(0, 1]`),
@@ -145,7 +144,7 @@ pub enum ArrivalProcess {
 }
 
 /// Tunables of the streaming engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
     /// The arrival process.
     pub arrival: ArrivalProcess,
@@ -177,7 +176,7 @@ impl Default for StreamConfig {
 }
 
 /// Aggregate results of one streaming run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamStats {
     /// Requests that entered the system (deferred re-offers not
     /// recounted).

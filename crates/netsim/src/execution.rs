@@ -19,7 +19,6 @@
 use crate::entanglement::{core_segment_fidelity, purify};
 use crate::topology::{FiberId, Network, NodeId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use surfnet_telemetry::dim;
 
 /// Labels a fiber's series in the per-link metric families by its
@@ -52,7 +51,7 @@ fn record_link_attempts(
 
 /// One leg of a planned transfer, ending either at a server that performs
 /// error correction or at the destination user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedSegment {
     /// Route for the Core part over the entanglement-based channel.
     /// `None` means the Core travels with the Support over the plain
@@ -66,7 +65,7 @@ pub struct PlannedSegment {
 }
 
 /// A complete transfer plan for one surface code.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferPlan {
     /// Sender.
     pub src: NodeId,
@@ -82,7 +81,7 @@ pub struct TransferPlan {
 pub(crate) const MIN_ADVANCE: usize = 2;
 
 /// Tunables of the online execution engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionConfig {
     /// Per-tick success probability of one entanglement-generation attempt
     /// across one fiber (the scenario's entanglement generation rate).
@@ -123,7 +122,7 @@ impl Default for ExecutionConfig {
 }
 
 /// What one executed segment did to the surface code.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentOutcome {
     /// Estimated fidelity `ρ` of each Core qubit over this segment
     /// (noise halved by purification on the entanglement channel).
@@ -175,7 +174,7 @@ impl SegmentOutcome {
 }
 
 /// The result of executing one transfer plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionOutcome {
     /// Whether every segment completed within its tick budget.
     pub completed: bool,
@@ -412,7 +411,7 @@ fn recover_route(
 /// Outcome of one hop-by-hop teleportation transfer (the Purification-N
 /// baselines: no surface codes, every data qubit teleported with `n`
 /// purification rounds per fiber).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TeleportOutcome {
     /// Whether the transfer finished within the tick budget.
     pub completed: bool,

@@ -8,10 +8,9 @@
 
 use crate::topology::{Network, NodeKind};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters for one generated network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Total number of nodes (the paper uses "over 20").
     pub num_nodes: usize,

@@ -2,11 +2,10 @@
 
 use crate::topology::{Network, NodeId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A request `k = [(s_k, d_k), i_k]`: transfer `num_codes` surface codes
 /// from `src` to `dst`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Sending user.
     pub src: NodeId,

@@ -1,7 +1,6 @@
 //! Network topology: users, switches, servers, and dual-channel optical
 //! fibers (paper Sec. IV-A).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -11,7 +10,7 @@ pub type NodeId = usize;
 pub type FiberId = usize;
 
 /// The role of a network node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Generates communication requests; encodes messages into surface
     /// codes. Cannot relay traffic or run error correction.
@@ -33,7 +32,7 @@ impl NodeKind {
 }
 
 /// One network node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The node's role.
     pub kind: NodeKind,
@@ -44,7 +43,7 @@ pub struct Node {
 }
 
 /// A bidirectional optical fiber with its two channels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fiber {
     /// One endpoint.
     pub a: NodeId,
@@ -118,7 +117,7 @@ pub fn fidelity_of_noise(mu: f64) -> f64 {
 /// assert!(net.is_connected());
 /// # Ok::<(), surfnet_netsim::NetError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Network {
     nodes: Vec<Node>,
     fibers: Vec<Fiber>,

@@ -1,9 +1,7 @@
 //! Routing-protocol parameters (paper Table I).
 
-use serde::{Deserialize, Serialize};
-
 /// The pre-defined parameters `n, m, ω, W_c, W` of the routing formulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingParams {
     /// Number of Core data qubits per surface code (`n`).
     pub n_core: u32,

@@ -3,13 +3,12 @@
 //! entangled pairs per fiber on purification.
 
 use crate::RoutingError;
-use serde::{Deserialize, Serialize};
 use surfnet_netsim::entanglement::purify_n;
 use surfnet_netsim::request::Request;
 use surfnet_netsim::topology::{FiberId, Network, NodeId};
 
 /// One scheduled teleportation transfer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TeleportAssignment {
     /// Index of the request served.
     pub request: usize,
@@ -20,7 +19,7 @@ pub struct TeleportAssignment {
 }
 
 /// A purification-network schedule.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PurificationSchedule {
     /// All scheduled transfers.
     pub assignments: Vec<TeleportAssignment>,
@@ -43,7 +42,7 @@ impl PurificationSchedule {
 
 /// Scheduler for a teleportation-only network with `N` purification rounds
 /// per fiber.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PurificationScheduler {
     /// Extra pairs consumed per fiber per message (the paper's `N`).
     pub n_purify: u32,

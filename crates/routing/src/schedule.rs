@@ -4,12 +4,11 @@
 
 use crate::noise::{core_noise, total_noise};
 use crate::params::RoutingParams;
-use serde::{Deserialize, Serialize};
 use surfnet_netsim::execution::{PlannedSegment, TransferPlan};
 use surfnet_netsim::topology::{FiberId, Network, NodeId, NodeKind};
 
 /// One scheduled surface-code transfer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledCode {
     /// Index of the request this code belongs to.
     pub request: usize,
@@ -20,7 +19,7 @@ pub struct ScheduledCode {
 }
 
 /// The outcome of one scheduling round.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schedule {
     /// All scheduled codes across requests.
     pub codes: Vec<ScheduledCode>,

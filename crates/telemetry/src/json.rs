@@ -1,6 +1,6 @@
 //! A minimal, dependency-free JSON value with a parser and writer.
 //!
-//! The workspace's serde is an offline marker-trait shim, so every
+//! The workspace depends on no serialization crate, so every
 //! machine-readable artifact (JSONL journals, `report` output,
 //! `BENCH_*.json` reports) flows through this module instead. The subset is
 //! full JSON nested at most 128 levels deep, with numbers as `f64` (integers
@@ -59,10 +59,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// The deepest array/object nesting [`Value::parse`] accepts (serde_json's
-/// default). The parser recurses once per level, so the cap turns a hostile
-/// document into an error instead of a stack overflow; every document the
-/// workspace writes nests only a few levels deep.
+/// The deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so the cap turns a hostile document into an
+/// error instead of a stack overflow; every document the workspace writes
+/// nests only a few levels deep.
 const MAX_DEPTH: usize = 128;
 
 impl Value {

@@ -1,8 +1,8 @@
-//! No dead registry entry: every telemetry catalog name and every
-//! `SURFNET_*` knob is used somewhere in the workspace. A dead entry is
-//! still valid code, so neither the compiler nor clippy sees it. The check
-//! reads the registries themselves ([`CATALOG`], [`Knob::ALL`]) and searches
-//! the workspace's Rust sources as plain text.
+//! No dead registry entry: every telemetry catalog name, `SURFNET_*` knob
+//! and declared dependency is used somewhere in the workspace. A dead entry
+//! is still valid code, so neither the compiler nor clippy sees it. The
+//! checks read the registries themselves ([`CATALOG`], [`Knob::ALL`], the
+//! manifests) and search the workspace's Rust sources as plain text.
 
 use std::fs;
 use std::io;
@@ -27,15 +27,7 @@ const CATALOG_FILE: &str = "crates/telemetry/src/catalog.rs";
 ///   chain). Naming the variant in `ALL`, in the `name()` match or for a
 ///   `.name()` call reads nothing, so it does not count.
 fn dead_entries(names: &[&str], knobs: &[String], files: &[(String, String)]) -> Vec<String> {
-    let code: Vec<(&str, String)> = files
-        .iter()
-        .map(|(path, text)| {
-            let lines = text
-                .lines()
-                .map(|line| line.split_once("//").map_or(line, |(code, _)| code));
-            (path.as_str(), lines.collect::<Vec<_>>().join("\n"))
-        })
-        .collect();
+    let code = code_of(files);
     let mut dead = Vec::new();
     for name in names {
         let quoted = format!("\"{name}\"");
@@ -59,13 +51,75 @@ fn dead_entries(names: &[&str], knobs: &[String], files: &[(String, String)]) ->
     dead
 }
 
-/// Every `.rs` file under the workspace's `crates`, `src`, `examples`,
-/// `tests` and `benches`, skipping `target` directories. `shims/` (vendored
-/// stand-ins) and `perfbench/` (its own package) are outside the scan.
-fn workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
-    let mut dirs: Vec<_> = ["crates", "src", "examples", "tests", "benches"]
+/// Each file of `files` with every line cut at its first `//`, so text
+/// that only a comment holds does not count.
+fn code_of(files: &[(String, String)]) -> Vec<(&str, String)> {
+    files
+        .iter()
+        .map(|(path, text)| {
+            let lines = text
+                .lines()
+                .map(|line| line.split_once("//").map_or(line, |(code, _)| code));
+            (path.as_str(), lines.collect::<Vec<_>>().join("\n"))
+        })
+        .collect()
+}
+
+/// A package's manifest path and text, and its `src`/`tests`/`benches`/`examples` `.rs` files.
+type Package = (String, String, Vec<(String, String)>);
+
+/// The declared dependencies of `packages` that nothing uses: an entry of a
+/// table whose name ends in `dependencies` is live when its package's files,
+/// cut as in [`dead_entries`], hold its name as a whole word (`-` read as
+/// `_`); a `[workspace.dependencies]` entry when a package inherits it.
+fn dead_dependencies(packages: &[Package]) -> Vec<String> {
+    let code: Vec<_> = packages
+        .iter()
+        .map(|(_, _, files)| code_of(files))
+        .collect();
+    // `(manifest, code, table, name, inherits)` of every entry.
+    let mut entries = Vec::new();
+    for ((manifest, text, _), code) in packages.iter().zip(&code) {
+        let mut table = "";
+        for line in text.lines().map(str::trim) {
+            if let Some(header) = line.strip_prefix('[') {
+                table = header.trim_end_matches(']');
+            } else if let Some((key, _)) = line.split_once('=') {
+                if table.ends_with("dependencies") && !line.starts_with('#') {
+                    let name = key.split('.').next().unwrap_or(key).trim();
+                    entries.push((manifest, code, table, name, line.contains("workspace")));
+                }
+            }
+        }
+    }
+    let inherited = |name| {
+        entries
+            .iter()
+            .any(|&(.., n, inherits)| inherits && n == name)
+    };
+    let mut dead = Vec::new();
+    for &(manifest, code, table, name, _) in &entries {
+        let word = name.replace('-', "_");
+        let mut words = code
+            .iter()
+            .flat_map(|(_, code)| code.split(|c: char| !c.is_alphanumeric() && c != '_'));
+        if table == "workspace.dependencies" && !inherited(name) {
+            dead.push(format!("[{table}] `{name}` is inherited by no package"));
+        } else if table != "workspace.dependencies" && !words.any(|w| w == word) {
+            dead.push(format!(
+                "{manifest} [{table}] `{name}` is used by no file of its package"
+            ));
+        }
+    }
+    dead
+}
+
+/// Every `.rs` file under the directories `tops` of `root`, skipping
+/// `target` directories.
+fn rust_files(root: &Path, tops: &[&str]) -> io::Result<Vec<(String, String)>> {
+    let mut dirs: Vec<_> = tops
+        .iter()
         .map(|top| root.join(top))
-        .into_iter()
         .filter(|dir| dir.is_dir())
         .collect();
     let mut files = Vec::new();
@@ -134,7 +188,9 @@ fn catalog_unused_flags_dead_entries_across_files() {
 #[test]
 fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let files = workspace_files(&root).expect("workspace sources readable");
+    // `shims/` and `perfbench/` (a package of its own) stay outside.
+    let tops = ["crates", "src", "examples", "tests", "benches"];
+    let files = rust_files(&root, &tops).expect("workspace sources readable");
     assert!(files.len() > 50, "walker found only {} files", files.len());
     let names: Vec<&str> = CATALOG.iter().map(|&(name, _)| name).collect();
     let knobs = Knob::ALL.map(|knob| format!("{knob:?}"));
@@ -144,4 +200,28 @@ fn workspace_is_clean() {
         "dead registry entries:\n{}",
         dead.join("\n")
     );
+}
+
+#[test]
+fn every_declared_dependency_is_used() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut dirs = vec![root.clone()];
+    for top in ["crates", "shims"] {
+        let entries = fs::read_dir(root.join(top)).expect("package directories readable");
+        dirs.extend(entries.map(|entry| entry.expect("readable").path()));
+    }
+    dirs.sort();
+    let packages: Vec<_> = dirs
+        .iter()
+        .map(|dir| {
+            let manifest = dir.join("Cargo.toml");
+            let text = fs::read_to_string(&manifest).expect("manifest readable");
+            let files = rust_files(dir, &["src", "tests", "benches", "examples"])
+                .expect("package sources readable");
+            let name = manifest.strip_prefix(&root).unwrap_or(&manifest).display();
+            (name.to_string(), text, files)
+        })
+        .collect();
+    let dead = dead_dependencies(&packages);
+    assert!(dead.is_empty(), "dead dependencies:\n{}", dead.join("\n"));
 }
