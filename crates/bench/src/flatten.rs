@@ -11,8 +11,9 @@ use surfnet_core::experiments::{
     fig6b::{Sweep, SweepParam},
     fig7::Fig7,
     fig8::ThresholdCurves,
-    stream::StreamResult,
+    stream::{self, StreamResult},
 };
+use surfnet_core::metrics::percentile;
 
 /// Fig. 6(a): per (scenario, design) throughput, latency, fidelity.
 pub fn fig6a(result: &Fig6a) -> Vec<(String, f64)> {
@@ -110,6 +111,7 @@ pub fn fig8(curves: &ThresholdCurves) -> Vec<(String, f64)> {
 /// latency percentiles, and the per-reason drop taxonomy.
 pub fn stream(result: &StreamResult) -> Vec<(String, f64)> {
     let p = &result.pooled;
+    let sorted = stream::sorted_latencies(p);
     vec![
         ("stream/arrivals".to_string(), p.arrivals as f64),
         ("stream/admitted".to_string(), p.admitted as f64),
@@ -128,8 +130,8 @@ pub fn stream(result: &StreamResult) -> Vec<(String, f64)> {
         ),
         ("stream/dropped_rate".to_string(), p.drop_rate()),
         ("stream/requests_per_sec".to_string(), p.requests_per_sec()),
-        ("stream/latency_p50".to_string(), p.latency_percentile(0.50)),
-        ("stream/latency_p99".to_string(), p.latency_percentile(0.99)),
+        ("stream/latency_p50".to_string(), percentile(&sorted, 0.50)),
+        ("stream/latency_p99".to_string(), percentile(&sorted, 0.99)),
     ]
 }
 

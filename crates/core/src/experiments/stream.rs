@@ -9,6 +9,7 @@
 //! percentiles of completed transfers, and the per-reason drop taxonomy
 //! (unroutable / relay capacity / fiber pool).
 
+use crate::metrics::percentile;
 use crate::report;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -124,6 +125,7 @@ pub fn run(params: &StreamParams, trials: usize, base_seed: u64) -> StreamResult
         num_nodes = net.num_nodes();
         num_fibers = net.num_fibers();
         let stats = simulate(&net, &config, &mut rng);
+        let sorted = sorted_latencies(&stats);
         rows.push(TrialRow {
             trial: t,
             arrivals: stats.arrivals,
@@ -131,8 +133,8 @@ pub fn run(params: &StreamParams, trials: usize, base_seed: u64) -> StreamResult
             completed: stats.completed,
             dropped: stats.dropped(),
             requests_per_sec: stats.requests_per_sec(),
-            latency_p50: stats.latency_percentile(0.50),
-            latency_p99: stats.latency_percentile(0.99),
+            latency_p50: percentile(&sorted, 0.50),
+            latency_p99: percentile(&sorted, 0.99),
         });
         pooled.merge(&stats);
     }
@@ -142,6 +144,14 @@ pub fn run(params: &StreamParams, trials: usize, base_seed: u64) -> StreamResult
         num_nodes,
         num_fibers,
     }
+}
+
+/// `stats`' completed-transfer latencies in ascending order, as
+/// [`percentile`] takes them.
+pub fn sorted_latencies(stats: &StreamStats) -> Vec<f64> {
+    let mut sorted: Vec<f64> = stats.latencies.iter().map(|&l| l as f64).collect();
+    sorted.sort_by(f64::total_cmp);
+    sorted
 }
 
 /// Renders the per-trial table plus the pooled summary line.
@@ -163,6 +173,7 @@ pub fn render(result: &StreamResult) -> String {
         })
         .collect();
     let p = &result.pooled;
+    let sorted = sorted_latencies(p);
     format!(
         "Streaming scenario: open Poisson load on a {}-node / {}-fiber BA network ({} trials)\n{}\npooled: {} arrivals, {} admitted, {} completed, {} failed, {} deferred; \
 drops {} (unroutable {}, capacity {}, pool {}); {} req/s, p50 {}, p99 {} ticks\n",
@@ -186,8 +197,8 @@ drops {} (unroutable {}, capacity {}, pool {}); {} req/s, p50 {}, p99 {} ticks\n
         p.dropped_capacity,
         p.dropped_pool,
         report::f3(p.requests_per_sec()),
-        report::f3(p.latency_percentile(0.50)),
-        report::f3(p.latency_percentile(0.99)),
+        report::f3(percentile(&sorted, 0.50)),
+        report::f3(percentile(&sorted, 0.99)),
     )
 }
 

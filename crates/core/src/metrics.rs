@@ -43,12 +43,16 @@ pub struct MetricsSummary {
     pub failed_trials: usize,
 }
 
-/// Percentile over a sorted, non-empty sample by linear interpolation
-/// between closest ranks (the common "inclusive" definition).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    if sorted.len() == 1 {
-        return sorted[0];
+/// Percentile (`p` in `[0, 1]`) of an ascending sample by linear
+/// interpolation between closest ranks (the common "inclusive"
+/// definition), `a + (b − a)·f`; 0 for an empty sample. The one percentile
+/// of the workspace: trial latencies here, stream latencies through
+/// [`crate::experiments::stream::sorted_latencies`].
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    match sorted {
+        [] => return 0.0,
+        [only] => return *only,
+        _ => {}
     }
     let rank = p.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
@@ -141,6 +145,15 @@ mod tests {
         let mut rev = trials.clone();
         rev.reverse();
         assert_eq!(MetricsSummary::from_trials(&rev), s);
+        // Stream latencies go through the same function.
+        let latencies = [10.0, 20.0, 30.0, 40.0];
+        assert_eq!(percentile(&latencies, 0.0), 10.0);
+        assert_eq!(percentile(&latencies, 1.0), 40.0);
+        assert_eq!(percentile(&latencies, 0.5), 25.0);
+        // `a + (b − a)·f` gives 2.9 here; `a·(1 − f) + b·f` would give
+        // 2.8999999999999995.
+        assert_eq!(percentile(&[1.0, 3.0], 0.95), 2.9);
+        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn check_forest(parent: &[usize]) -> Result<(), InvariantViolation> {
 /// - `parity[root]` equals the defect count of the cluster mod 2;
 /// - `touches_boundary[root]` is true exactly for the boundary's cluster;
 /// - every grown edge has both endpoints in the same cluster.
-#[allow(
+#[expect(
     clippy::too_many_arguments,
     reason = "one parameter per piece of growth state the invariants relate"
 )]

@@ -1,14 +1,18 @@
 //! `SURFNET_CHECK=1` runtime invariant checker for the streaming planner.
 //!
-//! [`crate::RouteSearch`] answers minimum-noise queries by bidirectional
-//! Dijkstra, while [`crate::Network::shortest_path_by`] stays the plain
-//! one-sided search. When checking is on, every answer of the first is
+//! [`crate::RouteSearch`] answers minimum-noise queries by a bidirectional
+//! search steered by landmark lower bounds (A* keys that can be negative,
+//! plus pruning against the best meeting so far), while
+//! [`crate::Network::shortest_path_by`] stays the plain one-sided
+//! Dijkstra. When checking is on, every answer of the first is
 //! cross-checked against the second: a returned route must be a connected
 //! walk from `src` to `dst` whose noise, folded forward, is no larger than
 //! the reference route's, and a `None` must mean the reference finds no
-//! route either. A broken meeting rule or tree walk would otherwise only
-//! show as a quietly noisier route, or a request dropped as unroutable.
-//! See `surfnet_lp::check` for the solver-side counterpart.
+//! route either. A broken meeting rule, an overestimating potential, a
+//! pruning or stop rule that fires too early, or a broken tree walk would
+//! otherwise only show as a quietly noisier route, or a request dropped
+//! as unroutable. See `surfnet_lp::check` for the solver-side
+//! counterpart.
 //!
 //! Debug-only and opt-in: in release builds [`enabled`] is a `const fn`
 //! returning `false`, so the guarded calls fold away. The harness is

@@ -28,9 +28,10 @@
 //!   counted per reason in the `netsim.stream.*` metrics and per blocking
 //!   link in the `netsim.stream.link.dropped` family.
 //! * **Plan once per request** — a request is routed on arrival by one
-//!   [`RouteSearch`] built per run (a bidirectional minimum-noise Dijkstra
-//!   over a flat table of fiber noises), and its deferred re-offers carry
-//!   that plan and footprint instead of routing again.
+//!   [`RouteSearch`] built per run (a bidirectional minimum-noise search
+//!   over a flat table of fiber noises, steered by landmark lower bounds
+//!   measured once per run), and its deferred re-offers carry that plan
+//!   and footprint instead of routing again.
 //!
 //! Latency and failure accounting follow the unified contract documented
 //! on [`ExecutionConfig::max_ticks`] and
@@ -227,21 +228,6 @@ impl StreamStats {
         }
     }
 
-    /// Inclusive-interpolation percentile of completed-transfer latencies
-    /// (`p` in `[0, 1]`); 0 when nothing completed.
-    pub fn latency_percentile(&self, p: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let rank = p.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        sorted[lo] as f64 * (1.0 - frac) + sorted[hi] as f64 * frac
-    }
-
     /// Folds another run's statistics into this one: counters add,
     /// latencies pool, and `end_time` accumulates so that
     /// [`requests_per_sec`](Self::requests_per_sec) of the merged value is
@@ -370,25 +356,28 @@ pub fn execute_plan_event<R: Rng + ?Sized>(
 /// [`Request::new`] rejects but a hand-built trace [`Request`] can carry;
 /// [`simulate`] counts either under `dropped_unroutable`.
 ///
-/// Each call builds a [`RouteSearch`] for one query. [`simulate`] builds one
-/// per run and plans every arrival through it.
+/// One call answers one query, so it routes on the reference
+/// [`Network::min_noise_path`] and builds no [`RouteSearch`], whose landmark
+/// passes pay off only over many queries. [`simulate`] builds one search per
+/// run and splits each route it returns the same way. Where the
+/// minimum-noise route is unique, as on graphs with continuous fidelities,
+/// the two give the same plan.
 pub fn plan_request(net: &Network, request: &Request) -> Option<TransferPlan> {
-    plan_by(&mut RouteSearch::new(net), request)
+    plan_by(net, request, &net.min_noise_path(request.src, request.dst)?)
 }
 
-/// [`plan_request`] on a search that answers many queries.
-fn plan_by(search: &mut RouteSearch<'_>, request: &Request) -> Option<TransferPlan> {
-    if request.src == request.dst {
+/// Splits `request`'s route into segments, each ending at a server or at
+/// `request.dst`; `None` for the empty route, which only `src == dst` has.
+fn plan_by(net: &Network, request: &Request, route: &[FiberId]) -> Option<TransferPlan> {
+    if route.is_empty() {
         return None;
     }
-    let net = search.network();
-    let route = search.path(request.src, request.dst)?;
-    let nodes = net.walk(request.src, &route);
     let mut segments = Vec::new();
     let mut seg_fibers: Vec<FiberId> = Vec::new();
+    let mut reached = request.src;
     for (i, &f) in route.iter().enumerate() {
         seg_fibers.push(f);
-        let reached = nodes[i + 1];
+        reached = net.fiber(f).other(reached);
         let last = i + 1 == route.len();
         let at_server = net.node(reached).kind == NodeKind::Server;
         if last || at_server {
@@ -409,39 +398,38 @@ fn plan_by(search: &mut RouteSearch<'_>, request: &Request) -> Option<TransferPl
 
 /// The memory/pool footprint of an admitted transfer: `num_codes` slots
 /// on each distinct relay its routes visit, and `num_codes` pairs of
-/// headroom on each distinct core-route fiber.
+/// headroom on each distinct core-route fiber, each list in order of first
+/// visit (the first saturated fiber is the one a pool drop charges).
 struct Footprint {
     nodes: Vec<NodeId>,
     fibers: Vec<FiberId>,
     weight: u32,
 }
 
+/// Walks each segment once. A route visits a handful of relays and fibers,
+/// so a linear `contains` finds repeats without network-sized scratch.
 fn footprint(net: &Network, plan: &TransferPlan, weight: u32) -> Footprint {
-    let mut node_seen = vec![false; net.num_nodes()];
-    let mut fiber_seen = vec![false; net.num_fibers()];
+    fn push_new<T: PartialEq>(list: &mut Vec<T>, x: T) {
+        if !list.contains(&x) {
+            list.push(x);
+        }
+    }
     let mut nodes = Vec::new();
     let mut fibers = Vec::new();
     let mut cursor = plan.src;
+    if net.node(cursor).kind.is_relay() {
+        nodes.push(cursor);
+    }
     for seg in &plan.segments {
-        for &v in net.walk(cursor, &seg.support_route).iter() {
-            if net.node(v).kind.is_relay() && !node_seen[v] {
-                node_seen[v] = true;
-                nodes.push(v);
+        for &f in &seg.support_route {
+            cursor = net.fiber(f).other(cursor);
+            if net.node(cursor).kind.is_relay() {
+                push_new(&mut nodes, cursor);
             }
         }
-        if let Some(core) = &seg.core_route {
-            for &f in core {
-                if !fiber_seen[f] {
-                    fiber_seen[f] = true;
-                    fibers.push(f);
-                }
-            }
+        for &f in seg.core_route.iter().flatten() {
+            push_new(&mut fibers, f);
         }
-        cursor = net
-            .walk(cursor, &seg.support_route)
-            .last()
-            .copied()
-            .unwrap_or(cursor);
     }
     Footprint {
         nodes,
@@ -487,6 +475,106 @@ struct Active {
     latency: u64,
 }
 
+/// The mutable state of one [`simulate`] run.
+struct Run {
+    queue: EventQueue<Ev>,
+    /// Memory slots and pair-pool units held on each node and fiber.
+    node_in_use: Vec<u32>,
+    fiber_in_use: Vec<u32>,
+    /// Per-link drop tallies for the dim family; sized zero with telemetry
+    /// off so the admission path skips the bookkeeping.
+    link_drops: Vec<u64>,
+    active: Vec<Active>,
+    stats: StreamStats,
+}
+
+impl Run {
+    /// Handles one admission offer of a planned request: check capacity,
+    /// defer/drop/admit.
+    fn offer<R: Rng + ?Sized>(
+        &mut self,
+        net: &Network,
+        config: &StreamConfig,
+        rng: &mut R,
+        now: u64,
+        planned: Planned,
+        defers: u32,
+    ) {
+        let fp = &planned.footprint;
+        // First saturated resource decides the blocking reason: relay
+        // memory before fiber pools (memory admits fewer concurrent codes
+        // and is the paper's primary capacity constraint).
+        let blocked_node = fp
+            .nodes
+            .iter()
+            .copied()
+            .find(|&v| self.node_in_use[v] + fp.weight > net.node(v).capacity);
+        let blocked_fiber = fp
+            .fibers
+            .iter()
+            .copied()
+            .find(|&f| self.fiber_in_use[f] + fp.weight > net.fiber(f).entanglement_capacity);
+        if blocked_node.is_some() || blocked_fiber.is_some() {
+            if defers < config.max_defers {
+                self.stats.deferred += 1;
+                self.queue.push(
+                    now + config.defer_ticks.max(1),
+                    Ev::Offer {
+                        planned,
+                        defers: defers + 1,
+                    },
+                );
+            } else if blocked_node.is_some() {
+                self.stats.dropped_capacity += 1;
+            } else {
+                self.stats.dropped_pool += 1;
+                if let Some(f) = blocked_fiber {
+                    if !self.link_drops.is_empty() {
+                        self.link_drops[f] += 1;
+                    }
+                }
+            }
+            return;
+        }
+        // Admit: reserve the footprint and execute event-analytically.
+        for &v in &fp.nodes {
+            self.node_in_use[v] += fp.weight;
+        }
+        for &f in &fp.fibers {
+            self.fiber_in_use[f] += fp.weight;
+        }
+        self.stats.admitted += 1;
+        let outcome = execute_plan_event(net, &planned.plan, &config.exec, rng);
+        let id = self.active.len();
+        self.active.push(Active {
+            footprint: planned.footprint,
+            completed: outcome.completed,
+            latency: outcome.latency,
+        });
+        // Resources are held for the transfer's whole dwell time (failed
+        // transfers still occupied the network while they tried).
+        self.queue
+            .push(now + outcome.latency.max(1), Ev::Departure { id });
+    }
+
+    /// Releases transfer `id`'s footprint and records its outcome.
+    fn depart(&mut self, id: usize) {
+        let t = &self.active[id];
+        for &v in &t.footprint.nodes {
+            self.node_in_use[v] -= t.footprint.weight;
+        }
+        for &f in &t.footprint.fibers {
+            self.fiber_in_use[f] -= t.footprint.weight;
+        }
+        if t.completed {
+            self.stats.completed += 1;
+            self.stats.latencies.push(t.latency);
+        } else {
+            self.stats.failed += 1;
+        }
+    }
+}
+
 /// Runs the streaming simulation: arrivals from `config.arrival` until
 /// [`StreamConfig::horizon`], admission control against relay memory and
 /// fiber pools, per-transfer execution via [`execute_plan_event`], and a
@@ -514,57 +602,57 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
         ArrivalProcess::Trace(_) => None,
     };
 
-    let mut queue: EventQueue<Ev> = EventQueue::new();
+    let mut run = Run {
+        queue: EventQueue::new(),
+        node_in_use: vec![0; net.num_nodes()],
+        fiber_in_use: vec![0; net.num_fibers()],
+        link_drops: vec![
+            0;
+            if surfnet_telemetry::enabled() {
+                net.num_fibers()
+            } else {
+                0
+            }
+        ],
+        active: Vec::new(),
+        stats: StreamStats {
+            arrivals: 0,
+            admitted: 0,
+            completed: 0,
+            failed: 0,
+            deferred: 0,
+            dropped_unroutable: 0,
+            dropped_capacity: 0,
+            dropped_pool: 0,
+            end_time: 0,
+            latencies: Vec::new(),
+        },
+    };
     if let Some(rate) = poisson_rate {
         let gap = geometric(rng, rate);
         if gap <= config.horizon {
-            queue.push(gap, Ev::Arrival);
+            run.queue.push(gap, Ev::Arrival);
         }
     } else if let ArrivalProcess::Trace(entries) = &config.arrival {
         for (t, request) in entries {
             if *t <= config.horizon {
-                queue.push(*t, Ev::Trace(*request));
+                run.queue.push(*t, Ev::Trace(*request));
             }
         }
     }
-    // Built once per run: it reads each fiber's `μ = ln(1/γ)` once.
+    // Built once per run: it reads each fiber's `μ = ln(1/γ)` once and
+    // measures every node's distance to its landmarks.
     let mut search = RouteSearch::new(net);
 
-    let mut node_in_use = vec![0u32; net.num_nodes()];
-    let mut fiber_in_use = vec![0u32; net.num_fibers()];
-    // Per-link drop tallies for the dim family; sized zero with telemetry
-    // off so the admission path skips the bookkeeping.
-    let mut link_drops = vec![
-        0u64;
-        if surfnet_telemetry::enabled() {
-            net.num_fibers()
-        } else {
-            0
-        }
-    ];
-    let mut active: Vec<Active> = Vec::new();
-    let mut stats = StreamStats {
-        arrivals: 0,
-        admitted: 0,
-        completed: 0,
-        failed: 0,
-        deferred: 0,
-        dropped_unroutable: 0,
-        dropped_capacity: 0,
-        dropped_pool: 0,
-        end_time: 0,
-        latencies: Vec::new(),
-    };
-
-    while let Some((now, ev)) = queue.pop() {
-        stats.end_time = stats.end_time.max(now);
+    while let Some((now, ev)) = run.queue.pop() {
+        run.stats.end_time = run.stats.end_time.max(now);
         let request = match ev {
             Ev::Arrival => {
                 // Only the Poisson init path schedules `Arrival` events.
                 let rate = poisson_rate.unwrap_or(1.0);
                 let gap = geometric(rng, rate);
                 if now.saturating_add(gap) <= config.horizon {
-                    queue.push(now + gap, Ev::Arrival);
+                    run.queue.push(now + gap, Ev::Arrival);
                 }
                 let src = users[rng.gen_range(0..users.len())];
                 let dst = loop {
@@ -577,61 +665,29 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
             }
             Ev::Trace(request) => request,
             Ev::Offer { planned, defers } => {
-                offer(
-                    net,
-                    config,
-                    rng,
-                    &mut queue,
-                    &mut node_in_use,
-                    &mut fiber_in_use,
-                    &mut link_drops,
-                    &mut active,
-                    &mut stats,
-                    now,
-                    planned,
-                    defers,
-                );
+                run.offer(net, config, rng, now, planned, defers);
                 continue;
             }
             Ev::Departure { id } => {
-                let t = &active[id];
-                for &v in &t.footprint.nodes {
-                    node_in_use[v] -= t.footprint.weight;
-                }
-                for &f in &t.footprint.fibers {
-                    fiber_in_use[f] -= t.footprint.weight;
-                }
-                if t.completed {
-                    stats.completed += 1;
-                    stats.latencies.push(t.latency);
-                } else {
-                    stats.failed += 1;
-                }
+                run.depart(id);
                 continue;
             }
         };
-        stats.arrivals += 1;
-        let Some(plan) = plan_by(&mut search, &request) else {
-            stats.dropped_unroutable += 1;
+        run.stats.arrivals += 1;
+        let Some(plan) = search
+            .path(request.src, request.dst)
+            .and_then(|route| plan_by(net, &request, &route))
+        else {
+            run.stats.dropped_unroutable += 1;
             continue;
         };
         let footprint = footprint(net, &plan, request.num_codes);
-        offer(
-            net,
-            config,
-            rng,
-            &mut queue,
-            &mut node_in_use,
-            &mut fiber_in_use,
-            &mut link_drops,
-            &mut active,
-            &mut stats,
-            now,
-            Planned { plan, footprint },
-            0,
-        );
+        run.offer(net, config, rng, now, Planned { plan, footprint }, 0);
     }
 
+    let Run {
+        link_drops, stats, ..
+    } = run;
     surfnet_telemetry::count!("netsim.stream.arrivals", stats.arrivals);
     surfnet_telemetry::count!("netsim.stream.admitted", stats.admitted);
     surfnet_telemetry::count!("netsim.stream.completed", stats.completed);
@@ -650,82 +706,6 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
         }
     }
     stats
-}
-
-/// Handles one admission offer of a planned request: check capacity,
-/// defer/drop/admit.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "internal event-dispatch plumbing"
-)]
-fn offer<R: Rng + ?Sized>(
-    net: &Network,
-    config: &StreamConfig,
-    rng: &mut R,
-    queue: &mut EventQueue<Ev>,
-    node_in_use: &mut [u32],
-    fiber_in_use: &mut [u32],
-    link_drops: &mut [u64],
-    active: &mut Vec<Active>,
-    stats: &mut StreamStats,
-    now: u64,
-    planned: Planned,
-    defers: u32,
-) {
-    let fp = &planned.footprint;
-    // First saturated resource decides the blocking reason: relay memory
-    // before fiber pools (memory admits fewer concurrent codes and is the
-    // paper's primary capacity constraint).
-    let blocked_node = fp
-        .nodes
-        .iter()
-        .copied()
-        .find(|&v| node_in_use[v] + fp.weight > net.node(v).capacity);
-    let blocked_fiber = fp
-        .fibers
-        .iter()
-        .copied()
-        .find(|&f| fiber_in_use[f] + fp.weight > net.fiber(f).entanglement_capacity);
-    if blocked_node.is_some() || blocked_fiber.is_some() {
-        if defers < config.max_defers {
-            stats.deferred += 1;
-            queue.push(
-                now + config.defer_ticks.max(1),
-                Ev::Offer {
-                    planned,
-                    defers: defers + 1,
-                },
-            );
-        } else if blocked_node.is_some() {
-            stats.dropped_capacity += 1;
-        } else {
-            stats.dropped_pool += 1;
-            if let Some(f) = blocked_fiber {
-                if !link_drops.is_empty() {
-                    link_drops[f] += 1;
-                }
-            }
-        }
-        return;
-    }
-    // Admit: reserve the footprint and execute event-analytically.
-    for &v in &fp.nodes {
-        node_in_use[v] += fp.weight;
-    }
-    for &f in &fp.fibers {
-        fiber_in_use[f] += fp.weight;
-    }
-    stats.admitted += 1;
-    let outcome = execute_plan_event(net, &planned.plan, &config.exec, rng);
-    let id = active.len();
-    active.push(Active {
-        footprint: planned.footprint,
-        completed: outcome.completed,
-        latency: outcome.latency,
-    });
-    // Resources are held for the transfer's whole dwell time (failed
-    // transfers still occupied the network while they tried).
-    queue.push(now + outcome.latency.max(1), Ev::Departure { id });
 }
 
 #[cfg(test)]
@@ -816,6 +796,13 @@ mod tests {
         assert!(plan.segments[0].correct_at_end);
         assert_eq!(plan.segments[1].support_route, vec![2]);
         assert!(!plan.segments[1].correct_at_end);
+        // A hand-built request to itself has no route to split.
+        let to_itself = Request {
+            src: 3,
+            dst: 3,
+            num_codes: 1,
+        };
+        assert_eq!(plan_request(&net, &to_itself), None);
     }
 
     #[test]
@@ -964,9 +951,6 @@ mod tests {
             end_time: 100,
             latencies: vec![10, 20, 30, 40],
         };
-        assert_eq!(stats.latency_percentile(0.0), 10.0);
-        assert_eq!(stats.latency_percentile(1.0), 40.0);
-        assert_eq!(stats.latency_percentile(0.5), 25.0);
         assert_eq!(stats.requests_per_sec(), 40.0);
         assert_eq!(stats.drop_rate(), 0.0);
     }

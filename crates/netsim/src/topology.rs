@@ -381,6 +381,13 @@ impl Network {
     }
 }
 
+/// Landmarks per [`RouteSearch`]. Each costs one one-to-all pass per run and
+/// eight bytes per node, and tightens every query's lower bounds: on the
+/// 1,200-node stream graphs 4, 8 and 16 landmarks settle about 37, 29 and
+/// 22 nodes per query, against about 100 with none. Eight gave the least
+/// planning time per run, passes included (DESIGN §11.6).
+const LANDMARKS: usize = 8;
+
 /// One arc of [`RouteSearch`]'s flat adjacency: the far end of an incident
 /// fiber, the fiber, and its noise `μ`.
 #[derive(Debug)]
@@ -390,18 +397,123 @@ struct Hop {
     noise: f64,
 }
 
-/// One side's label of a node: its distance and tree fiber, valid only
-/// while `stamp` equals the search's current query stamp.
+/// A flat adjacency, in [`Network::incident`] order: node `v`'s arcs are
+/// `hops[first[v]..first[v + 1]]`.
+#[derive(Debug)]
+struct Arcs {
+    first: Vec<u32>,
+    hops: Vec<Hop>,
+}
+
+impl Arcs {
+    fn of(&self, v: NodeId) -> &[Hop] {
+        &self.hops[self.first[v] as usize..self.first[v + 1] as usize]
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// One-to-all minimum noise from `root`; `∞` where unreachable.
+    fn distances_from(&self, root: NodeId) -> Vec<f64> {
+        let mut dist = vec![f64::INFINITY; self.num_nodes()];
+        let mut heap = BinaryHeap::new();
+        dist[root] = 0.0;
+        heap.push((Reverse(0.0f64.to_bits()), root));
+        while let Some((Reverse(bits), v)) = heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > dist[v] {
+                continue;
+            }
+            for hop in self.of(v) {
+                let u = hop.to as usize;
+                let nd = d + hop.noise;
+                if nd < dist[u] {
+                    dist[u] = nd;
+                    heap.push((Reverse(nd.to_bits()), u));
+                }
+            }
+        }
+        dist
+    }
+
+    /// Every node's noise distance to each of [`LANDMARKS`] landmarks,
+    /// node-major. The landmarks are picked farthest-first: the first is the
+    /// node farthest from node 0, each next one the node farthest from its
+    /// nearest landmark so far, counting only nodes at finite distance and
+    /// breaking ties by the lower id. That is `LANDMARKS + 1` one-to-all
+    /// passes, and the choice depends on the network alone.
+    fn landmark_distances(&self) -> Vec<[f64; LANDMARKS]> {
+        let n = self.num_nodes();
+        let mut dist = vec![[f64::INFINITY; LANDMARKS]; n];
+        if n == 0 {
+            return dist;
+        }
+        // Each node's distance to its nearest landmark (to node 0 before
+        // the first); node 0 itself is always at finite distance.
+        let mut spread = self.distances_from(0);
+        for i in 0..LANDMARKS {
+            let mut landmark = 0;
+            for v in 1..n {
+                if spread[v].is_finite() && spread[v] > spread[landmark] {
+                    landmark = v;
+                }
+            }
+            let from = self.distances_from(landmark);
+            for v in 0..n {
+                dist[v][i] = from[v];
+                spread[v] = if i == 0 {
+                    from[v]
+                } else {
+                    spread[v].min(from[v])
+                };
+            }
+        }
+        dist
+    }
+}
+
+/// The landmark lower bound `π_t(v) = maxᵢ |d(Lᵢ, t) − d(Lᵢ, v)|` on the
+/// noise between `v` and `t`, from their rows of landmark distances.
+/// A landmark counts only where both distances are finite, so a node in
+/// another component than `t` gets 0, never `∞` or NaN.
+fn landmark_bound(t: &[f64; LANDMARKS], v: &[f64; LANDMARKS]) -> f64 {
+    t.iter().zip(v).fold(0.0, |bound, (a, b)| {
+        // Infinite when one landmark distance is, NaN when both are; either
+        // fails the comparison.
+        let gap = (a - b).abs();
+        if gap < f64::INFINITY {
+            bound.max(gap)
+        } else {
+            bound
+        }
+    })
+}
+
+/// Maps a non-NaN `f64` to a `u64` of the same order. Heap keys can be
+/// negative, and raw `to_bits` orders negative floats backwards.
+fn ordered(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// One side's label of a node: its distance, its A* key (the distance plus
+/// the side's potential) and tree fiber, valid only while `stamp` equals the
+/// search's current query stamp.
 #[derive(Debug, Clone, Copy)]
 struct Label {
     dist: f64,
+    key: f64,
     via: u32,
     stamp: u32,
 }
 
 /// One direction of the bidirectional search: per-node labels and a lazy
-/// heap keyed on the bits of non-negative distances (which order like the
-/// distances).
+/// heap on [`ordered`] keys.
 #[derive(Debug, Clone)]
 struct Side {
     labels: Vec<Label>,
@@ -409,14 +521,15 @@ struct Side {
 }
 
 impl Side {
-    fn start(&mut self, root: NodeId, stamp: u32) {
+    fn start(&mut self, root: NodeId, key: f64, stamp: u32) {
         self.heap.clear();
         self.labels[root] = Label {
             dist: 0.0,
+            key,
             via: u32::MAX,
             stamp,
         };
-        self.heap.push((Reverse(0.0f64.to_bits()), root));
+        self.heap.push((Reverse(ordered(key)), root));
     }
 
     fn dist(&self, v: NodeId, stamp: u32) -> f64 {
@@ -429,37 +542,85 @@ impl Side {
     }
 
     /// The smallest live key, dropping stale entries (superseded by a
-    /// shorter label) off the top; `∞` once the heap is empty. Every entry
-    /// was pushed during the current query, so its node's label is current.
+    /// shorter label, so stored with a larger key than the label's) off the
+    /// top; `∞` once the heap is empty. Every entry was pushed during the
+    /// current query, so its node's label is current.
     fn top(&mut self) -> f64 {
-        while let Some(&(Reverse(bits), v)) = self.heap.peek() {
-            let d = f64::from_bits(bits);
-            if d > self.labels[v].dist {
+        while let Some(&(Reverse(key), v)) = self.heap.peek() {
+            let label = self.labels[v];
+            if key > ordered(label.key) {
                 self.heap.pop();
             } else {
-                return d;
+                return label.key;
             }
         }
         f64::INFINITY
     }
 }
 
+/// A node's potential for the current query, valid while `stamp` equals the
+/// search's query stamp.
+#[derive(Debug, Clone, Copy)]
+struct Potential {
+    value: f64,
+    stamp: u32,
+}
+
+/// Every node's landmark distances, and the potentials they give the
+/// current query.
+#[derive(Debug)]
+struct Landmarks {
+    /// `dist[v][i]` is the noise distance between node `v` and landmark `i`.
+    dist: Vec<[f64; LANDMARKS]>,
+    /// Each node's forward potential for the current query, computed on
+    /// first use.
+    cache: Vec<Potential>,
+}
+
+impl Landmarks {
+    /// The forward potential `p(v) = ½(π_dst(v) − π_src(v))` of the query
+    /// stamped `stamp`; the backward potential is `−p(v)`.
+    fn potential(&mut self, v: NodeId, src: NodeId, dst: NodeId, stamp: u32) -> f64 {
+        let cached = &mut self.cache[v];
+        if cached.stamp != stamp {
+            let at = &self.dist[v];
+            let to_dst = landmark_bound(&self.dist[dst], at);
+            let to_src = landmark_bound(&self.dist[src], at);
+            *cached = Potential {
+                value: 0.5 * (to_dst - to_src),
+                stamp,
+            };
+        }
+        cached.value
+    }
+}
+
 /// A reusable minimum-noise route search over one network: the streaming
-/// planner's Dijkstra (paper Sec. V-A/B), run from both ends at once.
+/// planner's Dijkstra (paper Sec. V-A/B), run from both ends at once and
+/// steered by landmark lower bounds.
 ///
 /// Built once per network, it holds every fiber's noise `μ = ln(1/γ)` in a
-/// flat adjacency (in [`Network::incident`] order) and answers
-/// [`path`](Self::path) queries by bidirectional Dijkstra: a forward search
-/// from `src` and a backward one from `dst` each expand their smaller
-/// frontier, and the search stops once no meeting can beat the best route
-/// found. On Barabási–Albert graphs the two frontiers meet at the hubs,
-/// long before one-sided Dijkstra would settle `dst`. Labels carry a
+/// flat adjacency (in [`Network::incident`] order) and every node's noise
+/// distance to eight landmarks, picked farthest-first from node 0. It
+/// answers [`path`](Self::path) queries by bidirectional A* on the average
+/// landmark potential (ALT: Goldberg and Harrelson, SODA 2005). With
+/// `π_t(v) = maxᵢ |d(Lᵢ, t) − d(Lᵢ, v)|`, a lower bound on the noise
+/// between `v` and `t`, and `p(v) = ½(π_dst(v) − π_src(v))`, the forward
+/// search from `src` orders nodes by `d(v) + p(v)` and the backward one
+/// from `dst` by `d(v) − p(v)`. Each step expands the side with the smaller
+/// key and offers every arc it scans as a meeting; a node whose key plus
+/// the other side's smallest key cannot beat the best meeting is not
+/// labelled. The search stops once the two smallest keys sum to at least
+/// the best meeting, because the potentials cancel along any route. On
+/// Barabási–Albert graphs the two frontiers meet at the hubs, long before
+/// one-sided Dijkstra would settle `dst`. Labels and potentials carry a
 /// per-query stamp, so a query neither allocates nor clears per-node state.
 ///
 /// Where the minimum-noise route is unique, it is the route
 /// [`Network::shortest_path_by`] returns over the same noise. On exact ties
 /// the two may return different minimum-noise routes, because the meeting
-/// sum `(d(v) + μ) + d'(u)` rounds differently from a forward fold.
+/// sum `(d(v) + μ) + d'(u)` rounds differently from a forward fold, and a
+/// rounded potential can order keys that tie to the last bit differently.
 ///
 /// # Examples
 ///
@@ -481,18 +642,20 @@ impl Side {
 #[derive(Debug)]
 pub struct RouteSearch<'a> {
     net: &'a Network,
-    /// Node `v`'s arcs are `hops[first[v]..first[v + 1]]`.
-    first: Vec<u32>,
-    hops: Vec<Hop>,
+    arcs: Arcs,
+    landmarks: Landmarks,
     /// Forward (from `src`) and backward (from `dst`) sides.
     sides: [Side; 2],
-    /// The current query's stamp; labels with another stamp are unset.
+    /// The current query's stamp; labels and potentials with another stamp
+    /// are unset.
     stamp: u32,
     settled: u64,
 }
 
 impl<'a> RouteSearch<'a> {
-    /// Builds the search for `net`, reading each fiber's noise once.
+    /// Builds the search for `net`: reads each fiber's noise once, then
+    /// picks the landmarks and measures every node's distance to them, in
+    /// one one-to-all pass over the flat adjacency per landmark plus one.
     ///
     /// # Panics
     ///
@@ -517,8 +680,18 @@ impl<'a> RouteSearch<'a> {
             }
             first.push(hops.len() as u32);
         }
+        let arcs = Arcs { first, hops };
+        let unset_potential = Potential {
+            value: 0.0,
+            stamp: 0,
+        };
+        let landmarks = Landmarks {
+            dist: arcs.landmark_distances(),
+            cache: vec![unset_potential; n],
+        };
         let unset = Label {
             dist: f64::INFINITY,
+            key: f64::INFINITY,
             via: u32::MAX,
             stamp: 0,
         };
@@ -528,21 +701,17 @@ impl<'a> RouteSearch<'a> {
         };
         RouteSearch {
             net,
-            first,
-            hops,
+            arcs,
+            landmarks,
             sides: [side.clone(), side],
             stamp: 0,
             settled: 0,
         }
     }
 
-    /// The network this search routes over.
-    pub(crate) fn network(&self) -> &'a Network {
-        self.net
-    }
-
     /// Nodes settled so far, summed over both sides and every query: the
-    /// search's deterministic work count.
+    /// search's deterministic work count. The landmark passes of
+    /// [`new`](Self::new) are not counted.
     pub fn settled(&self) -> u64 {
         self.settled
     }
@@ -574,6 +743,9 @@ impl<'a> RouteSearch<'a> {
                     label.stamp = 0;
                 }
             }
+            for potential in &mut self.landmarks.cache {
+                potential.stamp = 0;
+            }
             self.stamp = 1;
         }
         self.stamp
@@ -584,9 +756,10 @@ impl<'a> RouteSearch<'a> {
             return Some(Vec::new());
         }
         let stamp = self.next_stamp();
+        let landmarks = &mut self.landmarks;
         let [fwd, bwd] = &mut self.sides;
-        fwd.start(src, stamp);
-        bwd.start(dst, stamp);
+        fwd.start(src, landmarks.potential(src, src, dst, stamp), stamp);
+        bwd.start(dst, -landmarks.potential(dst, src, dst, stamp), stamp);
         let mut best = f64::INFINITY;
         // The best route's forward-tree end, meeting fiber and
         // backward-tree end.
@@ -598,28 +771,19 @@ impl<'a> RouteSearch<'a> {
                 break;
             }
             let forward = top_f <= top_b;
-            let (this, other) = if forward {
-                (&mut *fwd, &*bwd)
+            let (this, other, other_top, sign) = if forward {
+                (&mut *fwd, &*bwd, top_b, 1.0)
             } else {
-                (&mut *bwd, &*fwd)
+                (&mut *bwd, &*fwd, top_f, -1.0)
             };
-            let Some((Reverse(bits), v)) = this.heap.pop() else {
+            let Some((_, v)) = this.heap.pop() else {
                 break;
             };
             self.settled += 1;
-            let d = f64::from_bits(bits);
-            for hop in &self.hops[self.first[v] as usize..self.first[v + 1] as usize] {
+            let d = this.labels[v].dist;
+            for hop in self.arcs.of(v) {
                 let u = hop.to as usize;
                 let nd = d + hop.noise;
-                let label = &mut this.labels[u];
-                if label.stamp != stamp || nd < label.dist {
-                    *label = Label {
-                        dist: nd,
-                        via: hop.fiber,
-                        stamp,
-                    };
-                    this.heap.push((Reverse(nd.to_bits()), u));
-                }
                 let through = nd + other.dist(u, stamp);
                 if through < best {
                     best = through;
@@ -629,6 +793,24 @@ impl<'a> RouteSearch<'a> {
                         (u, hop.fiber as FiberId, v)
                     });
                 }
+                let label = this.labels[u];
+                if label.stamp == stamp && nd >= label.dist {
+                    continue;
+                }
+                let key = nd + sign * landmarks.potential(u, src, dst, stamp);
+                // A route through this label costs at least `key` plus the
+                // other side's smallest key, unless the other side has
+                // settled `u`, and that meeting was offered above.
+                if key + other_top >= best {
+                    continue;
+                }
+                this.labels[u] = Label {
+                    dist: nd,
+                    key,
+                    via: hop.fiber,
+                    stamp,
+                };
+                this.heap.push((Reverse(ordered(key)), u));
             }
         }
         let (x, meeting, y) = meet?;
@@ -749,6 +931,85 @@ mod tests {
             assert_eq!(search.path(s, d), reference(s, d));
         }
         assert_eq!(search.stamp, 2);
+    }
+
+    /// Minimum noise from every node to `t`, by a plain Dijkstra over the
+    /// network's incidence lists (independent of the search's adjacency).
+    fn noise_to(net: &Network, t: NodeId) -> Vec<f64> {
+        let mut dist = vec![f64::INFINITY; net.num_nodes()];
+        let mut heap = BinaryHeap::new();
+        dist[t] = 0.0;
+        heap.push((Reverse(0.0f64.to_bits()), t));
+        while let Some((Reverse(bits), v)) = heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > dist[v] {
+                continue;
+            }
+            for &f in net.incident(v) {
+                let u = net.fiber(f).other(v);
+                let nd = d + net.fiber(f).noise();
+                if nd < dist[u] {
+                    dist[u] = nd;
+                    heap.push((Reverse(nd.to_bits()), u));
+                }
+            }
+        }
+        dist
+    }
+
+    #[test]
+    fn landmark_potentials_are_feasible() {
+        use rand::{Rng, SeedableRng};
+        for num_nodes in [300, 1_200] {
+            let config = crate::NetworkConfig {
+                num_nodes,
+                attachment: 2,
+                num_servers: num_nodes / 30,
+                num_switches: num_nodes * 2 / 15,
+                ..crate::NetworkConfig::default()
+            };
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(96_000 + num_nodes as u64);
+            let net = crate::generate::barabasi_albert(&config, &mut rng).unwrap();
+            let mut search = RouteSearch::new(&net);
+            for _ in 0..6 {
+                let s = rng.gen_range(0..num_nodes);
+                let t = loop {
+                    let t = rng.gen_range(0..num_nodes);
+                    if t != s {
+                        break t;
+                    }
+                };
+                let to_t = noise_to(&net, t);
+                let dist = &search.landmarks.dist;
+                // π_t is a lower bound on every node's noise to t, and not
+                // a vacuous one.
+                for v in 0..num_nodes {
+                    let bound = landmark_bound(&dist[t], &dist[v]);
+                    assert!(
+                        bound <= to_t[v] * (1.0 + 1e-12),
+                        "{num_nodes} nodes: π_{t}({v}) = {bound} above d = {}",
+                        to_t[v]
+                    );
+                }
+                assert!(landmark_bound(&dist[t], &dist[s]) > 0.0);
+                // The forward search's reduced costs are non-negative, up
+                // to rounding, so keys never fall along an arc.
+                let stamp = search.next_stamp();
+                let tolerance = 1e-12 * to_t[s];
+                for v in 0..num_nodes {
+                    let p_v = search.landmarks.potential(v, s, t, stamp);
+                    for &f in net.incident(v) {
+                        let u = net.fiber(f).other(v);
+                        let p_u = search.landmarks.potential(u, s, t, stamp);
+                        let reduced = net.fiber(f).noise() - p_v + p_u;
+                        assert!(
+                            reduced >= -tolerance,
+                            "{num_nodes} nodes, {s}->{t}: arc {v}->{u} has reduced cost {reduced:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! Planner equivalence corpus: the streaming planner's bidirectional
-//! [`RouteSearch`] against the one-sided reference,
+//! Planner equivalence corpus: the streaming planner's landmark-guided
+//! bidirectional [`RouteSearch`] against the one-sided reference,
 //! [`Network::shortest_path_by`], over the same table of fiber noises.
 //!
 //! Barabási–Albert scenarios draw fidelities from a continuous range, so
 //! their minimum-noise routes are unique and both searches must return the
 //! very same fibers. Where routes tie exactly, the two may pick different
 //! ones, and only the noise is compared. One search instance answers every
-//! query on its network, so stale per-query state would show up here.
+//! query on its network, so stale per-query state (labels or cached
+//! potentials) would show up here. The search must also stay small: on the
+//! 1,200-node graphs its landmark bounds hold it to well under half the
+//! nodes the bidirectional search settles without them, and a network whose
+//! landmarks all lie in another component must still route with zero
+//! potentials.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,7 +83,8 @@ fn unique_routes_are_identical_on_ba_graphs() {
             let net = ba(num_nodes, fidelity_range, 92_000 + seed);
             let noise = noise_table(&net);
             let mut search = RouteSearch::new(&net);
-            for (src, dst) in user_pairs(&net, 2_500, 93_000 + seed) {
+            let pairs = user_pairs(&net, 2_500, 93_000 + seed);
+            for &(src, dst) in &pairs {
                 let expected = net.shortest_path_by(src, dst, |f| noise[f]);
                 assert!(expected.is_some(), "BA graphs are connected");
                 assert_eq!(
@@ -88,7 +94,18 @@ fn unique_routes_are_identical_on_ba_graphs() {
                 );
                 queries += 1;
             }
-            assert!(search.settled() > 0);
+            // The landmark bounds keep the search small: about 30 settled
+            // nodes per query on the 1,200-node graphs, where the
+            // bidirectional search without them settles about 100.
+            let per_query = search.settled() as f64 / pairs.len() as f64;
+            assert!(per_query > 0.0);
+            if num_nodes == 1_200 {
+                assert!(
+                    per_query < 50.0,
+                    "{num_nodes} nodes, fidelities {fidelity_range:?}, seed {seed}: \
+                     {per_query:.1} settled per query"
+                );
+            }
         }
     }
     assert_eq!(queries, 20_000);
@@ -141,21 +158,64 @@ fn diamond_with_two_equal_routes() {
     }
 }
 
+/// A BA graph and a separate two-user island, the island's nodes first
+/// or last; returns the network and the island's two nodes.
+fn with_island(island_first: bool) -> (Network, NodeId, NodeId) {
+    let main = ba(120, (0.75, 1.0), 95_000);
+    let mut net = Network::new();
+    let add_island = |net: &mut Network| {
+        let a = net.add_node(NodeKind::User, 8);
+        let b = net.add_node(NodeKind::User, 8);
+        net.add_fiber(a, b, 0.9, 4, 0.0).unwrap();
+        (a, b)
+    };
+    let island = if island_first {
+        Some(add_island(&mut net))
+    } else {
+        None
+    };
+    let offset = net.num_nodes();
+    for v in 0..main.num_nodes() {
+        let node = main.node(v);
+        net.add_node(node.kind, node.capacity);
+    }
+    for f in main.fibers() {
+        net.add_fiber(
+            f.a + offset,
+            f.b + offset,
+            f.fidelity,
+            f.entanglement_capacity,
+            f.loss_prob,
+        )
+        .unwrap();
+    }
+    let (a, b) = island.unwrap_or_else(|| add_island(&mut net));
+    (net, a, b)
+}
+
 #[test]
 fn pairs_in_different_components_have_no_route() {
-    // A BA graph plus a separate two-user island.
-    let mut net = ba(120, (0.75, 1.0), 95_000);
-    let a = net.add_node(NodeKind::User, 8);
-    let b = net.add_node(NodeKind::User, 8);
-    net.add_fiber(a, b, 0.9, 4, 0.0).unwrap();
-    let noise = noise_table(&net);
-    let mut search = RouteSearch::new(&net);
-    for (src, dst) in user_pairs(&net, 400, 95_001) {
-        let expected = net.shortest_path_by(src, dst, |f| noise[f]);
-        assert_eq!(expected.is_none(), (src >= a) != (dst >= a));
-        assert_eq!(search.path(src, dst), expected, "{src}->{dst}");
+    // Landmarks are picked from node 0's component. With the island built
+    // first that is the island, so the BA graph's queries run with zero
+    // potential.
+    for island_first in [false, true] {
+        let (net, a, b) = with_island(island_first);
+        let island_fiber = net.incident(a)[0];
+        let main = if island_first { 2 } else { 0 };
+        let noise = noise_table(&net);
+        let mut search = RouteSearch::new(&net);
+        for (src, dst) in user_pairs(&net, 400, 95_001) {
+            let expected = net.shortest_path_by(src, dst, |f| noise[f]);
+            let on_island = |v| v == a || v == b;
+            assert_eq!(expected.is_none(), on_island(src) != on_island(dst));
+            assert_eq!(
+                search.path(src, dst),
+                expected,
+                "island first: {island_first}, {src}->{dst}"
+            );
+        }
+        assert_eq!(search.path(a, b), Some(vec![island_fiber]));
+        assert_eq!(search.path(main, a), None);
+        assert_eq!(search.path(b, main), None);
     }
-    assert_eq!(search.path(a, b), Some(vec![net.num_fibers() - 1]));
-    assert_eq!(search.path(0, a), None);
-    assert_eq!(search.path(b, 0), None);
 }
