@@ -99,30 +99,27 @@ pub fn report(figure: &str, params: Vec<(&str, Value)>, metrics: &[(String, f64)
     report
 }
 
-/// Writes `BENCH_<figure>.json` under [`bench_dir`]. Returns the path, or
-/// `None` when emission is disabled or the write failed (reported on
-/// stderr; a bench run never aborts over a report).
-pub fn emit(
-    figure: &str,
-    params: Vec<(&str, Value)>,
-    metrics: &[(String, f64)],
-) -> Option<PathBuf> {
-    let dir = bench_dir()?;
+/// Writes `BENCH_<figure>.json` under [`bench_dir`], unless emission is
+/// disabled.
+///
+/// A report that cannot be written prints the error to stderr and **exits
+/// with status 1**, after the figure's table is out (as
+/// [`crate::trace_finish`] does for the trace): a caller that asked for
+/// reports must not read exit 0 while none exists.
+pub fn emit(figure: &str, params: Vec<(&str, Value)>, metrics: &[(String, f64)]) {
+    let Some(dir) = bench_dir() else {
+        return;
+    };
     let value = report(figure, params, metrics);
     let mut out = String::new();
     value.write_pretty(&mut out);
     out.push('\n');
     let path = dir.join(format!("BENCH_{figure}.json"));
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, out)) {
-        Ok(()) => {
-            eprintln!("bench: wrote {}", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("bench: failed to write {}: {e}", path.display());
-            None
-        }
+    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, out)) {
+        eprintln!("bench: failed to write {}: {e}", path.display());
+        std::process::exit(1);
     }
+    eprintln!("bench: wrote {}", path.display());
 }
 
 #[cfg(test)]

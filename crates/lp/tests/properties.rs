@@ -1,95 +1,86 @@
 //! Property tests for the simplex solver: on randomly generated feasible
 //! programs the solver must return a feasible point at least as good as the
-//! known witness.
+//! known witness. Each test runs `CASES` seeded cases; case `c` draws its
+//! inputs from `SmallRng::seed_from_u64(c)` and every assertion names it.
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use surfnet_lp::{ConstraintOp, LinearProgram, LpError};
 
-/// Builds a random LP that is feasible by construction: pick a witness
-/// point first, then only add constraints the witness satisfies.
-fn feasible_lp(
-    witness: Vec<f64>,
-    objs: Vec<f64>,
-    rows: Vec<Vec<f64>>,
-    slacks: Vec<f64>,
-) -> (LinearProgram, Vec<f64>) {
-    let n = witness.len();
+const CASES: u64 = 48;
+
+/// Builds a random LP over `n` box-bounded variables that is feasible by
+/// construction: pick a witness point first, then only add constraints
+/// the witness satisfies.
+fn feasible_lp(rng: &mut SmallRng, n: usize) -> (LinearProgram, Vec<f64>) {
+    let witness: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..10.0)).collect();
     let mut lp = LinearProgram::new();
-    let vars: Vec<_> = objs
-        .iter()
-        .take(n)
-        .map(|&c| lp.add_var(c, 0.0, 10.0))
+    let vars: Vec<_> = (0..n)
+        .map(|_| lp.add_var(rng.gen_range(-5.0..5.0), 0.0, 10.0))
         .collect();
-    for (row, slack) in rows.iter().zip(&slacks) {
-        let terms: Vec<_> = vars.iter().zip(row.iter()).map(|(&v, &c)| (v, c)).collect();
+    for _ in 0..rng.gen_range(1..=5) {
+        let row: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        let terms: Vec<_> = vars.iter().zip(&row).map(|(&v, &c)| (v, c)).collect();
         let lhs: f64 = row.iter().zip(&witness).map(|(c, w)| c * w).sum();
         // Constraint passes through lhs + slack ≥ lhs: witness satisfies Le.
-        lp.add_constraint(&terms, ConstraintOp::Le, lhs + slack.abs());
+        lp.add_constraint(&terms, ConstraintOp::Le, lhs + rng.gen_range(0.0..10.0));
     }
     (lp, witness)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn solver_beats_witness_and_stays_feasible(
-        n in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) % 1000) as f64 / 100.0
-        };
-        let witness: Vec<f64> = (0..n).map(|_| next() % 10.0).collect();
-        let objs: Vec<f64> = (0..n).map(|_| next() - 5.0).collect();
-        let m = 1 + (seed as usize % 5);
-        let rows: Vec<Vec<f64>> = (0..m)
-            .map(|_| (0..n).map(|_| next() - 5.0).collect())
-            .collect();
-        let slacks: Vec<f64> = (0..m).map(|_| next()).collect();
-        let (lp, witness) = feasible_lp(witness, objs, rows, slacks);
-
-        let sol = lp.maximize();
+#[test]
+fn solver_beats_witness_and_stays_feasible() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let n = rng.gen_range(1usize..6);
+        let (lp, witness) = feasible_lp(&mut rng, n);
         // Variables are box-bounded, so the program cannot be unbounded.
-        let sol = sol.expect("feasible bounded LP must solve");
-        prop_assert!(lp.is_feasible(&sol.values, 1e-6));
+        let sol = lp
+            .maximize()
+            .unwrap_or_else(|e| panic!("case {case}: feasible bounded LP failed: {e:?}"));
+        assert!(lp.is_feasible(&sol.values, 1e-6), "case {case}: {sol:?}");
         let witness_obj = lp.objective_value(&witness);
-        prop_assert!(
+        assert!(
             sol.objective >= witness_obj - 1e-6,
-            "solver {} worse than witness {}",
-            sol.objective,
-            witness_obj
+            "case {case}: solver {} worse than witness {witness_obj}",
+            sol.objective
         );
     }
+}
 
-    #[test]
-    fn minimize_is_negated_maximize(seed in any::<u64>()) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) % 100) as f64 / 10.0
-        };
+#[test]
+fn minimize_is_negated_maximize() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
         let mut lp_max = LinearProgram::new();
         let mut lp_min = LinearProgram::new();
-        let n = 3;
-        for _ in 0..n {
-            let c = next() - 5.0;
+        for _ in 0..3 {
+            let c = rng.gen_range(-5.0..5.0);
             lp_max.add_var(c, 0.0, 7.0);
             lp_min.add_var(-c, 0.0, 7.0);
         }
-        let smax = lp_max.maximize().unwrap();
-        let smin = lp_min.minimize().unwrap();
-        prop_assert!((smax.objective + smin.objective).abs() < 1e-7);
+        let (Ok(max), Ok(min)) = (lp_max.maximize(), lp_min.minimize()) else {
+            panic!("case {case}: a box-bounded program failed to solve");
+        };
+        let (max, min) = (max.objective, min.objective);
+        assert!((max + min).abs() < 1e-7, "case {case}: {max} vs {min}");
     }
+}
 
-    #[test]
-    fn contradictory_bounds_infeasible(a in 0.0f64..5.0, gap in 0.1f64..5.0) {
+#[test]
+fn contradictory_bounds_infeasible() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (a, gap) = (rng.gen_range(0.0..5.0), rng.gen_range(0.1..5.0));
         let mut lp = LinearProgram::new();
         let x = lp.add_var(1.0, 0.0, f64::INFINITY);
         lp.add_constraint(&[(x, 1.0)], ConstraintOp::Le, a);
         lp.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, a + gap);
-        prop_assert_eq!(lp.maximize().unwrap_err(), LpError::Infeasible);
+        assert_eq!(
+            lp.maximize().err(),
+            Some(LpError::Infeasible),
+            "case {case}: x <= {a}, x >= {}",
+            a + gap
+        );
     }
 }

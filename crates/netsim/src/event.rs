@@ -38,8 +38,8 @@
 //! [`crate::execution::ExecutionOutcome::latency`].
 
 use crate::execution::{
-    link_key, recover_plan, sample_failures, walk_segments, ExecutionConfig, ExecutionOutcome,
-    PlannedSegment, TransferPlan, MIN_ADVANCE,
+    core_completion, link_key, recover_plan, sample_failures, walk_segments, ExecutionConfig,
+    ExecutionOutcome, PlannedSegment, TransferPlan,
 };
 use crate::request::Request;
 use crate::topology::{FiberId, Network, NodeId, NodeKind, RouteSearch};
@@ -269,41 +269,6 @@ fn geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
     } else {
         g as u64
     }
-}
-
-/// Completion tick of the opportunistic-forwarding walk given each
-/// fiber's pair-ready tick, or `None` past `max_ticks`.
-///
-/// Reproduces [`crate::execution`]'s tick dynamics exactly: the Core part
-/// advances over the longest ready run of at least
-/// `min(MIN_ADVANCE, remaining)` fibers, one advancement per tick. After
-/// a maximal jump the next fiber is by construction not yet ready, so
-/// advancement times are exactly a subset of the ready times — the walk
-/// is a deterministic function of them and needs no per-tick sampling.
-fn core_completion(ready: &[u64], max_ticks: u64) -> Option<u64> {
-    let len = ready.len();
-    if len == 0 {
-        return Some(0);
-    }
-    let mut pos = 0usize;
-    let mut t = 0u64;
-    while pos < len {
-        let needed = MIN_ADVANCE.min(len - pos);
-        // The run from `pos` first reaches `needed` fibers when the
-        // slowest of them is ready; the jump then consumes every fiber
-        // ready by that tick.
-        let t_jump = ready[pos..pos + needed].iter().fold(t, |m, &r| m.max(r));
-        if t_jump > max_ticks {
-            return None;
-        }
-        let mut run = 0;
-        while pos + run < len && ready[pos + run] <= t_jump {
-            run += 1;
-        }
-        pos += run;
-        t = t_jump;
-    }
-    Some(t)
 }
 
 /// Executes one transfer plan with event-driven (batched) entanglement

@@ -7,9 +7,11 @@
 //! This module also holds the transfer contract all three engines run
 //! (DESIGN §11.1): one recovery walk, one segment walk that applies the
 //! per-segment budget and charges latency, and one segment-record
-//! constructor. [`execute_plan`] passes the walk a per-tick Bernoulli Core
-//! sampler and the event engine a geometric one; the contended engine
-//! keeps its shared-pool tick loop and shares recovery and the records.
+//! constructor. [`execute_plan`] samples each Core fiber's pair-ready tick
+//! by per-tick Bernoulli draws and the event engine by one geometric draw,
+//! and both fold those ticks through one forwarding walk; the contended
+//! engine keeps its shared-pool tick loop and shares recovery and the
+//! records.
 //!
 //! Execution is deliberately decoupled from the surface-code machinery: it
 //! produces per-segment fidelity/erasure records ([`SegmentOutcome`]) that
@@ -318,11 +320,16 @@ pub(crate) fn walk_segments(
     outcome
 }
 
-/// Simulates the Core part moving along `route` with opportunistic
-/// forwarding (Sec. V-B): each tick every unconsumed fiber ahead attempts
-/// pair generation; the part advances over the longest ready prefix of at
-/// least [`MIN_ADVANCE`] fibers (or whatever remains). Returns ticks used,
-/// or `None` on timeout.
+/// Samples the Core part's walk along `route` with opportunistic
+/// forwarding (Sec. V-B) tick by tick: each tick every fiber still without
+/// a pair attempts generation, in route order, until all hold one or
+/// `max_ticks` pass, and [`core_completion`] walks the ready ticks.
+/// Returns the completion tick, or `None` on timeout.
+///
+/// Only fibers ahead of the Core part attempt generation in the model;
+/// letting every waiting fiber attempt changes no draw, because each fiber
+/// behind the part holds its pair and the walk completes exactly at the
+/// last fiber's ready tick.
 fn advance_core<R: Rng + ?Sized>(
     net: &Network,
     route: &[FiberId],
@@ -333,43 +340,69 @@ fn advance_core<R: Rng + ?Sized>(
     if len == 0 {
         return Some(0);
     }
-    let mut ready = vec![false; len];
-    let mut pos = 0usize; // fibers 0..pos already crossed
+    // Each fiber's pair-ready tick; `u64::MAX` until it holds a pair.
+    let mut ready = vec![u64::MAX; len];
     let mut attempts = 0u64;
     // Per-fiber attempt tallies for the netsim.link.* families; empty (and
     // free) when telemetry is off.
     let mut per_fiber_attempts = vec![0u64; if surfnet_telemetry::enabled() { len } else { 0 }];
     for tick in 1..=config.max_ticks {
-        for i in pos..len {
-            if !ready[i] {
+        for i in 0..len {
+            if ready[i] == u64::MAX {
                 attempts += 1;
                 if let Some(tally) = per_fiber_attempts.get_mut(i) {
                     *tally += 1;
                 }
                 if rng.gen::<f64>() < config.entanglement_rate {
-                    ready[i] = true;
+                    ready[i] = tick;
                 }
             }
         }
-        // Longest ready run starting at pos.
-        let mut run = 0;
-        while pos + run < len && ready[pos + run] {
-            run += 1;
-        }
-        let needed = MIN_ADVANCE.min(len - pos);
-        if run >= needed {
-            // Consume the pairs (teleportation + swapping) and advance.
-            pos += run;
-            if pos == len {
-                surfnet_telemetry::count!("netsim.entanglement_attempts", attempts);
-                record_link_attempts(net, route, &per_fiber_attempts, |i| ready[i] as u64);
-                return Some(tick);
-            }
+        if !ready.contains(&u64::MAX) {
+            break;
         }
     }
     surfnet_telemetry::count!("netsim.entanglement_attempts", attempts);
-    record_link_attempts(net, route, &per_fiber_attempts, |i| ready[i] as u64);
-    None
+    record_link_attempts(net, route, &per_fiber_attempts, |i| {
+        u64::from(ready[i] != u64::MAX)
+    });
+    core_completion(&ready, config.max_ticks)
+}
+
+/// Completion tick of the opportunistic-forwarding walk given each
+/// fiber's pair-ready tick, or `None` past `max_ticks`. Both independent
+/// engines fold their Core samples through it: [`advance_core`]'s
+/// per-tick draws and the event engine's geometric ones.
+///
+/// The Core part advances over the longest ready run of at least
+/// `min(MIN_ADVANCE, remaining)` fibers, one advancement per tick. After
+/// a maximal jump the next fiber is by construction not yet ready, so
+/// advancement times are exactly a subset of the ready times: the walk
+/// is a deterministic function of them.
+pub(crate) fn core_completion(ready: &[u64], max_ticks: u64) -> Option<u64> {
+    let len = ready.len();
+    if len == 0 {
+        return Some(0);
+    }
+    let mut pos = 0usize;
+    let mut t = 0u64;
+    while pos < len {
+        let needed = MIN_ADVANCE.min(len - pos);
+        // The run from `pos` first reaches `needed` fibers when the
+        // slowest of them is ready; the jump then consumes every fiber
+        // ready by that tick.
+        let t_jump = ready[pos..pos + needed].iter().fold(t, |m, &r| m.max(r));
+        if t_jump > max_ticks {
+            return None;
+        }
+        let mut run = 0;
+        while pos + run < len && ready[pos + run] <= t_jump {
+            run += 1;
+        }
+        pos += run;
+        t = t_jump;
+    }
+    Some(t)
 }
 
 /// Replaces failed fibers on `route` with local detours: for each failed

@@ -46,18 +46,12 @@ impl PurificationSchedule {
 pub struct PurificationScheduler {
     /// Extra pairs consumed per fiber per message (the paper's `N`).
     pub n_purify: u32,
-    /// Optional admission threshold: skip transfers whose expected
-    /// fidelity falls below this (used to throughput-match Fig. 7).
-    pub min_fidelity: Option<f64>,
 }
 
 impl PurificationScheduler {
     /// Creates a scheduler for `Purification N = n_purify`.
     pub fn new(n_purify: u32) -> PurificationScheduler {
-        PurificationScheduler {
-            n_purify,
-            min_fidelity: None,
-        }
+        PurificationScheduler { n_purify }
     }
 
     /// The expected end-to-end fidelity over `route`: swapping the chain of
@@ -104,11 +98,6 @@ impl PurificationScheduler {
                     continue;
                 };
                 let expected_fidelity = self.route_fidelity(net, &route);
-                if let Some(min) = self.min_fidelity {
-                    if expected_fidelity < min {
-                        continue;
-                    }
-                }
                 for &f in &route {
                     remaining[f] -= pairs_needed;
                 }
@@ -193,19 +182,6 @@ mod tests {
             .unwrap();
         assert_eq!(s9.scheduled_per_request[0], 1);
         assert!(s1.throughput() > s9.throughput());
-    }
-
-    #[test]
-    fn min_fidelity_gate_rejects_poor_routes() {
-        let net = net(100);
-        let requests = vec![Request::new(0, 2, 1)];
-        let mut sched = PurificationScheduler::new(1);
-        sched.min_fidelity = Some(0.99);
-        let s = sched.schedule(&net, &requests).unwrap();
-        assert_eq!(s.scheduled_per_request[0], 0);
-        sched.min_fidelity = Some(0.5);
-        let s = sched.schedule(&net, &requests).unwrap();
-        assert_eq!(s.scheduled_per_request[0], 1);
     }
 
     #[test]

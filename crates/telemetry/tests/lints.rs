@@ -71,7 +71,9 @@ type Package = (String, String, Vec<(String, String)>);
 /// The declared dependencies of `packages` that nothing uses: an entry of a
 /// table whose name ends in `dependencies` is live when its package's files,
 /// cut as in [`dead_entries`], hold its name as a whole word (`-` read as
-/// `_`); a `[workspace.dependencies]` entry when a package inherits it.
+/// `_`); a `[workspace.dependencies]` entry when a package inherits it; a
+/// `shims/*` package when a `[workspace.dependencies]` entry's `path` names
+/// it (the workspace's `shims/*` member glob builds and tests an orphan).
 fn dead_dependencies(packages: &[Package]) -> Vec<String> {
     let code: Vec<_> = packages
         .iter()
@@ -79,6 +81,8 @@ fn dead_dependencies(packages: &[Package]) -> Vec<String> {
         .collect();
     // `(manifest, code, table, name, inherits)` of every entry.
     let mut entries = Vec::new();
+    // The `path` of every `[workspace.dependencies]` entry that has one.
+    let mut paths = Vec::new();
     for ((manifest, text, _), code) in packages.iter().zip(&code) {
         let mut table = "";
         for line in text.lines().map(str::trim) {
@@ -88,6 +92,10 @@ fn dead_dependencies(packages: &[Package]) -> Vec<String> {
                 if table.ends_with("dependencies") && !line.starts_with('#') {
                     let name = key.split('.').next().unwrap_or(key).trim();
                     entries.push((manifest, code, table, name, line.contains("workspace")));
+                }
+                if table == "workspace.dependencies" {
+                    let path = line.split_once("path = \"").map(|(_, rest)| rest);
+                    paths.extend(path.and_then(|rest| rest.split('"').next()));
                 }
             }
         }
@@ -108,6 +116,14 @@ fn dead_dependencies(packages: &[Package]) -> Vec<String> {
         } else if table != "workspace.dependencies" && !words.any(|w| w == word) {
             dead.push(format!(
                 "{manifest} [{table}] `{name}` is used by no file of its package"
+            ));
+        }
+    }
+    for (manifest, ..) in packages {
+        let dir = manifest.trim_end_matches("/Cargo.toml");
+        if dir.starts_with("shims/") && !paths.contains(&dir) {
+            dead.push(format!(
+                "{manifest}: no [workspace.dependencies] path names `{dir}`"
             ));
         }
     }
