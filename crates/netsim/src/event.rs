@@ -28,10 +28,10 @@
 //!   counted per reason in the `netsim.stream.*` metrics and per blocking
 //!   link in the `netsim.stream.link.dropped` family.
 //! * **Plan once per request** — a request is routed on arrival by one
-//!   [`RouteSearch`] built per run (a bidirectional minimum-noise search
-//!   over a flat table of fiber noises, steered by landmark lower bounds
-//!   measured once per run), and its deferred re-offers carry that plan
-//!   and footprint instead of routing again.
+//!   [`RouteSearch`] built per run (hub labels of every node's
+//!   minimum-noise distances, from one pruned Dijkstra per node; a query
+//!   merges two labels and walks tree fibers), and its deferred re-offers
+//!   carry that plan and footprint instead of routing again.
 //!
 //! Latency and failure accounting follow the unified contract documented
 //! on [`ExecutionConfig::max_ticks`] and
@@ -322,11 +322,11 @@ pub fn execute_plan_event<R: Rng + ?Sized>(
 /// [`simulate`] counts either under `dropped_unroutable`.
 ///
 /// One call answers one query, so it routes on the reference
-/// [`Network::min_noise_path`] and builds no [`RouteSearch`], whose landmark
-/// passes pay off only over many queries. [`simulate`] builds one search per
-/// run and splits each route it returns the same way. Where the
-/// minimum-noise route is unique, as on graphs with continuous fidelities,
-/// the two give the same plan.
+/// [`Network::min_noise_path`] and builds no [`RouteSearch`], whose labels
+/// (one pruned Dijkstra per node) pay off only over many queries.
+/// [`simulate`] builds one search per run and splits each route it returns
+/// the same way. Where the minimum-noise route is unique, as on graphs with
+/// continuous fidelities, the two give the same plan.
 pub fn plan_request(net: &Network, request: &Request) -> Option<TransferPlan> {
     plan_by(net, request, &net.min_noise_path(request.src, request.dst)?)
 }
@@ -606,8 +606,8 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
         }
     }
     // Built once per run: it reads each fiber's `μ = ln(1/γ)` once and
-    // measures every node's distance to its landmarks.
-    let mut search = RouteSearch::new(net);
+    // labels every node with its hubs.
+    let search = RouteSearch::new(net);
 
     while let Some((now, ev)) = run.queue.pop() {
         run.stats.end_time = run.stats.end_time.max(now);
@@ -661,7 +661,7 @@ pub fn simulate<R: Rng + ?Sized>(net: &Network, config: &StreamConfig, rng: &mut
     surfnet_telemetry::count!("netsim.stream.dropped.unroutable", stats.dropped_unroutable);
     surfnet_telemetry::count!("netsim.stream.dropped.capacity", stats.dropped_capacity);
     surfnet_telemetry::count!("netsim.stream.dropped.pool", stats.dropped_pool);
-    surfnet_telemetry::count!("netsim.stream.plan.settled", search.settled());
+    surfnet_telemetry::count!("netsim.stream.plan.labels", search.labels());
     if !link_drops.is_empty() {
         let fam = surfnet_telemetry::family!("netsim.stream.link.dropped");
         for (f, &n) in link_drops.iter().enumerate() {
@@ -875,6 +875,31 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         let stats = simulate(&net, &config, &mut rng);
         assert_eq!(stats.arrivals, 3);
+        assert_eq!(stats.admitted + stats.dropped(), 3);
+    }
+
+    #[test]
+    fn request_across_components_is_dropped_as_unroutable() {
+        // The line plus a two-user island: the search finds no common hub
+        // for a pair split across them.
+        let mut net = line_net();
+        let a = net.add_node(NodeKind::User, 0);
+        let b = net.add_node(NodeKind::User, 0);
+        net.add_fiber(a, b, 0.9, 8, 0.1).unwrap();
+        let trace = vec![
+            (1, Request::new(0, 3, 1)),
+            (2, Request::new(0, a, 1)),
+            (3, Request::new(a, b, 1)),
+        ];
+        let config = StreamConfig {
+            arrival: ArrivalProcess::Trace(trace),
+            horizon: 1000,
+            ..StreamConfig::default()
+        };
+        let mut rng = SmallRng::seed_from_u64(14);
+        let stats = simulate(&net, &config, &mut rng);
+        assert_eq!(stats.arrivals, 3);
+        assert_eq!(stats.dropped_unroutable, 1);
         assert_eq!(stats.admitted + stats.dropped(), 3);
     }
 

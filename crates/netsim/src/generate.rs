@@ -237,25 +237,27 @@ mod tests {
 
     #[test]
     fn relays_are_high_degree_nodes() {
-        let config = NetworkConfig::default();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let net = barabasi_albert(&config, &mut rng).unwrap();
-        let min_relay_degree = net
-            .relays()
-            .iter()
-            .map(|&v| net.incident(v).len())
-            .min()
-            .unwrap();
-        let max_user_degree = net
-            .users()
-            .iter()
-            .map(|&v| net.incident(v).len())
-            .max()
-            .unwrap();
-        // Degree ranking with id tie-breaks means every relay has degree
-        // ≥ every user up to ties.
-        assert!(min_relay_degree >= max_user_degree.saturating_sub(0).min(min_relay_degree));
-        assert!(min_relay_degree as f64 >= max_user_degree as f64 - 1.0);
+        // Kinds go by degree, highest first, ties to the lower id, so every
+        // relay has degree ≥ every user; degrees do tie across the cut.
+        let stream = NetworkConfig {
+            num_nodes: 1_200,
+            num_servers: 40,
+            num_switches: 160,
+            ..NetworkConfig::default()
+        };
+        for config in [NetworkConfig::default(), stream] {
+            for seed in 0..50 {
+                let net = barabasi_albert(&config, &mut SmallRng::seed_from_u64(seed)).unwrap();
+                let degree = |v: usize| net.incident(v).len();
+                let min_relay = net.relays().into_iter().map(degree).min().unwrap();
+                let max_user = net.users().into_iter().map(degree).max().unwrap();
+                assert!(
+                    min_relay >= max_user,
+                    "{} nodes, seed {seed}: a relay of degree {min_relay}, a user of {max_user}",
+                    config.num_nodes
+                );
+            }
+        }
     }
 
     #[test]

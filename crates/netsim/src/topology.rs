@@ -1,7 +1,7 @@
 //! Network topology: users, switches, servers, and dual-channel optical
 //! fibers (paper Sec. IV-A).
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Index of a node in a [`Network`].
@@ -381,15 +381,8 @@ impl Network {
     }
 }
 
-/// Landmarks per [`RouteSearch`]. Each costs one one-to-all pass per run and
-/// eight bytes per node, and tightens every query's lower bounds: on the
-/// 1,200-node stream graphs 4, 8 and 16 landmarks settle about 37, 29 and
-/// 22 nodes per query, against about 100 with none. Eight gave the least
-/// planning time per run, passes included (DESIGN §11.6).
-const LANDMARKS: usize = 8;
-
-/// One arc of [`RouteSearch`]'s flat adjacency: the far end of an incident
-/// fiber, the fiber, and its noise `μ`.
+/// One arc of the flat adjacency that [`RouteSearch::new`] labels over: the
+/// far end of an incident fiber, the fiber, and its noise `μ`.
 #[derive(Debug)]
 struct Hop {
     to: u32,
@@ -406,221 +399,139 @@ struct Arcs {
 }
 
 impl Arcs {
+    /// Reads each fiber's noise once, into one arc per fiber end.
+    fn new(net: &Network) -> Arcs {
+        let mut first = Vec::with_capacity(net.num_nodes() + 1);
+        let mut hops = Vec::with_capacity(2 * net.num_fibers());
+        first.push(0);
+        for v in 0..net.num_nodes() {
+            for &f in net.incident(v) {
+                let fiber = net.fiber(f);
+                hops.push(Hop {
+                    to: fiber.other(v) as u32,
+                    fiber: f as u32,
+                    noise: fiber.noise(),
+                });
+            }
+            first.push(hops.len() as u32);
+        }
+        Arcs { first, hops }
+    }
+
     fn of(&self, v: NodeId) -> &[Hop] {
         &self.hops[self.first[v] as usize..self.first[v + 1] as usize]
     }
+}
 
-    fn num_nodes(&self) -> usize {
-        self.first.len() - 1
-    }
+/// The `fiber` of a hub's own [`LabelEntry`]: a hub reaches itself by none.
+pub(crate) const NO_FIBER: u32 = u32::MAX;
 
-    /// One-to-all minimum noise from `root`; `∞` where unreachable.
-    fn distances_from(&self, root: NodeId) -> Vec<f64> {
-        let mut dist = vec![f64::INFINITY; self.num_nodes()];
-        let mut heap = BinaryHeap::new();
+/// One entry of a node's hub label: the node's noise distance to the hub of
+/// rank `hub`, and the fiber by which the hub's shortest-path tree reaches
+/// the node. The fiber's far end is the node's parent in that tree.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LabelEntry {
+    pub(crate) dist: f64,
+    pub(crate) hub: u32,
+    pub(crate) fiber: u32,
+}
+
+/// Ranks the nodes of `net` and labels every one of them: returns `order`,
+/// where `order[rank]` is the node of that rank, and each node's label,
+/// sorted by hub rank.
+///
+/// Nodes rank by degree, highest first, ties to the lower id: the key
+/// [`crate::generate::barabasi_albert`] assigns kinds by, so relays rank
+/// first. For each root in rank order, a Dijkstra over the noises runs from
+/// it, pruned against the labels built so far. When a node `u` pops at
+/// noise `d`, the earlier hubs reach it from the root within
+/// `q = min(d(u, h) + d(h, root))` over its label. If `q ≤ d` the node is
+/// skipped: no label and no expansion. Otherwise it gets the entry
+/// `(root, d, fiber it was reached by)` and its arcs are relaxed. The
+/// scratch is reused across roots, and only the nodes a root touched are
+/// reset.
+pub(crate) fn hub_labels(net: &Network) -> (Vec<u32>, Vec<Vec<LabelEntry>>) {
+    let n = net.num_nodes();
+    let arcs = Arcs::new(net);
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by_key(|&v| (Reverse(net.incident(v as NodeId).len()), v));
+    let mut labels: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
+    let mut dist = vec![f64::INFINITY; n];
+    let mut via = vec![NO_FIBER; n];
+    let mut heap = BinaryHeap::new();
+    let mut touched = Vec::new();
+    // The root's noise to each hub rank, from its label.
+    let mut to_root = vec![f64::INFINITY; n];
+    for (rank, &root) in order.iter().enumerate() {
+        let root = root as NodeId;
+        for entry in &labels[root] {
+            to_root[entry.hub as usize] = entry.dist;
+        }
         dist[root] = 0.0;
+        touched.push(root);
         heap.push((Reverse(0.0f64.to_bits()), root));
         while let Some((Reverse(bits), v)) = heap.pop() {
             let d = f64::from_bits(bits);
             if d > dist[v] {
                 continue;
             }
-            for hop in self.of(v) {
+            let covered = labels[v].iter().fold(f64::INFINITY, |q, e| {
+                q.min(e.dist + to_root[e.hub as usize])
+            });
+            if covered <= d {
+                continue;
+            }
+            labels[v].push(LabelEntry {
+                dist: d,
+                hub: rank as u32,
+                fiber: via[v],
+            });
+            for hop in arcs.of(v) {
                 let u = hop.to as usize;
                 let nd = d + hop.noise;
                 if nd < dist[u] {
+                    if dist[u] == f64::INFINITY {
+                        touched.push(u);
+                    }
                     dist[u] = nd;
+                    via[u] = hop.fiber;
                     heap.push((Reverse(nd.to_bits()), u));
                 }
             }
         }
-        dist
-    }
-
-    /// Every node's noise distance to each of [`LANDMARKS`] landmarks,
-    /// node-major. The landmarks are picked farthest-first: the first is the
-    /// node farthest from node 0, each next one the node farthest from its
-    /// nearest landmark so far, counting only nodes at finite distance and
-    /// breaking ties by the lower id. That is `LANDMARKS + 1` one-to-all
-    /// passes, and the choice depends on the network alone.
-    fn landmark_distances(&self) -> Vec<[f64; LANDMARKS]> {
-        let n = self.num_nodes();
-        let mut dist = vec![[f64::INFINITY; LANDMARKS]; n];
-        if n == 0 {
-            return dist;
+        for v in touched.drain(..) {
+            dist[v] = f64::INFINITY;
+            via[v] = NO_FIBER;
         }
-        // Each node's distance to its nearest landmark (to node 0 before
-        // the first); node 0 itself is always at finite distance.
-        let mut spread = self.distances_from(0);
-        for i in 0..LANDMARKS {
-            let mut landmark = 0;
-            for v in 1..n {
-                if spread[v].is_finite() && spread[v] > spread[landmark] {
-                    landmark = v;
-                }
-            }
-            let from = self.distances_from(landmark);
-            for v in 0..n {
-                dist[v][i] = from[v];
-                spread[v] = if i == 0 {
-                    from[v]
-                } else {
-                    spread[v].min(from[v])
-                };
-            }
-        }
-        dist
-    }
-}
-
-/// The landmark lower bound `π_t(v) = maxᵢ |d(Lᵢ, t) − d(Lᵢ, v)|` on the
-/// noise between `v` and `t`, from their rows of landmark distances.
-/// A landmark counts only where both distances are finite, so a node in
-/// another component than `t` gets 0, never `∞` or NaN.
-fn landmark_bound(t: &[f64; LANDMARKS], v: &[f64; LANDMARKS]) -> f64 {
-    t.iter().zip(v).fold(0.0, |bound, (a, b)| {
-        // Infinite when one landmark distance is, NaN when both are; either
-        // fails the comparison.
-        let gap = (a - b).abs();
-        if gap < f64::INFINITY {
-            bound.max(gap)
-        } else {
-            bound
-        }
-    })
-}
-
-/// Maps a non-NaN `f64` to a `u64` of the same order. Heap keys can be
-/// negative, and raw `to_bits` orders negative floats backwards.
-fn ordered(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// One side's label of a node: its distance, its A* key (the distance plus
-/// the side's potential) and tree fiber, valid only while `stamp` equals the
-/// search's current query stamp.
-#[derive(Debug, Clone, Copy)]
-struct Label {
-    dist: f64,
-    key: f64,
-    via: u32,
-    stamp: u32,
-}
-
-/// One direction of the bidirectional search: per-node labels and a lazy
-/// heap on [`ordered`] keys.
-#[derive(Debug, Clone)]
-struct Side {
-    labels: Vec<Label>,
-    heap: BinaryHeap<(Reverse<u64>, NodeId)>,
-}
-
-impl Side {
-    fn start(&mut self, root: NodeId, key: f64, stamp: u32) {
-        self.heap.clear();
-        self.labels[root] = Label {
-            dist: 0.0,
-            key,
-            via: u32::MAX,
-            stamp,
-        };
-        self.heap.push((Reverse(ordered(key)), root));
-    }
-
-    fn dist(&self, v: NodeId, stamp: u32) -> f64 {
-        let label = self.labels[v];
-        if label.stamp == stamp {
-            label.dist
-        } else {
-            f64::INFINITY
+        for entry in &labels[root] {
+            to_root[entry.hub as usize] = f64::INFINITY;
         }
     }
-
-    /// The smallest live key, dropping stale entries (superseded by a
-    /// shorter label, so stored with a larger key than the label's) off the
-    /// top; `∞` once the heap is empty. Every entry was pushed during the
-    /// current query, so its node's label is current.
-    fn top(&mut self) -> f64 {
-        while let Some(&(Reverse(key), v)) = self.heap.peek() {
-            let label = self.labels[v];
-            if key > ordered(label.key) {
-                self.heap.pop();
-            } else {
-                return label.key;
-            }
-        }
-        f64::INFINITY
-    }
+    (order, labels)
 }
 
-/// A node's potential for the current query, valid while `stamp` equals the
-/// search's query stamp.
-#[derive(Debug, Clone, Copy)]
-struct Potential {
-    value: f64,
-    stamp: u32,
-}
-
-/// Every node's landmark distances, and the potentials they give the
-/// current query.
-#[derive(Debug)]
-struct Landmarks {
-    /// `dist[v][i]` is the noise distance between node `v` and landmark `i`.
-    dist: Vec<[f64; LANDMARKS]>,
-    /// Each node's forward potential for the current query, computed on
-    /// first use.
-    cache: Vec<Potential>,
-}
-
-impl Landmarks {
-    /// The forward potential `p(v) = ½(π_dst(v) − π_src(v))` of the query
-    /// stamped `stamp`; the backward potential is `−p(v)`.
-    fn potential(&mut self, v: NodeId, src: NodeId, dst: NodeId, stamp: u32) -> f64 {
-        let cached = &mut self.cache[v];
-        if cached.stamp != stamp {
-            let at = &self.dist[v];
-            let to_dst = landmark_bound(&self.dist[dst], at);
-            let to_src = landmark_bound(&self.dist[src], at);
-            *cached = Potential {
-                value: 0.5 * (to_dst - to_src),
-                stamp,
-            };
-        }
-        cached.value
-    }
-}
-
-/// A reusable minimum-noise route search over one network: the streaming
-/// planner's Dijkstra (paper Sec. V-A/B), run from both ends at once and
-/// steered by landmark lower bounds.
+/// A minimum-noise route oracle over one network: the streaming planner's
+/// Dijkstra (paper Sec. V-A/B), answered from hub labels built once.
 ///
-/// Built once per network, it holds every fiber's noise `μ = ln(1/γ)` in a
-/// flat adjacency (in [`Network::incident`] order) and every node's noise
-/// distance to eight landmarks, picked farthest-first from node 0. It
-/// answers [`path`](Self::path) queries by bidirectional A* on the average
-/// landmark potential (ALT: Goldberg and Harrelson, SODA 2005). With
-/// `π_t(v) = maxᵢ |d(Lᵢ, t) − d(Lᵢ, v)|`, a lower bound on the noise
-/// between `v` and `t`, and `p(v) = ½(π_dst(v) − π_src(v))`, the forward
-/// search from `src` orders nodes by `d(v) + p(v)` and the backward one
-/// from `dst` by `d(v) − p(v)`. Each step expands the side with the smaller
-/// key and offers every arc it scans as a meeting; a node whose key plus
-/// the other side's smallest key cannot beat the best meeting is not
-/// labelled. The search stops once the two smallest keys sum to at least
-/// the best meeting, because the potentials cancel along any route. On
-/// Barabási–Albert graphs the two frontiers meet at the hubs, long before
-/// one-sided Dijkstra would settle `dst`. Labels and potentials carry a
-/// per-query stamp, so a query neither allocates nor clears per-node state.
+/// [`new`](Self::new) runs pruned landmark labeling (Akiba, Iwata and
+/// Yoshida, SIGMOD 2013) over every fiber's noise `μ = ln(1/γ)`. It ranks
+/// the nodes by degree and runs one Dijkstra from each in rank order. A
+/// node that earlier hubs already reach within its noise from the root is
+/// neither labelled nor expanded; every other node records the root as a
+/// hub, with its noise and the fiber the root's shortest-path tree reaches
+/// it by. On Barabási–Albert graphs the high-degree hubs lie on almost every
+/// minimum-noise route, so on the 1,200-node stream graphs the labels
+/// average 11 to 18 entries per node.
+/// [`path`](Self::path) merges the two endpoints' labels by hub rank, takes
+/// the common hub `h` with the least `d(src, h) + d(h, dst)` (the first in
+/// rank order on a tie), and walks the tree fibers from `src` up to `h` and
+/// from `h` down to `dst`. Endpoints in different components share no hub.
 ///
 /// Where the minimum-noise route is unique, it is the route
-/// [`Network::shortest_path_by`] returns over the same noise. On exact ties
-/// the two may return different minimum-noise routes, because the meeting
-/// sum `(d(v) + μ) + d'(u)` rounds differently from a forward fold, and a
-/// rounded potential can order keys that tie to the last bit differently.
+/// [`Network::shortest_path_by`] returns over the same noise: its
+/// highest-ranked node labels every node on it. On exact ties the two may
+/// return different minimum-noise routes, because the label sum rounds
+/// differently from a forward fold.
 ///
 /// # Examples
 ///
@@ -634,7 +545,7 @@ impl Landmarks {
 /// net.add_fiber(a, s, 0.9, 4, 0.05)?;
 /// net.add_fiber(s, b, 0.85, 4, 0.05)?;
 /// net.add_fiber(a, b, 0.6, 4, 0.05)?;
-/// let mut search = RouteSearch::new(&net);
+/// let search = RouteSearch::new(&net);
 /// assert_eq!(search.path(a, b), Some(vec![0, 1]));
 /// assert_eq!(search.path(b, a), Some(vec![1, 0]));
 /// # Ok::<(), surfnet_netsim::NetError>(())
@@ -642,78 +553,37 @@ impl Landmarks {
 #[derive(Debug)]
 pub struct RouteSearch<'a> {
     net: &'a Network,
-    arcs: Arcs,
-    landmarks: Landmarks,
-    /// Forward (from `src`) and backward (from `dst`) sides.
-    sides: [Side; 2],
-    /// The current query's stamp; labels and potentials with another stamp
-    /// are unset.
-    stamp: u32,
-    settled: u64,
+    /// Each node's hub label, sorted by hub rank.
+    labels: Vec<Vec<LabelEntry>>,
 }
 
 impl<'a> RouteSearch<'a> {
-    /// Builds the search for `net`: reads each fiber's noise once, then
-    /// picks the landmarks and measures every node's distance to them, in
-    /// one one-to-all pass over the flat adjacency per landmark plus one.
+    /// Builds the hub labels of `net`: one pruned Dijkstra per node, over a
+    /// flat adjacency that reads each fiber's noise once and is dropped
+    /// before this returns.
     ///
     /// # Panics
     ///
     /// Panics if `net` has `u32::MAX` or more nodes or arcs.
     pub fn new(net: &'a Network) -> RouteSearch<'a> {
-        let n = net.num_nodes();
         assert!(
-            n < u32::MAX as usize && 2 * net.num_fibers() < u32::MAX as usize,
+            net.num_nodes() < u32::MAX as usize && 2 * net.num_fibers() < u32::MAX as usize,
             "network too large for 32-bit search indices"
         );
-        let mut first = Vec::with_capacity(n + 1);
-        let mut hops = Vec::with_capacity(2 * net.num_fibers());
-        first.push(0);
-        for v in 0..n {
-            for &f in net.incident(v) {
-                let fiber = net.fiber(f);
-                hops.push(Hop {
-                    to: fiber.other(v) as u32,
-                    fiber: f as u32,
-                    noise: fiber.noise(),
-                });
-            }
-            first.push(hops.len() as u32);
+        let (order, labels) = hub_labels(net);
+        if crate::check::enabled() {
+            crate::check::assert_ok(
+                crate::check::check_labels(net, &order, &labels),
+                "hub-labels",
+            );
         }
-        let arcs = Arcs { first, hops };
-        let unset_potential = Potential {
-            value: 0.0,
-            stamp: 0,
-        };
-        let landmarks = Landmarks {
-            dist: arcs.landmark_distances(),
-            cache: vec![unset_potential; n],
-        };
-        let unset = Label {
-            dist: f64::INFINITY,
-            key: f64::INFINITY,
-            via: u32::MAX,
-            stamp: 0,
-        };
-        let side = Side {
-            labels: vec![unset; n],
-            heap: BinaryHeap::new(),
-        };
-        RouteSearch {
-            net,
-            arcs,
-            landmarks,
-            sides: [side.clone(), side],
-            stamp: 0,
-            settled: 0,
-        }
+        RouteSearch { net, labels }
     }
 
-    /// Nodes settled so far, summed over both sides and every query: the
-    /// search's deterministic work count. The landmark passes of
-    /// [`new`](Self::new) are not counted.
-    pub fn settled(&self) -> u64 {
-        self.settled
+    /// Label entries built, summed over every node: the search's
+    /// deterministic work count. Queries add none.
+    pub fn labels(&self) -> u64 {
+        self.labels.iter().map(|label| label.len() as u64).sum()
     }
 
     /// Minimum-noise route from `src` to `dst` as a fiber sequence (empty
@@ -722,10 +592,10 @@ impl<'a> RouteSearch<'a> {
     /// # Panics
     ///
     /// Panics if `src` or `dst` is out of range.
-    pub fn path(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<FiberId>> {
+    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<FiberId>> {
         let n = self.net.num_nodes();
         assert!(src < n && dst < n);
-        let route = self.search(src, dst);
+        let route = self.route(src, dst);
         if crate::check::enabled() {
             crate::check::assert_ok(
                 crate::check::check_route(self.net, src, dst, route.as_deref()),
@@ -735,101 +605,53 @@ impl<'a> RouteSearch<'a> {
         route
     }
 
-    fn next_stamp(&mut self) -> u32 {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            for side in &mut self.sides {
-                for label in &mut side.labels {
-                    label.stamp = 0;
-                }
-            }
-            for potential in &mut self.landmarks.cache {
-                potential.stamp = 0;
-            }
-            self.stamp = 1;
-        }
-        self.stamp
-    }
-
-    fn search(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<FiberId>> {
+    fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<FiberId>> {
         if src == dst {
             return Some(Vec::new());
         }
-        let stamp = self.next_stamp();
-        let landmarks = &mut self.landmarks;
-        let [fwd, bwd] = &mut self.sides;
-        fwd.start(src, landmarks.potential(src, src, dst, stamp), stamp);
-        bwd.start(dst, -landmarks.potential(dst, src, dst, stamp), stamp);
-        let mut best = f64::INFINITY;
-        // The best route's forward-tree end, meeting fiber and
-        // backward-tree end.
-        let mut meet = None;
-        loop {
-            let (top_f, top_b) = (fwd.top(), bwd.top());
-            // Also stops once either side runs dry: its key is then ∞.
-            if top_f + top_b >= best {
-                break;
-            }
-            let forward = top_f <= top_b;
-            let (this, other, other_top, sign) = if forward {
-                (&mut *fwd, &*bwd, top_b, 1.0)
-            } else {
-                (&mut *bwd, &*fwd, top_f, -1.0)
-            };
-            let Some((_, v)) = this.heap.pop() else {
-                break;
-            };
-            self.settled += 1;
-            let d = this.labels[v].dist;
-            for hop in self.arcs.of(v) {
-                let u = hop.to as usize;
-                let nd = d + hop.noise;
-                let through = nd + other.dist(u, stamp);
-                if through < best {
-                    best = through;
-                    meet = Some(if forward {
-                        (v, hop.fiber as FiberId, u)
-                    } else {
-                        (u, hop.fiber as FiberId, v)
-                    });
-                }
-                let label = this.labels[u];
-                if label.stamp == stamp && nd >= label.dist {
-                    continue;
-                }
-                let key = nd + sign * landmarks.potential(u, src, dst, stamp);
-                // A route through this label costs at least `key` plus the
-                // other side's smallest key, unless the other side has
-                // settled `u`, and that meeting was offered above.
-                if key + other_top >= best {
-                    continue;
-                }
-                this.labels[u] = Label {
-                    dist: nd,
-                    key,
-                    via: hop.fiber,
-                    stamp,
-                };
-                this.heap.push((Reverse(ordered(key)), u));
-            }
-        }
-        let (x, meeting, y) = meet?;
-        let mut route = Vec::new();
-        let mut v = x;
-        while v != src {
-            let f = fwd.labels[v].via as FiberId;
-            route.push(f);
-            v = self.net.fiber(f).other(v);
-        }
-        route.reverse();
-        route.push(meeting);
-        let mut v = y;
-        while v != dst {
-            let f = bwd.labels[v].via as FiberId;
-            route.push(f);
-            v = self.net.fiber(f).other(v);
-        }
+        let (hub, _) = self.common_hub(src, dst)?;
+        let mut route = self.up_to(src, hub);
+        route.extend(self.up_to(dst, hub).iter().rev());
         Some(route)
+    }
+
+    /// The common hub of `src` and `dst` with the least summed noise, the
+    /// first in rank order on a tie, and that noise; `None` if they share
+    /// no hub.
+    fn common_hub(&self, src: NodeId, dst: NodeId) -> Option<(u32, f64)> {
+        let (a, b) = (&self.labels[src], &self.labels[dst]);
+        let (mut i, mut j) = (0, 0);
+        let mut best: Option<(u32, f64)> = None;
+        while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+            match x.hub.cmp(&y.hub) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    let through = x.dist + y.dist;
+                    if best.is_none_or(|(_, d)| through < d) {
+                        best = Some((x.hub, through));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        best
+    }
+
+    /// The fibers from `v` up `hub`'s shortest-path tree to the hub; `v`
+    /// must carry `hub` in its label.
+    fn up_to(&self, mut v: NodeId, hub: u32) -> Vec<FiberId> {
+        let mut fibers = Vec::new();
+        loop {
+            let label = &self.labels[v];
+            let fiber = label[label.partition_point(|e| e.hub < hub)].fiber;
+            if fiber == NO_FIBER {
+                return fibers;
+            }
+            fibers.push(fiber as FiberId);
+            v = self.net.fiber(fiber as FiberId).other(v);
+        }
     }
 }
 
@@ -913,53 +735,9 @@ mod tests {
     }
 
     #[test]
-    fn route_search_survives_the_stamp_wrap() {
-        use rand::SeedableRng;
-        let config = crate::NetworkConfig {
-            num_nodes: 60,
-            ..crate::NetworkConfig::default()
-        };
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-        let net = crate::generate::barabasi_albert(&config, &mut rng).unwrap();
-        let reference = |s, d| net.shortest_path_by(s, d, |f| net.fiber(f).noise());
-        let mut search = RouteSearch::new(&net);
-        // Leave labels stamped 1 behind, then cross the wrap: the query
-        // after it must not read them as its own.
-        assert_eq!(search.path(0, 59), reference(0, 59));
-        search.stamp = u32::MAX - 1;
-        for (s, d) in [(59, 0), (1, 58), (58, 1)] {
-            assert_eq!(search.path(s, d), reference(s, d));
-        }
-        assert_eq!(search.stamp, 2);
-    }
-
-    /// Minimum noise from every node to `t`, by a plain Dijkstra over the
-    /// network's incidence lists (independent of the search's adjacency).
-    fn noise_to(net: &Network, t: NodeId) -> Vec<f64> {
-        let mut dist = vec![f64::INFINITY; net.num_nodes()];
-        let mut heap = BinaryHeap::new();
-        dist[t] = 0.0;
-        heap.push((Reverse(0.0f64.to_bits()), t));
-        while let Some((Reverse(bits), v)) = heap.pop() {
-            let d = f64::from_bits(bits);
-            if d > dist[v] {
-                continue;
-            }
-            for &f in net.incident(v) {
-                let u = net.fiber(f).other(v);
-                let nd = d + net.fiber(f).noise();
-                if nd < dist[u] {
-                    dist[u] = nd;
-                    heap.push((Reverse(nd.to_bits()), u));
-                }
-            }
-        }
-        dist
-    }
-
-    #[test]
-    fn landmark_potentials_are_feasible() {
+    fn hub_labels_give_reference_distances() {
         use rand::{Rng, SeedableRng};
+        let mut nets = Vec::new();
         for num_nodes in [300, 1_200] {
             let config = crate::NetworkConfig {
                 num_nodes,
@@ -969,45 +747,42 @@ mod tests {
                 ..crate::NetworkConfig::default()
             };
             let mut rng = rand::rngs::SmallRng::seed_from_u64(96_000 + num_nodes as u64);
-            let net = crate::generate::barabasi_albert(&config, &mut rng).unwrap();
-            let mut search = RouteSearch::new(&net);
-            for _ in 0..6 {
-                let s = rng.gen_range(0..num_nodes);
-                let t = loop {
-                    let t = rng.gen_range(0..num_nodes);
-                    if t != s {
-                        break t;
-                    }
+            nets.push(crate::generate::barabasi_albert(&config, &mut rng).unwrap());
+        }
+        // Zero-noise fibers tie routes and put hubs at distance 0 from
+        // later roots, which prunes those roots' whole searches. Nodes 6
+        // and 7 form a second component.
+        let mut lossless = sample();
+        let c = lossless.add_node(NodeKind::Switch, 16);
+        let d = lossless.add_node(NodeKind::User, 8);
+        lossless.add_fiber(2, c, 1.0, 4, 0.02).unwrap();
+        lossless.add_fiber(c, d, 1.0, 4, 0.02).unwrap();
+        lossless.add_fiber(1, d, 1.0, 4, 0.02).unwrap();
+        lossless.add_fiber(0, d, 0.9, 4, 0.02).unwrap();
+        let e = lossless.add_node(NodeKind::User, 8);
+        let f = lossless.add_node(NodeKind::User, 8);
+        lossless.add_fiber(e, f, 1.0, 4, 0.02).unwrap();
+        nets.push(lossless);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(96_001);
+        for net in &nets {
+            let n = net.num_nodes();
+            let search = RouteSearch::new(net);
+            for _ in 0..400 {
+                let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let reference = net.shortest_path_by(s, t, |f| net.fiber(f).noise());
+                let merged = search.common_hub(s, t);
+                let Some(reference) = reference else {
+                    assert_eq!(merged, None, "{n} nodes: {s} and {t} share a hub");
+                    continue;
                 };
-                let to_t = noise_to(&net, t);
-                let dist = &search.landmarks.dist;
-                // π_t is a lower bound on every node's noise to t, and not
-                // a vacuous one.
-                for v in 0..num_nodes {
-                    let bound = landmark_bound(&dist[t], &dist[v]);
-                    assert!(
-                        bound <= to_t[v] * (1.0 + 1e-12),
-                        "{num_nodes} nodes: π_{t}({v}) = {bound} above d = {}",
-                        to_t[v]
-                    );
-                }
-                assert!(landmark_bound(&dist[t], &dist[s]) > 0.0);
-                // The forward search's reduced costs are non-negative, up
-                // to rounding, so keys never fall along an arc.
-                let stamp = search.next_stamp();
-                let tolerance = 1e-12 * to_t[s];
-                for v in 0..num_nodes {
-                    let p_v = search.landmarks.potential(v, s, t, stamp);
-                    for &f in net.incident(v) {
-                        let u = net.fiber(f).other(v);
-                        let p_u = search.landmarks.potential(u, s, t, stamp);
-                        let reduced = net.fiber(f).noise() - p_v + p_u;
-                        assert!(
-                            reduced >= -tolerance,
-                            "{num_nodes} nodes, {s}->{t}: arc {v}->{u} has reduced cost {reduced:e}"
-                        );
-                    }
-                }
+                let Some((_, through)) = merged else {
+                    panic!("{n} nodes: {s} and {t} are connected but share no hub");
+                };
+                let best = net.path_noise(&reference);
+                assert!(
+                    (through - best).abs() <= 1e-12 * best,
+                    "{n} nodes, {s}->{t}: labels give {through:e}, the reference {best:e}"
+                );
             }
         }
     }

@@ -1,17 +1,16 @@
-//! Planner equivalence corpus: the streaming planner's landmark-guided
-//! bidirectional [`RouteSearch`] against the one-sided reference,
+//! Planner equivalence corpus: the streaming planner's hub-label
+//! [`RouteSearch`] against the one-sided reference,
 //! [`Network::shortest_path_by`], over the same table of fiber noises.
 //!
 //! Barabási–Albert scenarios draw fidelities from a continuous range, so
 //! their minimum-noise routes are unique and both searches must return the
 //! very same fibers. Where routes tie exactly, the two may pick different
 //! ones, and only the noise is compared. One search instance answers every
-//! query on its network, so stale per-query state (labels or cached
-//! potentials) would show up here. The search must also stay small: on the
-//! 1,200-node graphs its landmark bounds hold it to well under half the
-//! nodes the bidirectional search settles without them, and a network whose
-//! landmarks all lie in another component must still route with zero
-//! potentials.
+//! query on its network. The labels must also stay small: on the
+//! 1,200-node graphs pruning holds them to 12 to 16 entries per node,
+//! where an unpruned build would give every node one entry per node of its
+//! component. Pairs in different components share no hub and have no
+//! route, whichever component holds the top-ranked nodes.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -82,7 +81,7 @@ fn unique_routes_are_identical_on_ba_graphs() {
         for seed in [0, 1] {
             let net = ba(num_nodes, fidelity_range, 92_000 + seed);
             let noise = noise_table(&net);
-            let mut search = RouteSearch::new(&net);
+            let search = RouteSearch::new(&net);
             let pairs = user_pairs(&net, 2_500, 93_000 + seed);
             for &(src, dst) in &pairs {
                 let expected = net.shortest_path_by(src, dst, |f| noise[f]);
@@ -94,16 +93,15 @@ fn unique_routes_are_identical_on_ba_graphs() {
                 );
                 queries += 1;
             }
-            // The landmark bounds keep the search small: about 30 settled
-            // nodes per query on the 1,200-node graphs, where the
-            // bidirectional search without them settles about 100.
-            let per_query = search.settled() as f64 / pairs.len() as f64;
-            assert!(per_query > 0.0);
+            // Pruning keeps the labels small: 12 to 16 entries per node on
+            // the 1,200-node graphs, where an unpruned build gives 1,200.
+            let per_node = search.labels() as f64 / num_nodes as f64;
+            assert!(per_node >= 1.0);
             if num_nodes == 1_200 {
                 assert!(
-                    per_query < 50.0,
+                    per_node < 20.0,
                     "{num_nodes} nodes, fidelities {fidelity_range:?}, seed {seed}: \
-                     {per_query:.1} settled per query"
+                     {per_node:.1} label entries per node"
                 );
             }
         }
@@ -117,7 +115,7 @@ fn tied_routes_have_the_reference_noise() {
     // and most pairs have several minimum-noise routes.
     let net = ba(300, (0.9, 0.9), 94_000);
     let noise = noise_table(&net);
-    let mut search = RouteSearch::new(&net);
+    let search = RouteSearch::new(&net);
     for (src, dst) in user_pairs(&net, 2_000, 94_001) {
         let expected = net.shortest_path_by(src, dst, |f| noise[f]).unwrap();
         let route = search.path(src, dst).unwrap();
@@ -146,7 +144,7 @@ fn diamond_with_two_equal_routes() {
     net.add_fiber(u0, s2, 0.9, 4, 0.0).unwrap();
     net.add_fiber(s2, u3, 0.8, 4, 0.0).unwrap();
     let noise = noise_table(&net);
-    let mut search = RouteSearch::new(&net);
+    let search = RouteSearch::new(&net);
     for (src, dst) in [(u0, u3), (u3, u0)] {
         let expected = net.shortest_path_by(src, dst, |f| noise[f]).unwrap();
         let route = search.path(src, dst).unwrap();
@@ -195,15 +193,15 @@ fn with_island(island_first: bool) -> (Network, NodeId, NodeId) {
 
 #[test]
 fn pairs_in_different_components_have_no_route() {
-    // Landmarks are picked from node 0's component. With the island built
-    // first that is the island, so the BA graph's queries run with zero
-    // potential.
+    // Hubs rank by degree, so the BA graph's nodes rank above the island's
+    // wherever the island is built, and the island's labels name only
+    // island hubs.
     for island_first in [false, true] {
         let (net, a, b) = with_island(island_first);
         let island_fiber = net.incident(a)[0];
         let main = if island_first { 2 } else { 0 };
         let noise = noise_table(&net);
-        let mut search = RouteSearch::new(&net);
+        let search = RouteSearch::new(&net);
         for (src, dst) in user_pairs(&net, 400, 95_001) {
             let expected = net.shortest_path_by(src, dst, |f| noise[f]);
             let on_island = |v| v == a || v == b;

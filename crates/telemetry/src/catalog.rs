@@ -66,7 +66,7 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("netsim.stream.dropped.unroutable", MetricKind::Counter),
     ("netsim.stream.failed", MetricKind::Counter),
     ("netsim.stream.link.dropped", MetricKind::Family),
-    ("netsim.stream.plan.settled", MetricKind::Counter),
+    ("netsim.stream.plan.labels", MetricKind::Counter),
     ("netsim.stream.simulate", MetricKind::Timer),
     ("pipeline.code", MetricKind::Timer),
     ("pipeline.evaluate", MetricKind::Timer),
